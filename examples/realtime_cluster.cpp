@@ -11,7 +11,7 @@
 #include "common/histogram.hpp"
 #include "idem/acceptance.hpp"
 #include "idem/client.hpp"
-#include "idem/replica.hpp"
+#include "real/replica.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
 
@@ -56,14 +56,10 @@ int main() {
   config.f = 1;
   config.reject_threshold = 50;
   config.viewchange_timeout = 500 * kMillisecond;
-  // Real time is the cost model here; disable the simulated CPU charges,
-  // and flush REQUIREs inline (timer granularity on the real loop is ms).
-  config.costs = consensus::CostModel{0, 0, 0, 0, 0, 0, 1};
-  config.require_batch_max = 1;
 
   std::vector<std::unique_ptr<core::IdemReplica>> replicas;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    replicas.push_back(std::make_unique<core::IdemReplica>(
+    replicas.push_back(real::make_replica(
         loop, transport, ReplicaId{i}, config,
         std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
         core::make_default_acceptance(config, 4)));

@@ -20,7 +20,7 @@
 #include "app/kv_store.hpp"
 #include "idem/acceptance.hpp"
 #include "idem/client.hpp"
-#include "idem/replica.hpp"
+#include "real/replica.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
 
@@ -37,8 +37,6 @@ core::IdemConfig protocol_config(std::size_t n) {
   config.f = (n - 1) / 2;
   config.reject_threshold = 50;
   config.viewchange_timeout = 2 * kSecond;
-  config.require_batch_max = 1;  // inline flush: real time is the cost model
-  config.costs = consensus::CostModel{0, 0, 0, 0, 0, 0, 1};
   return config;
 }
 
@@ -50,24 +48,24 @@ int run_replica(std::uint32_t index, const std::vector<std::uint16_t>& ports) {
   rpc::TcpTransport transport(loop, tcfg);
 
   core::IdemConfig config = protocol_config(n);
-  core::IdemReplica replica(loop, transport, ReplicaId{index}, config,
-                            std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
-                            core::make_default_acceptance(config, 16));
+  auto replica = real::make_replica(loop, transport, ReplicaId{index}, config,
+                                    std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
+                                    core::make_default_acceptance(config, 16));
   for (std::uint32_t i = 0; i < n; ++i) {
     if (i == index) continue;
     transport.set_remote(consensus::replica_address(ReplicaId{i}), ports[i]);
   }
   std::printf("replica %u up on 127.0.0.1:%u (leader of view 0: replica 0)\n", index,
-              transport.port_of(replica.id()));
+              transport.port_of(replica->id()));
   std::fflush(stdout);
 
   while (!g_stop) {
     loop.run_for(500 * kMillisecond);
     std::printf("replica %u: view=%llu leader=%s executed=%llu rejected=%llu\r", index,
-                static_cast<unsigned long long>(replica.view().value),
-                replica.is_leader() ? "yes" : "no ",
-                static_cast<unsigned long long>(replica.stats().executed),
-                static_cast<unsigned long long>(replica.stats().rejected));
+                static_cast<unsigned long long>(replica->view().value),
+                replica->is_leader() ? "yes" : "no ",
+                static_cast<unsigned long long>(replica->stats().executed),
+                static_cast<unsigned long long>(replica->stats().rejected));
     std::fflush(stdout);
   }
   std::printf("\nreplica %u shutting down\n", index);

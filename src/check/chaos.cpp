@@ -196,6 +196,22 @@ void check_exec_logs(const ExecLog& exec, const History& history, ChaosResult& r
   result.exec_ok = result.exec_error.empty();
 }
 
+/// No live IDEM replica may still count an id in r_now that its own client
+/// table counts as executed: nothing can release that slot any more.
+void check_slot_leaks(harness::Cluster& cluster, ChaosResult& result) {
+  std::ostringstream err;
+  for (std::size_t r = 0; r < cluster.config().n; ++r) {
+    const core::IdemReplica* replica = cluster.idem_replica(r);
+    if (replica == nullptr || replica->crashed()) continue;
+    const std::vector<RequestId> leaked = replica->leaked_slots();
+    if (leaked.empty()) continue;
+    err << "replica " << r << " holds " << leaked.size()
+        << " r_now slot(s) of executed requests (first " << to_string(leaked.front()) << "); ";
+  }
+  result.exec_error += err.str();
+  result.exec_ok = result.exec_error.empty();
+}
+
 }  // namespace
 
 ChaosResult run_chaos(const ChaosConfig& config) {
@@ -317,6 +333,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   auto model = make_model(config.app);
   result.check = check_linearizable(history, *model, kMaxSearchStates);
   check_exec_logs(exec, history, result);
+  check_slot_leaks(cluster, result);
   return result;
 }
 

@@ -65,7 +65,8 @@ struct ChaosResult {
   /// Replica execution-log cross-invariants: agreement (same sequence
   /// number => same request everywhere), exactly-once per replica, every
   /// Ok op executed somewhere, and no definitively-rejected op executed
-  /// anywhere.
+  /// anywhere. After the drain, also no leaked admission slot: no live
+  /// IDEM replica counts an id in r_now that it has already executed.
   bool exec_ok = true;
   std::string exec_error;
 

@@ -1,33 +1,8 @@
 #include "consensus/messages.hpp"
 
-#include <atomic>
 #include <memory>
 
 namespace idem::msg {
-
-namespace {
-
-// Process-wide, set once by real-mode entry points before loop threads
-// exist; relaxed loads keep the encode hot path branch-predictable and
-// TSan-clean.
-std::atomic<bool> g_wire_reject_reasons{false};
-std::atomic<bool> g_wire_request_deadlines{false};
-
-}  // namespace
-
-void set_wire_reject_reasons(bool enabled) {
-  g_wire_reject_reasons.store(enabled, std::memory_order_relaxed);
-}
-
-bool wire_reject_reasons() { return g_wire_reject_reasons.load(std::memory_order_relaxed); }
-
-void set_wire_request_deadlines(bool enabled) {
-  g_wire_request_deadlines.store(enabled, std::memory_order_relaxed);
-}
-
-bool wire_request_deadlines() {
-  return g_wire_request_deadlines.load(std::memory_order_relaxed);
-}
 
 namespace {
 

@@ -20,30 +20,6 @@
 
 namespace idem::msg {
 
-// ---------------------------------------------------------------------------
-// Real-mode wire extension gate
-//
-// REJECT carries its RejectReason as a trailing byte — but only when this
-// process-wide flag is set. The simulator's cost model charges
-// per_message + ns_per_byte * wire_size() for every send, so growing
-// REJECT unconditionally would perturb every pinned simulated trajectory
-// (determinism tests, the hash-stamped replay corpus). Real-mode entry
-// points (RealCluster, idem_server, run_load) set the flag before any
-// loop thread starts; decoding tolerates both forms unconditionally, so
-// mixed deployments interoperate.
-// ---------------------------------------------------------------------------
-
-/// Enables the REJECT reason byte on the wire for this process. Call
-/// before protocol threads start (reads are relaxed-atomic).
-void set_wire_reject_reasons(bool enabled);
-bool wire_reject_reasons();
-
-/// Enables the REQUEST deadline varint on the wire, same contract as the
-/// REJECT reason byte: armed once by real-mode entry points, tolerant
-/// decode, off by default so simulated trajectories stay pinned.
-void set_wire_request_deadlines(bool enabled);
-bool wire_request_deadlines();
-
 enum class Type : std::uint8_t {
   // Client <-> replica (shared by all protocols)
   Request = 1,
@@ -138,11 +114,9 @@ class Message : public sim::Payload {
 /// all replicas, sent by Paxos clients to the (presumed) leader.
 ///
 /// `deadline` is the client's latency budget for this attempt, in
-/// nanoseconds relative to transmission (0 = none). It rides the wire only
-/// when set_wire_request_deadlines() armed it (real mode) *and* it is
-/// nonzero; the decoder accepts both forms, so a deadline-less binary
-/// interoperates. In sim the shared message object carries the field
-/// directly, exactly like Reject's map_epoch. Embedded Requests
+/// nanoseconds relative to transmission (0 = none). It rides the wire as a
+/// trailing varint only when nonzero; the decoder accepts frames with and
+/// without it, so a deadline-less peer interoperates. Embedded Requests
 /// (FORWARD / baseline proposals) never carry it: by then admission has
 /// happened and agreement must not drop the body.
 struct Request final : Message {
@@ -159,9 +133,7 @@ struct Request final : Message {
   void encode_body(ByteWriter& w) const override {
     w.request_id(id);
     w.bytes(command);
-    if (wire_request_deadlines() && deadline > 0) {
-      w.varint(static_cast<std::uint64_t>(deadline));
-    }
+    if (deadline > 0) w.varint(static_cast<std::uint64_t>(deadline));
   }
   static Request decode_body(ByteReader& r) {
     Request m;
@@ -203,16 +175,15 @@ struct Reply final : Message {
   }
 };
 
-/// <REJECT, id[, reason]> — a replica opted not to process this request
-/// any further. The reason byte is appended only when
-/// set_wire_reject_reasons() armed it (real mode); the decoder accepts
-/// both forms, and absent/unknown bytes decode as RejectReason::None.
+/// <REJECT, id, reason> — a replica opted not to process this request any
+/// further. The decoder also accepts frames without the reason byte (an
+/// older peer's); absent or unknown bytes decode as RejectReason::None.
 struct Reject final : Message {
   RequestId id;
   RejectReason reason = RejectReason::None;
   /// WrongShard only: epoch of the map the rejecting replica holds and the
   /// group that owns the key under that map. Rides the wire after the
-  /// reason byte (real mode); in sim the message object carries them as-is.
+  /// reason byte.
   std::uint64_t map_epoch = 0;
   std::uint32_t home_group = 0;
 
@@ -224,12 +195,10 @@ struct Reject final : Message {
   std::string kind() const override { return "REJECT"; }
   void encode_body(ByteWriter& w) const override {
     w.request_id(id);
-    if (wire_reject_reasons()) {
-      w.u8(static_cast<std::uint8_t>(reason));
-      if (reason == RejectReason::WrongShard) {
-        w.varint(map_epoch);
-        w.varint(home_group);
-      }
+    w.u8(static_cast<std::uint8_t>(reason));
+    if (reason == RejectReason::WrongShard) {
+      w.varint(map_epoch);
+      w.varint(home_group);
     }
   }
   static Reject decode_body(ByteReader& r) {

@@ -39,18 +39,11 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
 
   const std::size_t n = config_.n;
-  // Cluster-level batching overrides (zero keeps the protocol default).
-  auto apply_batching = [this](auto& rc) {
-    if (config_.batch_max > 0) rc.batch_max = config_.batch_max;
-    if (config_.batch_min > 0) rc.batch_min = config_.batch_min;
-    if (config_.batch_flush_delay > 0) rc.batch_flush_delay = config_.batch_flush_delay;
-  };
   switch (config_.protocol) {
     case Protocol::Idem:
     case Protocol::IdemNoPR:
     case Protocol::IdemNoAQM: {
       core::IdemConfig rc = config_.idem;
-      apply_batching(rc);
       rc.n = n;
       rc.f = config_.f;
       rc.reject_threshold = config_.reject_threshold;
@@ -90,7 +83,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     case Protocol::Paxos:
     case Protocol::PaxosLBR: {
       paxos::PaxosConfig rc = config_.paxos;
-      apply_batching(rc);
       rc.n = n;
       rc.f = config_.f;
       rc.reject_threshold =
@@ -112,7 +104,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     }
     case Protocol::SmartPR: {
       smart::SmartPrConfig rc = config_.smart_pr;
-      apply_batching(rc);
       rc.n = n;
       rc.f = config_.f;
       rc.reject_threshold = config_.reject_threshold;
@@ -144,7 +135,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     }
     case Protocol::Smart: {
       smart::SmartConfig rc = config_.smart;
-      apply_batching(rc);
       rc.n = n;
       rc.f = config_.f;
       rc.trace = trace_.get();

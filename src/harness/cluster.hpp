@@ -65,13 +65,6 @@ struct ClusterConfig {
   std::size_t reject_threshold = 50;
   std::uint64_t seed = 1;
 
-  /// Ordered-log batching overrides, applied to whichever protocol config
-  /// is selected (core::BatchPipeline semantics). Zero keeps the protocol
-  /// default — the zero/zero/zero default leaves behavior untouched.
-  std::size_t batch_max = 0;
-  std::size_t batch_min = 0;
-  Duration batch_flush_delay = 0;
-
   /// Service discipline installed on every replica (Fifo keeps the
   /// default ring and its pinned trajectories).
   sim::DisciplineKind discipline = sim::DisciplineKind::Fifo;

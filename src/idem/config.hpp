@@ -47,42 +47,10 @@ struct IdemConfig {
   /// Capacity of the recently-rejected-request cache (Section 5.2).
   std::size_t rejected_cache_size = 1024;
 
-  /// REQUIRE adoption: a replica that rejected a request but receives a
-  /// REQUIRE for it (proof that another replica accepted it, so it must be
-  /// ordered — the same argument that makes FORWARD acceptance mandatory,
-  /// Section 4.3) promotes the body straight out of its rejected cache
-  /// instead of waiting for the forward timeout. On the leader this turns
-  /// one follower vote plus its own adoption into an immediate f+1 quorum
-  /// when f = 1. This is the real-mode fix for divergent acceptance
-  /// verdicts (replicas under asynchronous load see different r_now and
-  /// split their votes, leaving accepted requests as slot-holding zombies
-  /// until the forward fires). Default off: the simulator's lockstep
-  /// replicas rarely diverge and its trajectories are pinned by tests.
-  bool require_adoption = false;
-
-  /// Release superseded accepted requests: a client issues operations one
-  /// at a time, so a REQUEST with operation number onr proves every
-  /// lower-numbered operation of that client is resolved — if one of them
-  /// is still in the active set here (accepted by this replica alone,
-  /// rejected by the client after n-f REJECTs elsewhere), it can never be
-  /// replied to and would otherwise pin an r_now slot forever: every path
-  /// that could order it (forward, REQUIRE, propose) drops ids the client
-  /// table considers executed, but only execution itself erases active_.
-  /// Leaked slots accumulate until r_now sticks at the cap and the replica
-  /// hard-rejects everything — the real-mode overload goodput collapse.
-  /// Default off: the simulator's lockstep replicas vote unanimously, so
-  /// requests are never abandoned one-sidedly and its pinned trajectories
-  /// stay untouched.
-  bool release_superseded = false;
-
-  /// Maximum request ids per PROPOSE batch.
+  /// Maximum request ids per PROPOSE batch. The leader cuts once per
+  /// scheduling step, so every quorum completed in one step shares a
+  /// PROPOSE; no time-based batching is needed on top.
   std::size_t batch_max = 32;
-
-  /// Ordered-log batching: a batch is cut as soon as batch_min eligible ids
-  /// are queued, or once the oldest queued id has waited batch_flush_delay.
-  /// The defaults (1, 0) cut immediately, i.e. legacy behavior.
-  std::size_t batch_min = 1;
-  Duration batch_flush_delay = 0;
 
   /// REQUIRE aggregation: accepted ids are flushed to the leader when this
   /// many are pending or the flush interval elapses, whichever is first.
@@ -92,27 +60,6 @@ struct IdemConfig {
   /// no added wall-clock delay.
   std::size_t require_batch_max = 32;
   Duration require_flush_interval = 50 * kMicrosecond;
-
-  /// Defer the leader's batch cut to a zero-delay timer instead of
-  /// proposing inline from each quorum. All quorums completed within one
-  /// scheduling step (one event-loop iteration's worth of REQUIREs in real
-  /// mode) then fold into a single PROPOSE — and each follower answers
-  /// with one COMMIT per instance, so the agreement traffic per request
-  /// shrinks by the batch size. Latency cost is zero by construction: the
-  /// timer fires before the loop goes back to sleep. Default off to keep
-  /// simulated trajectories pinned.
-  bool defer_propose = false;
-
-  /// Followers send their COMMIT to the leader only instead of
-  /// multicasting it (the Multi-Paxos ack-to-leader pattern). Correct only
-  /// for f = 1, where a follower's commit quorum is already complete when
-  /// the PROPOSE arrives (the leader's implicit commit plus its own vote);
-  /// with f > 1 followers need each other's commits to execute, so the
-  /// flag is ignored then. Follower-to-follower commits only duplicate
-  /// binding dissemination that the view change and FETCH paths already
-  /// guarantee — dropping them removes two messages per instance from the
-  /// hot path. Default off to keep simulated trajectories pinned.
-  bool commit_to_leader_only = false;
 
   /// Consensus window size w; must be >= r_max for implicit GC
   /// (Section 4.4). 0 means "4 * r_max".

@@ -31,7 +31,7 @@ IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
   assert(config_.n == 2 * config_.f + 1);
   assert(sm_ != nullptr);
   assert(acceptance_ != nullptr);
-  batch_.configure({config_.batch_max, config_.batch_min, config_.batch_flush_delay});
+  batch_.configure({.batch_max = config_.batch_max});
 }
 
 void IdemReplica::on_restart() {
@@ -41,7 +41,7 @@ void IdemReplica::on_restart() {
   for (auto& [id, timer] : forward_timers_) cancel_timer(timer);
   forward_timers_.clear();
   cancel_timer(require_flush_timer_);
-  cancel_timer(batch_timer_);
+  cancel_timer(propose_cut_timer_);
   cancel_timer(state_retry_timer_);
   cancel_timer(progress_timer_);
   arm_progress_timer();
@@ -137,7 +137,7 @@ void IdemReplica::handle_request(const msg::Request& request) {
 
   // This request is proof that every lower-numbered operation of the same
   // client is resolved — reclaim any their abandoned copies still hold.
-  if (config_.release_superseded) release_superseded(id);
+  release_superseded(id);
 
   if (requests_.contains(id)) return;  // already accepted; agreement is underway
 
@@ -232,6 +232,15 @@ void IdemReplica::release_superseded(RequestId newer) {
   }
 }
 
+std::vector<RequestId> IdemReplica::leaked_slots() const {
+  std::vector<RequestId> leaked;
+  for (const RequestId& id : active_) {
+    if (clients_.executed(id)) leaked.push_back(id);
+  }
+  std::sort(leaked.begin(), leaked.end());
+  return leaked;
+}
+
 void IdemReplica::accept_request(RequestId id, std::vector<std::byte> command,
                                  bool client_issued, Duration deadline) {
   requests_[id] = std::move(command);
@@ -308,7 +317,6 @@ void IdemReplica::flush_requires() {
 // ---------------------------------------------------------------------------
 
 void IdemReplica::maybe_adopt_required(RequestId id) {
-  if (!config_.require_adoption) return;
   if (requests_.contains(id) || clients_.executed(id) || proposed_.contains(id)) return;
   const std::vector<std::byte>* body = rejected_.find(id);
   if (body == nullptr) return;
@@ -331,19 +339,15 @@ void IdemReplica::note_require(ReplicaId voter, RequestId id) {
     batch_.push(id, now());
     arm_progress_timer();
   }
-  if (config_.defer_propose) {
-    // Collect every quorum completed in this scheduling step into one
-    // PROPOSE: the zero-delay timer fires after the step's input batch is
-    // drained but before the loop sleeps, so batching costs no latency.
-    if (!propose_cut_timer_.valid()) {
-      propose_cut_timer_ = set_timer(0, [this] {
-        propose_cut_timer_ = sim::TimerId{};
-        try_propose();
-      });
-    }
-    return;
+  // Collect every quorum completed in this scheduling step into one
+  // PROPOSE: the zero-delay timer fires after the step's input batch is
+  // drained but before the loop sleeps, so batching costs no latency.
+  if (!propose_cut_timer_.valid()) {
+    propose_cut_timer_ = set_timer(0, [this] {
+      propose_cut_timer_ = sim::TimerId{};
+      try_propose();
+    });
   }
-  try_propose();
 }
 
 void IdemReplica::try_propose() {
@@ -351,10 +355,6 @@ void IdemReplica::try_propose() {
   if (next_sqn_ < log_.low()) next_sqn_ = log_.low();
   const std::uint64_t window_end = log_.low() + config_.effective_window();
   while (!batch_.empty() && next_sqn_ < window_end) {
-    if (!batch_.ready(now())) {
-      arm_batch_timer();
-      break;
-    }
     // Skip sequence numbers that already carry a binding (re-proposed slots
     // taken over from an earlier view).
     next_sqn_ = log_.skip_bound(next_sqn_);
@@ -394,16 +394,6 @@ void IdemReplica::try_propose() {
     ++next_sqn_;
   }
   try_execute();
-}
-
-void IdemReplica::arm_batch_timer() {
-  // Only reachable with batch_min > 1 and a nonzero flush delay (the
-  // defaults cut every nonempty queue immediately).
-  if (batch_timer_.valid()) return;
-  batch_timer_ = set_timer(batch_.delay_until_ready(now()), [this] {
-    batch_timer_ = sim::TimerId{};
-    try_propose();
-  });
 }
 
 bool IdemReplica::observe_view(ViewId view) {
@@ -446,6 +436,27 @@ void IdemReplica::add_commit_vote(std::uint64_t sqn, ReplicaId voter) {
   inst->commit_votes.insert(voter.value);
 }
 
+void IdemReplica::send_own_commit(std::uint64_t sqn, Instance& inst) {
+  auto commit = std::make_shared<msg::Commit>();
+  commit->from = me_;
+  commit->view = inst.view;
+  commit->sqn = SeqNum{sqn};
+  commit->ids = inst.ids;
+  // With f = 1 a follower's commit quorum is complete once the PROPOSE
+  // arrives (the leader's implicit commit plus its own vote), so its
+  // COMMIT only has to reach the leader: the Multi-Paxos ack-to-leader
+  // pattern, two messages fewer per instance. With f > 1 followers need
+  // each other's commits to execute. Bindings still reach every replica
+  // through the view change and FETCH paths.
+  if (config_.f == 1 && !is_leader()) {
+    send_to_leader(std::move(commit));
+  } else {
+    multicast(std::move(commit));
+  }
+  inst.own_commit_sent = true;
+  inst.commit_votes.insert(me_.value);
+}
+
 void IdemReplica::handle_propose(const msg::Propose& propose) {
   if (!observe_view(propose.view)) return;
   const std::uint64_t sqn = propose.sqn.value;
@@ -457,20 +468,7 @@ void IdemReplica::handle_propose(const msg::Propose& propose) {
 
   // The leader's proposal counts as its commit.
   inst.commit_votes.insert(consensus::leader_of(propose.view, config_.n).value);
-  if (!inst.own_commit_sent) {
-    auto commit = std::make_shared<msg::Commit>();
-    commit->from = me_;
-    commit->view = inst.view;
-    commit->sqn = SeqNum{sqn};
-    commit->ids = inst.ids;
-    if (config_.commit_to_leader_only && config_.f == 1 && !is_leader()) {
-      send_to_leader(std::move(commit));
-    } else {
-      multicast(std::move(commit));
-    }
-    inst.own_commit_sent = true;
-    inst.commit_votes.insert(me_.value);
-  }
+  if (!inst.own_commit_sent) send_own_commit(sqn, inst);
   note_commit_quorum(sqn, inst);
   observe_sequence(sqn, consensus::leader_of(propose.view, config_.n));
   try_execute();
@@ -489,20 +487,7 @@ void IdemReplica::handle_commit(const msg::Commit& commit) {
 
   inst.commit_votes.insert(commit.from.value);
   inst.commit_votes.insert(consensus::leader_of(commit.view, config_.n).value);
-  if (!inst.own_commit_sent) {
-    auto own = std::make_shared<msg::Commit>();
-    own->from = me_;
-    own->view = inst.view;
-    own->sqn = SeqNum{sqn};
-    own->ids = inst.ids;
-    if (config_.commit_to_leader_only && config_.f == 1 && !is_leader()) {
-      send_to_leader(std::move(own));
-    } else {
-      multicast(std::move(own));
-    }
-    inst.own_commit_sent = true;
-    inst.commit_votes.insert(me_.value);
-  }
+  if (!inst.own_commit_sent) send_own_commit(sqn, inst);
   note_commit_quorum(sqn, inst);
   observe_sequence(sqn, commit.from);
   try_execute();

@@ -3,9 +3,10 @@
 // Protocol flow for one request:
 //   client --REQUEST--> every replica
 //   replica: acceptance test -> REJECT to client, or accept + REQUIRE to leader
-//   leader:  f+1 REQUIREs -> PROPOSE(ids, sqn, v) to all
-//   replica: PROPOSE -> COMMIT to all; f+1 commits (leader's proposal counts)
-//            + owning the request bodies -> execute in sqn order
+//   leader:  f+1 REQUIREs -> PROPOSE(ids, sqn, v) to all, once per step
+//   replica: PROPOSE -> COMMIT (to the leader only when f = 1, else to all);
+//            f+1 commits (leader's proposal counts) + owning the request
+//            bodies -> execute in sqn order
 //   leader:  REPLY to client
 //
 // Collaborative overload prevention: each replica decides locally whether
@@ -84,6 +85,11 @@ class IdemReplica final : public sim::Node {
 
   /// r_now: client-issued requests accepted and not yet executed here.
   std::size_t active_requests() const { return active_.size(); }
+  /// Ids counted in r_now although this replica's client table already
+  /// counts them executed (sorted). Nothing can release such a slot any
+  /// more, since every path that could order the id drops it: a nonempty
+  /// result is a leaked admission slot.
+  std::vector<RequestId> leaked_slots() const;
 
   /// Next sequence number this replica would execute.
   SeqNum next_execute() const { return SeqNum{log_.next_exec()}; }
@@ -130,10 +136,11 @@ class IdemReplica final : public sim::Node {
   void maybe_adopt_required(RequestId id);
   void note_require(ReplicaId voter, RequestId id);
   void try_propose();
-  void arm_batch_timer();
   void handle_propose(const msg::Propose& propose);
   void handle_commit(const msg::Commit& commit);
   void adopt_binding(std::uint64_t sqn, ViewId view, const std::vector<RequestId>& ids);
+  /// Sends this replica's COMMIT for `inst` and counts its own vote.
+  void send_own_commit(std::uint64_t sqn, Instance& inst);
   void add_commit_vote(std::uint64_t sqn, ReplicaId voter);
   /// Emits the CommitQuorum trace event once per instance.
   void note_commit_quorum(std::uint64_t sqn, Instance& inst);
@@ -225,8 +232,7 @@ class IdemReplica final : public sim::Node {
   std::unordered_set<RequestId> in_eligible_;
   std::unordered_set<RequestId> proposed_;
   std::uint64_t next_sqn_ = 0;
-  sim::TimerId batch_timer_;  ///< pending time-based batch cut
-  sim::TimerId propose_cut_timer_;  ///< pending deferred cut (defer_propose)
+  sim::TimerId propose_cut_timer_;  ///< pending end-of-step batch cut
 
   // Consensus instances, window [log_.low(), log_.low() + w).
   OrderedLog<Instance> log_;

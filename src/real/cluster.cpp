@@ -4,39 +4,13 @@
 
 #include "app/kv_store.hpp"
 #include "consensus/addresses.hpp"
-#include "consensus/messages.hpp"
 #include "idem/acceptance.hpp"
+#include "real/replica.hpp"
 
 namespace idem::real {
 
 RealCluster::RealCluster(RealClusterConfig config)
     : config_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {
-  idem_ = config_.idem;
-  idem_.n = config_.n;
-  idem_.f = config_.f;
-  idem_.reject_threshold = config_.reject_threshold;
-  // Real time is the cost model: message handling occupies the loop thread
-  // for however long it actually takes, so the simulated CPU charges and
-  // their jitter/straggler knobs must be off.
-  idem_.costs = consensus::CostModel{0, 0.0, 0, 0.0, 0.0, 0.0, 1.0};
-  // REQUIRE flushes and leader batch cuts happen at end-of-iteration by
-  // default (zero-delay timers fire after the iteration's I/O phase): one
-  // recv burst of accepts leaves as one REQUIRE, one burst of quorums as
-  // one PROPOSE, without adding wall-clock latency anywhere.
-  if (config_.require_batch_max != 0) {
-    idem_.require_batch_max = config_.require_batch_max;
-    idem_.require_flush_interval = config_.require_flush_interval;
-  }
-  idem_.defer_propose = config_.defer_propose;
-  idem_.commit_to_leader_only = config_.commit_to_leader_only;
-  idem_.require_adoption = config_.require_adoption;
-  idem_.release_superseded = config_.release_superseded;
-
-  // Real mode ships the reason byte on REJECT and the deadline field on
-  // REQUEST; the sim keeps both flags off so its wire-size cost charges
-  // stay pinned.
-  msg::set_wire_reject_reasons(true);
-  msg::set_wire_request_deadlines(true);
   if (config_.admin || config_.live_hub != nullptr) config_.live_metrics = true;
   if (config_.live_hub != nullptr) {
     hub_ = config_.live_hub;
@@ -56,7 +30,10 @@ RealCluster::RealCluster(RealClusterConfig config)
     runtime_config.transport.listen_host = "127.0.0.1";
     member.runtime = std::make_unique<RealRuntime>(runtime_config);
 
-    core::IdemConfig replica_config = idem_;
+    core::IdemConfig replica_config = config_.idem;
+    replica_config.n = config_.n;
+    replica_config.f = config_.f;
+    replica_config.reject_threshold = config_.reject_threshold;
     if (config_.trace) {
       member.trace = std::make_unique<obs::TraceRecorder>(config_.trace_capacity);
       replica_config.trace = member.trace.get();
@@ -76,19 +53,11 @@ RealCluster::RealCluster(RealClusterConfig config)
       acceptance = std::make_unique<core::DeadlineAware>(config_.deadline_params,
                                                          std::move(acceptance));
     }
-    member.replica = std::make_unique<core::IdemReplica>(
-        *member.runtime, member.runtime->transport(),
-        ReplicaId{static_cast<std::uint32_t>(i)}, replica_config, make_store(),
-        std::move(acceptance));
+    member.replica = make_replica(*member.runtime, member.runtime->transport(),
+                                  ReplicaId{static_cast<std::uint32_t>(i)}, replica_config,
+                                  make_store(), std::move(acceptance));
     if (config_.discipline != sim::DisciplineKind::Fifo) {
       member.replica->set_discipline(sim::make_discipline(config_.discipline));
-    }
-    if (config_.inline_dispatch) member.replica->set_inline_dispatch(true);
-    if (config_.peer_priority) {
-      // Agreement traffic ahead of the client-REQUEST flood: the sender id
-      // distinguishes the two, replicas live below kClientAddressBase.
-      member.replica->set_urgent_classifier(
-          [](sim::NodeId from) { return !consensus::is_client_address(from); });
     }
     member.port = member.runtime->transport().port_of(
         consensus::replica_address(ReplicaId{static_cast<std::uint32_t>(i)}));

@@ -43,10 +43,10 @@ struct RealClusterConfig {
   std::size_t reject_threshold = 50;
   std::uint64_t seed = 1;
 
-  /// Base protocol configuration; n/f/reject_threshold, the CPU cost model
-  /// (zeroed: real time is the cost), require batching (flushed inline:
-  /// timer granularity on a real loop is milliseconds) and the trace sink
-  /// are overridden per replica.
+  /// Base protocol configuration; n/f/reject_threshold and the trace sink
+  /// are overridden per replica, and real::make_replica applies real
+  /// mode's runtime choices (no cost model, end-of-iteration REQUIRE
+  /// flush).
   core::IdemConfig idem;
 
   /// Client population the acceptance test should assume (sizes the AQM
@@ -58,58 +58,10 @@ struct RealClusterConfig {
   /// storm scenarios. fixed_port/listen_host are managed by the cluster.
   rpc::TcpTransportConfig transport;
 
-  /// Service-queue prioritization: dispatch replica-to-replica (agreement)
-  /// traffic ahead of client REQUESTs. This is the overload-starvation fix
-  /// — without it a REQUEST flood FIFO-queues ahead of the REQUIREs,
-  /// PROPOSEs and COMMITs that would drain the accepted requests, and
-  /// goodput collapses while rejects still flow. On by default in real
-  /// mode; the simulator keeps its pinned single-lane FIFO.
-  bool peer_priority = true;
-
-  /// Followers ack instances to the leader only
-  /// (IdemConfig::commit_to_leader_only; f = 1 deployments). Two fewer
-  /// messages per instance on the wire.
-  bool commit_to_leader_only = true;
-
-  /// Dispatch deliveries inline while a replica is idle
-  /// (sim::Node::set_inline_dispatch): real mode models no service time,
-  /// so the schedule-at-now event-queue hop per message is pure overhead.
-  bool inline_dispatch = true;
-
   /// Run each replica's state-machine execution on a dedicated thread
   /// (real::ExecutionThread) so the loop thread stays latency-bound. Off
   /// by default: it only pays off with spare cores.
   bool execution_thread = false;
-
-  /// REQUIRE aggregation for the real path: accepted ids are flushed to
-  /// the leader once this many are pending or the flush interval elapses.
-  /// 0 keeps whatever `idem` says. The zero default interval flushes at
-  /// the end of the current event-loop iteration — every id accepted from
-  /// one recv burst leaves in one REQUIRE at no added latency (due timers
-  /// run after the iteration's I/O phase).
-  std::size_t require_batch_max = 32;
-  Duration require_flush_interval = 0;
-
-  /// Cut leader batches once per event-loop iteration instead of proposing
-  /// from each quorum inline (IdemConfig::defer_propose). Folds all
-  /// quorums of one input burst into a single PROPOSE / one COMMIT per
-  /// follower; zero latency cost, large cut in agreement messages per op.
-  bool defer_propose = true;
-
-  /// Promote rejected-cache bodies on REQUIRE evidence
-  /// (IdemConfig::require_adoption). On by default in real mode: replicas
-  /// under asynchronous load split their acceptance votes, and without
-  /// adoption the divergently-accepted requests pin r_now slots for the
-  /// forward timeout — the overload goodput collapse.
-  bool require_adoption = true;
-
-  /// Release abandoned active slots on client progress
-  /// (IdemConfig::release_superseded). On by default in real mode: a
-  /// request accepted by one replica but rejected by the rest is given up
-  /// by its client, and without this sweep the accepting replica's r_now
-  /// slot leaks permanently — a few dozen such leaks pin r_now at the cap
-  /// and goodput collapses to the reject stream.
-  bool release_superseded = true;
 
   /// Per-replica request-lifecycle tracing (wall-clock timestamps).
   bool trace = false;
@@ -161,8 +113,6 @@ class RealCluster {
   RealCluster& operator=(const RealCluster&) = delete;
 
   const RealClusterConfig& config() const { return config_; }
-  /// The effective per-replica protocol configuration (costs zeroed etc.).
-  const core::IdemConfig& idem_config() const { return idem_; }
   /// Clock epoch shared by every loop; load generators join it so client
   /// and replica timestamps are mutually comparable.
   rpc::EventLoop::Epoch epoch() const { return epoch_; }
@@ -261,7 +211,6 @@ class RealCluster {
   void register_metrics(Member& member, std::size_t index);
 
   RealClusterConfig config_;
-  core::IdemConfig idem_;
   rpc::EventLoop::Epoch epoch_;
   std::unique_ptr<obs::LiveMetrics> live_;  ///< owned hub (no external live_hub)
   obs::LiveMetrics* hub_ = nullptr;         ///< effective hub (owned or external)

@@ -118,9 +118,6 @@ void arm_arrival(rpc::EventLoop& loop, ClientDriver& driver, RunState& state, do
 }  // namespace
 
 LoadStats run_load(const LoadOptions& options) {
-  // Real-mode entry point: ship the REQUEST deadline field (no-op bytes
-  // when no budget is set; the sim never arms this).
-  msg::set_wire_request_deadlines(true);
   rpc::EventLoop loop(options.seed, options.epoch);
   rpc::TcpTransport transport(loop);
   for (std::size_t i = 0; i < options.replicas.size(); ++i) {

@@ -1,0 +1,29 @@
+// An IDEM replica for real mode: the protocol the simulator runs, plus the
+// runtime choices that only make sense when the wall clock replaces the
+// simulated CPU. Every real-mode entry point (RealCluster, idem_server,
+// the realtime examples) builds its replicas here, so they cannot drift
+// apart.
+//
+//   - No cost model: handling a message takes however long it takes.
+//   - REQUIREs flush at the end of each loop iteration: due zero-delay
+//     timers fire after the iteration's I/O phase, so every id accepted
+//     from one recv burst leaves in one REQUIRE without added latency.
+//   - Inline dispatch: a delivery to an idle replica is handled at once,
+//     without the event-queue hop that models service time in sim.
+//   - Agreement-first service lane: replica-to-replica traffic is served
+//     ahead of client REQUESTs, so a REQUEST flood cannot starve the
+//     REQUIREs, PROPOSEs and COMMITs that drain accepted requests.
+#pragma once
+
+#include <memory>
+
+#include "idem/replica.hpp"
+
+namespace idem::real {
+
+std::unique_ptr<core::IdemReplica> make_replica(sim::Runtime& runtime, sim::Transport& transport,
+                                                ReplicaId id, core::IdemConfig config,
+                                                std::unique_ptr<app::StateMachine> state_machine,
+                                                std::unique_ptr<core::AcceptanceTest> acceptance);
+
+}  // namespace idem::real

@@ -81,12 +81,13 @@ class Node : public Endpoint {
 
   /// Sender-based service-queue prioritization: messages whose sender the
   /// classifier marks urgent are dispatched before anything in the normal
-  /// lane. Off (nullptr) by default — the single-lane FIFO is part of the
-  /// pinned simulation trajectory; real deployments switch it on so
-  /// agreement traffic between replicas keeps a guaranteed share of loop
-  /// time while a flood of client requests is being rejected (the paper's
-  /// goodput-under-overload promise). Plain function pointer: classifying
-  /// happens on every delivery, and the classifiers are stateless.
+  /// lane. Off (nullptr) by default: in the simulator it lowered IDEM's
+  /// goodput at 4x Figure 6 load. Real deployments (real::make_replica)
+  /// switch it on so agreement traffic between replicas keeps a
+  /// guaranteed share of loop time while a flood of client requests is
+  /// being rejected (the paper's goodput-under-overload promise). Plain
+  /// function pointer: classifying happens on every delivery, and the
+  /// classifiers are stateless.
   using UrgentClassifier = bool (*)(NodeId from);
   void set_urgent_classifier(UrgentClassifier classifier) { urgent_classifier_ = classifier; }
 
@@ -94,8 +95,9 @@ class Node : public Endpoint {
   /// mid-message, no outstanding CPU charge) and the message itself is
   /// free. Skips the schedule-at-now hop through the runtime's event queue
   /// — per-message timer-heap traffic that exists only to model service
-  /// time, which real mode does not model. Off by default: inline dispatch
-  /// reorders events relative to the pinned simulation trajectories.
+  /// time, which real mode does not model. Off by default: the simulator
+  /// models service time, and dispatching inline would reorder its
+  /// events.
   void set_inline_dispatch(bool on) { inline_dispatch_ = on; }
 
  protected:

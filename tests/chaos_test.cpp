@@ -74,6 +74,23 @@ TEST(Chaos, RetransmitAfterLeaderCrashAnswersFromCache) {
   }
 }
 
+// A request that one replica accepted and the others rejected is given up
+// by its client; the client's next REQUEST must release the slot it holds
+// on the accepting replica, or r_now leaks until the replica rejects
+// everything. At chaos_run's default sweep settings these seeds ended with
+// leaked slots before superseded requests were released.
+TEST(Chaos, AbandonedAcceptanceReleasesItsSlot) {
+  for (std::uint64_t seed : {87, 94, 95}) {
+    ChaosConfig config;
+    config.protocol = "idem";
+    config.seed = seed;
+    config.plan = check::random_plan(seed, PlanGenConfig{});
+    ChaosResult result = check::run_chaos(config);
+    EXPECT_TRUE(result.exec_ok) << "seed " << seed << ": " << result.exec_error;
+    EXPECT_TRUE(result.check.linearizable) << "seed " << seed << ": " << result.check.error;
+  }
+}
+
 TEST(Chaos, ReplayIsDeterministic) {
   ChaosConfig config = small_config("idem", 7);
   ChaosResult first = check::run_chaos(config);

@@ -121,7 +121,12 @@ TEST(IdemReplicaUnit, AcceptSendsRequire) {
 }
 
 TEST(IdemReplicaUnit, ProposeTriggersCommitToAll) {
-  ReplicaFixture f;
+  // With f = 2 (n = 5) a follower needs its peers' commits to execute, so
+  // it multicasts its own.
+  auto config = ReplicaFixture::make_config();
+  config.n = 5;
+  config.f = 2;
+  ReplicaFixture f(config);
   auto req = f.request(1);
   f.client_sends(req);
   f.settle();
@@ -131,6 +136,21 @@ TEST(IdemReplicaUnit, ProposeTriggersCommitToAll) {
   ASSERT_EQ(f.peer->received_of<msg::Commit>().size(), 1u);
   // The commit echoes the binding.
   EXPECT_EQ(f.peer->received_of<msg::Commit>()[0]->ids[0], req.id);
+}
+
+TEST(IdemReplicaUnit, FollowerCommitsToLeaderOnlyWhenFIsOne) {
+  // With f = 1 the PROPOSE completes a follower's quorum (the leader's
+  // implicit commit plus its own), so its COMMIT goes to the leader alone.
+  ReplicaFixture f;
+  auto req = f.request(1);
+  f.client_sends(req);
+  f.settle();
+  f.leader_proposes(0, {req.id});
+  f.settle();
+  ASSERT_EQ(f.leader->received_of<msg::Commit>().size(), 1u);
+  EXPECT_EQ(f.leader->received_of<msg::Commit>()[0]->ids[0], req.id);
+  EXPECT_TRUE(f.peer->received_of<msg::Commit>().empty());
+  EXPECT_EQ(f.replica->next_execute().value, 1u);
 }
 
 TEST(IdemReplicaUnit, ExecutesAfterQuorumButNotBefore) {

@@ -35,43 +35,41 @@ TEST(Messages, RequestRoundTrip) {
 }
 
 TEST(Messages, RequestDeadlineRoundTripsWhenWireFlagOn) {
-  // Real mode arms the flag; a REQUEST then carries its latency budget.
-  set_wire_request_deadlines(true);
+  // A REQUEST carries its latency budget.
   Request m(RequestId{ClientId{7}, OpNum{42}}, bytes_of("cmd"), 25 * kMillisecond);
   Request back = round_trip(m);
-  set_wire_request_deadlines(false);
   EXPECT_EQ(back.id, m.id);
   EXPECT_EQ(back.command, m.command);
   EXPECT_EQ(back.deadline, 25 * kMillisecond);
 }
 
 TEST(Messages, RequestDeadlineDroppedWhenWireFlagOff) {
-  // Sim mode keeps the flag off: the budget must not reach the wire (it
-  // would change wire_size() and perturb pinned cost-model trajectories),
-  // and a deadline-less frame decodes to 0.
-  Request m(RequestId{ClientId{7}, OpNum{42}}, bytes_of("cmd"), 25 * kMillisecond);
-  Request plain(RequestId{ClientId{7}, OpNum{42}}, bytes_of("cmd"));
-  EXPECT_EQ(m.encode(), plain.encode());
-  EXPECT_EQ(round_trip(m).deadline, 0);
+  // A frame without the trailing deadline field, as an older peer sends
+  // it, decodes to "no budget".
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(Type::Request));
+  w.request_id(RequestId{ClientId{7}, OpNum{42}});
+  w.bytes(bytes_of("cmd"));
+  auto decoded = decode(w.take());
+  const auto* typed = dynamic_cast<const Request*>(decoded.get());
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->id, (RequestId{ClientId{7}, OpNum{42}}));
+  EXPECT_EQ(typed->command, bytes_of("cmd"));
+  EXPECT_EQ(typed->deadline, 0);
 }
 
 TEST(Messages, RequestZeroDeadlineStaysOffTheWireEvenWhenArmed) {
-  // "No budget" is the absence of the field, not a zero varint — an armed
-  // real-mode peer and a deadline-less client agree on the same bytes.
-  set_wire_request_deadlines(true);
+  // "No budget" is the absence of the field, not a zero varint — a
+  // deadline-less client sends the same bytes as an older peer.
   Request m(RequestId{ClientId{1}, OpNum{2}}, bytes_of("cmd"), 0);
-  set_wire_request_deadlines(false);
   Request plain(RequestId{ClientId{1}, OpNum{2}}, bytes_of("cmd"));
   EXPECT_EQ(m.wire_size(), plain.wire_size());
 }
 
 TEST(Messages, RequestDecodeToleratesDeadlineFromNewerPeer) {
-  // A deadline-carrying frame must decode on a binary that never arms the
-  // flag (the decoder is tolerant of the trailing field either way).
-  set_wire_request_deadlines(true);
+  // The decoder reads the trailing deadline field whenever it is present.
   auto encoded =
       Request(RequestId{ClientId{3}, OpNum{4}}, bytes_of("cmd"), 7 * kMillisecond).encode();
-  set_wire_request_deadlines(false);
   auto decoded = decode(encoded);
   const auto* typed = dynamic_cast<const Request*>(decoded.get());
   ASSERT_NE(typed, nullptr);
@@ -98,31 +96,30 @@ TEST(Messages, RejectIsTiny) {
 }
 
 TEST(Messages, RejectReasonRoundTripsWhenWireFlagOn) {
-  // Real mode arms the flag; a REJECT then carries its taxonomy reason.
-  set_wire_reject_reasons(true);
+  // A REJECT carries its taxonomy reason.
   Reject m(RequestId{ClientId{9}, OpNum{100}}, RejectReason::RejectedCacheHit);
   Reject back = round_trip(m);
-  set_wire_reject_reasons(false);
   EXPECT_EQ(back.id, m.id);
   EXPECT_EQ(back.reason, RejectReason::RejectedCacheHit);
 }
 
 TEST(Messages, RejectReasonDroppedWhenWireFlagOff) {
-  // Sim mode keeps the flag off: the reason must not reach the wire (it
-  // would change wire_size() and perturb pinned cost-model trajectories),
-  // and a reason-less frame decodes to None.
-  Reject m(RequestId{ClientId{9}, OpNum{100}}, RejectReason::RtQueueFull);
-  Reject plain(RequestId{ClientId{9}, OpNum{100}});
-  EXPECT_EQ(m.encode(), plain.encode());
-  EXPECT_EQ(round_trip(m).reason, RejectReason::None);
+  // A frame without the reason byte, as an older peer sends it, decodes
+  // to None.
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(Type::Reject));
+  w.request_id(RequestId{ClientId{9}, OpNum{100}});
+  auto decoded = decode(w.take());
+  const auto* typed = dynamic_cast<const Reject*>(decoded.get());
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->id, (RequestId{ClientId{9}, OpNum{100}}));
+  EXPECT_EQ(typed->reason, RejectReason::None);
 }
 
 TEST(Messages, RejectDecodeToleratesUnknownReasonByte) {
   // A reason value from a newer peer must not kill the connection; it
   // falls back to None instead.
-  set_wire_reject_reasons(true);
   auto encoded = Reject(RequestId{ClientId{1}, OpNum{2}}, RejectReason::RtQueueFull).encode();
-  set_wire_reject_reasons(false);
   encoded.back() = static_cast<std::byte>(0xEE);
   auto decoded = decode(encoded);
   const auto* typed = dynamic_cast<const Reject*>(decoded.get());
@@ -178,15 +175,12 @@ TEST(Messages, ForwardRoundTrip) {
 
 TEST(Messages, EmbeddedRequestsNeverCarryDeadlines) {
   // The budget matters at admission time; by forward/propose time the
-  // request is already accepted, so the embedded codec drops it even with
-  // the wire flag armed.
-  set_wire_request_deadlines(true);
+  // request is already accepted, so the embedded codec drops it.
   Forward m;
   m.from = ReplicaId{1};
   m.requests.emplace_back(RequestId{ClientId{2}, OpNum{3}}, bytes_of("cmd"),
                           9 * kMillisecond);
   Forward back = round_trip(m);
-  set_wire_request_deadlines(false);
   ASSERT_EQ(back.requests.size(), 1u);
   EXPECT_EQ(back.requests[0].deadline, 0);
 }

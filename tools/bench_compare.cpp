@@ -5,7 +5,7 @@
 //                 [--tolerance 0.10] [--label real]
 //
 // Works on any of the repo's benchmark emissions (BENCH_real.json,
-// BENCH_simcore.json, BENCH_batching.json): both documents are walked in
+// BENCH_simcore.json, BENCH_deadline.json): both documents are walked in
 // parallel and every numeric leaf present in both is compared. Array
 // entries are matched positionally, except arrays of objects carrying a
 // "clients" field (the sweep shape), which are matched by that key so

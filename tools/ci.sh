@@ -63,8 +63,8 @@ if [[ "${FAST}" -eq 0 ]]; then
   # reproducible all day with tools/chaos_run --sweep/--seed.
   CHAOS_SEEDS="${CHAOS_SEEDS:-25}"
   CHAOS_BASE_SEED="${CHAOS_BASE_SEED:-$(( $(date +%Y%m%d) ))}"
-  echo "== chaos: sweep ${CHAOS_SEEDS} seeds x 3 protocols (base ${CHAOS_BASE_SEED}) =="
-  for proto in idem paxos smart; do
+  echo "== chaos: sweep ${CHAOS_SEEDS} seeds x 4 protocols (base ${CHAOS_BASE_SEED}) =="
+  for proto in idem paxos smart smart-pr; do
     ./build/tools/chaos_run --sweep "${CHAOS_SEEDS}" --protocol "${proto}" \
         --seed "${CHAOS_BASE_SEED}"
   done
@@ -239,13 +239,6 @@ trap 'rm -f "${TRACE_TMP}"' EXIT
 
 echo "== bench: sim-core smoke =="
 IDEM_SIMCORE_SMOKE=1 IDEM_SIMCORE_JSON=/dev/null ./build/bench/micro_simcore
-
-# Batching sweep: batch 1/4/16 load sweep writing BENCH_batching.json. The
-# binary itself asserts the shape (batch >= 4 saturates higher than batch 1,
-# rejects still appear at 4x load) and exits nonzero when it does not hold.
-echo "== bench: fig6 batching sweep =="
-IDEM_BENCH_SECONDS=1 IDEM_BENCH_WARMUP=0.3 IDEM_BATCHING_JSON=BENCH_batching.json \
-    ./build/bench/fig6_batching
 
 # Perf gate: rerun the committed benchmarks at the same settings their
 # baselines were stamped with, then diff against the checked-in JSON.

@@ -24,12 +24,12 @@
 
 #include "app/kv_store.hpp"
 #include "consensus/addresses.hpp"
-#include "consensus/messages.hpp"
 #include "idem/acceptance.hpp"
 #include "idem/replica.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/live_metrics.hpp"
 #include "real/exec_thread.hpp"
+#include "real/replica.hpp"
 #include "cli_util.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/http_admin.hpp"
@@ -54,10 +54,7 @@ struct Options {
   double seconds = 0;  ///< 0 = run until SIGINT/SIGTERM
   double viewchange_seconds = 1.5;
   std::size_t batch_max = 32;
-  std::size_t batch_min = 1;
-  double batch_flush_delay_us = 0;
   bool exec_thread = false;
-  bool peer_priority = true;
   bool edf = false;            ///< --discipline edf
   bool deadline_aware = false; ///< wrap acceptance in core::DeadlineAware
   std::size_t max_conns = 0;          ///< inbound connection cap (0 = unlimited)
@@ -91,11 +88,6 @@ void usage(const char* argv0) {
       "  --seconds S        stop after S seconds          (default: until signal)\n"
       "  --viewchange S     progress timeout in seconds   (default: 1.5)\n"
       "  --batch-max N      max request ids per PROPOSE   (default: 32)\n"
-      "  --batch-min N      ids needed to cut a batch\n"
-      "                     immediately                   (default: 1)\n"
-      "  --batch-flush-delay US\n"
-      "                     max microseconds a queued id\n"
-      "                     waits for a fuller batch      (default: 0)\n"
       "  --exec-thread      run state-machine execution on a dedicated\n"
       "                     thread (pays off with spare cores)\n"
       "  --discipline D     fifo | edf: service-queue order for client\n"
@@ -103,8 +95,6 @@ void usage(const char* argv0) {
       "                                                   (default: fifo)\n"
       "  --deadline-aware   reject REQUESTs whose latency budget the online\n"
       "                     wait estimator says cannot be met\n"
-      "  --no-peer-priority service client and replica traffic through one\n"
-      "                     FIFO lane (disables overload prioritization)\n"
       "  --max-conns N      cap concurrent inbound connections; beyond it,\n"
       "                     new connections are shed at accept\n"
       "                     (reason connection-limit)      (default: unlimited)\n"
@@ -208,14 +198,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
       options.batch_max = std::strtoul(v, nullptr, 10);
-    } else if (!std::strcmp(arg, "--batch-min")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.batch_min = std::strtoul(v, nullptr, 10);
-    } else if (!std::strcmp(arg, "--batch-flush-delay")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.batch_flush_delay_us = std::atof(v);
     } else if (!std::strcmp(arg, "--exec-thread")) {
       options.exec_thread = true;
     } else if (!std::strcmp(arg, "--discipline")) {
@@ -229,8 +211,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       }
     } else if (!std::strcmp(arg, "--deadline-aware")) {
       options.deadline_aware = true;
-    } else if (!std::strcmp(arg, "--no-peer-priority")) {
-      options.peer_priority = false;
     } else if (!std::strcmp(arg, "--max-conns")) {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
@@ -308,12 +288,6 @@ int main(int argc, char** argv) {
   }
   const Options& options = *parsed;
 
-  // Real mode always ships the reason byte on REJECT and accepts (and
-  // re-emits) the deadline field on REQUEST (the sim keeps both off so
-  // wire-size cost charges stay pinned to the frozen trajectories).
-  msg::set_wire_reject_reasons(true);
-  msg::set_wire_request_deadlines(true);
-
   // Capture the epoch explicitly so trace timestamps and the wall-clock
   // stitching anchor refer to the same instant.
   const rpc::EventLoop::Epoch epoch = std::chrono::steady_clock::now();
@@ -333,23 +307,7 @@ int main(int argc, char** argv) {
   config.f = options.f;
   config.reject_threshold = options.reject_threshold;
   config.viewchange_timeout = static_cast<Duration>(options.viewchange_seconds * kSecond);
-  // Real time is the cost model (no simulated CPU charges), and the
-  // real-mode hot path is on by default, matching RealClusterConfig:
-  // REQUIREs and leader batch cuts aggregate at end-of-iteration (due
-  // timers fire after each iteration's I/O phase, so a recv burst leaves
-  // as one REQUIRE / one PROPOSE at no latency cost), followers ack
-  // instances to the leader only, and slots whose clients moved on are
-  // adopted or released instead of leaking until the forward timeout.
-  config.costs = consensus::CostModel{0, 0.0, 0, 0.0, 0.0, 0.0, 1.0};
   config.batch_max = options.batch_max;
-  config.batch_min = options.batch_min;
-  config.batch_flush_delay = static_cast<Duration>(options.batch_flush_delay_us * kMicrosecond);
-  config.require_batch_max = 32;
-  config.require_flush_interval = 0;
-  config.defer_propose = true;
-  config.commit_to_leader_only = true;
-  config.require_adoption = true;
-  config.release_superseded = true;
 
   // The gate outlives the replica (the config holds a borrowed pointer).
   std::unique_ptr<shard::GroupShardGate> gate;
@@ -395,17 +353,10 @@ int main(int argc, char** argv) {
     acceptance = std::make_unique<core::DeadlineAware>(core::DeadlineAware::Params{},
                                                        std::move(acceptance));
   }
-  core::IdemReplica replica(loop, transport, ReplicaId{options.replica_id}, config,
-                            std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}),
-                            std::move(acceptance));
-  if (options.edf) replica.set_discipline(sim::make_discipline(sim::DisciplineKind::Edf));
-  // No modelled service time: dispatch deliveries inline while idle, and
-  // serve agreement traffic ahead of the client-REQUEST flood.
-  replica.set_inline_dispatch(true);
-  if (options.peer_priority) {
-    replica.set_urgent_classifier(
-        [](sim::NodeId from) { return !consensus::is_client_address(from); });
-  }
+  const std::unique_ptr<core::IdemReplica> replica = real::make_replica(
+      loop, transport, ReplicaId{options.replica_id}, config,
+      std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}), std::move(acceptance));
+  if (options.edf) replica->set_discipline(sim::make_discipline(sim::DisciplineKind::Edf));
   for (const auto& [peer_id, address] : options.peers) {
     transport.set_remote(consensus::replica_address(ReplicaId{peer_id}), address);
   }
@@ -457,7 +408,7 @@ int main(int argc, char** argv) {
       return obs::LiveMetrics::render_prometheus(hub.snapshot());
     });
     admin->route("/stats", "application/json", [&replica, &transport, &trace, &gate] {
-      const core::ReplicaStats& s = replica.stats();
+      const core::ReplicaStats& s = replica->stats();
       const rpc::TransportStats& t = transport.stats();
       const rpc::TransportMemory m = transport.memory();
       char shard_buf[192] = "";
@@ -486,8 +437,8 @@ int main(int argc, char** argv) {
           "\"inbound_connections\":%zu,\"outbound_connections\":%zu,"
           "\"inbound_buffer_bytes\":%zu,\"connection_memory_bytes\":%zu},"
           "\"trace_recorded\":%llu}",
-          static_cast<unsigned long long>(replica.view().value),
-          replica.is_leader() ? "true" : "false",
+          static_cast<unsigned long long>(replica->view().value),
+          replica->is_leader() ? "true" : "false",
           static_cast<unsigned long long>(s.requests_received),
           static_cast<unsigned long long>(s.accepted),
           static_cast<unsigned long long>(s.rejected),
@@ -549,10 +500,10 @@ int main(int argc, char** argv) {
   // goes out of scope; a completion posted to the stopped loop never runs.
   if (executor) executor->stop();
 
-  const core::ReplicaStats& stats = replica.stats();
+  const core::ReplicaStats& stats = replica->stats();
   std::printf("idem_server: stopping (view %llu, leader %s)\n",
-              static_cast<unsigned long long>(replica.view().value),
-              replica.is_leader() ? "yes" : "no");
+              static_cast<unsigned long long>(replica->view().value),
+              replica->is_leader() ? "yes" : "no");
   std::printf("  requests %llu | accepted %llu | rejected %llu | executed %llu |"
               " deadline misses %llu\n",
               static_cast<unsigned long long>(stats.requests_received),
