@@ -28,11 +28,10 @@ struct AblationResult {
 };
 
 AblationResult run_one(harness::ClusterConfig config, std::size_t clients,
-                       harness::DriverConfig driver) {
+                       harness::LoadConfig driver) {
   config.clients = clients;
   harness::Cluster cluster(config);
-  harness::ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
 
   AblationResult result;
   result.point.clients = clients;
@@ -53,7 +52,7 @@ AblationResult run_one(harness::ClusterConfig config, std::size_t clients,
 }  // namespace
 
 int main() {
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 
@@ -165,14 +164,13 @@ int main() {
 
       // Count per-client successes directly.
       std::vector<std::uint64_t> successes(config.clients, 0);
-      harness::DriverConfig fair_driver = driver;
+      harness::LoadConfig fair_driver = driver;
       // Give every slice configuration the same number of full rotations:
       // 3 groups x slice x 2 rotations.
       fair_driver.measure = std::max<Duration>(driver.measure, 6 * slice);
-      harness::ClosedLoopDriver loop(cluster, fair_driver);
       // The driver does not expose per-client stats; sample them from the
       // replicas' duplicate table after the run instead.
-      harness::RunMetrics metrics = loop.run();
+      harness::RunMetrics metrics = harness::drive(cluster, fair_driver);
       for (std::size_t c = 0; c < config.clients; ++c) {
         if (auto last = cluster.idem_replica(0)->last_executed(ClientId{c})) {
           successes[c] = last->value;

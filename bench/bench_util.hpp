@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "harness/driver.hpp"
+#include "harness/load.hpp"
 #include "harness/metrics.hpp"
 #include "harness/table.hpp"
 #include "obs/chrome_trace.hpp"
@@ -115,7 +115,7 @@ struct LoadPoint {
 /// Runs one steady-state load point: `clients` closed-loop YCSB clients
 /// against a fresh cluster; repeated for `runs` seeds and averaged.
 inline LoadPoint run_load_point(harness::ClusterConfig base, std::size_t clients,
-                                harness::DriverConfig driver_config, int runs = 0) {
+                                const harness::LoadConfig& load, int runs = 0) {
   if (runs <= 0) runs = bench_runs();
   LoadPoint point;
   point.clients = clients;
@@ -125,8 +125,7 @@ inline LoadPoint run_load_point(harness::ClusterConfig base, std::size_t clients
     config.seed = base.seed + static_cast<std::uint64_t>(run) * 7919;
     apply_obs_env(config);
     harness::Cluster cluster(config);
-    harness::ClosedLoopDriver driver(cluster, driver_config);
-    harness::RunMetrics metrics = driver.run();
+    harness::RunMetrics metrics = harness::drive(cluster, load);
     std::string suffix = "-c" + std::to_string(clients);
     if (runs > 1) suffix += "-r" + std::to_string(run);
     export_obs_env(cluster, suffix);
@@ -171,13 +170,11 @@ inline harness::RunMetrics run_crash_timeline(harness::ClusterConfig base, std::
                                               bool crash_leader) {
   base.clients = clients;
   harness::Cluster cluster(base);
-  harness::DriverConfig driver;
-  driver.warmup = 0;
-  driver.measure = duration;
+  harness::LoadConfig load;
+  load.measure = duration;
   cluster.apply({sim::Fault::crash(
       crash_at, crash_leader ? sim::Fault::kLeader : sim::Fault::kFollower)});
-  harness::ClosedLoopDriver loop(cluster, driver);
-  return loop.run();
+  return harness::drive(cluster, load);
 }
 
 /// Prints a reply/reject timeline aggregated into `bucket`-sized rows.

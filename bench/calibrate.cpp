@@ -30,11 +30,10 @@ int main(int argc, char** argv) {
   config.reject_threshold = rt;
   harness::Cluster cluster(config);
 
-  harness::DriverConfig driver_config;
+  harness::LoadConfig driver_config;
   driver_config.warmup = kSecond;
   driver_config.measure = static_cast<Duration>(seconds * kSecond);
-  harness::ClosedLoopDriver driver(cluster, driver_config);
-  harness::RunMetrics metrics = driver.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver_config);
 
   std::printf("%s  clients=%zu rt=%zu\n", harness::protocol_name(protocol), clients, rt);
   std::printf("  replies:  %.2f kreq/s  latency %.3f ms (stddev %.3f, p99 %.3f)\n",

@@ -37,7 +37,7 @@ struct MixResult {
   double p99_ms = 0;
 };
 
-MixResult run_mix(bool cost_aware, std::size_t clients, harness::DriverConfig driver) {
+MixResult run_mix(bool cost_aware, std::size_t clients, harness::LoadConfig driver) {
   harness::ClusterConfig config;
   config.protocol = harness::Protocol::Idem;
   config.reject_threshold = 50;
@@ -56,8 +56,7 @@ MixResult run_mix(bool cost_aware, std::size_t clients, harness::DriverConfig dr
     };
   }
   harness::Cluster cluster(config);
-  harness::ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
   MixResult result;
   result.reply_kops = metrics.reply_throughput() / 1000.0;
   result.reject_kops = metrics.reject_throughput() / 1000.0;
@@ -72,7 +71,7 @@ int main() {
   std::printf("=== Extension: cost-aware admission (Section 5.1 'further options') ===\n");
   std::printf("(80%% point ops + 20%% scans of up to 100 records; overload sweep)\n\n");
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

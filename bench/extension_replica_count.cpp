@@ -14,7 +14,7 @@ using namespace idem;
 int main() {
   std::printf("=== Extension: IDEM at larger group sizes ===\n\n");
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

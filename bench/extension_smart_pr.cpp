@@ -16,7 +16,7 @@ int main() {
   std::printf("=== Extension: proactive rejection on a different consensus protocol ===\n");
   std::printf("(SMaRt agreement unchanged; IDEM's intake phase composed in front)\n\n");
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

@@ -17,7 +17,7 @@ int main() {
   harness::ClusterConfig base;
   base.protocol = harness::Protocol::Paxos;
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

@@ -20,7 +20,7 @@ int main() {
       harness::Protocol::Paxos, harness::Protocol::Smart, harness::Protocol::IdemNoPR,
       harness::Protocol::Idem};
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

@@ -27,7 +27,7 @@
 
 #include "harness/table.hpp"
 #include "real/cluster.hpp"
-#include "real/load.hpp"
+#include "shard/real_clients.hpp"
 
 using namespace idem;
 
@@ -115,22 +115,18 @@ int main(int argc, char** argv) {
     real::RealCluster cluster(config);
     cluster.start();
 
-    real::LoadOptions load;
-    load.clients = clients;
+    harness::LoadConfig load;
     load.warmup = warmup;
-    load.duration = measure;
-    load.seed = 1 + clients;
+    load.measure = measure;
     load.workload = config.workload;
-    load.replicas = cluster.replica_addresses();
-    load.client = cluster.client_config();
-    load.epoch = cluster.epoch();
-    real::LoadStats stats = real::run_load(load);
+    const harness::RunMetrics stats =
+        shard::RealClients(shard::clients_of(cluster, clients, 1 + clients)).drive(load);
     cluster.shutdown();
 
     RealPoint point;
     point.clients = clients;
-    point.reply_kops = stats.reply_rate() / 1000.0;
-    point.reject_kops = stats.reject_rate() / 1000.0;
+    point.reply_kops = stats.reply_throughput() / 1000.0;
+    point.reject_kops = stats.reject_throughput() / 1000.0;
     point.p50_ms = to_ms(stats.reply_latency.p50());
     point.p90_ms = to_ms(stats.reply_latency.p90());
     point.p99_ms = to_ms(stats.reply_latency.p99());

@@ -19,7 +19,7 @@ int main() {
   base.protocol = harness::Protocol::Idem;
   base.reject_threshold = 50;
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

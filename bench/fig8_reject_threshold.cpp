@@ -16,7 +16,7 @@ using namespace idem;
 int main() {
   std::printf("=== Figure 8: variation of the reject threshold RT in IDEM ===\n\n");
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

@@ -15,7 +15,7 @@
 using namespace idem;
 
 int main() {
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
 

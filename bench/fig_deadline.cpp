@@ -67,9 +67,13 @@ int main() {
                                         Policy::DeadlineAware};
   const std::vector<std::size_t> client_counts = {25, 50, 100, 200};
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = bench::warmup_duration();
   driver.measure = bench::measure_duration();
+  // Every operation carries a budget tight enough that overload queueing
+  // actually threatens it.
+  driver.request_deadline = 8 * kMillisecond;
+  driver.deadline_jitter = 4 * kMillisecond;
 
   std::vector<SweepResult> results;
   for (Policy policy : policies) {
@@ -84,10 +88,6 @@ int main() {
     base.idem.costs.tail_prob = 0.1;
     base.idem.costs.pareto_alpha = 1.3;
     base.idem.costs.pareto_scale = 6.0;
-    // Every operation carries a budget tight enough that overload queueing
-    // actually threatens it.
-    base.request_deadline = 8 * kMillisecond;
-    base.deadline_jitter = 4 * kMillisecond;
 
     switch (policy) {
       case Policy::TailDrop:

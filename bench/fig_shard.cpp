@@ -29,12 +29,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "check/linearizability.hpp"
 #include "harness/table.hpp"
-#include "shard/load.hpp"
+#include "shard/real_clients.hpp"
 #include "shard/real_cluster.hpp"
 
 using namespace idem;
@@ -74,18 +75,27 @@ shard::ShardedRealConfig cluster_config(std::size_t groups, std::uint64_t seed) 
   return config;
 }
 
-shard::ShardedLoadOptions load_options(shard::ShardedRealCluster& cluster, std::size_t clients,
-                                       Duration warmup, Duration measure, std::uint64_t seed) {
-  shard::ShardedLoadOptions options;
-  options.clients = clients;
-  options.warmup = warmup;
-  options.duration = measure;
-  options.seed = seed;
-  options.groups = cluster.group_addresses();
-  options.map = cluster.map();
-  options.router.map_source = [&cluster] { return cluster.map(); };
-  options.workload = cluster.config().base.workload;
-  return options;
+harness::LoadConfig load_config(shard::ShardedRealCluster& cluster, Duration warmup,
+                                Duration measure) {
+  harness::LoadConfig load;
+  load.warmup = warmup;
+  load.measure = measure;
+  load.workload = cluster.config().base.workload;
+  return load;
+}
+
+/// Aims every operation at keys `group` owns under `map`: the YCSB draw is
+/// resampled until its key routes there. Bounded, so a map that gives the
+/// group nothing degrades to unrestricted load instead of spinning.
+std::function<app::KvCommand(app::YcsbWorkload&)> keys_on(shard::ShardMap map,
+                                                         shard::GroupId group) {
+  return [map = std::move(map), group](app::YcsbWorkload& workload) {
+    app::KvCommand command = workload.next_operation();
+    for (int tries = 0; tries < 1000 && map.group_for_key(command.key) != group; ++tries) {
+      command = workload.next_operation();
+    }
+    return command;
+  };
 }
 
 }  // namespace
@@ -119,17 +129,17 @@ int main(int argc, char** argv) {
   for (std::size_t shards : {1u, 2u, 4u}) {
     shard::ShardedRealCluster cluster(cluster_config(shards, 100 + shards));
     cluster.start();
-    shard::ShardedLoadOptions load =
-        load_options(cluster, 4 * shards, warmup, measure, 100 + shards);
-    const shard::ShardedLoadStats stats = shard::run_sharded_load(load);
+    shard::RealClients clients(shard::clients_of(cluster, 4 * shards, 100 + shards));
+    const harness::RunMetrics stats = clients.drive(load_config(cluster, warmup, measure));
+    const shard::RouterStats router = clients.router_stats();
 
     SweepPoint point;
     point.shards = shards;
-    point.clients = load.clients;
-    point.reply_kops = stats.load.reply_rate() / 1000.0;
-    point.p50_ms = to_ms(stats.load.reply_latency.p50());
-    point.p99_ms = to_ms(stats.load.reply_latency.p99());
-    point.redirects = stats.router.redirects;
+    point.clients = clients.clients().size();
+    point.reply_kops = stats.reply_throughput() / 1000.0;
+    point.p50_ms = to_ms(stats.reply_latency.p50());
+    point.p99_ms = to_ms(stats.reply_latency.p99());
+    point.redirects = router.redirects;
     points.push_back(point);
     table.add_row({harness::Table::fmt(std::uint64_t(shards)),
                    harness::Table::fmt(std::uint64_t(point.clients)),
@@ -139,8 +149,8 @@ int main(int argc, char** argv) {
 
     // Machine-independent invariants: every group serves its slice of a
     // fresh uniform map with no redirects and no hop-budget drops.
-    if (stats.load.replies == 0) { g_ok = false; }
-    if (stats.router.redirects != 0 || stats.router.redirect_drops != 0) { g_ok = false; }
+    if (stats.replies == 0) { g_ok = false; }
+    if (router.redirects != 0 || router.redirect_drops != 0) { g_ok = false; }
     for (std::size_t g = 0; g < shards; ++g) {
       if (cluster.gate(g).stats().admitted == 0) { g_ok = false; }
     }
@@ -182,35 +192,37 @@ int main(int argc, char** argv) {
     // Sibling load: 2 open-loop clients at a demand far below capacity,
     // restricted to group 1's keys. First alone (the baseline), then with
     // the hot generator hammering group 0 from a second thread.
-    auto sibling = load_options(cluster, 2, warmup, measure, 301);
+    auto sibling = shard::clients_of(cluster, 2, 301);
     sibling.client_id_base = 100;
-    sibling.open_loop_rate = 150;
-    sibling.restrict_group = 1;
-    baseline_kops = shard::run_sharded_load(sibling).load.reply_rate() / 1000.0;
+    harness::LoadConfig sibling_load = load_config(cluster, warmup, measure);
+    sibling_load.open_loop_rate = 150;
+    sibling_load.command = keys_on(cluster.map(), 1);
+    baseline_kops = shard::RealClients(sibling).drive(sibling_load).reply_throughput() / 1000.0;
 
-    shard::ShardedLoadStats hot_stats;
+    harness::RunMetrics hot_stats;
     std::thread hot([&] {
-      auto hot_load = load_options(cluster, 24, warmup, measure, 302);
-      hot_load.client_id_base = 1000;
-      hot_load.restrict_group = 0;
+      auto hot_clients = shard::clients_of(cluster, 24, 302);
+      hot_clients.client_id_base = 1000;
+      harness::LoadConfig hot_load = load_config(cluster, warmup, measure);
+      hot_load.command = keys_on(cluster.map(), 0);
       // Default 50-100ms rejection backoff (paper Section 7.1): overload
       // pressure comes from 24 clients > r, not from a tight retry spin —
       // rejected clients yield, so the sibling group keeps its CPU share
       // even on a starved host.
-      hot_stats = shard::run_sharded_load(hot_load);
+      hot_stats = shard::RealClients(hot_clients).drive(hot_load);
     });
     // Fresh client ids: the replicas' duplicate suppression remembers the
     // baseline generation's sequence numbers.
     sibling.client_id_base = 200;
-    const shard::ShardedLoadStats contended = shard::run_sharded_load(sibling);
+    const harness::RunMetrics contended = shard::RealClients(sibling).drive(sibling_load);
     hot.join();
     cluster.shutdown();
 
-    sibling_kops = contended.load.reply_rate() / 1000.0;
-    sibling_rejects = contended.load.rejects;
-    hot_reply_kops = hot_stats.load.reply_rate() / 1000.0;
-    hot_reject_kops = hot_stats.load.reject_rate() / 1000.0;
-    hot_rejects = hot_stats.load.rejects;
+    sibling_kops = contended.reply_throughput() / 1000.0;
+    sibling_rejects = contended.rejects;
+    hot_reply_kops = hot_stats.reply_throughput() / 1000.0;
+    hot_reject_kops = hot_stats.reject_throughput() / 1000.0;
+    hot_rejects = hot_stats.rejects;
   }
   const double sibling_ratio = baseline_kops > 0 ? sibling_kops / baseline_kops : 0;
   std::printf("sibling alone %.3f kreq/s | contended %.3f kreq/s (%.1f%%) |"
@@ -247,15 +259,19 @@ int main(int argc, char** argv) {
     cluster.publish(cluster.map().with_range_moved(0, 0, 0));  // all keys -> group 0
     cluster.start();
 
-    auto load = load_options(cluster, 3, 0, measure, 401);
-    load.map = cluster.map();
-    load.workload.record_count = 50;
+    const shard::RealClientsConfig split_clients = shard::clients_of(cluster, 3, 401);
+    harness::LoadConfig load = load_config(cluster, 0, measure);
     load.record_history = true;
     load.backoff_min = kMillisecond;
     load.backoff_max = 5 * kMillisecond;
 
-    shard::ShardedLoadStats stats;
-    std::thread loader([&] { stats = shard::run_sharded_load(load); });
+    harness::RunMetrics stats;
+    shard::RouterStats router;
+    std::thread loader([&] {
+      shard::RealClients clients(split_clients);
+      stats = clients.drive(load);
+      router = clients.router_stats();
+    });
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
     const auto split_start = std::chrono::steady_clock::now();
     split_ok = cluster.run_split(1ull << 63, 0, 0, 1, 5 * kSecond);
@@ -264,8 +280,8 @@ int main(int argc, char** argv) {
                    .count();
     loader.join();
     split_epoch = cluster.map().epoch();
-    split_replies = stats.load.replies;
-    split_redirects = stats.router.redirects;
+    split_replies = stats.replies;
+    split_redirects = router.redirects;
     const bool new_owner_serving = cluster.gate(1).stats().admitted > 0;
     cluster.shutdown();
 

@@ -130,15 +130,14 @@ Fig6Result run_fig6_once(Duration warmup, Duration measure, bool traced) {
   config.seed = 1;
   config.obs.trace = traced;
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = warmup;
   driver.measure = measure;
 
   Fig6Result out;
   auto start = Clock::now();
   harness::Cluster cluster(config);
-  harness::ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
   out.wall_s = elapsed_seconds(start);
   out.events = static_cast<double>(cluster.simulator().events_executed());
   out.events_per_sec = out.events / out.wall_s;

@@ -34,10 +34,9 @@ double run_traffic_gb(harness::Protocol protocol, std::size_t clients, std::uint
   base.reject_threshold = 50;
   base.clients = clients;
   harness::Cluster cluster(base);
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.stop_after_replies = requests;
-  harness::ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
   if (reject_share != nullptr) {
     *reject_share = 100.0 * static_cast<double>(metrics.rejects) /
                     static_cast<double>(metrics.replies + metrics.rejects);

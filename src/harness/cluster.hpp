@@ -68,10 +68,6 @@ struct ClusterConfig {
   /// Service discipline installed on every replica (Fifo keeps the
   /// default ring and its pinned trajectories).
   sim::DisciplineKind discipline = sim::DisciplineKind::Fifo;
-  /// Per-operation latency budget stamped by the driver (0 = none).
-  Duration request_deadline = 0;
-  /// Uniform +/- jitter applied to each operation's budget.
-  Duration deadline_jitter = 0;
 
   sim::NetworkConfig network;
   core::IdemConfig idem;              ///< n/f/reject_threshold overridden

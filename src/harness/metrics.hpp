@@ -1,8 +1,9 @@
-// Metrics collected by the closed-loop experiment driver.
+// Metrics collected by the load driver (harness/load.hpp), in every mode.
 #pragma once
 
 #include <cstdint>
 
+#include "check/history.hpp"
 #include "common/histogram.hpp"
 #include "common/time.hpp"
 #include "common/timeseries.hpp"
@@ -17,9 +18,12 @@ struct RunMetrics {
   // Steady-state distributions over the measurement window.
   Histogram reply_latency;
   Histogram reject_latency;
+  std::uint64_t issued = 0;    ///< operations started in the window
   std::uint64_t replies = 0;
   std::uint64_t rejects = 0;   ///< operations aborted after rejections
   std::uint64_t timeouts = 0;  ///< operations abandoned without information
+  std::uint64_t malformed = 0;  ///< replies whose KvResult says BadRequest
+  std::uint64_t deferred = 0;   ///< open-loop arrivals that found their client busy
   std::uint64_t deadline_ops = 0;     ///< replies to deadline-carrying operations
   std::uint64_t deadline_misses = 0;  ///< ...that landed after their budget
 
@@ -28,9 +32,13 @@ struct RunMetrics {
   TimeSeries reply_series{100 * kMillisecond};
   TimeSeries reject_series{100 * kMillisecond};
 
-  // Network traffic accumulated during the measurement.
+  // Simulated network traffic accumulated during the measurement
+  // (harness::drive only).
   sim::TrafficStats client_traffic;
   sim::TrafficStats replica_traffic;
+
+  /// Every operation the driver issued (LoadConfig::record_history only).
+  check::History history;
 
   double reply_throughput() const {
     return measured > 0 ? static_cast<double>(replies) / to_sec(measured) : 0.0;

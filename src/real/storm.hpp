@@ -1,9 +1,10 @@
 // Connection-storm driver: thousands of client sessions multiplexed on
 // one epoll thread.
 //
-// run_load() hosts full core::IdemClient instances — faithful, but each
-// client owns a listener-backed transport, which tops out at a few
-// hundred sessions per process. StormEngine is the 10k-session
+// The load driver (harness/load.hpp over shard::RealClients) hosts full
+// core::IdemClient instances — faithful, but each client owns a
+// listener-backed transport, which tops out at a few hundred sessions
+// per process. StormEngine is the 10k-session
 // counterpart: raw nonblocking sockets on a single rpc::EventLoop, one
 // lean state machine per session (connect → warm → issue → reconnect),
 // speaking the IDEM wire protocol directly (rpc/framing.hpp frames
@@ -29,7 +30,7 @@
 //     unfinished frame, trickling one byte per interval (what the
 //     transport's half_open_timeout evicts).
 //
-// Single-threaded like run_load: the engine owns an EventLoop driven by
+// Single-threaded like shard::RealClients: the engine owns an EventLoop driven by
 // the calling thread via run_for(); window()/gauges() are safe between
 // run_for() calls. Several engines can run on separate threads with
 // disjoint client_id_base ranges.
@@ -57,8 +58,8 @@ struct StormOptions {
   std::size_t f = std::size_t(-1);
 
   std::size_t sessions = 100;        ///< initial target population
-  /// First ClientId; offset past run_load's range so mixed drivers never
-  /// collide.
+  /// First ClientId; offset past the load driver's usual range so mixed
+  /// drivers never collide.
   std::uint64_t client_id_base = 1 << 20;
   Duration ramp = 0;                 ///< spread initial spawns over this span
 

@@ -6,7 +6,7 @@
 // on their intake path — turns REQUESTs for foreign keys into WrongShard
 // REJECTs carrying the map epoch and the key's home group. Groups do not
 // talk to each other: the only cross-group machinery is the client-side
-// router (shard/load.hpp) and the split coordinator below.
+// router (shard/real_clients.hpp) and the split coordinator below.
 //
 // Observability aggregates: every group's replica shards register on one
 // obs::LiveMetrics hub with a group=<g> label, and a dedicated admin loop
@@ -71,7 +71,7 @@ class ShardedRealCluster {
   void publish(ShardMap map);
 
   /// Replica addresses of every group, indexed [group][replica] — the
-  /// shape the sharded load generator consumes.
+  /// shape RealClientsConfig::groups takes.
   std::vector<std::vector<rpc::PeerAddress>> group_addresses() const;
 
   void start();

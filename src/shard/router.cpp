@@ -18,8 +18,12 @@ void ShardRouter::invoke(std::vector<std::byte> command, Callback callback) {
   command_ = std::move(command);
   callback_ = std::move(callback);
   hops_ = 0;
-  first_issued_ = 0;
+  first_issued_.reset();
   issue(route(command_));
+}
+
+void ShardRouter::set_request_deadline(Duration deadline) {
+  for (consensus::ServiceClient* client : group_clients_) client->set_request_deadline(deadline);
 }
 
 GroupId ShardRouter::route(const std::vector<std::byte>& command) const {
@@ -35,7 +39,7 @@ void ShardRouter::issue(GroupId group) {
   consensus::ServiceClient* client =
       group_clients_[group < group_clients_.size() ? group : 0];
   client->invoke(command_, [this](const consensus::Outcome& outcome) {
-    if (first_issued_ == 0) first_issued_ = outcome.issued;
+    if (!first_issued_.has_value()) first_issued_ = outcome.issued;
 
     if (outcome.wrong_shard()) {
       ++stats_.redirects;
@@ -70,7 +74,7 @@ void ShardRouter::issue(GroupId group) {
 
 void ShardRouter::finish(const consensus::Outcome& outcome) {
   consensus::Outcome final = outcome;
-  if (first_issued_ != 0) final.issued = first_issued_;  // latency spans all hops
+  if (first_issued_.has_value()) final.issued = *first_issued_;  // latency spans all hops
   busy_ = false;
   Callback callback = std::move(callback_);
   callback_ = nullptr;

@@ -3,8 +3,8 @@
 // A ShardRouter is a consensus::ServiceClient facade over one protocol
 // client per replication group: each operation's key is hashed against the
 // cached ShardMap and the command goes to the owning group's client,
-// unchanged. The load drivers (sim and real) therefore drive a router
-// exactly as they drive a bare client.
+// unchanged. The load driver therefore drives a router exactly as it
+// drives a bare client, in sim and real mode alike.
 //
 // Redirect protocol: a WrongShard outcome means the cached map is stale.
 // The router follows the redirect — optionally refreshing the whole map
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "consensus/service_client.hpp"
@@ -51,6 +52,9 @@ class ShardRouter final : public consensus::ServiceClient {
               RouterConfig config = {});
 
   void invoke(std::vector<std::byte> command, Callback callback) override;
+  /// Forwards the budget to every group client: any of them may carry
+  /// the next operation, or one of its redirect hops.
+  void set_request_deadline(Duration deadline) override;
   ClientId client_id() const override { return group_clients_[0]->client_id(); }
   bool busy() const override { return busy_; }
 
@@ -76,7 +80,9 @@ class ShardRouter final : public consensus::ServiceClient {
   Callback callback_;
   std::size_t hops_ = 0;
   GroupId last_group_ = 0;
-  Time first_issued_ = 0;  ///< issue time of hop 0 (outcomes report full latency)
+  /// Issue time of hop 0 (outcomes report the latency across all hops);
+  /// unset until hop 0 concludes, since time 0 is a valid issue time.
+  std::optional<Time> first_issued_;
 };
 
 }  // namespace idem::shard

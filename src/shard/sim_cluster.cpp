@@ -115,6 +115,12 @@ std::size_t ShardedSimCluster::leader_of(std::size_t group) const {
   return g.replicas.size();
 }
 
+std::vector<consensus::ServiceClient*> ShardedSimCluster::routers() {
+  std::vector<consensus::ServiceClient*> out;
+  for (Router& router : routers_) out.push_back(router.router.get());
+  return out;
+}
+
 void ShardedSimCluster::crash_replica(std::size_t group, std::size_t index) {
   groups_[group].crashed[index] = true;
   groups_[group].replicas[index]->crash();
@@ -123,80 +129,6 @@ void ShardedSimCluster::crash_replica(std::size_t group, std::size_t index) {
 void ShardedSimCluster::publish(ShardMap map) {
   map_ = std::move(map);
   for (Group& group : groups_) group.gate->install(map_);
-}
-
-void ShardedSimCluster::issue_next(Driver& driver) {
-  if (driver.stopped) return;
-  Router& router = routers_[driver.spec.router];
-  app::KvCommand cmd = driver.spec.command(*driver.rng);
-  std::vector<std::byte> bytes = cmd.encode();
-
-  std::size_t hindex = static_cast<std::size_t>(-1);
-  if (config_.record_history) {
-    hindex = history_.begin(driver.spec.router, ++router.history_seq, bytes, sim_.now());
-  }
-
-  ++driver.stats.issued;
-  ++outstanding_;
-  router.router->invoke(std::move(bytes), [this, &driver, hindex](const consensus::Outcome& o) {
-    --outstanding_;
-    check::Op::Result result = check::Op::Result::Open;
-    switch (o.kind) {
-      case consensus::Outcome::Kind::Reply:
-        ++driver.stats.replies;
-        result = check::Op::Result::Ok;
-        break;
-      case consensus::Outcome::Kind::Rejected:
-        ++driver.stats.rejects;
-        result = check::Op::Result::Rejected;
-        break;
-      case consensus::Outcome::Kind::Timeout:
-        ++driver.stats.timeouts;
-        result = check::Op::Result::Timeout;
-        break;
-    }
-    if (hindex != static_cast<std::size_t>(-1)) {
-      history_.complete(hindex, result, sim_.now(), o.result, o.definitive_failure);
-    }
-
-    Duration delay = 0;
-    if (o.kind != consensus::Outcome::Kind::Reply && driver.spec.backoff_max > 0) {
-      delay = driver.spec.backoff_min;
-      if (driver.spec.backoff_max > driver.spec.backoff_min) {
-        delay += static_cast<Duration>(
-            driver.rng->uniform_int(0, driver.spec.backoff_max - driver.spec.backoff_min));
-      }
-    }
-    if (driver.stopped) return;
-    sim_.schedule_after(delay, [this, &driver] { issue_next(driver); });
-  });
-}
-
-std::vector<SimLoadStats> ShardedSimCluster::run_load(const std::vector<SimLoadSpec>& specs,
-                                                      Duration duration) {
-  std::vector<Driver*> round;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    auto driver = std::make_unique<Driver>();
-    driver->spec = specs[i];
-    driver->rng = &sim_.rng("shard-driver-" + std::to_string(drivers_.size()));
-    round.push_back(driver.get());
-    drivers_.push_back(std::move(driver));
-  }
-
-  const Time deadline = sim_.now() + duration;
-  for (Driver* driver : round) issue_next(*driver);
-  sim_.run_until(deadline);
-  for (Driver* driver : round) driver->stopped = true;
-
-  // Let in-flight operations conclude (bounded: a stuck op retries at the
-  // client's interval forever, so give up after a grace period).
-  const Time grace = deadline + 30 * kSecond;
-  sim_.run_while([&] { return outstanding_ > 0 && sim_.now() < grace; });
-
-  std::vector<SimLoadStats> stats;
-  stats.reserve(round.size());
-  for (Driver* driver : round) stats.push_back(driver->stats);
-  return stats;
 }
 
 bool ShardedSimCluster::drained(std::size_t group) const {

@@ -9,8 +9,7 @@
 //
 // Client side: each router owns one IdemClient per group (same ClientId
 // everywhere — client tables are per-group) and routes by key hash.
-// Load is driven closed-loop per router; per-spec stats let scenarios
-// separate hot-shard traffic from sibling traffic.
+// harness::LoadDriver drives the routers on simulator().
 //
 // Elastic reconfiguration: run_split() executes the freeze -> drain ->
 // transfer -> flip handshake against a live, loaded cluster, advancing
@@ -18,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "app/kv_store.hpp"
 #include "app/ycsb.hpp"
-#include "check/history.hpp"
 #include "idem/client.hpp"
 #include "idem/config.hpp"
 #include "idem/replica.hpp"
@@ -89,25 +86,6 @@ struct ShardedSimConfig {
   /// every group — the gate decides ownership, not the store contents).
   app::YcsbConfig workload;
   bool preload = false;
-
-  bool record_history = false;  ///< record every op into history()
-};
-
-/// One closed-loop load stream bound to a router.
-struct SimLoadSpec {
-  std::size_t router = 0;
-  /// Next command; drawn once per operation from a deterministic stream.
-  std::function<app::KvCommand(Rng&)> command;
-  /// Backoff after a non-Reply outcome, uniform in [min, max]; 0 = none.
-  Duration backoff_min = 0;
-  Duration backoff_max = 0;
-};
-
-struct SimLoadStats {
-  std::uint64_t issued = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t rejects = 0;
-  std::uint64_t timeouts = 0;
 };
 
 class ShardedSimCluster {
@@ -129,6 +107,8 @@ class ShardedSimCluster {
     return *groups_[group].replicas[index];
   }
   ShardRouter& router(std::size_t index) { return *routers_[index].router; }
+  /// Every router, in index order (router r has ClientId r).
+  std::vector<consensus::ServiceClient*> routers();
 
   /// Current leader index of `group` (first live replica that believes
   /// itself leader), or n when none does.
@@ -141,10 +121,6 @@ class ShardedSimCluster {
   /// source. Routers pick it up on their next redirect.
   void publish(ShardMap map);
 
-  /// Drives the load streams closed-loop for `duration` of simulated
-  /// time; returns one stats entry per spec. May be called repeatedly.
-  std::vector<SimLoadStats> run_load(const std::vector<SimLoadSpec>& specs, Duration duration);
-
   /// Elastic range migration under load: freeze the source group's
   /// intake, poll until its in-flight agreement drains (advancing the
   /// simulation), copy the moved range's records into the target group's
@@ -153,9 +129,6 @@ class ShardedSimCluster {
   /// and the map unchanged).
   bool run_split(std::uint64_t begin, std::uint64_t end, GroupId from, GroupId to,
                  Duration drain_timeout = 2 * kSecond);
-
-  /// All recorded operations (record_history only).
-  const check::History& history() const { return history_; }
 
  private:
   struct Group {
@@ -168,18 +141,9 @@ class ShardedSimCluster {
   struct Router {
     std::vector<std::unique_ptr<core::IdemClient>> clients;  ///< one per group
     std::unique_ptr<ShardRouter> router;
-    std::uint64_t history_seq = 0;  ///< per-client sequence across run_load calls
-  };
-
-  struct Driver {
-    SimLoadSpec spec;
-    SimLoadStats stats;
-    Rng* rng = nullptr;
-    bool stopped = false;
   };
 
   bool drained(std::size_t group) const;
-  void issue_next(Driver& driver);
 
   ShardedSimConfig config_;
   sim::Simulator sim_;
@@ -187,12 +151,6 @@ class ShardedSimCluster {
   ShardMap map_;
   std::vector<Group> groups_;
   std::vector<Router> routers_;
-  /// Drivers live for the cluster's lifetime: a backoff-delayed reissue
-  /// event scheduled near a run's deadline may still be pending when
-  /// run_load returns, and it dereferences its driver when it fires.
-  std::vector<std::unique_ptr<Driver>> drivers_;
-  std::size_t outstanding_ = 0;  ///< in-flight operations across drivers
-  check::History history_;
 };
 
 }  // namespace idem::shard

@@ -1,11 +1,13 @@
-// Tests for the experiment harness itself: cluster builder, closed-loop
-// driver semantics (warm-up exclusion, rejection backoff, fixed-count
-// mode), custom acceptance tests end to end, and the table printer.
+// Tests for the experiment harness itself: cluster builder, load driver
+// semantics (warm-up exclusion, rejection backoff, fixed-count mode, the
+// open-loop arrival FIFO), custom acceptance tests end to end, and the
+// table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
-#include "harness/driver.hpp"
+#include "harness/load.hpp"
 #include "harness/table.hpp"
 #include "test_util.hpp"
 
@@ -13,8 +15,7 @@ namespace idem {
 namespace {
 
 using harness::Cluster;
-using harness::ClosedLoopDriver;
-using harness::DriverConfig;
+using harness::LoadConfig;
 using harness::Protocol;
 using test::test_cluster_config;
 
@@ -61,11 +62,10 @@ TEST(Harness, PreloadPopulatesEveryReplica) {
 TEST(Harness, DriverMeasuresOnlyAfterWarmup) {
   auto config = test_cluster_config(Protocol::Idem, /*clients=*/2);
   Cluster cluster(config);
-  DriverConfig driver;
+  LoadConfig driver;
   driver.warmup = kSecond;
   driver.measure = kSecond;
-  ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
 
   EXPECT_GT(metrics.replies, 100u);
   EXPECT_EQ(metrics.measured, kSecond);
@@ -77,10 +77,9 @@ TEST(Harness, DriverMeasuresOnlyAfterWarmup) {
 TEST(Harness, DriverStopsAfterFixedReplies) {
   auto config = test_cluster_config(Protocol::Idem, /*clients=*/4);
   Cluster cluster(config);
-  DriverConfig driver;
+  LoadConfig driver;
   driver.stop_after_replies = 500;
-  ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
   EXPECT_GE(metrics.replies, 500u);
   EXPECT_LT(metrics.replies, 520u);  // stops promptly
   EXPECT_GT(metrics.client_traffic.bytes, 0u);
@@ -91,19 +90,102 @@ TEST(Harness, RejectedClientsBackOff) {
   auto config = test_cluster_config(Protocol::Idem, /*clients=*/4);
   config.reject_threshold = 0;  // everything rejected
   Cluster cluster(config);
-  DriverConfig driver;
+  LoadConfig driver;
   driver.warmup = 0;
   driver.measure = 2 * kSecond;
   driver.backoff_min = 50 * kMillisecond;
   driver.backoff_max = 100 * kMillisecond;
-  ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
 
   EXPECT_EQ(metrics.replies, 0u);
   // With a ~75 ms mean cycle (reject latency + backoff), each client
   // completes roughly 2s / 75ms = 26 attempts.
   EXPECT_GT(metrics.rejects, 4 * 15u);
   EXPECT_LT(metrics.rejects, 4 * 45u);
+}
+
+/// Answers every operation with a REPLY exactly kService after invoke()
+/// and logs the invoke times.
+class FixedServiceClient final : public consensus::ServiceClient {
+ public:
+  static constexpr Duration kService = 10 * kMillisecond;
+
+  explicit FixedServiceClient(sim::Simulator& sim) : sim_(sim) {}
+
+  void invoke(std::vector<std::byte>, Callback callback) override {
+    busy_ = true;
+    const Time issued = sim_.now();
+    invoked.push_back(issued);
+    sim_.schedule_after(kService, [this, issued, callback = std::move(callback)] {
+      busy_ = false;
+      consensus::Outcome outcome;
+      outcome.issued = issued;
+      outcome.completed = sim_.now();
+      callback(outcome);
+    });
+  }
+  ClientId client_id() const override { return ClientId{0}; }
+  bool busy() const override { return busy_; }
+
+  std::vector<Time> invoked;
+
+ private:
+  sim::Simulator& sim_;
+  bool busy_ = false;
+};
+
+TEST(Harness, OpenLoopQueuesEveryArrivalAndTimesItFromItsDueTime) {
+  // 50 arrivals/s against a 10 ms service: ~50% utilisation, so arrivals
+  // regularly land while the previous operation is still running.
+  constexpr double kRate = 50;
+  constexpr Time kEnd = 20 * kSecond;
+  sim::Simulator sim(3);
+  FixedServiceClient client(sim);
+  LoadConfig load;
+  load.open_loop_rate = kRate;
+  harness::LoadDriver driver(sim, {&client}, load);
+  driver.start();
+  sim.run_until(kEnd);
+  driver.stop();
+
+  // Replay the arrival process from the driver's stream, then serve it
+  // FIFO: operation k is issued at max(due_k, completion of k-1).
+  sim::Simulator replay(3);
+  Rng& gaps = replay.rng("arrival.client.0");
+  std::vector<Time> due, expected_issue;
+  for (Time t = static_cast<Duration>(gaps.exponential(1.0 / kRate) * kSecond); t <= kEnd;
+       t += static_cast<Duration>(gaps.exponential(1.0 / kRate) * kSecond)) {
+    due.push_back(t);
+  }
+  ASSERT_GT(due.size(), 900u);
+  Time free_at = 0;
+  for (Time d : due) {
+    const Time issue = std::max(d, free_at);
+    if (issue > kEnd) break;
+    expected_issue.push_back(issue);
+    free_at = issue + FixedServiceClient::kService;
+  }
+
+  // Every due arrival issued exactly once, in due order, on time.
+  EXPECT_EQ(client.invoked, expected_issue);
+  EXPECT_GT(driver.metrics().deferred, 0u) << "the run must exercise the FIFO";
+
+  // Recorded latency runs from the due time, queueing included.
+  Duration max_latency = 0;
+  double latency_sum = 0;
+  std::uint64_t completed = 0;
+  for (std::size_t k = 0; k < expected_issue.size(); ++k) {
+    const Time done = expected_issue[k] + FixedServiceClient::kService;
+    if (done > kEnd) break;
+    max_latency = std::max(max_latency, done - due[k]);
+    latency_sum += static_cast<double>(done - due[k]);
+    ++completed;
+  }
+  const harness::RunMetrics& metrics = driver.metrics();
+  EXPECT_EQ(metrics.replies, completed);
+  EXPECT_GT(max_latency, FixedServiceClient::kService);
+  EXPECT_EQ(metrics.reply_latency.max(), max_latency);
+  EXPECT_NEAR(metrics.reply_latency.mean(), latency_sum / static_cast<double>(completed), 1.0);
 }
 
 TEST(Harness, CustomAcceptanceFactoryIsUsed) {
@@ -148,11 +230,10 @@ TEST(Harness, IdenticalSeedsProduceIdenticalMetrics) {
   auto run = [](std::uint64_t seed) {
     auto config = test_cluster_config(Protocol::Idem, /*clients=*/8, seed);
     Cluster cluster(config);
-    DriverConfig driver;
+    LoadConfig driver;
     driver.warmup = 200 * kMillisecond;
     driver.measure = kSecond;
-    ClosedLoopDriver loop(cluster, driver);
-    harness::RunMetrics metrics = loop.run();
+    harness::RunMetrics metrics = harness::drive(cluster, driver);
     return std::tuple{metrics.replies, metrics.reply_latency.mean(),
                       metrics.client_traffic.bytes, metrics.replica_traffic.bytes};
   };

@@ -15,7 +15,7 @@
 #include "common/reject_reason.hpp"
 #include "consensus/addresses.hpp"
 #include "idem/acceptance.hpp"
-#include "harness/driver.hpp"
+#include "harness/load.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -262,13 +262,12 @@ RunResult run_load(bool traced, std::vector<TraceEvent>* trace_out = nullptr) {
   config.reject_threshold = 10;
   config.obs.trace = traced;
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = 100 * kMillisecond;
   driver.measure = 400 * kMillisecond;
 
   Cluster cluster(config);
-  harness::ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
 
   if (trace_out != nullptr && cluster.trace() != nullptr) {
     *trace_out = cluster.trace()->snapshot();
@@ -339,11 +338,9 @@ TEST(ObsIntegration, MetricsTickSamplesTheCluster) {
   config.obs.metrics_interval = 50 * kMillisecond;
   Cluster cluster(config);
 
-  harness::DriverConfig driver;
-  driver.warmup = 0;
+  harness::LoadConfig driver;
   driver.measure = 500 * kMillisecond;
-  harness::ClosedLoopDriver loop(cluster, driver);
-  loop.run();
+  harness::drive(cluster, driver);
 
   obs::MetricsRegistry* metrics = cluster.metrics();
   ASSERT_NE(metrics, nullptr);

@@ -13,12 +13,20 @@
 #include "obs/trace.hpp"
 #include "real/cluster.hpp"
 #include "real/exec_thread.hpp"
-#include "real/load.hpp"
 #include "real/runtime.hpp"
+#include "shard/real_clients.hpp"
 #include "test_util.hpp"
 
 namespace idem {
 namespace {
+
+using shard::clients_of;
+
+harness::RunMetrics drive_for(const shard::RealClientsConfig& clients, Duration span) {
+  harness::LoadConfig load;
+  load.measure = span;
+  return shard::RealClients(clients).drive(load);
+}
 
 // ---------------------------------------------------------------------------
 // RealRuntime
@@ -117,14 +125,7 @@ TEST(RealClusterTest, ExecutionThreadServesRequestsEndToEnd) {
   real::RealCluster cluster(config);
   cluster.start();
 
-  real::LoadOptions load;
-  load.clients = 4;
-  load.duration = 400 * kMillisecond;
-  load.seed = 41;
-  load.replicas = cluster.replica_addresses();
-  load.client = cluster.client_config();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  harness::RunMetrics stats = drive_for(clients_of(cluster, 4, 41), 400 * kMillisecond);
 
   EXPECT_GT(stats.replies, 0u);
   EXPECT_EQ(stats.malformed, 0u);
@@ -239,14 +240,7 @@ TEST(RealClusterTest, ServesRequestsAndCountsThem) {
   real::RealCluster cluster(config);
   cluster.start();
 
-  real::LoadOptions load;
-  load.clients = 2;
-  load.duration = 400 * kMillisecond;
-  load.seed = 23;
-  load.replicas = cluster.replica_addresses();
-  load.client = cluster.client_config();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  harness::RunMetrics stats = drive_for(clients_of(cluster, 2, 23), 400 * kMillisecond);
 
   EXPECT_GT(stats.replies, 0u);
   EXPECT_EQ(stats.malformed, 0u);
@@ -272,14 +266,7 @@ TEST(RealClusterTest, CrashedFollowerLeavesQuorumServing) {
   EXPECT_EQ(cluster.port_of(2), 0);
   EXPECT_EQ(cluster.leader_index(), 0u);
 
-  real::LoadOptions load;
-  load.clients = 2;
-  load.duration = 500 * kMillisecond;
-  load.seed = 31;
-  load.replicas = cluster.replica_addresses();
-  load.client = cluster.client_config();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  harness::RunMetrics stats = drive_for(clients_of(cluster, 2, 31), 500 * kMillisecond);
 
   // n - f = 2 live replicas still form a quorum.
   EXPECT_GT(stats.replies, 0u);
@@ -300,15 +287,9 @@ TEST(RealClusterTest, LeaderCrashTriggersViewChange) {
 
   // Drive load so the survivors notice missing progress; the view change
   // needs outstanding work plus the 250 ms progress timeout.
-  real::LoadOptions load;
-  load.clients = 2;
-  load.duration = 1500 * kMillisecond;
-  load.seed = 37;
-  load.client = cluster.client_config();
-  load.client.retry_interval = 200 * kMillisecond;
-  load.replicas = cluster.replica_addresses();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  shard::RealClientsConfig clients = clients_of(cluster, 2, 37);
+  clients.client.retry_interval = 200 * kMillisecond;
+  harness::RunMetrics stats = drive_for(clients, 1500 * kMillisecond);
 
   const std::size_t leader = cluster.leader_index();
   EXPECT_EQ(leader, 1u);

@@ -8,10 +8,12 @@
 
 #include "consensus/addresses.hpp"
 #include "real/cluster.hpp"
-#include "real/load.hpp"
+#include "shard/real_clients.hpp"
 
 namespace idem {
 namespace {
+
+using shard::clients_of;
 
 TEST(RealSmoke, ServesYcsbOverLoopbackTcp) {
   real::RealClusterConfig config;
@@ -25,16 +27,12 @@ TEST(RealSmoke, ServesYcsbOverLoopbackTcp) {
   real::RealCluster cluster(config);
   cluster.start();
 
-  real::LoadOptions load;
-  load.clients = 4;
+  const std::size_t clients = 4;
+  harness::LoadConfig load;
   load.warmup = 100 * kMillisecond;
-  load.duration = 600 * kMillisecond;
-  load.seed = 7;
+  load.measure = 600 * kMillisecond;
   load.workload = config.workload;
-  load.replicas = cluster.replica_addresses();
-  load.client = cluster.client_config();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  harness::RunMetrics stats = shard::RealClients(clients_of(cluster, clients, 7)).drive(load);
 
   // A few hundred operations completed, every reply decoded cleanly.
   EXPECT_GT(stats.replies, 200u);
@@ -44,7 +42,7 @@ TEST(RealSmoke, ServesYcsbOverLoopbackTcp) {
   EXPECT_EQ(stats.rejects, 0u);
   // Ops issued in the warmup may conclude inside the measure window, so
   // replies can exceed issued by at most one in-flight op per client.
-  EXPECT_GE(stats.issued + load.clients, stats.replies);
+  EXPECT_GE(stats.issued + clients, stats.replies);
 
   // The replicas agree on what happened: each accepted and executed the
   // operations (executed counts may differ only by in-flight requests).
@@ -74,14 +72,9 @@ TEST(RealSmoke, RejectionsEngageUnderOverload) {
   real::RealCluster cluster(config);
   cluster.start();
 
-  real::LoadOptions load;
-  load.clients = 16;
-  load.duration = 600 * kMillisecond;
-  load.seed = 13;
-  load.replicas = cluster.replica_addresses();
-  load.client = cluster.client_config();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  harness::LoadConfig load;
+  load.measure = 600 * kMillisecond;
+  harness::RunMetrics stats = shard::RealClients(clients_of(cluster, 16, 13)).drive(load);
 
   // Proactive rejection engaged, and rejected operations still concluded
   // (fast negative acknowledgement, not a timeout).
@@ -104,22 +97,19 @@ TEST(RealSmoke, PerThreadTracesMergeIntoOneTimeline) {
   real::RealCluster cluster(config);
   cluster.start();
 
-  real::LoadOptions load;
-  load.clients = 2;
-  load.duration = 300 * kMillisecond;
-  load.seed = 17;
-  load.trace = true;
-  load.replicas = cluster.replica_addresses();
-  load.client = cluster.client_config();
-  load.epoch = cluster.epoch();
-  real::LoadStats stats = real::run_load(load);
+  obs::TraceRecorder client_trace(1u << 16);
+  shard::RealClientsConfig clients = clients_of(cluster, 2, 17);
+  clients.client.trace = &client_trace;
+  harness::LoadConfig load;
+  load.measure = 300 * kMillisecond;
+  harness::RunMetrics stats = shard::RealClients(clients).drive(load);
   ASSERT_GT(stats.replies, 0u);
   cluster.shutdown();
 
   // Merge the three replica rings with the client-side ring: one timeline,
   // monotone in wall-clock time, containing both sides of the lifecycle.
   auto parts = cluster.trace_snapshots();
-  parts.push_back(stats.trace);
+  parts.push_back(client_trace.snapshot());
   auto merged = obs::merge_trace_snapshots(std::move(parts));
   ASSERT_FALSE(merged.empty());
   bool saw_client_event = false, saw_replica_event = false;

@@ -1,5 +1,5 @@
 // Sharded real deployment: multiple real::RealCluster groups in one
-// process, the sharded load generator's router path over kernel TCP, a
+// process, the load driver on ShardRouters over kernel TCP, a
 // live split driven from the controller thread, and the aggregated admin
 // surface (group-labelled /metrics, per-group /stats sections).
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "check/linearizability.hpp"
-#include "shard/load.hpp"
+#include "shard/real_clients.hpp"
 #include "shard/real_cluster.hpp"
 
 namespace idem::shard {
@@ -53,32 +53,27 @@ ShardedRealConfig small_config(std::size_t groups) {
   return config;
 }
 
-ShardedLoadOptions load_options(ShardedRealCluster& cluster, std::size_t clients,
-                                Duration duration) {
-  ShardedLoadOptions options;
-  options.clients = clients;
-  options.duration = duration;
-  options.seed = 23;
-  options.groups = cluster.group_addresses();
-  options.map = cluster.map();
-  options.router.map_source = [&cluster] { return cluster.map(); };
-  options.workload.record_count = 200;
-  options.workload.value_size = 16;
+harness::LoadConfig small_load(Duration span) {
+  harness::LoadConfig load;
+  load.measure = span;
+  load.workload.record_count = 200;
+  load.workload.value_size = 16;
   // Short backoff: test spans are fractions of a second.
-  options.backoff_min = kMillisecond;
-  options.backoff_max = 5 * kMillisecond;
-  return options;
+  load.backoff_min = kMillisecond;
+  load.backoff_max = 5 * kMillisecond;
+  return load;
 }
 
 TEST(ShardedReal, TwoGroupsServeTheFullKeyspace) {
   ShardedRealCluster cluster(small_config(2));
   cluster.start();
 
-  const auto stats = run_sharded_load(load_options(cluster, 4, 300 * kMillisecond));
-  EXPECT_GT(stats.load.replies, 20u);
-  EXPECT_EQ(stats.router.redirect_drops, 0u);
+  RealClients clients(clients_of(cluster, 4, 23));
+  const harness::RunMetrics stats = clients.drive(small_load(300 * kMillisecond));
+  EXPECT_GT(stats.replies, 20u);
+  EXPECT_EQ(clients.router_stats().redirect_drops, 0u);
   // Fresh map: no redirects, both groups admitted traffic.
-  EXPECT_EQ(stats.router.redirects, 0u);
+  EXPECT_EQ(clients.router_stats().redirects, 0u);
   EXPECT_GT(cluster.gate(0).stats().admitted, 0u);
   EXPECT_GT(cluster.gate(1).stats().admitted, 0u);
 }
@@ -88,16 +83,16 @@ TEST(ShardedReal, StaleClientMapRedirectsAndRecovers) {
   cluster.start();
 
   // Capture the epoch-1 map, then swap ownership of the lower half so
-  // the load generator starts stale.
-  ShardedLoadOptions options = load_options(cluster, 4, 400 * kMillisecond);
-  const std::uint64_t mid = options.map.entries()[1].begin;
+  // the routers start stale.
+  RealClients clients(clients_of(cluster, 4, 23));
+  const std::uint64_t mid = cluster.map().entries()[1].begin;
   cluster.publish(cluster.map().with_range_moved(0, mid, 1));
 
-  const auto stats = run_sharded_load(options);
-  EXPECT_GT(stats.load.replies, 20u);
-  EXPECT_GT(stats.router.redirects, 0u);
-  EXPECT_GT(stats.router.map_refreshes, 0u);
-  EXPECT_EQ(stats.router.redirect_drops, 0u);
+  const harness::RunMetrics stats = clients.drive(small_load(400 * kMillisecond));
+  EXPECT_GT(stats.replies, 20u);
+  EXPECT_GT(clients.router_stats().redirects, 0u);
+  EXPECT_GT(clients.router_stats().map_refreshes, 0u);
+  EXPECT_EQ(clients.router_stats().redirect_drops, 0u);
 
   // The redirecting group counted its WrongShard turn-aways.
   std::uint64_t wrong_shard = 0;
@@ -116,25 +111,30 @@ TEST(ShardedReal, LiveShardSplitIsLinearizable) {
   cluster.publish(cluster.map().with_range_moved(0, 0, 0));
   cluster.start();
 
-  ShardedLoadOptions options = load_options(cluster, 3, 900 * kMillisecond);
-  options.map = cluster.map();
-  options.record_history = true;
-  options.workload.record_count = 50;
+  const RealClientsConfig hosted = clients_of(cluster, 3, 23);
+  harness::LoadConfig load = small_load(900 * kMillisecond);
+  load.record_history = true;
+  load.workload.record_count = 50;
 
-  ShardedLoadStats stats;
-  std::thread load([&] { stats = run_sharded_load(options); });
+  harness::RunMetrics stats;
+  RouterStats router;
+  std::thread loader([&] {
+    RealClients clients(hosted);
+    stats = clients.drive(load);
+    router = clients.router_stats();
+  });
   // Let the load establish itself, then migrate the upper half of the
   // hash space to group 1 while operations are in flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   const bool split = cluster.run_split(1ull << 63, 0, 0, 1, 5 * kSecond);
-  load.join();
+  loader.join();
 
   ASSERT_TRUE(split);
   EXPECT_EQ(cluster.map().epoch(), 3u);
-  EXPECT_GT(stats.load.replies, 20u);
+  EXPECT_GT(stats.replies, 20u);
   // Post-flip traffic reached the new owner.
   EXPECT_GT(cluster.gate(1).stats().admitted, 0u);
-  EXPECT_GT(stats.router.redirects, 0u);
+  EXPECT_GT(router.redirects, 0u);
 
   const auto result = check::check_linearizable(stats.history, check::KvModel{});
   EXPECT_TRUE(result.linearizable) << result.error;
@@ -147,7 +147,7 @@ TEST(ShardedReal, AggregatedAdminServesGroupLabelledTelemetry) {
   cluster.start();
   ASSERT_NE(cluster.admin_port(), 0);
 
-  (void)run_sharded_load(load_options(cluster, 2, 200 * kMillisecond));
+  (void)RealClients(clients_of(cluster, 2, 23)).drive(small_load(200 * kMillisecond));
 
   const std::string metrics =
       http_get(cluster.admin_port(), "GET /metrics HTTP/1.0\r\n\r\n");

@@ -1,17 +1,20 @@
 // Sharding subsystem: shard map algebra + JSON, the per-group admission
-// gate, the client-side router's redirect protocol, and the sharded sim
-// harness end-to-end — multi-group serving, elastic range migration under
+// gate, the client-side router's redirect protocol, deadline forwarding
+// and hop-spanning latency, and the sharded sim harness end-to-end under
+// the load driver — multi-group serving, elastic range migration under
 // load (linearizable across the epoch flip), and a leader crash in the
 // middle of the split handshake.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "app/kv_store.hpp"
 #include "check/linearizability.hpp"
 #include "common/rng.hpp"
+#include "harness/load.hpp"
 #include "shard/gate.hpp"
 #include "shard/router.hpp"
 #include "shard/shard_map.hpp"
@@ -281,6 +284,56 @@ TEST(ShardRouter, RefreshesFromMapSourceOnNewerEpochRedirects) {
   EXPECT_GE(group1.invocations, 2);
 }
 
+/// Answers every operation at once with `next`, and remembers the last
+/// latency budget it was handed.
+class ScriptedGroup final : public consensus::ServiceClient {
+ public:
+  void invoke(std::vector<std::byte>, Callback callback) override { callback(next); }
+  void set_request_deadline(Duration budget) override { deadline = budget; }
+  ClientId client_id() const override { return ClientId{0}; }
+  bool busy() const override { return false; }
+
+  consensus::Outcome next;
+  Duration deadline = 0;
+};
+
+TEST(ShardRouter, ForwardsDeadlinesToEveryGroupClient) {
+  // Any group may carry the next operation (or a redirect hop of it), so
+  // a budget set on the router must reach all of them.
+  ScriptedGroup group0, group1;
+  ShardRouter router(ShardMap::uniform(2), {&group0, &group1});
+  router.set_request_deadline(7);
+  EXPECT_EQ(group0.deadline, 7);
+  EXPECT_EQ(group1.deadline, 7);
+}
+
+TEST(ShardRouter, LatencySpansEveryHopFromTimeZero) {
+  // Hop 0 is issued at t = 0 and redirected at 4; hop 1 goes out at 5 and
+  // replies at 9. Time 0 is a real issue time, so the caller must see the
+  // whole span 0 -> 9, not just the last hop's 4.
+  const ShardMap map = ShardMap::uniform(2);
+  ScriptedGroup group0, group1;
+  group0.next.kind = consensus::Outcome::Kind::Rejected;
+  group0.next.redirect_reason = RejectReason::WrongShard;
+  group0.next.redirect_epoch = map.epoch();
+  group0.next.redirect_group = 1;
+  group0.next.issued = 0;
+  group0.next.completed = 4;
+  group1.next.kind = consensus::Outcome::Kind::Reply;
+  group1.next.issued = 5;
+  group1.next.completed = 9;
+  ShardRouter router(map, {&group0, &group1});
+
+  std::optional<consensus::Outcome> outcome;
+  router.invoke(put(key_owned_by(map, 0), "v"),
+                [&outcome](const consensus::Outcome& o) { outcome = o; });
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->kind, consensus::Outcome::Kind::Reply);
+  EXPECT_EQ(router.stats().redirects, 1u);
+  EXPECT_EQ(outcome->issued, 0);
+  EXPECT_EQ(outcome->latency(), 9);
+}
+
 // --- ShardedSimCluster ----------------------------------------------------
 
 ShardedSimConfig small_cluster(std::size_t groups, std::size_t routers) {
@@ -291,27 +344,39 @@ ShardedSimConfig small_cluster(std::size_t groups, std::size_t routers) {
   return config;
 }
 
+/// Closed-loop load without rejection backoff over `records` uniformly
+/// drawn keys; `read_share` of the operations are Gets, the rest Puts of
+/// one-letter values.
+harness::LoadConfig router_load(std::uint64_t records, double read_share) {
+  harness::LoadConfig load;
+  load.backoff_max = 0;
+  load.workload.record_count = records;
+  load.workload.distribution = app::KeyDistribution::Uniform;
+  load.workload.read_proportion = read_share;
+  load.workload.update_proportion = 1.0 - read_share;
+  load.workload.value_size = 1;
+  return load;
+}
+
+/// Runs `driver` for `span` of simulated time, then stops it and lets the
+/// operations still in flight conclude (bounded: a stuck operation
+/// retries at the client's interval forever).
+void drive_for(ShardedSimCluster& cluster, harness::LoadDriver& driver, Duration span) {
+  sim::Simulator& sim = cluster.simulator();
+  driver.start();
+  sim.run_for(span);
+  driver.stop();
+  const Time grace = sim.now() + 30 * kSecond;
+  sim.run_while([&] { return driver.in_flight() > 0 && sim.now() < grace; });
+}
+
 TEST(ShardedSim, ServesAcrossGroupsWithoutRedirects) {
   ShardedSimCluster cluster(small_cluster(2, 4));
 
-  std::vector<SimLoadSpec> specs;
-  for (std::size_t r = 0; r < 4; ++r) {
-    SimLoadSpec spec;
-    spec.router = r;
-    spec.command = [](Rng& rng) {
-      app::KvCommand cmd;
-      cmd.op = app::KvOp::Put;
-      cmd.key = "k" + std::to_string(rng.uniform_int(0, 999));
-      cmd.value = "v";
-      return cmd;
-    };
-    specs.push_back(spec);
-  }
-  const auto stats = cluster.run_load(specs, 2 * kSecond);
+  harness::LoadDriver driver(cluster.simulator(), cluster.routers(), router_load(1000, 0));
+  drive_for(cluster, driver, 2 * kSecond);
 
-  std::uint64_t replies = 0;
-  for (const auto& s : stats) replies += s.replies;
-  EXPECT_GT(replies, 100u);
+  EXPECT_GT(driver.metrics().replies, 100u);
   // A fresh uniform map routes every key straight home.
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_EQ(cluster.router(r).stats().redirects, 0u);
@@ -330,24 +395,10 @@ TEST(ShardedSim, WrongShardRejectsRedirectStaleRouters) {
   ShardMap swapped = cluster.map().with_range_moved(0, mid, 1);
   cluster.publish(swapped);
 
-  std::vector<SimLoadSpec> specs;
-  for (std::size_t r = 0; r < 2; ++r) {
-    SimLoadSpec spec;
-    spec.router = r;
-    spec.command = [](Rng& rng) {
-      app::KvCommand cmd;
-      cmd.op = app::KvOp::Put;
-      cmd.key = "k" + std::to_string(rng.uniform_int(0, 999));
-      cmd.value = "v";
-      return cmd;
-    };
-    specs.push_back(spec);
-  }
-  const auto stats = cluster.run_load(specs, 2 * kSecond);
+  harness::LoadDriver driver(cluster.simulator(), cluster.routers(), router_load(1000, 0));
+  drive_for(cluster, driver, 2 * kSecond);
 
-  std::uint64_t replies = 0;
-  for (const auto& s : stats) replies += s.replies;
-  EXPECT_GT(replies, 100u);
+  EXPECT_GT(driver.metrics().replies, 100u);
 
   // The first operation whose key moved draws a WrongShard REJECT; the
   // map_source refresh then retires the stale map for good.
@@ -372,38 +423,23 @@ TEST(ShardedSim, WrongShardRejectsRedirectStaleRouters) {
 }
 
 TEST(ShardedSim, LiveSplitIsLinearizableAcrossTheEpochFlip) {
-  ShardedSimConfig config = small_cluster(2, 3);
-  config.record_history = true;
-  ShardedSimCluster cluster(config);
+  ShardedSimCluster cluster(small_cluster(2, 3));
   // Start with group 0 owning everything: epoch 2, group 1 idle.
   cluster.publish(cluster.map().with_range_moved(0, 0, 0));
   ASSERT_EQ(cluster.map().epoch(), 2u);
 
-  std::vector<SimLoadSpec> specs;
-  for (std::size_t r = 0; r < 3; ++r) {
-    SimLoadSpec spec;
-    spec.router = r;
-    spec.command = [](Rng& rng) {
-      app::KvCommand cmd;
-      const bool read = rng.bernoulli(0.5);
-      cmd.op = read ? app::KvOp::Get : app::KvOp::Put;
-      cmd.key = "k" + std::to_string(rng.uniform_int(0, 49));
-      if (!read) cmd.value = "v" + std::to_string(rng.uniform_int(0, 9));
-      return cmd;
-    };
-    specs.push_back(spec);
-  }
+  harness::LoadConfig load = router_load(50, 0.5);
+  load.record_history = true;
+  harness::LoadDriver driver(cluster.simulator(), cluster.routers(), load);
 
-  const auto before = cluster.run_load(specs, kSecond);
+  drive_for(cluster, driver, kSecond);
+  const std::uint64_t replies_before = driver.metrics().replies;
   // Split the upper half of the hash space off to group 1, live.
   ASSERT_TRUE(cluster.run_split(1ull << 63, 0, 0, 1));
   EXPECT_EQ(cluster.map().epoch(), 3u);
-  const auto after = cluster.run_load(specs, kSecond);
+  drive_for(cluster, driver, kSecond);
+  const std::uint64_t replies_after = driver.metrics().replies - replies_before;
 
-  std::uint64_t replies_before = 0;
-  std::uint64_t replies_after = 0;
-  for (const auto& s : before) replies_before += s.replies;
-  for (const auto& s : after) replies_after += s.replies;
   EXPECT_GT(replies_before, 50u);
   EXPECT_GT(replies_after, 50u);
 
@@ -414,30 +450,19 @@ TEST(ShardedSim, LiveSplitIsLinearizableAcrossTheEpochFlip) {
   for (std::size_t r = 0; r < 3; ++r) redirects += cluster.router(r).stats().redirects;
   EXPECT_GT(redirects, 0u);
 
-  const auto result = check::check_linearizable(cluster.history(), check::KvModel{});
+  const auto result = check::check_linearizable(driver.metrics().history, check::KvModel{});
   EXPECT_TRUE(result.linearizable) << result.error;
 }
 
 TEST(ShardedSim, LeaderCrashMidSplitRecoversOrAborts) {
   ShardedSimConfig config = small_cluster(2, 2);
-  config.record_history = true;
   ShardedSimCluster cluster(config);
   cluster.publish(cluster.map().with_range_moved(0, 0, 0));
 
-  std::vector<SimLoadSpec> specs;
-  for (std::size_t r = 0; r < 2; ++r) {
-    SimLoadSpec spec;
-    spec.router = r;
-    spec.command = [](Rng& rng) {
-      app::KvCommand cmd;
-      cmd.op = app::KvOp::Put;
-      cmd.key = "k" + std::to_string(rng.uniform_int(0, 19));
-      cmd.value = "v";
-      return cmd;
-    };
-    specs.push_back(spec);
-  }
-  (void)cluster.run_load(specs, kSecond);
+  harness::LoadConfig load = router_load(20, 0);
+  load.record_history = true;
+  harness::LoadDriver driver(cluster.simulator(), cluster.routers(), load);
+  drive_for(cluster, driver, kSecond);
 
   // Freeze, then kill the source leader before the drain begins: the
   // split must either complete against the post-view-change group or
@@ -451,12 +476,11 @@ TEST(ShardedSim, LeaderCrashMidSplitRecoversOrAborts) {
   EXPECT_EQ(cluster.map().epoch(), split ? 3u : 2u);
 
   // The deployment keeps serving with the surviving majority either way.
-  const auto after = cluster.run_load(specs, 2 * kSecond);
-  std::uint64_t replies = 0;
-  for (const auto& s : after) replies += s.replies;
-  EXPECT_GT(replies, 20u);
+  const std::uint64_t replies_before = driver.metrics().replies;
+  drive_for(cluster, driver, 2 * kSecond);
+  EXPECT_GT(driver.metrics().replies - replies_before, 20u);
 
-  const auto result = check::check_linearizable(cluster.history(), check::KvModel{});
+  const auto result = check::check_linearizable(driver.metrics().history, check::KvModel{});
   EXPECT_TRUE(result.linearizable) << result.error;
 }
 

@@ -205,11 +205,16 @@ sleep 0.5
 SHARD_REPLICAS=(--replica ":${SHARD_BASE}" --replica ":$(( SHARD_BASE + 1 ))"
     --replica ":$(( SHARD_BASE + 2 ))" --replica ":$(( SHARD_BASE + 10 ))"
     --replica ":$(( SHARD_BASE + 11 ))" --replica ":$(( SHARD_BASE + 12 ))")
+# Budget-stamped: the routers must hand every operation's deadline to the
+# group clients, so the report carries the deadline accounting line.
 SHARD_OUT="$(./build/tools/idem_client "${SHARD_REPLICAS[@]}" --shards 2 \
-    --clients 8 --seconds 2 --warmup 0.5)" || {
+    --clients 8 --seconds 2 --warmup 0.5 --deadline-ms 20 --deadline-jitter 10)" || {
   echo "shard smoke FAILED: fresh-map client run recorded no replies" >&2; exit 1; }
 echo "${SHARD_OUT}" | grep -E 'routing +: 0 redirects' >/dev/null || {
   echo "shard smoke FAILED: fresh-map run was redirected" >&2
+  echo "${SHARD_OUT}" >&2; exit 1; }
+echo "${SHARD_OUT}" | grep -Eq 'deadlines +: [0-9]+/[1-9][0-9]* replies missed' || {
+  echo "shard smoke FAILED: routed budgets never reached the group clients" >&2
   echo "${SHARD_OUT}" >&2; exit 1; }
 curl -sf "http://127.0.0.1:${SHARD_ADMIN}/stats" | grep -q '"shard"' || {
   echo "shard smoke FAILED: /stats missing the shard section" >&2; exit 1; }

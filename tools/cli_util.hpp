@@ -10,7 +10,7 @@
 #include <string>
 
 #include "app/ycsb.hpp"
-#include "real/load.hpp"
+#include "harness/metrics.hpp"
 #include "rpc/tcp_transport.hpp"
 
 namespace idem::cli {
@@ -61,12 +61,11 @@ inline void print_percentile_line(const char* label, const Histogram& h) {
               label, to_ms(h.p50()), to_ms(h.p90()), to_ms(h.p99()), to_ms(h.p999()));
 }
 
-/// The standard end-of-run report: throughput, outcome counts, reply and
-/// rejection latency percentiles. Shared by idem_client's flat and
-/// sharded paths (the sharded stats embed the same real::LoadStats).
-inline void print_load_report(const real::LoadStats& stats) {
+/// The standard end-of-run report of a load driver run: throughput,
+/// outcome counts, reply and rejection latency percentiles.
+inline void print_load_report(const harness::RunMetrics& stats) {
   std::printf("\n  throughput : %8.1f replies/s, %8.1f rejects/s\n",
-              stats.reply_rate(), stats.reject_rate());
+              stats.reply_throughput(), stats.reject_throughput());
   std::printf("  outcomes   : %llu replies, %llu rejects, %llu timeouts"
               " (%llu issued, %llu malformed)\n",
               static_cast<unsigned long long>(stats.replies),

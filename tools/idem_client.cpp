@@ -26,8 +26,7 @@
 
 #include "cli_util.hpp"
 #include "obs/chrome_trace.hpp"
-#include "real/load.hpp"
-#include "shard/load.hpp"
+#include "shard/real_clients.hpp"
 #include "shard/shard_map.hpp"
 
 using namespace idem;
@@ -169,72 +168,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
   return options;
 }
 
-int run_sharded(const Options& options, const app::YcsbConfig& workload) {
-  if (options.replicas.size() % options.shards != 0) {
-    std::fprintf(stderr,
-                 "idem_client: %zu replicas do not split into %zu equal groups\n",
-                 options.replicas.size(), options.shards);
-    return 2;
-  }
-  if (!options.trace_out.empty()) {
-    std::fprintf(stderr, "idem_client: --trace-out is not supported with --shards\n");
-    return 2;
-  }
-  const std::size_t n = options.replicas.size() / options.shards;
-
-  shard::ShardedLoadOptions load;
-  for (std::size_t g = 0; g < options.shards; ++g) {
-    load.groups.emplace_back(options.replicas.begin() + g * n,
-                             options.replicas.begin() + (g + 1) * n);
-  }
-  load.map = shard::ShardMap::uniform(options.shards);
-  if (!options.map_file.empty()) {
-    auto text = cli::read_file("idem_client", options.map_file);
-    if (!text.has_value()) return 2;
-    try {
-      load.map = shard::ShardMap::parse(*text);
-    } catch (const json::ParseError& e) {
-      std::fprintf(stderr, "idem_client: bad shard map %s: %s\n",
-                   options.map_file.c_str(), e.what());
-      return 2;
-    }
-    if (load.map.group_count() > options.shards) {
-      std::fprintf(stderr, "idem_client: map references group %zu but only %zu groups given\n",
-                   load.map.group_count() - 1, options.shards);
-      return 2;
-    }
-  }
-
-  load.clients = options.clients;
-  load.client_id_base = options.client_id_base;
-  load.warmup = static_cast<Duration>(options.warmup * kSecond);
-  load.duration = static_cast<Duration>(options.seconds * kSecond);
-  load.open_loop_rate = options.rate;
-  load.seed = options.seed;
-  load.client.n = n;
-  load.client.f = options.f != 0 ? options.f : (n - 1) / 2;
-  load.workload = workload;
-  load.backoff_min = static_cast<Duration>(options.backoff_min_ms * kMillisecond);
-  load.backoff_max = static_cast<Duration>(options.backoff_max_ms * kMillisecond);
-
-  std::printf("idem_client: %zu %s clients -> %zu groups x %zu replicas"
-              " (map epoch %llu), %.1f s (+%.1f s warmup)\n",
-              options.clients, options.rate > 0 ? "open-loop" : "closed-loop",
-              options.shards, n,
-              static_cast<unsigned long long>(load.map.epoch()), options.seconds,
-              options.warmup);
-  std::fflush(stdout);
-
-  const shard::ShardedLoadStats stats = shard::run_sharded_load(load);
-  cli::print_load_report(stats.load);
-  std::printf("  routing    : %llu redirects, %llu map refreshes, %llu dropped"
-              " at the hop budget\n",
-              static_cast<unsigned long long>(stats.router.redirects),
-              static_cast<unsigned long long>(stats.router.map_refreshes),
-              static_cast<unsigned long long>(stats.router.redirect_drops));
-  return stats.load.replies > 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,49 +191,97 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: --map-file requires --shards\n", argv[0]);
     return 2;
   }
-  if (options.shards > 0) {
-    if (options.deadline_ms > 0) {
-      std::fprintf(stderr, "%s: --deadline-ms is not supported with --shards\n", argv[0]);
-      return 2;
-    }
-    return run_sharded(options, *workload);
+  // Every group's client shares the logical client's id, so their request
+  // lifecycles would collide in one trace.
+  if (!options.trace_out.empty() && options.shards > 0) {
+    std::fprintf(stderr, "%s: --trace-out is not supported with --shards\n", argv[0]);
+    return 2;
   }
+  const std::size_t groups = options.shards > 0 ? options.shards : 1;
+  if (options.replicas.size() % groups != 0) {
+    std::fprintf(stderr, "%s: %zu replicas do not split into %zu equal groups\n", argv[0],
+                 options.replicas.size(), groups);
+    return 2;
+  }
+  const std::size_t n = options.replicas.size() / groups;
 
-  real::LoadOptions load;
-  load.clients = options.clients;
-  load.client_id_base = options.client_id_base;
+  shard::RealClientsConfig hosted;
+  hosted.clients = options.clients;
+  hosted.client_id_base = options.client_id_base;
+  hosted.seed = options.seed;
+  for (std::size_t g = 0; g < groups; ++g) {
+    hosted.groups.emplace_back(options.replicas.begin() + g * n,
+                               options.replicas.begin() + (g + 1) * n);
+  }
+  hosted.client.f = options.f != 0 ? options.f : (n - 1) / 2;
+  if (options.shards > 0) {
+    hosted.map = shard::ShardMap::uniform(options.shards);
+    if (!options.map_file.empty()) {
+      auto text = cli::read_file(argv[0], options.map_file);
+      if (!text.has_value()) return 2;
+      try {
+        hosted.map = shard::ShardMap::parse(*text);
+      } catch (const json::ParseError& e) {
+        std::fprintf(stderr, "%s: bad shard map %s: %s\n", argv[0], options.map_file.c_str(),
+                     e.what());
+        return 2;
+      }
+      if (hosted.map->group_count() > options.shards) {
+        std::fprintf(stderr, "%s: map references group %zu but only %zu groups given\n",
+                     argv[0], hosted.map->group_count() - 1, options.shards);
+        return 2;
+      }
+    }
+  }
+  std::optional<obs::TraceRecorder> recorder;
+  if (!options.trace_out.empty()) hosted.client.trace = &recorder.emplace(1u << 16);
+
+  harness::LoadConfig load;
   load.warmup = static_cast<Duration>(options.warmup * kSecond);
-  load.duration = static_cast<Duration>(options.seconds * kSecond);
+  load.measure = static_cast<Duration>(options.seconds * kSecond);
   load.open_loop_rate = options.rate;
-  load.seed = options.seed;
-  load.replicas = options.replicas;
-  load.client.n = options.replicas.size();
-  load.client.f = options.f != 0 ? options.f : (options.replicas.size() - 1) / 2;
   load.workload = *workload;
   load.backoff_min = static_cast<Duration>(options.backoff_min_ms * kMillisecond);
   load.backoff_max = static_cast<Duration>(options.backoff_max_ms * kMillisecond);
   load.request_deadline = static_cast<Duration>(options.deadline_ms * kMillisecond);
   load.deadline_jitter = static_cast<Duration>(options.deadline_jitter_ms * kMillisecond);
-  load.trace = !options.trace_out.empty();
 
-  std::printf("idem_client: %zu %s clients -> %zu replicas, %.1f s (+%.1f s warmup)\n",
-              options.clients, options.rate > 0 ? "open-loop" : "closed-loop",
-              options.replicas.size(), options.seconds, options.warmup);
+  if (hosted.map.has_value()) {
+    std::printf("idem_client: %zu %s clients -> %zu groups x %zu replicas"
+                " (map epoch %llu), %.1f s (+%.1f s warmup)\n",
+                options.clients, options.rate > 0 ? "open-loop" : "closed-loop", groups, n,
+                static_cast<unsigned long long>(hosted.map->epoch()), options.seconds,
+                options.warmup);
+  } else {
+    std::printf("idem_client: %zu %s clients -> %zu replicas, %.1f s (+%.1f s warmup)\n",
+                options.clients, options.rate > 0 ? "open-loop" : "closed-loop", n,
+                options.seconds, options.warmup);
+  }
   std::fflush(stdout);
 
-  real::LoadStats stats = real::run_load(load);
+  shard::RealClients clients(hosted);
+  const harness::RunMetrics stats = clients.drive(load);
   cli::print_load_report(stats);
+  if (hosted.map.has_value()) {
+    const shard::RouterStats router = clients.router_stats();
+    std::printf("  routing    : %llu redirects, %llu map refreshes, %llu dropped"
+                " at the hop budget\n",
+                static_cast<unsigned long long>(router.redirects),
+                static_cast<unsigned long long>(router.map_refreshes),
+                static_cast<unsigned long long>(router.redirect_drops));
+  }
 
   if (!options.trace_out.empty()) {
     if (std::FILE* f = std::fopen(options.trace_out.c_str(), "w")) {
       // The anchor lets trace_merge stitch this export onto the same
       // wall-clock timeline as the servers' --trace-out documents.
+      const std::vector<obs::TraceEvent> trace = recorder->snapshot();
       obs::ChromeTraceMeta meta{"idem_client c" + std::to_string(options.client_id_base),
-                                rpc::realtime_anchor_ns(load.epoch)};
-      obs::write_chrome_trace(f, stats.trace, meta);
+                                rpc::realtime_anchor_ns(hosted.epoch)};
+      obs::write_chrome_trace(f, trace, meta);
       std::fclose(f);
       std::printf("  trace      : wrote %s (%zu events)\n", options.trace_out.c_str(),
-                  stats.trace.size());
+                  trace.size());
     } else {
       std::fprintf(stderr, "%s: cannot write %s\n", argv[0], options.trace_out.c_str());
     }

@@ -13,7 +13,8 @@
 #include <optional>
 #include <string>
 
-#include "harness/driver.hpp"
+#include "harness/cluster.hpp"
+#include "harness/load.hpp"
 #include "harness/table.hpp"
 #include "obs/chrome_trace.hpp"
 
@@ -163,7 +164,7 @@ int main(int argc, char** argv) {
   }
   harness::Cluster cluster(config);
 
-  harness::DriverConfig driver;
+  harness::LoadConfig driver;
   driver.warmup = static_cast<Duration>(options->warmup * kSecond);
   driver.measure = static_cast<Duration>(options->seconds * kSecond);
 
@@ -178,8 +179,7 @@ int main(int argc, char** argv) {
   }
   if (!crash_plan.empty()) cluster.apply(crash_plan);
 
-  harness::ClosedLoopDriver loop(cluster, driver);
-  harness::RunMetrics metrics = loop.run();
+  harness::RunMetrics metrics = harness::drive(cluster, driver);
 
   harness::Table table({"metric", "value"});
   table.add_row({"protocol", harness::protocol_name(options->protocol)});
