@@ -84,6 +84,11 @@ struct StormPoint {
 
 bool g_shape_ok = true;
 
+/// Operations per `span`, in kreq/s.
+double kops(std::uint64_t operations, Duration span) {
+  return span > 0 ? static_cast<double>(operations) / to_sec(span) / 1000.0 : 0.0;
+}
+
 void check(bool ok, const char* what) {
   std::printf(" - %s %s\n", ok ? "ok  " : "FAIL", what);
   if (!ok) g_shape_ok = false;
@@ -221,9 +226,9 @@ StormPoint run_ramp(std::size_t sessions, Duration ramp, Duration hold) {
   options.replicas = replicas;
   options.sessions = sessions;
   options.ramp = ramp;
-  options.issue_rate = 0.5;  // open loop: a trickle per session, 10k alive
+  options.load.open_loop_rate = 0.5;  // open loop: a trickle per session, 10k alive
   options.seed = 11;
-  options.workload = base_cluster_config(11, 24, 64).workload;
+  options.load.workload = base_cluster_config(11, 24, 64).workload;
   real::StormEngine storm(options);
   storm.start();
   storm.run_for(ramp + hold);
@@ -239,6 +244,7 @@ StormPoint run_ramp(std::size_t sessions, Duration ramp, Duration hold) {
   }
 
   const real::StormWindow& w = storm.window();
+  const harness::RunMetrics& m = storm.metrics();
   real::StormGauges g = storm.gauges();
   StormPoint point;
   point.name = "ramp";
@@ -246,11 +252,11 @@ StormPoint run_ramp(std::size_t sessions, Duration ramp, Duration hold) {
   point.connections = g.open_connections;
   point.connect_p50_ms = to_ms(w.connect_latency.p50());
   point.connect_p999_ms = to_ms(w.connect_latency.p999());
-  point.reply_kops = w.reply_rate(ramp + hold) / 1000.0;
-  point.reject_kops = w.rejects / to_sec(ramp + hold) / 1000.0;
-  if (w.rejects > 0) point.reject_p999_ms = to_ms(w.reject_latency.p999());
+  point.reply_kops = kops(m.replies, ramp + hold);
+  point.reject_kops = kops(m.rejects, ramp + hold);
+  if (m.rejects > 0) point.reject_p999_ms = to_ms(m.reject_latency.p999());
   point.per_conn_bytes = per_conn;
-  point.timeouts = w.timeouts;
+  point.timeouts = m.timeouts;
   point.resets = w.resets;
 
   std::fprintf(host.command, "QUIT\n");
@@ -285,21 +291,22 @@ StormPoint run_flash(std::size_t base_sessions, double overload_factor, Duration
   real::StormOptions options;
   options.replicas = cluster.replica_addresses();
   options.sessions = base_sessions;
-  options.issue_rate = 0;  // closed loop: population size IS the load
+  // Closed loop (the default): population size IS the load.
   options.seed = 13;
-  options.workload = config.workload;
+  options.load.workload = config.workload;
   options.epoch = cluster.epoch();
   real::StormEngine storm(options);
   storm.start();
   storm.run_for(pre / 2);  // settle
   storm.reset_window();
   storm.run_for(pre / 2);  // measure the pre-storm peak
-  const double pre_peak = storm.window().reply_rate(pre / 2);
+  const double pre_peak_kops = kops(storm.metrics().replies, pre / 2);
 
   storm.set_target_sessions(storm_sessions);
   storm.reset_window();
   storm.run_for(storm_span);
   const real::StormWindow& w = storm.window();
+  const harness::RunMetrics& m = storm.metrics();
 
   StormPoint point;
   point.name = "flash";
@@ -307,19 +314,19 @@ StormPoint run_flash(std::size_t base_sessions, double overload_factor, Duration
   point.connections = storm.gauges().open_connections;
   point.connect_p50_ms = to_ms(w.connect_latency.p50());
   point.connect_p999_ms = to_ms(w.connect_latency.p999());
-  point.reply_kops = w.reply_rate(storm_span) / 1000.0;
-  point.reject_kops = w.rejects / to_sec(storm_span) / 1000.0;
-  if (w.rejects > 0) point.reject_p999_ms = to_ms(w.reject_latency.p999());
+  point.reply_kops = kops(m.replies, storm_span);
+  point.reject_kops = kops(m.rejects, storm_span);
+  if (m.rejects > 0) point.reject_p999_ms = to_ms(m.reject_latency.p999());
   point.per_conn_bytes = cluster_per_conn_bytes(cluster);
-  point.timeouts = w.timeouts;
+  point.timeouts = m.timeouts;
   point.resets = w.resets;
   cluster.shutdown();
 
-  std::printf("\nshape checks (flash crowd, pre-storm peak %.1f kreq/s):\n", pre_peak / 1000.0);
-  check(w.rejects > 0, "proactive rejection engages under the flash crowd");
-  check(point.reply_kops * 1000.0 >= 0.5 * pre_peak,
+  std::printf("\nshape checks (flash crowd, pre-storm peak %.1f kreq/s):\n", pre_peak_kops);
+  check(m.rejects > 0, "proactive rejection engages under the flash crowd");
+  check(point.reply_kops >= 0.5 * pre_peak_kops,
         "goodput holds during the storm (replies >= 50% of pre-storm peak)");
-  check(w.rejects == 0 || point.reject_p999_ms <= 1000.0,
+  check(m.rejects == 0 || point.reject_p999_ms <= 1000.0,
         "rejection-notification p99.9 stays bounded (<= 1 s)");
   return point;
 }
@@ -339,9 +346,9 @@ StormPoint run_stampede(std::size_t sessions, Duration settle, Duration crash_sp
   options.replicas = cluster.replica_addresses();
   options.sessions = sessions;
   options.ramp = settle / 2;
-  options.issue_rate = 2.0;
+  options.load.open_loop_rate = 2.0;
   options.seed = 17;
-  options.workload = config.workload;
+  options.load.workload = config.workload;
   options.epoch = cluster.epoch();
   real::StormEngine storm(options);
   storm.start();
@@ -358,6 +365,7 @@ StormPoint run_stampede(std::size_t sessions, Duration settle, Duration crash_sp
   storm.reset_window();
   storm.run_for(recover_span);
   const real::StormWindow& w = storm.window();
+  const harness::RunMetrics& m = storm.metrics();
 
   StormPoint point;
   point.name = "stampede";
@@ -365,11 +373,11 @@ StormPoint run_stampede(std::size_t sessions, Duration settle, Duration crash_sp
   point.connections = storm.gauges().open_connections;
   point.connect_p50_ms = to_ms(w.connect_latency.p50());
   point.connect_p999_ms = to_ms(w.connect_latency.p999());
-  point.reply_kops = w.reply_rate(recover_span) / 1000.0;
-  point.reject_kops = w.rejects / to_sec(recover_span) / 1000.0;
-  if (w.rejects > 0) point.reject_p999_ms = to_ms(w.reject_latency.p999());
+  point.reply_kops = kops(m.replies, recover_span);
+  point.reject_kops = kops(m.rejects, recover_span);
+  if (m.rejects > 0) point.reject_p999_ms = to_ms(m.reject_latency.p999());
   point.per_conn_bytes = cluster_per_conn_bytes(cluster);
-  point.timeouts = w.timeouts;
+  point.timeouts = m.timeouts;
   point.resets = stampede_resets;
   cluster.shutdown();
 
@@ -380,7 +388,7 @@ StormPoint run_stampede(std::size_t sessions, Duration settle, Duration crash_sp
         "the crash resets every session (stampede actually happened)");
   check(stampede_connects >= sessions,
         "sessions re-established connections during the crash window");
-  check(w.replies > 0, "replies resume after the view change");
+  check(m.replies > 0, "replies resume after the view change");
   check(point.connections >= sessions * 2 - sessions / 10,
         "sessions hold connections to both survivors after recovery");
   return point;
@@ -397,17 +405,17 @@ StormPoint run_loris(std::size_t sessions, Duration span) {
   real::StormOptions options;
   options.replicas = cluster.replica_addresses();
   options.sessions = sessions;
-  options.issue_rate = 0;  // normal half: closed loop
-  options.slow_loris_fraction = 0.5;
+  options.slow_loris_fraction = 0.5;  // the normal half runs closed loop
   options.loris_trickle = 100 * kMillisecond;
   options.seed = 19;
-  options.workload = config.workload;
+  options.load.workload = config.workload;
   options.epoch = cluster.epoch();
   real::StormEngine storm(options);
   storm.start();
   storm.run_for(span);
 
   const real::StormWindow& w = storm.window();
+  const harness::RunMetrics& m = storm.metrics();
   std::uint64_t evicted = 0;
   for (std::size_t i = 0; i < cluster.n(); ++i) {
     evicted += cluster.transport_stats(i).half_open_evictions;
@@ -419,11 +427,11 @@ StormPoint run_loris(std::size_t sessions, Duration span) {
   point.connections = storm.gauges().open_connections;
   point.connect_p50_ms = to_ms(w.connect_latency.p50());
   point.connect_p999_ms = to_ms(w.connect_latency.p999());
-  point.reply_kops = w.reply_rate(span) / 1000.0;
-  point.reject_kops = w.rejects / to_sec(span) / 1000.0;
-  if (w.rejects > 0) point.reject_p999_ms = to_ms(w.reject_latency.p999());
+  point.reply_kops = kops(m.replies, span);
+  point.reject_kops = kops(m.rejects, span);
+  if (m.rejects > 0) point.reject_p999_ms = to_ms(m.reject_latency.p999());
   point.per_conn_bytes = cluster_per_conn_bytes(cluster);
-  point.timeouts = w.timeouts;
+  point.timeouts = m.timeouts;
   point.resets = w.resets;
   point.half_open_evictions = evicted;
   cluster.shutdown();
@@ -433,7 +441,7 @@ StormPoint run_loris(std::size_t sessions, Duration span) {
   check(evicted >= loris_sessions,
         "half-open eviction reclaims the trickling connections");
   check(w.loris_evictions > 0, "loris clients observe their evictions as resets");
-  check(w.replies > 0, "normal sessions keep getting replies alongside the loris hold");
+  check(m.replies > 0, "normal sessions keep getting replies alongside the loris hold");
   return point;
 }
 

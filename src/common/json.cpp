@@ -119,6 +119,10 @@ struct Parser {
       if (pos >= text.size()) fail("unterminated string");
       char c = text[pos++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos;
+        fail("raw control character in string");
+      }
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -225,8 +229,19 @@ Value Value::parse(std::string_view text) {
   Parser parser{text};
   Value value = parser.parse_value();
   parser.skip_ws();
-  if (parser.pos != text.size()) throw ParseError("trailing characters after document");
+  if (parser.pos != text.size()) parser.fail("trailing characters after document");
   return value;
+}
+
+std::optional<Value> Value::parse_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::string text;
+  char buffer[1 << 16];
+  std::size_t got;
+  while ((got = std::fread(buffer, 1, sizeof buffer, f)) > 0) text.append(buffer, got);
+  std::fclose(f);
+  return parse(text);
 }
 
 }  // namespace idem::json

@@ -1,13 +1,15 @@
-// Minimal JSON reader/writer for the repo's tooling artifacts (fault-plan
-// replay files, chaos-run corpora). Hand-rolled on purpose: the container
-// has no JSON dependency, the schemas are ours, and the parser only needs
-// to be strict enough to round-trip what JsonWriter emits (objects, arrays,
-// strings with escapes, doubles, integers, booleans, null).
+// The repo's one JSON reader/writer: fault-plan replay files, chaos-run
+// corpora, shard maps, and the CLI tools that check traces and diff
+// benchmark results. Hand-rolled on purpose: the repo takes no JSON
+// dependency and the schemas are ours. The parser is strict where it
+// matters for those inputs (raw control characters in strings, trailing
+// garbage) and every parse error names its byte offset.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -68,6 +70,15 @@ class Value {
   bool contains(const std::string& key) const {
     return type_ == Type::ObjectT && object_.count(key) > 0;
   }
+  /// Object member, or nullptr when absent or when this is no object.
+  const Value* find(const std::string& key) const {
+    if (type_ != Type::ObjectT) return nullptr;
+    auto it = object_.find(key);
+    return it == object_.end() ? nullptr : &it->second;
+  }
+  Value* find(const std::string& key) {
+    return const_cast<Value*>(static_cast<const Value&>(*this).find(key));
+  }
 
   /// Serializes compactly (no whitespace) — the canonical artifact form.
   std::string dump() const;
@@ -75,6 +86,9 @@ class Value {
 
   /// Parses one document; trailing non-whitespace is an error.
   static Value parse(std::string_view text);
+  /// Parses the file at `path`: nullopt when it cannot be read, and a
+  /// ParseError when its content is malformed.
+  static std::optional<Value> parse_file(const std::string& path);
 
  private:
   void require(Type t) const {

@@ -1,6 +1,7 @@
 #include "harness/load.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -29,25 +30,24 @@ check::Op::Result history_result(consensus::Outcome::Kind kind) {
 
 LoadDriver::LoadDriver(sim::Runtime& runtime, std::vector<consensus::ServiceClient*> clients,
                        LoadConfig config)
-    : runtime_(runtime),
-      config_(std::move(config)),
-      clients_(clients.size()),
-      self_(std::make_shared<LoadDriver*>(this)) {
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    Client& c = clients_[i];
-    c.client = clients[i];
-    const std::string id = std::to_string(c.client->client_id().value);
-    c.workload = std::make_unique<app::YcsbWorkload>(config_.workload,
-                                                     runtime_.rng("ycsb.client." + id));
-    c.backoff = &runtime_.rng("backoff.client." + id);
-    if (config_.request_deadline > 0) c.deadlines = &runtime_.rng("deadline.client." + id);
-    if (open_loop()) c.arrivals = &runtime_.rng("arrival.client." + id);
-  }
+    : runtime_(runtime), config_(std::move(config)) {
+  clients_.reserve(clients.size());
+  for (consensus::ServiceClient* client : clients) clients_.push_back(make_client(client));
 }
 
-LoadDriver::~LoadDriver() {
-  stop();
-  *self_ = nullptr;
+LoadDriver::~LoadDriver() { stop(); }
+
+std::shared_ptr<LoadDriver::Client> LoadDriver::make_client(consensus::ServiceClient* client) {
+  auto c = std::make_shared<Client>();
+  c->driver = this;
+  c->client = client;
+  const std::string id = std::to_string(client->client_id().value);
+  c->workload =
+      std::make_unique<app::YcsbWorkload>(config_.workload, runtime_.rng("ycsb.client." + id));
+  c->backoff = &runtime_.rng("backoff.client." + id);
+  if (config_.request_deadline > 0) c->deadlines = &runtime_.rng("deadline.client." + id);
+  if (open_loop()) c->arrivals = &runtime_.rng("arrival.client." + id);
+  return c;
 }
 
 void LoadDriver::start() {
@@ -60,14 +60,16 @@ void LoadDriver::start() {
     window_start_ = now + config_.warmup;
     window_end_ = config_.measure > 0 ? window_start_ + config_.measure : kNever;
   }
-  for (Client& c : clients_) {
-    if (open_loop()) {
-      c.next_due = now;
-      arm_arrival(c);
-    } else {
-      Rng& rng = runtime_.rng("start.client." + std::to_string(c.client->client_id().value));
-      schedule_issue(c, rng.uniform_int(0, kMillisecond));
-    }
+  for (const auto& c : clients_) start_client(*c);
+}
+
+void LoadDriver::start_client(Client& c) {
+  if (open_loop()) {
+    c.next_due = runtime_.now();
+    arm_arrival(c);
+  } else {
+    Rng& rng = runtime_.rng("start.client." + std::to_string(c.client->client_id().value));
+    schedule_issue(c, rng.uniform_int(0, kMillisecond));
   }
 }
 
@@ -76,13 +78,31 @@ void LoadDriver::stop() {
   running_ = false;
   window_end_ = std::min(window_end_, runtime_.now());
   if (window_end_ > window_start_) metrics_.measured += window_end_ - window_start_;
-  for (Client& c : clients_) {
-    for (sim::EventId* timer : {&c.issue_timer, &c.arrival_timer}) {
-      if (timer->valid()) runtime_.cancel(*timer);
-      *timer = {};
-    }
-    c.due.clear();
+  for (const auto& c : clients_) stop_client(*c);
+}
+
+void LoadDriver::stop_client(Client& c) {
+  for (sim::EventId* timer : {&c.issue_timer, &c.arrival_timer}) {
+    if (timer->valid()) runtime_.cancel(*timer);
+    *timer = {};
   }
+  c.due.clear();
+}
+
+void LoadDriver::add(consensus::ServiceClient* client) {
+  clients_.push_back(make_client(client));
+  if (running_) start_client(*clients_.back());
+}
+
+void LoadDriver::remove(consensus::ServiceClient* client) {
+  // Populations shrink newest first, so search from the back.
+  auto it = std::find_if(clients_.rbegin(), clients_.rend(),
+                         [client](const auto& c) { return c->client == client; });
+  if (it == clients_.rend()) return;
+  Client& c = **it;
+  stop_client(c);
+  if (c.in_flight) --in_flight_;
+  clients_.erase(std::next(it).base());
 }
 
 bool LoadDriver::done() const {
@@ -152,9 +172,12 @@ void LoadDriver::issue(Client& c) {
   c.in_flight = true;
   c.op_due = due;
   ++in_flight_;
-  c.client->invoke(std::move(bytes), [self = self_, &c](const consensus::Outcome& outcome) {
-    if (*self != nullptr) (*self)->on_outcome(c, outcome);
-  });
+  // The callback may outlive the client's membership or the driver
+  // itself; the weak_ptr expires with both.
+  c.client->invoke(std::move(bytes),
+                   [weak = c.weak_from_this()](const consensus::Outcome& outcome) {
+                     if (const auto live = weak.lock()) live->driver->on_outcome(*live, outcome);
+                   });
 }
 
 void LoadDriver::on_outcome(Client& c, const consensus::Outcome& outcome) {

@@ -76,7 +76,8 @@ struct LoadConfig {
 
 class LoadDriver {
  public:
-  /// `clients` are borrowed and must stay valid while the driver runs.
+  /// `clients` are borrowed and must stay valid until they are removed
+  /// or the driver is gone.
   LoadDriver(sim::Runtime& runtime, std::vector<consensus::ServiceClient*> clients,
              LoadConfig config);
   ~LoadDriver();
@@ -92,6 +93,13 @@ class LoadDriver {
   /// Operations still in flight complete into the history only.
   void stop();
 
+  /// Joins `client` (borrowed, as above). A running driver starts it at
+  /// once, exactly as start() starts the initial clients.
+  void add(consensus::ServiceClient* client);
+  /// Forgets `client`: its timers and queued arrivals go, and the outcome
+  /// of an operation it still has in flight is ignored.
+  void remove(consensus::ServiceClient* client);
+
   /// stop_after_replies reached.
   bool done() const;
   /// Operations issued and not concluded yet.
@@ -101,7 +109,8 @@ class LoadDriver {
   const RunMetrics& metrics() const { return metrics_; }
 
  private:
-  struct Client {
+  struct Client : std::enable_shared_from_this<Client> {
+    LoadDriver* driver = nullptr;
     consensus::ServiceClient* client = nullptr;
     std::unique_ptr<app::YcsbWorkload> workload;
     Rng* backoff = nullptr;
@@ -119,6 +128,9 @@ class LoadDriver {
 
   bool open_loop() const { return config_.open_loop_rate > 0; }
   bool measuring(Time t) const { return t >= window_start_ && t < window_end_; }
+  std::shared_ptr<Client> make_client(consensus::ServiceClient* client);
+  void start_client(Client& c);
+  void stop_client(Client& c);
   void issue(Client& c);
   void arm_arrival(Client& c);
   void on_arrival(Client& c);
@@ -127,17 +139,16 @@ class LoadDriver {
 
   sim::Runtime& runtime_;
   LoadConfig config_;
-  std::vector<Client> clients_;
+  /// Shared so an outcome callback can tell, through a weak_ptr, whether
+  /// its client is still driven (removed clients and a destroyed driver
+  /// both expire it).
+  std::vector<std::shared_ptr<Client>> clients_;
   RunMetrics metrics_;
   bool running_ = false;
   Time window_start_ = 0;
   Time window_end_ = 0;
   std::uint64_t total_replies_ = 0;
   std::size_t in_flight_ = 0;
-  /// Outcome callbacks of operations still in flight may fire after the
-  /// driver is gone; they reach it through this cell, cleared on
-  /// destruction.
-  std::shared_ptr<LoadDriver*> self_;
 };
 
 /// The paper's experiment on a simulated cluster: drives every client of

@@ -39,6 +39,18 @@ struct IdemClientConfig {
 
   /// Optional request-lifecycle trace sink (borrowed, may be null).
   obs::TraceRecorder* trace = nullptr;
+
+  /// This configuration for a client of `replicas` replicas: n =
+  /// replicas, and f = (n - 1) / 2 when f is 0. An explicit f is kept.
+  /// Real-mode clients (shard::RealClients, real::StormEngine and the
+  /// CLIs over them) learn n from their replica list and derive their
+  /// quorum sizes here only.
+  IdemClientConfig for_replicas(std::size_t replicas) const {
+    IdemClientConfig config = *this;
+    config.n = replicas;
+    if (config.f == 0) config.f = replicas >= 3 ? (replicas - 1) / 2 : 0;
+    return config;
+  }
 };
 
 class IdemClient final : public sim::Node, public consensus::ServiceClient {

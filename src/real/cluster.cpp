@@ -47,30 +47,12 @@ RealCluster::RealCluster(RealClusterConfig config)
       member.executor = std::make_unique<ExecutionThread>(member.runtime->loop());
       replica_config.executor = member.executor.get();
     }
-    std::unique_ptr<core::AcceptanceTest> acceptance =
-        core::make_default_acceptance(replica_config, config_.expected_clients);
-    if (config_.deadline_aware) {
-      acceptance = std::make_unique<core::DeadlineAware>(config_.deadline_params,
-                                                         std::move(acceptance));
-    }
-    member.replica = make_replica(*member.runtime, member.runtime->transport(),
-                                  ReplicaId{static_cast<std::uint32_t>(i)}, replica_config,
-                                  make_store(), std::move(acceptance));
-    if (config_.discipline != sim::DisciplineKind::Fifo) {
-      member.replica->set_discipline(sim::make_discipline(config_.discipline));
-    }
+    member.replica = make_replica(
+        *member.runtime, member.runtime->transport(), ReplicaId{static_cast<std::uint32_t>(i)},
+        replica_config, make_store(),
+        core::make_default_acceptance(replica_config, config_.expected_clients));
     member.port = member.runtime->transport().port_of(
         consensus::replica_address(ReplicaId{static_cast<std::uint32_t>(i)}));
-
-    if (config_.metrics_interval > 0) {
-      member.metrics = std::make_unique<obs::MetricsRegistry>();
-      register_metrics(member, i);
-      member.metrics->reserve_samples(config_.metrics_reserve);
-      member.ticker = std::make_unique<obs::MetricsTicker>(
-          *member.runtime, *member.metrics, config_.metrics_interval);
-      // Armed pre-start; the timer fires on the member's own loop thread.
-      member.ticker->start();
-    }
   }
 
   // Full mesh: every replica knows every peer's loopback port.
@@ -111,27 +93,6 @@ std::unique_ptr<app::StateMachine> RealCluster::make_store() const {
   return store;
 }
 
-void RealCluster::register_metrics(Member& member, std::size_t index) {
-  // Same naming scheme as the sim harness so exporters and plots work on
-  // either mode's JSONL unchanged.
-  const std::string prefix = "r" + std::to_string(index) + ".";
-  core::IdemReplica* replica = member.replica.get();
-  member.metrics->add_gauge(prefix + "queue",
-                            [replica] { return static_cast<double>(replica->queue_length()); });
-  member.metrics->add_gauge(prefix + "active", [replica] {
-    return static_cast<double>(replica->active_requests());
-  });
-  member.metrics->add_gauge(prefix + "executed", [replica] {
-    return static_cast<double>(replica->stats().executed);
-  });
-  member.metrics->add_gauge(prefix + "rejected", [replica] {
-    return static_cast<double>(replica->stats().rejected);
-  });
-  member.metrics->add_gauge(prefix + "view", [replica] {
-    return static_cast<double>(replica->view().value);
-  });
-}
-
 void RealCluster::start() {
   if (started_) return;
   started_ = true;
@@ -159,7 +120,6 @@ void RealCluster::crash_replica(std::size_t index) {
   if (member.executor) member.executor->stop();
   member.final_stats = member.replica->stats();
   member.final_transport = member.runtime->transport().stats();
-  if (member.ticker) member.ticker->stop();
   member.executor.reset();
   member.replica.reset();   // unregisters from the transport
   member.runtime.reset();   // closes all sockets: peers see a crash

@@ -4,10 +4,10 @@
 // The replicas are the byte-identical core::IdemReplica the simulator
 // benchmarks — only the Runtime (wall clock), Transport (TCP) and CPU
 // model (real message handling instead of simulated charges) differ.
-// Observability mirrors sim mode: one TraceRecorder and MetricsRegistry
-// per replica thread (strict thread confinement, so TSAN-clean), stamped
-// from a shared clock epoch so the per-thread rings merge into one
-// coherent timeline after shutdown.
+// Observability: one TraceRecorder per replica thread (strict thread
+// confinement, so TSAN-clean), stamped from a shared clock epoch so the
+// per-thread rings merge into one coherent timeline after shutdown, and
+// the windowed obs::LiveMetrics hub for the live view.
 //
 // Thread protocol: the constructor builds everything on the controller
 // thread (no loop threads exist yet); start() hands each replica to its
@@ -27,11 +27,8 @@
 #include "idem/config.hpp"
 #include "idem/replica.hpp"
 #include "obs/live_metrics.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/ticker.hpp"
 #include "obs/trace.hpp"
 #include "real/exec_thread.hpp"
-#include "sim/discipline.hpp"
 #include "real/runtime.hpp"
 #include "rpc/http_admin.hpp"
 
@@ -84,24 +81,10 @@ struct RealClusterConfig {
   bool admin = false;
   std::uint16_t admin_port = 0;
 
-  /// Per-replica metrics sampling interval; 0 disables the registries.
-  Duration metrics_interval = 0;
-  std::size_t metrics_reserve = 4096;
-
   /// Preload every replica's store with the workload's YCSB records so
   /// reads hit existing keys (same content on every replica).
   bool preload = false;
   app::YcsbConfig workload;
-
-  /// Service discipline for each replica's software queue. Edf drains
-  /// deadline-carrying REQUESTs earliest-due-first from the deferred
-  /// phase; Fifo keeps the default inline path.
-  sim::DisciplineKind discipline = sim::DisciplineKind::Fifo;
-  /// Wrap the acceptance test in core::DeadlineAware: budgets the online
-  /// wait estimator says cannot be met are rejected up front
-  /// (RejectReason::DeadlineUnmeetable) instead of executing late.
-  bool deadline_aware = false;
-  core::DeadlineAware::Params deadline_params;
 };
 
 class RealCluster {
@@ -151,11 +134,6 @@ class RealCluster {
   /// Index of the first live replica that believes itself leader, or n().
   std::size_t leader_index();
 
-  /// Metrics registry of replica `index` (nullptr when sampling is off).
-  /// Safe to read after shutdown(); while loops run, use run-time access
-  /// only through RealRuntime::call().
-  obs::MetricsRegistry* metrics(std::size_t index) { return members_[index].metrics.get(); }
-
   /// Live-telemetry hub (nullptr unless live_metrics/admin is on); the
   /// external hub when config.live_hub was set. Snapshotting is
   /// thread-safe; note each snapshot consumes the window.
@@ -197,8 +175,6 @@ class RealCluster {
     // runtime dies.
     std::unique_ptr<RealRuntime> runtime;
     std::unique_ptr<obs::TraceRecorder> trace;
-    std::unique_ptr<obs::MetricsRegistry> metrics;
-    std::unique_ptr<obs::MetricsTicker> ticker;
     std::unique_ptr<core::IdemReplica> replica;
     std::unique_ptr<ExecutionThread> executor;
     std::uint16_t port = 0;
@@ -208,7 +184,6 @@ class RealCluster {
   };
 
   std::unique_ptr<app::StateMachine> make_store() const;
-  void register_metrics(Member& member, std::size_t index);
 
   RealClusterConfig config_;
   rpc::EventLoop::Epoch epoch_;

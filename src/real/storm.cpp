@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -51,55 +50,79 @@ struct StormEngine::Conn {
   rpc::PendingWrites out;
 };
 
-/// One client session: per-session protocol state machine.
-struct StormEngine::Session {
-  std::size_t index = 0;
+/// One client session. A normal session is the transport of its own
+/// core::IdemClient, and the driver's handle on it: invoke() forwards to
+/// the client and counts completions for churn.
+struct StormEngine::Session final : sim::Transport, consensus::ServiceClient {
+  Session(StormEngine& engine_, std::size_t index_, ClientId cid_, bool loris_)
+      : engine(engine_), index(index_), cid(cid_), loris(loris_) {}
+
+  // sim::Transport: the client is the only node, and it only sends.
+  void add_node(sim::NodeId, sim::NodeKind, sim::Endpoint*) override {}
+  void remove_node(sim::NodeId) override {}
+  void send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr message) override {
+    // The client multicasts each message to every replica: frame it once.
+    // Holding the message keeps its address from being reused.
+    if (message != framed) {
+      const auto* typed = dynamic_cast<const msg::Message*>(message.get());
+      if (typed == nullptr) return;
+      // Sender-port 0: replicas route the REPLY/REJECT back over this very
+      // connection instead of dialing a listener we don't have.
+      frame = rpc::encode_frame(from.value, 0, typed->encode());
+      framed = std::move(message);
+    }
+    engine.send_frame(*this, consensus::replica_of_address(to).value, frame);
+  }
+
+  // consensus::ServiceClient
+  void invoke(std::vector<std::byte> command, Callback callback) override {
+    client->invoke(std::move(command),
+                   [this, callback = std::move(callback)](const consensus::Outcome& outcome) {
+                     callback(outcome);
+                     engine.op_completed(*this);
+                   });
+  }
+  void set_request_deadline(Duration deadline) override {
+    client->set_request_deadline(deadline);
+  }
+  ClientId client_id() const override { return cid; }
+  bool busy() const override { return client->busy(); }
+
+  StormEngine& engine;
+  std::size_t index;
   ClientId cid;
-  bool loris = false;
-  bool active = false;  ///< at least one connection established
+  bool loris;
   /// Bumped by every teardown; lets re-entrant paths (drain callbacks that
   /// complete an operation which tears the connections down) detect that
   /// the connection they were reading from is gone.
   std::uint64_t conn_epoch = 0;
   std::vector<Conn> conns;
-
-  // In-flight operation (one at a time, like the real client).
-  std::uint64_t onr = 0;
-  bool pending = false;
-  RequestId pending_id;
-  Time issued_at = 0;
-  std::vector<std::byte> pending_frame;  ///< kept for retransmission
-  std::uint64_t reject_mask = 0;  ///< replicas that rejected *this try*
-  bool ambiv_armed = false;
+  /// Per replica: the latest frame sent while waiting to reconnect.
+  std::vector<std::vector<std::byte>> held;
   std::size_t ops_since_connect = 0;
-  bool arrival_pending = false;  ///< open loop: an arrival found us busy
+  sim::EventId reconnect_timer;
 
-  std::unique_ptr<app::YcsbWorkload> workload;
-  Rng* arrivals = nullptr;
+  std::unique_ptr<core::IdemClient> client;  ///< normal sessions only
+  sim::PayloadPtr framed;                    ///< the message `frame` encodes
+  std::vector<std::byte> frame;
 
   // Slow loris: the partial frame being trickled.
   std::vector<std::byte> loris_frame;
   std::size_t loris_sent = 0;
-
-  sim::EventId retry_timer;
-  sim::EventId timeout_timer;
-  sim::EventId ambiv_timer;
-  sim::EventId backoff_timer;
-  sim::EventId arrival_timer;
-  sim::EventId reconnect_timer;
   sim::EventId loris_timer;
 };
 
 StormEngine::StormEngine(StormOptions options)
-    : options_(std::move(options)), loop_(options_.seed, options_.epoch) {
-  const std::size_t n = options_.replicas.size();
-  f_ = options_.f != std::size_t(-1) ? options_.f : (n >= 3 ? (n - 1) / 2 : 0);
-  issue_rate_ = options_.issue_rate;
+    : options_(std::move(options)),
+      loop_(options_.seed, options_.epoch),
+      driver_(loop_, {}, options_.load) {
+  options_.client = options_.client.for_replicas(options_.replicas.size());
   jitter_ = &loop_.rng("storm.jitter");
 }
 
 StormEngine::~StormEngine() {
-  for (auto& session : sessions_) destroy_session(*session);
+  // Newest first, the order the driver finds them in fastest.
+  for (auto it = sessions_.rbegin(); it != sessions_.rend(); ++it) destroy_session(**it);
   sessions_.clear();
 }
 
@@ -119,6 +142,7 @@ std::size_t StormEngine::raise_fd_limit(std::size_t fds) {
 }
 
 void StormEngine::start() {
+  driver_.start();
   target_ = options_.sessions;
   ramp_active_ = options_.ramp > 0 && target_ > 0;
   if (ramp_active_) {
@@ -144,32 +168,15 @@ void StormEngine::set_target_sessions(std::size_t n) {
   schedule_spawn_step();
 }
 
-void StormEngine::set_issue_rate(double ops_per_sec) {
-  issue_rate_ = ops_per_sec;
-  for (auto& owned : sessions_) {
-    Session& session = *owned;
-    if (session.arrival_timer.valid()) {
-      loop_.cancel(session.arrival_timer);
-      session.arrival_timer = {};
-    }
-    if (!session.active || session.loris) continue;
-    if (issue_rate_ > 0) {
-      arm_arrival(session);
-    } else if (!session.pending && !session.backoff_timer.valid()) {
-      // Closed loop restarts from a completion; kick the idle sessions.
-      Session* s = &session;
-      session.backoff_timer = loop_.schedule_after(0, [this, s] {
-        s->backoff_timer = {};
-        if (s->active && !s->pending) issue_op(*s);
-      });
-    }
-  }
-}
-
 void StormEngine::reconnect_all() {
   for (auto& owned : sessions_) {
     if (!owned->reconnect_timer.valid()) teardown_conns(*owned, /*reconnect=*/true);
   }
+}
+
+void StormEngine::reset_window() {
+  window_ = StormWindow{};
+  driver_.metrics() = harness::RunMetrics{};
 }
 
 StormGauges StormEngine::gauges() const {
@@ -221,29 +228,34 @@ void StormEngine::spawn_step() {
 }
 
 void StormEngine::spawn_session() {
-  auto owned = std::make_unique<Session>();
-  Session& session = *owned;
-  session.index = next_index_++;
-  session.cid = ClientId{options_.client_id_base + session.index};
+  const std::size_t index = next_index_++;
   // Deterministic interleaved striping instead of a random draw: every
   // prefix of the population carries (about) the configured loris
   // fraction, so small runs still mix both kinds.
   const double frac = options_.slow_loris_fraction;
-  session.loris =
-      frac > 0 && static_cast<std::uint64_t>(static_cast<double>(session.index + 1) * frac) >
-                      static_cast<std::uint64_t>(static_cast<double>(session.index) * frac);
-  if (!session.loris) {
-    session.workload = std::make_unique<app::YcsbWorkload>(
-        options_.workload, loop_.rng("storm.wl.c" + std::to_string(session.cid.value)));
-    if (options_.issue_rate > 0 || issue_rate_ > 0) {
-      session.arrivals = &loop_.rng("storm.arr.c" + std::to_string(session.cid.value));
-    }
-  }
+  const bool loris =
+      frac > 0 && static_cast<std::uint64_t>(static_cast<double>(index + 1) * frac) >
+                      static_cast<std::uint64_t>(static_cast<double>(index) * frac);
+  auto owned = std::make_unique<Session>(*this, index, ClientId{options_.client_id_base + index},
+                                         loris);
+  Session& session = *owned;
   sessions_.push_back(std::move(owned));
-  connect_session(*sessions_.back());
+  if (loris) {
+    connect_session(session);
+    return;
+  }
+  session.held.resize(options_.replicas.size());
+  session.client =
+      std::make_unique<core::IdemClient>(loop_, session, session.cid, options_.client);
+  // Real sockets, zero modelled service time: skip the event-queue hop
+  // per delivered REPLY/REJECT.
+  session.client->set_inline_dispatch(true);
+  connect_session(session);
+  driver_.add(&session);
 }
 
 void StormEngine::destroy_session(Session& session) {
+  if (session.client) driver_.remove(&session);
   teardown_conns(session, /*reconnect=*/false);
   if (session.reconnect_timer.valid()) {
     loop_.cancel(session.reconnect_timer);
@@ -266,7 +278,16 @@ void StormEngine::connect_session(Session& session) {
                        ? static_cast<std::uint32_t>(session.index % n)
                        : static_cast<std::uint32_t>(ci);
   }
-  for (std::size_t ci = 0; ci < session.conns.size(); ++ci) open_conn(session, ci);
+  for (std::size_t ci = 0; ci < session.conns.size(); ++ci) {
+    open_conn(session, ci);
+    if (session.loris) continue;
+    // Frames sent while the session waited go out once the connection is
+    // up (conn_established flushes them).
+    std::vector<std::byte> held = std::exchange(session.held[ci], {});
+    if (!held.empty() && session.conns[ci].state != Conn::State::Dead) {
+      session.conns[ci].out.push(std::move(held));
+    }
+  }
   // Whole cluster unreachable (or fd exhaustion): retry later instead of
   // leaving the session permanently dark.
   bool any = false;
@@ -313,18 +334,10 @@ void StormEngine::open_conn(Session& session, std::size_t ci) {
 
 void StormEngine::teardown_conns(Session& session, bool reconnect) {
   ++session.conn_epoch;
-  cancel_op_timers(session);
-  if (session.arrival_timer.valid()) {
-    loop_.cancel(session.arrival_timer);
-    session.arrival_timer = {};
-  }
   if (session.loris_timer.valid()) {
     loop_.cancel(session.loris_timer);
     session.loris_timer = {};
   }
-  session.pending = false;
-  session.arrival_pending = false;
-  session.active = false;
   for (Conn& conn : session.conns) {
     if (conn.fd >= 0) {
       loop_.unwatch(conn.fd);
@@ -342,16 +355,6 @@ void StormEngine::teardown_conns(Session& session, bool reconnect) {
       s->reconnect_timer = {};
       connect_session(*s);
     });
-  }
-}
-
-void StormEngine::cancel_op_timers(Session& session) {
-  for (sim::EventId* timer : {&session.retry_timer, &session.timeout_timer,
-                              &session.ambiv_timer, &session.backoff_timer}) {
-    if (timer->valid()) {
-      loop_.cancel(*timer);
-      *timer = {};
-    }
   }
 }
 
@@ -382,7 +385,7 @@ void StormEngine::conn_event(Session& session, std::size_t ci, std::uint32_t eve
   }
   if (conn.state != Conn::State::Connected) return;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    on_reset(session, ci);
+    on_reset(session);
     return;
   }
   if ((events & EPOLLOUT) != 0) {
@@ -402,17 +405,12 @@ void StormEngine::conn_established(Session& session, std::size_t ci) {
   ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   conn.want_write = !conn.out.empty();
   loop_.modify(conn.fd, EPOLLIN | (conn.want_write ? EPOLLOUT : 0u));
-  if (session.loris) {
-    loris_start(session, ci);
-    return;
-  }
-  if (!session.active) session_active(session);
+  if (session.loris) loris_start(session, ci);
 }
 
-void StormEngine::on_reset(Session& session, std::size_t ci) {
+void StormEngine::on_reset(Session& session) {
   ++window_.resets;
   if (session.loris) ++window_.loris_evictions;
-  (void)ci;
   // Any established connection dropping makes the session reconnect all of
   // them after a jittered delay — the behavior that turns a replica crash
   // into a reconnect stampede.
@@ -439,7 +437,7 @@ bool StormEngine::flush_conn(Session& session, std::size_t ci) {
         }
         return true;
       }
-      on_reset(session, ci);
+      on_reset(session);
       return false;
     }
     conn.out.consume(static_cast<std::size_t>(written));
@@ -459,12 +457,12 @@ void StormEngine::conn_readable(Session& session, std::size_t ci) {
   std::span<std::byte> span = conn.reader.write_span(options_.read_buffer_bytes);
   const ssize_t received = ::recv(conn.fd, span.data(), span.size(), 0);
   if (received == 0) {
-    on_reset(session, ci);
+    on_reset(session);
     return;
   }
   if (received < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-    on_reset(session, ci);
+    on_reset(session);
     return;
   }
   conn.reader.commit(static_cast<std::size_t>(received));
@@ -477,176 +475,43 @@ void StormEngine::conn_readable(Session& session, std::size_t ci) {
         on_frame(session, sender, payload);
       });
   if (session.conn_epoch != epoch) return;
-  if (!ok) on_reset(session, ci);
+  if (!ok) on_reset(session);
 }
 
 void StormEngine::on_frame(Session& session, std::uint32_t sender,
                            std::span<const std::byte> payload) {
-  if (!session.pending) return;
+  if (!session.client || !session.client->busy()) return;  // nothing to hear: skip the decode
   std::shared_ptr<const msg::Message> message;
   try {
     message = msg::decode(payload);
   } catch (const std::exception&) {
     return;  // replicas don't send malformed frames; tolerate anyway
   }
-  switch (message->type()) {
-    case msg::Type::Reply: {
-      const auto& reply = static_cast<const msg::Reply&>(*message);
-      if (reply.id != session.pending_id) return;
-      ++window_.replies;
-      window_.reply_latency.record(loop_.now() - session.issued_at);
-      complete_op(session, /*was_reply=*/true);
-      return;
-    }
-    case msg::Type::Reject: {
-      const auto& reject = static_cast<const msg::Reject&>(*message);
-      if (reject.id != session.pending_id) return;
-      on_reject(session, sender);
-      return;
-    }
-    default:
-      return;
-  }
+  session.client->deliver(sim::NodeId{sender}, std::move(message));
 }
 
-void StormEngine::on_reject(Session& session, std::uint32_t replica) {
-  if (replica < 64) session.reject_mask |= 1ull << replica;
-  const std::size_t distinct =
-      static_cast<std::size_t>(std::popcount(session.reject_mask));
-  const std::size_t n = options_.replicas.size();
-  if (distinct >= n) {
-    // Unanimous for this try: definitive rejection, notification latency
-    // runs from issue to the n-th distinct REJECT.
-    ++window_.rejects;
-    window_.reject_latency.record(loop_.now() - session.issued_at);
-    complete_op(session, /*was_reply=*/false);
+void StormEngine::send_frame(Session& session, std::size_t replica,
+                             std::vector<std::byte> frame) {
+  if (replica >= session.held.size()) return;
+  if (session.reconnect_timer.valid()) {
+    // Waiting to reconnect: keep the latest frame for the new connection
+    // rather than sitting out a retransmission after every reconnect.
+    session.held[replica] = std::move(frame);
     return;
   }
-  if (!session.ambiv_armed && distinct >= n - f_) {
-    // Ambivalence (paper Section 4.5): n-f rejections can never become a
-    // reply unless a retry lands; wait out the optimistic window, then
-    // treat it as rejected.
-    session.ambiv_armed = true;
-    Session* s = &session;
-    session.ambiv_timer = loop_.schedule_after(options_.optimistic_wait, [this, s] {
-      s->ambiv_timer = {};
-      if (!s->pending) return;
-      ++window_.rejects;
-      window_.reject_latency.record(loop_.now() - s->issued_at);
-      complete_op(*s, /*was_reply=*/false);
-    });
-  }
+  Conn& conn = session.conns[replica];
+  // A refused replica stays dark (fair loss); a connecting one flushes
+  // when the handshake completes.
+  if (conn.state == Conn::State::Dead) return;
+  conn.out.push(std::move(frame));
+  if (conn.state == Conn::State::Connected) flush_conn(session, replica);
 }
 
-void StormEngine::session_active(Session& session) {
-  session.active = true;
-  if (session.loris) return;
-  if (issue_rate_ > 0) {
-    arm_arrival(session);
-  } else if (!session.pending) {
-    issue_op(session);
-  }
-}
-
-void StormEngine::issue_op(Session& session) {
-  ++session.onr;
-  session.pending_id = RequestId{session.cid, OpNum{session.onr}};
-  const msg::Request request(session.pending_id,
-                             session.workload->next_operation().encode());
-  // Sender-port 0: replicas route the REPLY/REJECT back over this very
-  // connection instead of dialing a listener we don't have.
-  session.pending_frame =
-      rpc::encode_frame(consensus::client_address(session.cid).value, 0, request.encode());
-  session.pending = true;
-  session.issued_at = loop_.now();
-  session.reject_mask = 0;
-  session.ambiv_armed = false;
-  ++window_.issued;
-  send_pending_frame(session);
-  Session* s = &session;
-  if (options_.retry_interval > 0) arm_retry(session);
-  if (options_.op_timeout > 0) {
-    session.timeout_timer = loop_.schedule_after(options_.op_timeout, [this, s] {
-      s->timeout_timer = {};
-      if (!s->pending) return;
-      ++window_.timeouts;
-      complete_op(*s, /*was_reply=*/false);
-    });
-  }
-}
-
-void StormEngine::arm_retry(Session& session) {
-  Session* s = &session;
-  session.retry_timer = loop_.schedule_after(options_.retry_interval, [this, s] {
-    s->retry_timer = {};
-    if (!s->pending) return;
-    // A retransmission is a new try: rejections of the previous multicast
-    // no longer count (paper Section 4.5, same rule as the core client).
-    s->reject_mask = 0;
-    ++window_.retransmits;
-    send_pending_frame(*s);
-    if (s->pending) arm_retry(*s);
-  });
-}
-
-void StormEngine::send_pending_frame(Session& session) {
-  for (std::size_t ci = 0; ci < session.conns.size(); ++ci) {
-    Conn& conn = session.conns[ci];
-    if (conn.state == Conn::State::Dead) continue;
-    conn.out.push(session.pending_frame);
-    // Connecting conns flush when the handshake completes.
-    if (conn.state == Conn::State::Connected) {
-      if (!flush_conn(session, ci)) return;
-    }
-  }
-}
-
-void StormEngine::complete_op(Session& session, bool was_reply) {
-  cancel_op_timers(session);
-  session.pending = false;
-  ++session.ops_since_connect;
-  if (options_.reconnect_every_ops != 0 &&
-      session.ops_since_connect >= options_.reconnect_every_ops) {
+void StormEngine::op_completed(Session& session) {
+  if (options_.reconnect_every_ops == 0 || session.reconnect_timer.valid()) return;
+  if (++session.ops_since_connect >= options_.reconnect_every_ops) {
     teardown_conns(session, /*reconnect=*/true);
-    return;
   }
-  if (issue_rate_ > 0) {
-    if (session.arrival_pending) {
-      session.arrival_pending = false;
-      issue_op(session);
-    }
-    return;
-  }
-  // Closed loop: zero think time, but back off after a non-REPLY outcome
-  // (paper Section 7.1). Issue through the loop so the stack unwinds.
-  Duration delay = 0;
-  if (!was_reply && options_.backoff_max > 0) {
-    delay = options_.backoff_min +
-            jitter_->uniform_int(0, std::max<Duration>(
-                                        options_.backoff_max - options_.backoff_min, 0));
-  }
-  Session* s = &session;
-  session.backoff_timer = loop_.schedule_after(delay, [this, s] {
-    s->backoff_timer = {};
-    if (s->active && !s->pending) issue_op(*s);
-  });
-}
-
-void StormEngine::arm_arrival(Session& session) {
-  if (issue_rate_ <= 0 || session.arrivals == nullptr) return;
-  const double gap_sec = session.arrivals->exponential(1.0 / issue_rate_);
-  Session* s = &session;
-  session.arrival_timer = loop_.schedule_after(
-      static_cast<Duration>(gap_sec * kSecond), [this, s] {
-        s->arrival_timer = {};
-        if (!s->active) return;  // re-armed by session_active on reconnect
-        if (s->pending) {
-          s->arrival_pending = true;
-        } else {
-          issue_op(*s);
-        }
-        arm_arrival(*s);
-      });
 }
 
 // --- slow loris -----------------------------------------------------------
@@ -662,7 +527,7 @@ void StormEngine::loris_start(Session& session, std::size_t ci) {
   const std::size_t head = rpc::kFrameHeaderBytes + 1;
   const ssize_t sent = ::send(conn.fd, session.loris_frame.data(), head, MSG_NOSIGNAL);
   if (sent < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-    on_reset(session, ci);
+    on_reset(session);
     return;
   }
   session.loris_sent = sent > 0 ? static_cast<std::size_t>(sent) : 0;
@@ -682,7 +547,7 @@ void StormEngine::loris_tick(Session& session) {
                                 session.loris_frame.data() + session.loris_sent, 1,
                                 MSG_NOSIGNAL);
     if (sent < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      on_reset(session, 0);
+      on_reset(session);
       return;
     }
     if (sent > 0) ++session.loris_sent;

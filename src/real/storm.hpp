@@ -1,23 +1,22 @@
 // Connection-storm driver: thousands of client sessions multiplexed on
 // one epoll thread.
 //
-// The load driver (harness/load.hpp over shard::RealClients) hosts full
-// core::IdemClient instances — faithful, but each client owns a
-// listener-backed transport, which tops out at a few hundred sessions
-// per process. StormEngine is the 10k-session
-// counterpart: raw nonblocking sockets on a single rpc::EventLoop, one
-// lean state machine per session (connect → warm → issue → reconnect),
-// speaking the IDEM wire protocol directly (rpc/framing.hpp frames
-// carrying msg::Request/Reply/Reject). Sessions advertise sender-port 0,
-// so replicas answer over the same inbound connection (the transport's
-// reply-over-inbound route) — no listener and no dial-back per session.
+// The work is split three ways. core::IdemClient implements the client's
+// half of the protocol (multicast, the per-try reject set, ambivalence,
+// retransmission, give-up). harness::LoadDriver paces every session, in
+// closed or open loop, and keeps the operation metrics (metrics()). The
+// engine owns only what is specific to storms: the session population
+// and the connections.
 //
-// The request lifecycle mirrors the fixed IdemClient: REQUESTs are
-// multicast to every replica, rejections are counted per try (a
-// retransmission clears the reject set — paper Section 4.5 "for this
-// try"), n distinct rejections complete the operation as definitively
-// rejected, n-f start the ambivalence wait. The measured
-// rejection-notification latency is issue → that completion.
+// Each normal session is one IdemClient whose transport is the session
+// itself: a nonblocking connection per replica on the engine's single
+// rpc::EventLoop, no listener. Frames advertise sender-port 0, so
+// replicas answer over the same inbound connection (the transport's
+// reply-over-inbound route). A frame sent while its connection is still
+// connecting, or while the session waits to reconnect, goes out once the
+// connection is up. shard::RealClients hosts IdemClients on a
+// listener-backed TcpTransport instead, which tops out at a few hundred
+// sessions per process.
 //
 // Behaviors, all per-session and mixable in one storm:
 //   - ramp: session spawns spread evenly across StormOptions::ramp;
@@ -26,14 +25,15 @@
 //   - reconnect stampede: a reset on any established connection tears the
 //     session's connections down and reconnects them all after a jittered
 //     delay — a leader crash turns the whole population over at once;
+//   - churn: reconnect after every N completed operations;
 //   - slow loris: a configurable fraction of sessions hold a forever-
 //     unfinished frame, trickling one byte per interval (what the
-//     transport's half_open_timeout evicts).
+//     transport's half_open_timeout evicts). Loris sessions issue nothing.
 //
 // Single-threaded like shard::RealClients: the engine owns an EventLoop driven by
-// the calling thread via run_for(); window()/gauges() are safe between
-// run_for() calls. Several engines can run on separate threads with
-// disjoint client_id_base ranges.
+// the calling thread via run_for(); window()/metrics()/gauges() are safe
+// between run_for() calls. Several engines can run on separate threads
+// with disjoint client_id_base ranges.
 #pragma once
 
 #include <cstddef>
@@ -42,9 +42,10 @@
 #include <span>
 #include <vector>
 
-#include "app/ycsb.hpp"
 #include "common/histogram.hpp"
 #include "common/time.hpp"
+#include "harness/load.hpp"
+#include "idem/client.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
 
@@ -54,20 +55,12 @@ struct StormOptions {
   /// Replica i is reachable at replicas[i]; size sets n. Normal sessions
   /// open one connection per replica; loris sessions one in total.
   std::vector<rpc::PeerAddress> replicas;
-  /// Crash faults the ambivalence rule assumes; default (n-1)/2.
-  std::size_t f = std::size_t(-1);
 
   std::size_t sessions = 100;        ///< initial target population
   /// First ClientId; offset past the load driver's usual range so mixed
   /// drivers never collide.
   std::uint64_t client_id_base = 1 << 20;
   Duration ramp = 0;                 ///< spread initial spawns over this span
-
-  /// Per-session open-loop Poisson arrival rate in ops/s; 0 = closed loop.
-  double issue_rate = 0;
-  /// Closed-loop backoff after a non-REPLY outcome (paper Section 7.1).
-  Duration backoff_min = 50 * kMillisecond;
-  Duration backoff_max = 100 * kMillisecond;
 
   /// Churn: close and re-establish the session's connections after this
   /// many completed operations (0 = never).
@@ -76,10 +69,6 @@ struct StormOptions {
   /// the knob that keeps a stampede from being perfectly synchronized.
   Duration reconnect_delay_min = 10 * kMillisecond;
   Duration reconnect_delay_max = 200 * kMillisecond;
-
-  Duration retry_interval = 500 * kMillisecond;  ///< retransmit cadence (0 = off)
-  Duration optimistic_wait = 200 * kMillisecond; ///< ambivalence wait (n-f rejects)
-  Duration op_timeout = 5 * kSecond;             ///< abandon an operation
 
   /// Fraction of sessions in slow-loris mode ([0, 1]).
   double slow_loris_fraction = 0;
@@ -90,29 +79,28 @@ struct StormOptions {
   std::size_t read_buffer_bytes = 1024;
 
   std::uint64_t seed = 1;
-  app::YcsbConfig workload;
   rpc::EventLoop::Epoch epoch = std::chrono::steady_clock::now();
+
+  /// Every session's client; n comes from `replicas`, and f = 0 derives
+  /// (n - 1) / 2. The defaults are the storm's long-standing timing: the
+  /// optimistic strategy with a 200 ms ambivalence wait, a 500 ms
+  /// retransmit and a 5 s give-up.
+  core::IdemClientConfig client{
+      .f = 0, .optimistic_wait = 200 * kMillisecond, .operation_timeout = 5 * kSecond};
+  /// Pacing: open_loop_rate is per session (0 = closed loop, with the
+  /// 50-100 ms rejection backoff); the window stays open until the engine
+  /// is destroyed, and reset_window() restarts its counts.
+  harness::LoadConfig load;
 };
 
-/// Phase measurements; reset_window() zeroes everything for the next
-/// scenario phase.
+/// Connection measurements; reset_window() zeroes them for the next
+/// scenario phase. Operation counts live in StormEngine::metrics().
 struct StormWindow {
   Histogram connect_latency;  ///< nonblocking connect() → socket writable
-  Histogram reply_latency;    ///< issue → REPLY
-  Histogram reject_latency;   ///< issue → definitive-rejection notification
-  std::uint64_t issued = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t rejects = 0;      ///< definitively rejected operations
-  std::uint64_t timeouts = 0;
-  std::uint64_t retransmits = 0;
   std::uint64_t connects = 0;          ///< connections established
   std::uint64_t connect_failures = 0;  ///< refused / failed handshakes
   std::uint64_t resets = 0;            ///< established connections dropped by peer
   std::uint64_t loris_evictions = 0;   ///< loris connections the server closed
-
-  double reply_rate(Duration span) const {
-    return span > 0 ? replies / to_sec(span) : 0.0;
-  }
 };
 
 /// Point-in-time population state.
@@ -141,15 +129,16 @@ class StormEngine {
   /// Changes the target population; spawns (in bounded chunks) or
   /// destroys (newest first) sessions until it is met.
   void set_target_sessions(std::size_t n);
-  /// Changes the per-session open-loop rate for existing + future
-  /// sessions (0 = closed loop for future completions).
-  void set_issue_rate(double ops_per_sec);
   /// Tears down every session's connections; each reconnects after its
   /// jittered delay — a forced full stampede.
   void reconnect_all();
 
-  void reset_window() { window_ = StormWindow{}; }
+  /// Zeroes the connection window and the driver's operation metrics.
+  void reset_window();
   const StormWindow& window() const { return window_; }
+  /// Operation counts and latencies since the last reset_window(). Open
+  /// loop latency runs from each arrival's due time.
+  const harness::RunMetrics& metrics() const { return driver_.metrics(); }
   StormGauges gauges() const;
 
   /// Raises RLIMIT_NOFILE to at least `fds` (as far as the hard limit —
@@ -169,29 +158,23 @@ class StormEngine {
   void connect_session(Session& session);
   void open_conn(Session& session, std::size_t ci);
   void teardown_conns(Session& session, bool reconnect);
-  void cancel_op_timers(Session& session);
   void conn_event(Session& session, std::size_t ci, std::uint32_t events);
   void conn_established(Session& session, std::size_t ci);
   void conn_readable(Session& session, std::size_t ci);
-  void on_reset(Session& session, std::size_t ci);
+  void on_reset(Session& session);
   void on_frame(Session& session, std::uint32_t sender, std::span<const std::byte> payload);
-  void on_reject(Session& session, std::uint32_t replica);
-  void session_active(Session& session);
-  void issue_op(Session& session);
-  void arm_retry(Session& session);
-  void send_pending_frame(Session& session);
+  void send_frame(Session& session, std::size_t replica, std::vector<std::byte> frame);
+  void op_completed(Session& session);
   /// Returns false when the write failed and the session's connections
   /// were torn down (the caller must not touch the connection again).
   bool flush_conn(Session& session, std::size_t ci);
-  void complete_op(Session& session, bool was_reply);
-  void arm_arrival(Session& session);
   void loris_start(Session& session, std::size_t ci);
   void loris_tick(Session& session);
   Duration reconnect_jitter();
 
   StormOptions options_;
-  std::size_t f_ = 1;
   rpc::EventLoop loop_;
+  harness::LoadDriver driver_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::size_t target_ = 0;
   std::size_t next_index_ = 0;
@@ -201,7 +184,6 @@ class StormEngine {
   std::size_t ramp_chunk_ = 1;
   std::size_t open_connections_ = 0;
   std::size_t connecting_ = 0;
-  double issue_rate_ = 0;
   StormWindow window_;
   Rng* jitter_ = nullptr;
 };

@@ -36,13 +36,8 @@ RealClients::RealClients(const RealClientsConfig& config) : loop_(config.seed, c
     transports_.push_back(std::move(transport));
   }
 
-  core::IdemClientConfig client_config = config.client;
-  if (!config.groups.empty() && !config.groups[0].empty()) {
-    client_config.n = config.groups[0].size();
-    if (client_config.f == core::IdemClientConfig{}.f && client_config.n >= 3) {
-      client_config.f = (client_config.n - 1) / 2;
-    }
-  }
+  const core::IdemClientConfig client_config =
+      config.groups.empty() ? config.client : config.client.for_replicas(config.groups[0].size());
 
   for (std::size_t c = 0; c < config.clients; ++c) {
     const ClientId cid{config.client_id_base + c};

@@ -39,8 +39,9 @@ struct RealClientsConfig {
   /// Group g's replica i is reachable at groups[g][i]; all groups share
   /// one client configuration, so they must have the same n.
   std::vector<std::vector<rpc::PeerAddress>> groups;
-  /// n comes from the group size and f defaults to (n - 1) / 2.
-  core::IdemClientConfig client;
+  /// n comes from the group size; f = 0 derives (n - 1) / 2
+  /// (IdemClientConfig::for_replicas).
+  core::IdemClientConfig client{.f = 0};
   /// Route every operation through a ShardRouter with this initial map
   /// (group ids < groups.size()); unset = one unsharded group.
   std::optional<ShardMap> map;

@@ -1,13 +1,16 @@
 // Unit tests for the common substrate: ids, codec, rng, histogram,
-// time series.
+// time series, JSON.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/codec.hpp"
 #include "common/histogram.hpp"
 #include "common/ids.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/timeseries.hpp"
 
@@ -413,6 +416,40 @@ TEST(TimeSeries, NegativeTimeClamped) {
   TimeSeries ts(kSecond);
   ts.add(-5, 1.0);
   EXPECT_EQ(ts.rows()[0].count, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// JSON
+// ---------------------------------------------------------------------------
+
+std::string parse_error(std::string_view text) {
+  try {
+    json::Value::parse(text);
+  } catch (const json::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Json, RejectsRawControlCharactersInStrings) {
+  // JSON requires control characters inside strings to be escaped.
+  EXPECT_EQ(parse_error("{\"a\": \"x\ty\"}"), "raw control character in string at offset 8");
+  EXPECT_EQ(parse_error("[\"\n\"]"), "raw control character in string at offset 2");
+  EXPECT_EQ(json::Value::parse("\"x\\ty\"").as_string(), "x\ty");
+}
+
+TEST(Json, ParseErrorsNameTheirByteOffset) {
+  EXPECT_EQ(parse_error("{\"a\": 1} x"), "trailing characters after document at offset 9");
+  EXPECT_EQ(parse_error("[1, }"), "bad number at offset 4");
+}
+
+TEST(Json, FindReturnsMembersOnlyOfObjects) {
+  const json::Value doc = json::Value::parse("{\"a\": [1, 2], \"b\": null}");
+  ASSERT_NE(doc.find("a"), nullptr);
+  EXPECT_EQ(doc.find("a")->as_array().size(), 2u);
+  EXPECT_TRUE(doc.find("b")->is_null());
+  EXPECT_EQ(doc.find("c"), nullptr);
+  EXPECT_EQ(doc.find("a")->find("x"), nullptr);
 }
 
 }  // namespace

@@ -188,6 +188,70 @@ TEST(Harness, OpenLoopQueuesEveryArrivalAndTimesItFromItsDueTime) {
   EXPECT_NEAR(metrics.reply_latency.mean(), latency_sum / static_cast<double>(completed), 1.0);
 }
 
+/// Holds each operation open until the test concludes it.
+class ManualClient final : public consensus::ServiceClient {
+ public:
+  explicit ManualClient(std::uint64_t id) : id_(id) {}
+
+  void invoke(std::vector<std::byte>, Callback callback) override {
+    ++invoked;
+    pending_ = std::move(callback);
+  }
+  ClientId client_id() const override { return ClientId{id_}; }
+  bool busy() const override { return static_cast<bool>(pending_); }
+
+  void conclude(consensus::Outcome::Kind kind, Time now) {
+    Callback callback = std::move(pending_);
+    pending_ = nullptr;
+    consensus::Outcome outcome;
+    outcome.kind = kind;
+    outcome.issued = now;
+    outcome.completed = now;
+    callback(outcome);
+  }
+
+  std::size_t invoked = 0;
+
+ private:
+  std::uint64_t id_;
+  Callback pending_;
+};
+
+TEST(Harness, ClientsJoinAndLeaveARunningDriver) {
+  for (const double rate : {0.0, 200.0}) {
+    SCOPED_TRACE(rate > 0 ? "open loop" : "closed loop");
+    sim::Simulator sim(5);
+    FixedServiceClient steady(sim);
+    LoadConfig load;
+    load.open_loop_rate = rate;
+    harness::LoadDriver driver(sim, {&steady}, load);
+    driver.start();
+    sim.run_until(100 * kMillisecond);
+
+    // A client that joins a running driver starts issuing at once.
+    ManualClient late(7);
+    driver.add(&late);
+    sim.run_until(150 * kMillisecond);
+    EXPECT_EQ(late.invoked, 1u);
+    ASSERT_TRUE(late.busy());
+    EXPECT_EQ(driver.in_flight(), 1u + (steady.busy() ? 1u : 0u));
+
+    // It leaves with that operation in flight: the outcome that arrives
+    // afterwards is ignored, so no rejection is counted, no backoff or
+    // queued arrival re-issues, and its arrival timer never fires again.
+    driver.remove(&late);
+    EXPECT_EQ(driver.in_flight(), steady.busy() ? 1u : 0u);
+    late.conclude(consensus::Outcome::Kind::Rejected, sim.now());
+    const std::size_t steady_before = steady.invoked.size();
+    sim.run_until(kSecond);
+    EXPECT_EQ(late.invoked, 1u);
+    EXPECT_EQ(driver.metrics().rejects, 0u);
+    // The rest of the population keeps running.
+    EXPECT_GT(steady.invoked.size(), steady_before + 10);
+    driver.stop();
+  }
+}
+
 TEST(Harness, CustomAcceptanceFactoryIsUsed) {
   auto config = test_cluster_config(Protocol::Idem, /*clients=*/6);
   // Priority classes end to end: clients 0-2 are best effort (never

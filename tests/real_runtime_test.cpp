@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "app/kv_store.hpp"
+#include "consensus/addresses.hpp"
+#include "consensus/messages.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/ticker.hpp"
 #include "obs/trace.hpp"
@@ -26,6 +28,55 @@ harness::RunMetrics drive_for(const shard::RealClientsConfig& clients, Duration 
   harness::LoadConfig load;
   load.measure = span;
   return shard::RealClients(clients).drive(load);
+}
+
+/// A stand-in replica that rejects every REQUEST, or stays silent.
+class FakeReplica final : public sim::Node {
+ public:
+  FakeReplica(sim::Runtime& runtime, sim::Transport& net, ReplicaId id, bool rejects)
+      : sim::Node(runtime, net, consensus::replica_address(id), sim::NodeKind::Replica),
+        rejects_(rejects) {}
+
+ protected:
+  void on_message(sim::NodeId from, const sim::Payload& message) override {
+    const auto* request = dynamic_cast<const msg::Request*>(&message);
+    if (rejects_ && request != nullptr) send(from, std::make_shared<const msg::Reject>(request->id));
+  }
+
+ private:
+  bool rejects_;
+};
+
+// ---------------------------------------------------------------------------
+// RealClients
+// ---------------------------------------------------------------------------
+
+TEST(RealClientsTest, ExplicitFaultCountIsKept) {
+  // Five replicas: 0-2 reject every REQUEST, 3-4 stay silent. With the
+  // explicit f = 1 a pessimistic client gives up at n - f = 4 rejects, so
+  // three must not end an operation. Deriving f = (n - 1) / 2 = 2 over
+  // the caller's choice would end every operation after three.
+  rpc::EventLoop replica_loop(3);
+  rpc::TcpTransport transport(replica_loop);
+  shard::RealClientsConfig config;
+  config.clients = 1;
+  config.client.f = 1;
+  config.client.strategy = core::IdemClientConfig::Strategy::Pessimistic;
+  config.groups.emplace_back();
+  std::vector<std::unique_ptr<FakeReplica>> replicas;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    replicas.push_back(
+        std::make_unique<FakeReplica>(replica_loop, transport, ReplicaId{i}, /*rejects=*/i < 3));
+    config.groups[0].push_back(
+        {"127.0.0.1", transport.port_of(consensus::replica_address(ReplicaId{i}))});
+  }
+  std::thread replica_thread([&replica_loop] { replica_loop.run(); });
+  const harness::RunMetrics stats = drive_for(config, 300 * kMillisecond);
+  replica_loop.stop();
+  replica_thread.join();
+
+  EXPECT_GT(stats.issued, 0u);
+  EXPECT_EQ(stats.rejects, 0u);
 }
 
 // ---------------------------------------------------------------------------

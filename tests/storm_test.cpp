@@ -7,6 +7,7 @@
 #include <cstddef>
 
 #include "common/time.hpp"
+#include "harness/metrics.hpp"
 #include "real/cluster.hpp"
 #include "real/storm.hpp"
 
@@ -32,7 +33,7 @@ real::StormOptions storm_options(real::RealCluster& cluster, std::size_t session
   options.replicas = cluster.replica_addresses();
   options.sessions = sessions;
   options.seed = seed;
-  options.workload = cluster.config().workload;
+  options.load.workload = cluster.config().workload;
   options.epoch = cluster.epoch();
   return options;
 }
@@ -44,7 +45,7 @@ TEST(StormTest, RampEstablishesTheFullPopulation) {
 
   real::StormOptions options = storm_options(cluster, 32, 21);
   options.ramp = 300 * kMillisecond;
-  options.issue_rate = 1.0;  // open loop, light
+  options.load.open_loop_rate = 1.0;  // open loop, light
   real::StormEngine storm(options);
   storm.start();
   storm.run_for(900 * kMillisecond);
@@ -68,17 +69,17 @@ TEST(StormTest, ClosedLoopSessionsGetRepliesAndTheWindowResets) {
   storm.start();
   storm.run_for(600 * kMillisecond);
 
-  const real::StormWindow& window = storm.window();
-  EXPECT_GT(window.issued, 0u);
-  EXPECT_GT(window.replies, 0u);
-  EXPECT_GT(window.reply_latency.count(), 0u);
+  const harness::RunMetrics& metrics = storm.metrics();
+  EXPECT_GT(metrics.issued, 0u);
+  EXPECT_GT(metrics.replies, 0u);
+  EXPECT_GT(metrics.reply_latency.count(), 0u);
 
   storm.reset_window();
-  EXPECT_EQ(storm.window().replies, 0u);
+  EXPECT_EQ(storm.metrics().replies, 0u);
   EXPECT_EQ(storm.window().connect_latency.count(), 0u);
   // Sessions stay live across a window reset and keep completing work.
   storm.run_for(400 * kMillisecond);
-  EXPECT_GT(storm.window().replies, 0u);
+  EXPECT_GT(storm.metrics().replies, 0u);
   cluster.shutdown();
 }
 
@@ -116,14 +117,14 @@ TEST(StormTest, OverloadedCrowdSeesDefinitiveRejections) {
   storm.start();
   storm.run_for(1200 * kMillisecond);
 
-  const real::StormWindow& window = storm.window();
-  EXPECT_GT(window.replies, 0u);
+  const harness::RunMetrics& metrics = storm.metrics();
+  EXPECT_GT(metrics.replies, 0u);
   // 48 closed-loop clients against r_max = 8 must overflow the active
   // window; every overflow is a definitive rejection (n distinct REJECTs)
   // with a measured notification latency.
-  EXPECT_GT(window.rejects, 0u);
-  EXPECT_GT(window.reject_latency.count(), 0u);
-  EXPECT_GT(window.reject_latency.p999(), 0);
+  EXPECT_GT(metrics.rejects, 0u);
+  EXPECT_GT(metrics.reject_latency.count(), 0u);
+  EXPECT_GT(metrics.reject_latency.p999(), 0);
   cluster.shutdown();
 }
 
@@ -136,7 +137,7 @@ TEST(StormTest, LeaderCrashStampedeReconnectsAndRecovers) {
   cluster.start();
 
   real::StormOptions options = storm_options(cluster, 24, 25);
-  options.issue_rate = 4.0;
+  options.load.open_loop_rate = 4.0;
   real::StormEngine storm(options);
   storm.start();
   storm.run_for(700 * kMillisecond);
@@ -154,7 +155,7 @@ TEST(StormTest, LeaderCrashStampedeReconnectsAndRecovers) {
   EXPECT_GE(window.connects, 24u);
   storm.reset_window();
   storm.run_for(1500 * kMillisecond);
-  EXPECT_GT(storm.window().replies, 0u);  // view change completed
+  EXPECT_GT(storm.metrics().replies, 0u);  // view change completed
   // Two survivors reachable, the crashed leader's conn stays dark.
   EXPECT_GE(storm.gauges().open_connections, 24u * 2);
   cluster.shutdown();
@@ -195,10 +196,13 @@ TEST(StormTest, ReconnectChurnCyclesConnections) {
   storm.start();
   storm.run_for(1200 * kMillisecond);
 
-  // 6 sessions x 3 replicas = 18 initial connections; churn every 2 ops
-  // must have cycled well past that.
-  EXPECT_GT(storm.window().connects, 36u);
-  EXPECT_GT(storm.window().replies, 0u);
+  // 6 sessions x 3 replicas = 18 connections per cycle; churn every 2 ops
+  // must cycle each session at least 10 times. A request sent while its
+  // session waits to reconnect goes out on the new connections; waiting
+  // out a 500 ms retransmission after every reconnect instead would make
+  // about 54 connects in this span.
+  EXPECT_GT(storm.window().connects, 180u);
+  EXPECT_GT(storm.metrics().replies, 0u);
   cluster.shutdown();
 }
 
@@ -208,7 +212,7 @@ TEST(StormTest, ForcedReconnectAllTurnsThePopulationOver) {
   cluster.start();
 
   real::StormOptions options = storm_options(cluster, 16, 28);
-  options.issue_rate = 1.0;
+  options.load.open_loop_rate = 1.0;
   real::StormEngine storm(options);
   storm.start();
   storm.run_for(500 * kMillisecond);
@@ -219,6 +223,33 @@ TEST(StormTest, ForcedReconnectAllTurnsThePopulationOver) {
   storm.run_for(600 * kMillisecond);
   EXPECT_GE(storm.window().connects, before + 16u * 3);
   EXPECT_EQ(storm.gauges().open_connections, 16u * 3);
+  cluster.shutdown();
+}
+
+TEST(StormTest, OpenLoopArrivalsSurviveAReconnect) {
+  real::RealClusterConfig config = small_cluster(28);
+  real::RealCluster cluster(config);
+  cluster.start();
+
+  constexpr std::size_t kSessions = 16;
+  constexpr double kRate = 50;
+  real::StormOptions options = storm_options(cluster, kSessions, 28);
+  options.load.open_loop_rate = kRate;
+  options.reconnect_delay_min = 400 * kMillisecond;
+  options.reconnect_delay_max = 400 * kMillisecond;
+  real::StormEngine storm(options);
+  storm.start();
+  storm.run_for(300 * kMillisecond);
+
+  // Arrivals keep coming due while every session waits 400 ms to
+  // reconnect. They queue per session and go out once the connections
+  // are back, so the offered load is the configured one.
+  storm.reset_window();
+  storm.reconnect_all();
+  storm.run_for(kSecond);
+  const double due = kSessions * kRate;
+  EXPECT_GE(static_cast<double>(storm.metrics().issued), 0.8 * due);
+  EXPECT_GT(storm.metrics().replies, 0u);
   cluster.shutdown();
 }
 

@@ -48,11 +48,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
-#include "json_util.hpp"
+#include "common/json.hpp"
 
-using idem::tooljson::JsonValue;
+using idem::json::Type;
+using idem::json::Value;
 
 namespace {
 
@@ -114,12 +116,12 @@ struct Report {
 };
 
 /// Maximum over every numeric leaf named `key`, at any depth.
-double max_leaf(const JsonValue& value, const char* key, bool& found) {
+double max_leaf(const Value& value, const char* key, bool& found) {
   double best = 0;
-  if (value.kind == JsonValue::Kind::Object) {
-    for (const auto& [k, v] : value.object) {
-      if (k == key && v.kind == JsonValue::Kind::Number) {
-        if (!found || v.number > best) best = v.number;
+  if (value.type() == Type::ObjectT) {
+    for (const auto& [k, v] : value.as_object()) {
+      if (k == key && v.type() == Type::Number) {
+        if (!found || v.as_double() > best) best = v.as_double();
         found = true;
       } else {
         bool sub_found = false;
@@ -128,8 +130,8 @@ double max_leaf(const JsonValue& value, const char* key, bool& found) {
         found = found || sub_found;
       }
     }
-  } else if (value.kind == JsonValue::Kind::Array) {
-    for (const JsonValue& entry : value.array) {
+  } else if (value.type() == Type::ArrayT) {
+    for (const Value& entry : value.as_array()) {
       bool sub_found = false;
       double sub = max_leaf(entry, key, sub_found);
       if (sub_found && (!found || sub > best)) best = sub;
@@ -139,44 +141,43 @@ double max_leaf(const JsonValue& value, const char* key, bool& found) {
   return best;
 }
 
-std::string point_key(const JsonValue& entry) {
-  if (entry.kind != JsonValue::Kind::Object) return {};
-  const JsonValue* clients = entry.find("clients");
-  if (clients == nullptr || clients->kind != JsonValue::Kind::Number) return {};
-  return "clients=" + std::to_string(static_cast<long long>(clients->number));
+std::string point_key(const Value& entry) {
+  const Value* clients = entry.find("clients");
+  if (clients == nullptr || clients->type() != Type::Number) return {};
+  return "clients=" + std::to_string(clients->as_int());
 }
 
-void walk(const std::string& path, const std::string& key, const JsonValue& base,
-          const JsonValue* fresh, Report& report) {
-  if (base.kind == JsonValue::Kind::Number) {
-    if (fresh == nullptr || fresh->kind != JsonValue::Kind::Number) {
+void walk(const std::string& path, const std::string& key, const Value& base,
+          const Value* fresh, Report& report) {
+  if (base.type() == Type::Number) {
+    if (fresh == nullptr || fresh->type() != Type::Number) {
       report.absent(path, key);
     } else {
-      report.leaf(path, key, base.number, fresh->number);
+      report.leaf(path, key, base.as_double(), fresh->as_double());
     }
     return;
   }
-  if (base.kind == JsonValue::Kind::Object) {
-    for (const auto& [k, v] : base.object) {
-      const JsonValue* twin =
-          (fresh != nullptr && fresh->kind == JsonValue::Kind::Object) ? fresh->find(k.c_str())
-                                                                       : nullptr;
-      walk(path.empty() ? k : path + "." + k, k, v, twin, report);
+  if (base.type() == Type::ObjectT) {
+    for (const auto& [k, v] : base.as_object()) {
+      walk(path.empty() ? k : path + "." + k, k, v, fresh != nullptr ? fresh->find(k) : nullptr,
+           report);
     }
     return;
   }
-  if (base.kind == JsonValue::Kind::Array) {
-    for (std::size_t i = 0; i < base.array.size(); ++i) {
-      const JsonValue& entry = base.array[i];
-      const JsonValue* twin = nullptr;
+  if (base.type() == Type::ArrayT) {
+    const idem::json::Array& entries = base.as_array();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const Value& entry = entries[i];
+      const Value* twin = nullptr;
       std::string label = point_key(entry);
-      if (fresh != nullptr && fresh->kind == JsonValue::Kind::Array) {
+      if (fresh != nullptr && fresh->type() == Type::ArrayT) {
+        const idem::json::Array& candidates = fresh->as_array();
         if (!label.empty()) {
-          for (const JsonValue& candidate : fresh->array) {
+          for (const Value& candidate : candidates) {
             if (point_key(candidate) == label) { twin = &candidate; break; }
           }
-        } else if (i < fresh->array.size()) {
-          twin = &fresh->array[i];
+        } else if (i < candidates.size()) {
+          twin = &candidates[i];
           label = "[" + std::to_string(i) + "]";
         }
       }
@@ -229,21 +230,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  JsonValue baseline, fresh;
-  std::string error;
-  if (!idem::tooljson::parse_file(baseline_path, baseline, error)) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv[0], baseline_path, error.c_str());
-    return 2;
-  }
-  if (!idem::tooljson::parse_file(fresh_path, fresh, error)) {
-    std::fprintf(stderr, "%s: %s: %s\n", argv[0], fresh_path, error.c_str());
-    return 2;
-  }
+  auto load = [argv](const char* path) -> std::optional<Value> {
+    try {
+      std::optional<Value> document = Value::parse_file(path);
+      if (!document.has_value()) std::fprintf(stderr, "%s: %s: cannot open file\n", argv[0], path);
+      return document;
+    } catch (const idem::json::ParseError& e) {
+      std::fprintf(stderr, "%s: %s: parse error: %s\n", argv[0], path, e.what());
+      return std::nullopt;
+    }
+  };
+  const std::optional<Value> baseline = load(baseline_path);
+  if (!baseline.has_value()) return 2;
+  const std::optional<Value> fresh = load(fresh_path);
+  if (!fresh.has_value()) return 2;
 
   if (peak_key != nullptr) {
     bool base_found = false, fresh_found = false;
-    double base_peak = max_leaf(baseline, peak_key, base_found);
-    double fresh_peak = max_leaf(fresh, peak_key, fresh_found);
+    double base_peak = max_leaf(*baseline, peak_key, base_found);
+    double fresh_peak = max_leaf(*fresh, peak_key, fresh_found);
     if (!base_found || !fresh_found) {
       std::fprintf(stderr, "%s: no numeric leaf named \"%s\" in %s\n", argv[0], peak_key,
                    base_found ? fresh_path : baseline_path);
@@ -262,7 +267,7 @@ int main(int argc, char** argv) {
               label != nullptr ? label : "", baseline_path, fresh_path, tolerance * 100.0);
   Report report;
   report.tolerance = tolerance;
-  walk("", "", baseline, &fresh, report);
+  walk("", "", *baseline, &*fresh, report);
 
   if (report.failed > 0 || report.missing > 0) {
     std::printf("REGRESSION: %zu of %zu gated metrics beyond -%.0f%%, %zu missing\n",

@@ -87,7 +87,7 @@ if [[ "${FAST}" -eq 0 ]]; then
 
   echo "== sanitizers: TSan ctest =="
   (cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
-      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Discipline')
+      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Discipline')
 fi
 
 # Time-boxed storm smoke: ~1k connections ramped up (334 sessions x 3
@@ -104,6 +104,7 @@ IDEM_STORM_SCENARIOS=ramp,stampede IDEM_STORM_SESSIONS=334 \
 echo "== real mode: CLI smoke =="
 ./build/tools/idem_server --help >/dev/null
 ./build/tools/idem_client --help >/dev/null
+./build/tools/storm_client --help 2>/dev/null
 # A tight reject threshold (--rt 8) against 24 closed-loop clients keeps the
 # leader's runtime queue saturated, so the mid-run /metrics scrape below must
 # see proactive rejections with the rt-queue-full reason.
@@ -115,7 +116,7 @@ for i in 0 1 2; do
     [[ "${i}" -ne "${j}" ]] && PEERS+=(--peer "${j}=:$(( SMOKE_BASE + j ))")
   done
   ./build/tools/idem_server --replica-id "${i}" --listen ":$(( SMOKE_BASE + i ))" \
-      "${PEERS[@]}" --rt 8 --admin-port "$(( ADMIN_BASE + i ))" --seconds 6 >/dev/null &
+      "${PEERS[@]}" --rt 8 --admin-port "$(( ADMIN_BASE + i ))" --seconds 9 >/dev/null &
 done
 sleep 0.5
 ./build/tools/idem_client --replica ":${SMOKE_BASE}" --replica ":$(( SMOKE_BASE + 1 ))" \
@@ -137,6 +138,16 @@ echo "live scrape OK: ${SMOKE_REJECTS} rt-queue-full rejects visible mid-run"
 curl -sf "http://127.0.0.1:${ADMIN_BASE}/stats" | grep -q '"requests_received"' || {
   echo "live scrape FAILED: /stats JSON missing" >&2; exit 1; }
 wait "${SMOKE_CLIENT}"
+
+# Storm sessions against the same standalone servers: open-loop sessions
+# on storm_client's own connections, all torn down and re-dialed after
+# the first second. Fresh client ids, so the replicas' duplicate
+# suppression does not mistake them for earlier clients.
+echo "== real mode: storm_client smoke (open loop, stampede) =="
+./build/tools/storm_client --replica ":${SMOKE_BASE}" --replica ":$(( SMOKE_BASE + 1 ))" \
+    --replica ":$(( SMOKE_BASE + 2 ))" --sessions 32 --rate 20 --seconds 2 \
+    --stampede-after 1 --client-id-base 100000 >/dev/null || {
+  echo "storm_client smoke FAILED: no replies" >&2; exit 1; }
 wait
 
 # Deadline smoke: the same 3-replica deployment with EDF scheduling and

@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
     hosted.groups.emplace_back(options.replicas.begin() + g * n,
                                options.replicas.begin() + (g + 1) * n);
   }
-  hosted.client.f = options.f != 0 ? options.f : (n - 1) / 2;
+  hosted.client.f = options.f;
   if (options.shards > 0) {
     hosted.map = shard::ShardMap::uniform(options.shards);
     if (!options.map_file.empty()) {

@@ -94,19 +94,19 @@ std::optional<Options> parse_args(int argc, char** argv) {
       options.ramp_seconds = std::atof(v);
     } else if (!std::strcmp(arg, "--rate")) {
       if ((v = value()) == nullptr) return std::nullopt;
-      options.storm.issue_rate = std::atof(v);
+      options.storm.load.open_loop_rate = std::atof(v);
     } else if (!std::strcmp(arg, "--seed")) {
       if ((v = value()) == nullptr) return std::nullopt;
       options.storm.seed = std::strtoull(v, nullptr, 10);
     } else if (!std::strcmp(arg, "--f")) {
       if ((v = value()) == nullptr) return std::nullopt;
-      options.storm.f = std::strtoul(v, nullptr, 10);
+      options.storm.client.f = std::strtoul(v, nullptr, 10);
     } else if (!std::strcmp(arg, "--records")) {
       if ((v = value()) == nullptr) return std::nullopt;
-      options.storm.workload.record_count = std::strtoull(v, nullptr, 10);
+      options.storm.load.workload.record_count = std::strtoull(v, nullptr, 10);
     } else if (!std::strcmp(arg, "--value-size")) {
       if ((v = value()) == nullptr) return std::nullopt;
-      options.storm.workload.value_size = std::strtoul(v, nullptr, 10);
+      options.storm.load.workload.value_size = std::strtoul(v, nullptr, 10);
     } else if (!std::strcmp(arg, "--reconnect-every")) {
       if ((v = value()) == nullptr) return std::nullopt;
       options.storm.reconnect_every_ops = std::strtoul(v, nullptr, 10);
@@ -165,16 +165,16 @@ int main(int argc, char** argv) {
   for (int t = 0; t < ticks; ++t) {
     storm.reset_window();
     storm.run_for(kSecond);
-    const real::StormWindow& w = storm.window();
+    const harness::RunMetrics& m = storm.metrics();
     real::StormGauges g = storm.gauges();
-    total_replies += w.replies;
-    total_rejects += w.rejects;
-    total_timeouts += w.timeouts;
+    total_replies += m.replies;
+    total_rejects += m.rejects;
+    total_timeouts += m.timeouts;
     std::printf("%8d %8zu %8zu %10llu %10llu %10llu %12.3f\n", t + 1, g.sessions,
-                g.open_connections, static_cast<unsigned long long>(w.replies),
-                static_cast<unsigned long long>(w.rejects),
-                static_cast<unsigned long long>(w.timeouts),
-                w.rejects > 0 ? to_ms(w.reject_latency.p999()) : 0.0);
+                g.open_connections, static_cast<unsigned long long>(m.replies),
+                static_cast<unsigned long long>(m.rejects),
+                static_cast<unsigned long long>(m.timeouts),
+                m.rejects > 0 ? to_ms(m.reject_latency.p999()) : 0.0);
     std::fflush(stdout);
     if (options.flash_sessions > 0 && !flashed && t + 1 >= options.flash_after) {
       std::printf("-- flash crowd: %zu -> %zu sessions --\n", g.sessions,

@@ -5,8 +5,7 @@
 //   trace-check --metrics metrics.jsonl
 //
 // Trace checks, in order:
-//   1. the file is well-formed JSON (tools/json_util.hpp recursive-descent
-//      parser; no external dependency),
+//   1. the file is well-formed JSON (common/json.hpp),
 //   2. the root object has a "traceEvents" array whose entries carry the
 //      fields Perfetto needs (ph/pid/tid/ts, plus cat/id/name for async
 //      events),
@@ -27,38 +26,40 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
-#include "json_util.hpp"
+#include "common/json.hpp"
+#include "common/reject_reason.hpp"
 
 namespace {
 
-using idem::tooljson::JsonValue;
-
-// Mirrors common/reject_reason.hpp to_label(); kept literal so the checker
-// stays dependency-free (a new reason must be added in both places).
-constexpr const char* kReasonLabels[] = {
-    "none",           "rt-queue-full",   "rejected-cache-hit",
-    "backpressure-shed", "oversized-frame", "view-change-in-progress",
-};
+using idem::json::Type;
+using idem::json::Value;
 
 bool known_reason(const std::string& label) {
-  for (const char* known : kReasonLabels) {
-    if (label == known) return true;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(idem::RejectReason::Count); ++r) {
+    if (label == idem::to_label(static_cast<idem::RejectReason>(r))) return true;
   }
   return false;
+}
+
+/// `object[key]` when it is present and of type `type`, else nullptr.
+const Value* member(const Value& object, const char* key, Type type) {
+  const Value* value = object.find(key);
+  return value != nullptr && value->type() == type ? value : nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // Trace-level validation.
 
-int validate(const JsonValue& root, std::size_t min_requests) {
-  if (root.kind != JsonValue::Kind::Object) {
+int validate(const Value& root, std::size_t min_requests) {
+  if (root.type() != Type::ObjectT) {
     std::fprintf(stderr, "FAIL: root is not an object\n");
     return 1;
   }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::Array) {
+  const Value* events = member(root, "traceEvents", Type::ArrayT);
+  if (events == nullptr) {
     std::fprintf(stderr, "FAIL: missing \"traceEvents\" array\n");
     return 1;
   }
@@ -69,47 +70,40 @@ int validate(const JsonValue& root, std::size_t min_requests) {
   std::size_t begins = 0, ends = 0, instants = 0, metadata = 0, requests = 0;
   double last_ts = -1;
 
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& ev = events->array[i];
+  const idem::json::Array& array = events->as_array();
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    const Value& ev = array[i];
     auto complain = [&](const char* what) {
       std::fprintf(stderr, "FAIL: traceEvents[%zu]: %s\n", i, what);
       return 1;
     };
-    if (ev.kind != JsonValue::Kind::Object) return complain("not an object");
-    const JsonValue* ph = ev.find("ph");
-    if (ph == nullptr || ph->kind != JsonValue::Kind::String || ph->string.size() != 1) {
-      return complain("missing \"ph\"");
-    }
-    char phase = ph->string[0];
+    if (ev.type() != Type::ObjectT) return complain("not an object");
+    const Value* ph = member(ev, "ph", Type::String);
+    if (ph == nullptr || ph->as_string().size() != 1) return complain("missing \"ph\"");
+    char phase = ph->as_string()[0];
     if (phase == 'M') { ++metadata; continue; }
     if (phase != 'b' && phase != 'e' && phase != 'n') return complain("unexpected phase");
 
-    const JsonValue* cat = ev.find("cat");
-    const JsonValue* id = ev.find("id");
-    const JsonValue* name = ev.find("name");
-    const JsonValue* ts = ev.find("ts");
-    const JsonValue* pid = ev.find("pid");
-    const JsonValue* tid = ev.find("tid");
-    if (cat == nullptr || cat->kind != JsonValue::Kind::String) return complain("missing \"cat\"");
-    if (id == nullptr || id->kind != JsonValue::Kind::String) return complain("missing \"id\"");
-    if (name == nullptr || name->kind != JsonValue::Kind::String) {
-      return complain("missing \"name\"");
-    }
-    if (ts == nullptr || ts->kind != JsonValue::Kind::Number || ts->number < 0) {
-      return complain("missing or negative \"ts\"");
-    }
-    if (pid == nullptr || pid->kind != JsonValue::Kind::Number ||
-        tid == nullptr || tid->kind != JsonValue::Kind::Number) {
+    const Value* cat = member(ev, "cat", Type::String);
+    const Value* id = member(ev, "id", Type::String);
+    const Value* name = member(ev, "name", Type::String);
+    const Value* ts = member(ev, "ts", Type::Number);
+    if (cat == nullptr) return complain("missing \"cat\"");
+    if (id == nullptr) return complain("missing \"id\"");
+    if (name == nullptr) return complain("missing \"name\"");
+    if (ts == nullptr || ts->as_double() < 0) return complain("missing or negative \"ts\"");
+    if (member(ev, "pid", Type::Number) == nullptr || member(ev, "tid", Type::Number) == nullptr) {
       return complain("missing \"pid\"/\"tid\"");
     }
-    if (ts->number > last_ts) last_ts = ts->number;
+    last_ts = std::max(last_ts, ts->as_double());
 
-    std::string key = cat->string + '\x1f' + id->string;
+    const std::string& label = name->as_string();
+    std::string key = cat->as_string() + '\x1f' + id->as_string();
     if (phase == 'b') {
       ++begins;
       if (++open[key] > 1) return complain("duplicate begin for an open async id");
-      ++span_names[name->string];
-      if (name->string == "request") ++requests;
+      ++span_names[label];
+      if (label == "request") ++requests;
     } else if (phase == 'e') {
       ++ends;
       auto it = open.find(key);
@@ -117,18 +111,15 @@ int validate(const JsonValue& root, std::size_t min_requests) {
       --it->second;
     } else {
       ++instants;
-      if (name->string == "rejected" || name->string == "reject_seen") {
-        const JsonValue* args = ev.find("args");
-        const JsonValue* reason =
-            args != nullptr && args->kind == JsonValue::Kind::Object ? args->find("reason")
-                                                                     : nullptr;
-        if (reason == nullptr || reason->kind != JsonValue::Kind::String ||
-            !known_reason(reason->string)) {
+      if (label == "rejected" || label == "reject_seen") {
+        const Value* args = member(ev, "args", Type::ObjectT);
+        const Value* reason = args != nullptr ? member(*args, "reason", Type::String) : nullptr;
+        if (reason == nullptr || !known_reason(reason->as_string())) {
           return complain("rejection instant without a taxonomy reason");
         }
         // A replica recording its own verdict always knows why; only a
         // client facing a reason-less (legacy) REJECT may see "none".
-        if (name->string == "rejected" && reason->string == "none") {
+        if (label == "rejected" && reason->as_string() == "none") {
           return complain("\"rejected\" verdict with reason \"none\"");
         }
       }
@@ -154,7 +145,7 @@ int validate(const JsonValue& root, std::size_t min_requests) {
   }
 
   std::printf("OK: %zu events (%zu spans, %zu instants, %zu metadata), last ts %.3f us\n",
-              events->array.size(), begins, instants, metadata, last_ts);
+              array.size(), begins, instants, metadata, last_ts);
   for (const auto& [name, count] : span_names) {
     std::printf("  %-12s %zu\n", name.c_str(), count);
   }
@@ -182,27 +173,28 @@ int validate_metrics(const char* path) {
     }
     ++lineno;
     if (!line.empty()) {
-      idem::tooljson::Parser parser(line.data(), line.size());
-      JsonValue row;
       auto complain = [&](const char* what) {
         std::fprintf(stderr, "FAIL: %s:%zu: %s\n", path, lineno, what);
         std::fclose(f);
         return 1;
       };
-      if (!parser.parse(row)) return complain(parser.error().c_str());
-      if (row.kind != JsonValue::Kind::Object) return complain("line is not a JSON object");
-      const JsonValue* t = row.find("t_ms");
-      if (t == nullptr || t->kind != JsonValue::Kind::Number) {
-        return complain("missing numeric \"t_ms\"");
+      Value row;
+      try {
+        row = Value::parse(line);
+      } catch (const idem::json::ParseError& e) {
+        return complain(e.what());
       }
-      if (t->number < last_t) return complain("\"t_ms\" went backwards");
-      last_t = t->number;
-      for (const auto& [key, value] : row.object) {
-        if (value.kind != JsonValue::Kind::Number && value.kind != JsonValue::Kind::Null) {
+      if (row.type() != Type::ObjectT) return complain("line is not a JSON object");
+      const Value* t = member(row, "t_ms", Type::Number);
+      if (t == nullptr) return complain("missing numeric \"t_ms\"");
+      if (t->as_double() < last_t) return complain("\"t_ms\" went backwards");
+      last_t = t->as_double();
+      for (const auto& [key, value] : row.as_object()) {
+        if (value.type() != Type::Number && !value.is_null()) {
           return complain("non-numeric series value");
         }
       }
-      columns = std::max(columns, row.object.size() - 1);
+      columns = std::max(columns, row.as_object().size() - 1);
       ++rows;
       line.clear();
     }
@@ -247,15 +239,16 @@ int main(int argc, char** argv) {
   }
   if (metrics) return validate_metrics(path);
 
-  JsonValue root;
-  std::string error;
-  if (!idem::tooljson::parse_file(path, root, error)) {
-    if (error == "cannot open file") {
-      std::fprintf(stderr, "cannot open %s\n", path);
-      return 2;
-    }
-    std::fprintf(stderr, "FAIL: JSON %s\n", error.c_str());
+  std::optional<Value> root;
+  try {
+    root = Value::parse_file(path);
+  } catch (const idem::json::ParseError& e) {
+    std::fprintf(stderr, "FAIL: JSON parse error: %s\n", e.what());
     return 1;
   }
-  return validate(root, min_requests);
+  if (!root.has_value()) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return 2;
+  }
+  return validate(*root, min_requests);
 }

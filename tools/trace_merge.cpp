@@ -17,32 +17,34 @@
 //
 // Usage: trace_merge -o merged.json server0.json server1.json ... client.json
 //
+// Object keys come out in sorted order (common/json's canonical form).
+//
 // Exit status: 0 on success, 1 on malformed input, 2 on usage errors.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "json_util.hpp"
+#include "common/json.hpp"
 
-using idem::tooljson::JsonValue;
+using idem::json::Type;
+using idem::json::Value;
 
 namespace {
-
-JsonValue* find_mutable(JsonValue& object, const char* key) {
-  for (auto& [k, v] : object.object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
 
 struct Input {
   std::string path;
   std::string label;
   long long anchor_ns = 0;  ///< 0 = no anchor (sim export): left unshifted
-  JsonValue document;
+  Value document;
 };
+
+double ts_of(const Value& event) {
+  const Value* ts = event.find("ts");
+  return ts != nullptr && ts->type() == Type::Number ? ts->as_double() : 0;
+}
 
 }  // namespace
 
@@ -69,26 +71,31 @@ int main(int argc, char** argv) {
   for (const char* path : in_paths) {
     Input input;
     input.path = path;
-    std::string error;
-    if (!idem::tooljson::parse_file(path, input.document, error)) {
-      std::fprintf(stderr, "trace_merge: %s: %s\n", path, error.c_str());
+    try {
+      std::optional<Value> document = Value::parse_file(path);
+      if (!document.has_value()) {
+        std::fprintf(stderr, "trace_merge: %s: cannot open file\n", path);
+        return 1;
+      }
+      input.document = std::move(*document);
+    } catch (const idem::json::ParseError& e) {
+      std::fprintf(stderr, "trace_merge: %s: parse error: %s\n", path, e.what());
       return 1;
     }
-    if (input.document.kind != JsonValue::Kind::Object ||
-        input.document.find("traceEvents") == nullptr) {
+    const Value* trace_events = input.document.find("traceEvents");
+    if (trace_events == nullptr || trace_events->type() != Type::ArrayT) {
       std::fprintf(stderr, "trace_merge: %s: not a Chrome trace document\n", path);
       return 1;
     }
     input.label = path;
-    if (const JsonValue* other = input.document.find("otherData");
-        other != nullptr && other->kind == JsonValue::Kind::Object) {
-      if (const JsonValue* process = other->find("process");
-          process != nullptr && process->kind == JsonValue::Kind::String) {
-        input.label = process->string;
+    if (const Value* other = input.document.find("otherData")) {
+      if (const Value* process = other->find("process");
+          process != nullptr && process->type() == Type::String) {
+        input.label = process->as_string();
       }
-      if (const JsonValue* anchor = other->find("realtime_anchor_ns");
-          anchor != nullptr && anchor->kind == JsonValue::Kind::Number) {
-        input.anchor_ns = static_cast<long long>(anchor->number);
+      if (const Value* anchor = other->find("realtime_anchor_ns");
+          anchor != nullptr && anchor->type() == Type::Number) {
+        input.anchor_ns = static_cast<long long>(anchor->as_double());
       }
     }
     if (input.anchor_ns == 0) {
@@ -103,68 +110,53 @@ int main(int argc, char** argv) {
   }
 
   // Collect all events, shifting each document onto the merged origin.
-  std::vector<JsonValue> metadata;  ///< ph "M" events lead the output
-  std::vector<JsonValue> events;
+  idem::json::Array metadata;  ///< ph "M" events lead the output
+  idem::json::Array events;
   for (Input& input : inputs) {
     double shift_us =
         input.anchor_ns == 0 ? 0.0
                              : static_cast<double>(input.anchor_ns - base_anchor) / 1000.0;
-    JsonValue* trace_events = find_mutable(input.document, "traceEvents");
-    for (JsonValue& ev : trace_events->array) {
-      if (ev.kind != JsonValue::Kind::Object) continue;
-      const JsonValue* ph = ev.find("ph");
-      bool is_meta = ph != nullptr && ph->string == "M";
-      if (is_meta) {
+    for (Value& ev : input.document.find("traceEvents")->as_array()) {
+      if (ev.type() != Type::ObjectT) continue;
+      const Value* ph = ev.find("ph");
+      if (ph != nullptr && ph->type() == Type::String && ph->as_string() == "M") {
         // Prefix the track name with the source process so identical node
         // labels from different processes stay tellable apart.
-        if (JsonValue* args = find_mutable(ev, "args")) {
-          if (JsonValue* name = find_mutable(*args, "name")) {
-            name->string = input.label + ": " + name->string;
+        if (Value* args = ev.find("args")) {
+          if (Value* name = args->find("name"); name != nullptr && name->type() == Type::String) {
+            *name = Value(input.label + ": " + name->as_string());
           }
         }
         metadata.push_back(std::move(ev));
         continue;
       }
-      if (JsonValue* ts = find_mutable(ev, "ts")) ts->number += shift_us;
+      if (Value* ts = ev.find("ts"); ts != nullptr && ts->type() == Type::Number) {
+        *ts = Value(ts->as_double() + shift_us);
+      }
       events.push_back(std::move(ev));
     }
   }
-  std::stable_sort(events.begin(), events.end(), [](const JsonValue& a, const JsonValue& b) {
-    const JsonValue* ta = a.find("ts");
-    const JsonValue* tb = b.find("ts");
-    return (ta != nullptr ? ta->number : 0) < (tb != nullptr ? tb->number : 0);
-  });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Value& a, const Value& b) { return ts_of(a) < ts_of(b); });
 
-  JsonValue merged;
-  merged.kind = JsonValue::Kind::Object;
-  JsonValue unit;
-  unit.kind = JsonValue::Kind::String;
-  unit.string = "ms";
-  merged.object.emplace_back("displayTimeUnit", std::move(unit));
-  JsonValue all;
-  all.kind = JsonValue::Kind::Array;
-  all.array = std::move(metadata);
-  for (JsonValue& ev : events) all.array.push_back(std::move(ev));
-  std::size_t total = all.array.size();
-  merged.object.emplace_back("traceEvents", std::move(all));
-  JsonValue other;
-  other.kind = JsonValue::Kind::Object;
-  JsonValue n_inputs;
-  n_inputs.kind = JsonValue::Kind::Number;
-  n_inputs.number = static_cast<double>(inputs.size());
-  other.object.emplace_back("merged_from", std::move(n_inputs));
-  JsonValue base;
-  base.kind = JsonValue::Kind::Number;
-  base.number = static_cast<double>(base_anchor);
-  other.object.emplace_back("base_anchor_ns", std::move(base));
-  merged.object.emplace_back("otherData", std::move(other));
+  idem::json::Array all = std::move(metadata);
+  for (Value& ev : events) all.push_back(std::move(ev));
+  const std::size_t total = all.size();
+  idem::json::Object merged;
+  merged["displayTimeUnit"] = Value("ms");
+  merged["traceEvents"] = Value(std::move(all));
+  merged["otherData"] = Value(idem::json::Object{
+      {"merged_from", Value(static_cast<std::uint64_t>(inputs.size()))},
+      {"base_anchor_ns", Value(static_cast<std::int64_t>(base_anchor))},
+  });
 
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "trace_merge: cannot write %s\n", out_path);
     return 1;
   }
-  idem::tooljson::write_json(out, merged);
+  const std::string text = Value(std::move(merged)).dump();
+  std::fwrite(text.data(), 1, text.size(), out);
   std::fputc('\n', out);
   std::fclose(out);
   std::printf("trace_merge: %zu inputs, %zu events -> %s\n", inputs.size(), total, out_path);
