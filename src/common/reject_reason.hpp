@@ -3,9 +3,10 @@
 // Turns "requests are being rejected" into "requests are being rejected
 // *because*": every REJECT (and every transport-level shed that never
 // reaches the protocol) is classified into one of these reasons. The
-// codes ride in trace-event args, in per-reason live-metrics counters,
-// and — in real mode only — on the REJECT wire message, so a client can
-// distinguish a loaded replica from a stalled one.
+// codes ride in trace-event args, in the per-reason reject counters of
+// the metrics registry, and on every REJECT wire message, in sim and real
+// mode alike, so a client can distinguish a loaded replica from a stalled
+// one.
 //
 // Values are stable: they appear in exported traces, in /metrics label
 // values, and on the wire. Append new reasons before Count.
@@ -16,7 +17,7 @@
 namespace idem {
 
 enum class RejectReason : std::uint8_t {
-  None = 0,                ///< not a rejection / reason unknown (sim-mode wire)
+  None = 0,                ///< not a rejection / reason unknown
   RtQueueFull = 1,         ///< acceptance test refused: r_now at/above threshold
   RejectedCacheHit = 2,    ///< retransmission of a request already in the rejected cache
   BackpressureShed = 3,    ///< transport dropped the frame: pending-write queue full
@@ -69,8 +70,7 @@ constexpr RejectReason reject_reason_from(std::uint64_t raw) {
 // exactly; rejects pack the reason into bits 8+ (so the legacy "0 means
 // reject" test becomes "bit 0 clear").
 // RejectSeen: the rejecting replica id stays in the low 32 bits (legacy
-// value), the reason — known to the client only when it arrived on the
-// wire, i.e. real mode — sits in bits 32+.
+// value), the reason the REJECT carried on the wire sits in bits 32+.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t pack_accept_verdict(bool accepted, RejectReason reason) {

@@ -6,6 +6,11 @@
 
 namespace idem::harness {
 
+namespace {
+/// Sample rows reserved up front so steady-state sampling never allocates.
+constexpr std::size_t kMetricsReserveRows = 4096;
+}  // namespace
+
 const char* protocol_name(Protocol protocol) {
   switch (protocol) {
     case Protocol::Idem: return "IDEM";
@@ -173,66 +178,48 @@ Cluster::~Cluster() = default;
 
 void Cluster::register_metrics() {
   obs::MetricsRegistry& reg = *metrics_;
-  reg.add_gauge("net.dropped",
-                [this] { return static_cast<double>(net_->dropped_messages()); });
-  reg.add_gauge("net.client_bytes",
-                [this] { return static_cast<double>(net_->client_traffic().bytes); });
-  reg.add_gauge("net.replica_bytes",
-                [this] { return static_cast<double>(net_->replica_traffic().bytes); });
+  reg.add_counter("net.dropped", [this] { return static_cast<double>(net_->dropped_messages()); });
+  reg.add_counter("net.client_bytes",
+                  [this] { return static_cast<double>(net_->client_traffic().bytes); });
+  reg.add_counter("net.replica_bytes",
+                  [this] { return static_cast<double>(net_->replica_traffic().bytes); });
 
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     const std::string p = "r" + std::to_string(i);
     sim::Node* node = replicas_[i].get();
-    reg.add_gauge(p + ".queue",
-                  [node] { return static_cast<double>(node->queue_length()); });
-    reg.add_gauge(p + ".tx_bytes", [this, node] {
+    reg.add_gauge(p + ".queue", [node] { return static_cast<double>(node->queue_length()); });
+    reg.add_counter(p + ".tx_bytes", [this, node] {
       const sim::TrafficStats* t = net_->node_traffic(node->id());
       return t != nullptr ? static_cast<double>(t->bytes) : 0.0;
     });
-    reg.add_gauge(p + ".tx_msgs", [this, node] {
+    reg.add_counter(p + ".tx_msgs", [this, node] {
       const sim::TrafficStats* t = net_->node_traffic(node->id());
       return t != nullptr ? static_cast<double>(t->messages) : 0.0;
     });
 
     if (auto* r = dynamic_cast<core::IdemReplica*>(node)) {
-      reg.add_gauge(p + ".inflight",
-                    [r] { return static_cast<double>(r->active_requests()); });
-      reg.add_gauge(p + ".accepted",
-                    [r] { return static_cast<double>(r->stats().accepted); });
-      reg.add_gauge(p + ".rejected",
-                    [r] { return static_cast<double>(r->stats().rejected); });
-      reg.add_gauge(p + ".executed",
-                    [r] { return static_cast<double>(r->stats().executed); });
-      reg.add_gauge(p + ".view_changes",
-                    [r] { return static_cast<double>(r->stats().view_changes); });
+      r->register_metrics(reg, p + ".");
     } else if (auto* px = dynamic_cast<paxos::PaxosReplica*>(node)) {
-      reg.add_gauge(p + ".inflight",
-                    [px] { return static_cast<double>(px->backlog()); });
-      reg.add_gauge(p + ".accepted",
-                    [px] { return static_cast<double>(px->stats().accepted); });
-      reg.add_gauge(p + ".rejected",
-                    [px] { return static_cast<double>(px->stats().rejected); });
-      reg.add_gauge(p + ".executed",
-                    [px] { return static_cast<double>(px->stats().executed); });
-      reg.add_gauge(p + ".view_changes",
-                    [px] { return static_cast<double>(px->stats().view_changes); });
+      reg.add_gauge(p + ".inflight", [px] { return static_cast<double>(px->backlog()); });
+      reg.add_counter(p + ".accepted", [px] { return static_cast<double>(px->stats().accepted); });
+      reg.add_counter(p + ".rejected", [px] { return static_cast<double>(px->stats().rejected); });
+      reg.add_counter(p + ".executed", [px] { return static_cast<double>(px->stats().executed); });
+      reg.add_counter(p + ".view_changes",
+                      [px] { return static_cast<double>(px->stats().view_changes); });
     } else if (auto* spr = dynamic_cast<smart::SmartPrReplica*>(node)) {
-      reg.add_gauge(p + ".inflight",
-                    [spr] { return static_cast<double>(spr->active_requests()); });
-      reg.add_gauge(p + ".accepted",
-                    [spr] { return static_cast<double>(spr->stats().accepted); });
-      reg.add_gauge(p + ".rejected",
-                    [spr] { return static_cast<double>(spr->stats().rejected); });
-      reg.add_gauge(p + ".executed",
-                    [spr] { return static_cast<double>(spr->stats().executed); });
+      reg.add_gauge(p + ".inflight", [spr] { return static_cast<double>(spr->active_requests()); });
+      reg.add_counter(p + ".accepted",
+                      [spr] { return static_cast<double>(spr->stats().accepted); });
+      reg.add_counter(p + ".rejected",
+                      [spr] { return static_cast<double>(spr->stats().rejected); });
+      reg.add_counter(p + ".executed",
+                      [spr] { return static_cast<double>(spr->stats().executed); });
     } else if (auto* s = dynamic_cast<smart::SmartReplica*>(node)) {
-      reg.add_gauge(p + ".inflight",
-                    [s] { return static_cast<double>(s->backlog()); });
-      reg.add_gauge(p + ".executed",
-                    [s] { return static_cast<double>(s->stats().executed); });
+      reg.add_gauge(p + ".inflight", [s] { return static_cast<double>(s->backlog()); });
+      reg.add_counter(p + ".executed", [s] { return static_cast<double>(s->stats().executed); });
     }
   }
-  reg.reserve_samples(config_.obs.metrics_reserve);
+  reg.reserve_samples(kMetricsReserveRows);
 }
 
 std::unique_ptr<app::StateMachine> Cluster::make_store() {

@@ -52,8 +52,6 @@ struct ObsConfig {
   /// Sample the metrics registry every `metrics_interval`; 0 disables the
   /// registry entirely.
   Duration metrics_interval = 0;
-  /// Sample rows pre-reserved so steady-state sampling never allocates.
-  std::size_t metrics_reserve = 4096;
 };
 
 struct ClusterConfig {

@@ -6,7 +6,6 @@
 
 #include "common/time.hpp"
 #include "consensus/cost_model.hpp"
-#include "core/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace idem::core {
@@ -77,11 +76,6 @@ struct IdemConfig {
   /// Optional request-lifecycle trace sink (borrowed, may be null). Hooks
   /// are passive: recording must never change the simulation trajectory.
   obs::TraceRecorder* trace = nullptr;
-
-  /// Live-telemetry surface (real mode). Default-constructed = inert: the
-  /// simulator never attaches a shard, so live sampling cannot perturb
-  /// simulated trajectories.
-  LiveTelemetry telemetry;
 
   /// Optional asynchronous state-machine executor (borrowed, may be null).
   /// When set, committed instances execute off the replica's runtime

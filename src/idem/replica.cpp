@@ -149,9 +149,7 @@ void IdemReplica::handle_request(const msg::Request& request) {
   if (config_.shard_gate != nullptr) {
     const ShardVerdict verdict = config_.shard_gate->admit(request.command);
     if (verdict.kind == ShardVerdict::Kind::WrongShard) {
-      ++stats_.rejected;
-      ++stats_.wrong_shard;
-      config_.telemetry.count_reject(RejectReason::WrongShard);
+      stats_.count_reject(RejectReason::WrongShard);
       lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false,
                                 RejectReason::WrongShard);
       auto reject = std::make_shared<msg::Reject>(id, RejectReason::WrongShard);
@@ -211,12 +209,11 @@ void IdemReplica::release_superseded(RequestId newer) {
   // body findable through the rejected cache in case a concurrent binding
   // still FETCHes it.
   std::vector<RequestId> stale;  // active_ is capped at r, so the sweep is O(r)
-  for (const RequestId& id : active_) {
+  for (const auto& [id, arrival] : active_) {
     if (id.cid == newer.cid && id.onr.value < newer.onr.value) stale.push_back(id);
   }
   for (const RequestId& id : stale) {
     active_.erase(id);
-    arrival_.erase(id);
     if (auto timer_it = forward_timers_.find(id); timer_it != forward_timers_.end()) {
       cancel_timer(timer_it->second);
       forward_timers_.erase(timer_it);
@@ -234,11 +231,40 @@ void IdemReplica::release_superseded(RequestId newer) {
 
 std::vector<RequestId> IdemReplica::leaked_slots() const {
   std::vector<RequestId> leaked;
-  for (const RequestId& id : active_) {
+  for (const auto& [id, arrival] : active_) {
     if (clients_.executed(id)) leaked.push_back(id);
   }
   std::sort(leaked.begin(), leaked.end());
   return leaked;
+}
+
+void IdemReplica::register_metrics(obs::MetricsRegistry& registry,
+                                   const std::string& prefix) const {
+  auto counter = [&](const std::string& name, const std::uint64_t& field) {
+    registry.add_counter(prefix + name, [&field] { return static_cast<double>(field); });
+  };
+  registry.add_gauge(prefix + "inflight",
+                     [this] { return static_cast<double>(active_.size()); });
+  counter("accepted", stats_.accepted);
+  counter("rejected", stats_.rejected);
+  counter("executed", stats_.executed);
+  counter("view_changes", stats_.view_changes);
+  counter("requests_received", stats_.requests_received);
+  for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
+    const auto reason = static_cast<RejectReason>(i);
+    // The transport counts the sheds that never reach the replica.
+    if (reason == RejectReason::BackpressureShed || reason == RejectReason::OversizedFrame ||
+        reason == RejectReason::ConnectionLimit) {
+      continue;
+    }
+    counter(obs::reject_series(reason), stats_.rejects[i]);
+  }
+  counter("deadline_miss", stats_.deadline_misses);
+  registry.add_counter(prefix + "replies",
+                       [this] { return static_cast<double>(reply_latency_.count()); });
+  registry.add_histogram(prefix + "reply_latency", reply_latency_);
+  registry.add_gauge(prefix + "view", [this] { return static_cast<double>(view().value); });
+  registry.add_gauge(prefix + "leader", [this] { return is_leader() ? 1.0 : 0.0; });
 }
 
 void IdemReplica::accept_request(RequestId id, std::vector<std::byte> command,
@@ -246,12 +272,8 @@ void IdemReplica::accept_request(RequestId id, std::vector<std::byte> command,
   requests_[id] = std::move(command);
   rejected_.erase(id);
   if (client_issued) {
-    active_.insert(id);
+    active_.insert_or_assign(id, Arrival{now(), deadline});
     ++stats_.accepted;
-    if (config_.telemetry.enabled()) config_.telemetry.count_accept();
-    if (config_.telemetry.enabled() || deadline > 0) {
-      arrival_[id] = Arrival{now(), deadline};
-    }
   } else {
     ++stats_.forward_accepted;
     lifecycle::forward_accepted(config_.trace, now(), me_.value, id);
@@ -262,24 +284,21 @@ void IdemReplica::accept_request(RequestId id, std::vector<std::byte> command,
 }
 
 void IdemReplica::reject_request(const msg::Request& request, RejectReason reason) {
-  ++stats_.rejected;
-  config_.telemetry.count_reject(reason);
+  stats_.count_reject(reason);
   rejected_.insert(request.id, request.command);
   reply_to_client(request.id.cid, std::make_shared<const msg::Reject>(request.id, reason));
 }
 
-void IdemReplica::finish_request_tracking(RequestId id, bool replied) {
-  auto it = arrival_.find(id);
-  if (it == arrival_.end()) return;  // arrived via FORWARD/FETCH, not a client REQUEST
+void IdemReplica::release_executed(RequestId id, bool replied) {
+  auto it = active_.find(id);
+  if (it == active_.end()) return;  // arrived via FORWARD/FETCH, not a client REQUEST
   if (replied) {
     const Duration latency = now() - it->second.at;
-    if (config_.telemetry.enabled()) config_.telemetry.record_reply_latency(latency);
-    if (it->second.deadline > 0 && latency > it->second.deadline) {
-      ++stats_.deadline_misses;
-      config_.telemetry.count_deadline_miss();
-    }
+    reply_latency_.record(latency);
+    if (it->second.deadline > 0 && latency > it->second.deadline) ++stats_.deadline_misses;
   }
-  arrival_.erase(it);
+  active_.erase(it);
+  acceptance_->observe_execution(now(), active_.size());
 }
 
 void IdemReplica::queue_require(RequestId id) {
@@ -581,8 +600,8 @@ void IdemReplica::begin_async_execute(std::uint64_t sqn, Instance& inst) {
   // submitters (EDF drain order); 0 = nothing in the batch carries one.
   Time due = 0;
   for (RequestId id : exec_ids_) {
-    auto it = arrival_.find(id);
-    if (it == arrival_.end() || it->second.deadline <= 0) continue;
+    auto it = active_.find(id);
+    if (it == active_.end() || it->second.deadline <= 0) continue;
     Time candidate = it->second.at + it->second.deadline;
     if (due == 0 || candidate < due) due = candidate;
   }
@@ -610,7 +629,7 @@ void IdemReplica::finish_async_execute(std::uint64_t sqn,
     lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
     auto reply = std::make_shared<const msg::Reply>(id, std::move(results[i]));
     clients_.record(id, reply);
-    if (active_.erase(id) > 0) acceptance_->observe_execution(now(), active_.size());
+    release_executed(id, is_leader());
     if (auto timer_it = forward_timers_.find(id); timer_it != forward_timers_.end()) {
       cancel_timer(timer_it->second);
       forward_timers_.erase(timer_it);
@@ -619,7 +638,6 @@ void IdemReplica::finish_async_execute(std::uint64_t sqn,
       reply_to_client(id.cid, reply);
       lifecycle::reply_sent(config_.trace, now(), me_.value, id);
     }
-    finish_request_tracking(id, is_leader());
     if (on_execute) on_execute(SeqNum{sqn}, id);
   }
   exec_ids_.clear();
@@ -644,7 +662,7 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
     auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
     clients_.record(id, reply);
-    if (active_.erase(id) > 0) acceptance_->observe_execution(now(), active_.size());
+    release_executed(id, is_leader());
     if (auto timer_it = forward_timers_.find(id); timer_it != forward_timers_.end()) {
       cancel_timer(timer_it->second);
       forward_timers_.erase(timer_it);
@@ -653,7 +671,6 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
       reply_to_client(id.cid, reply);
       lifecycle::reply_sent(config_.trace, now(), me_.value, id);
     }
-    finish_request_tracking(id, is_leader());
     if (on_execute) on_execute(SeqNum{sqn}, id);
   }
   inst.executed = true;
@@ -834,8 +851,8 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
   if (log_.next_exec() > log_.low()) advance_window(log_.next_exec());
   // Drop active entries that the checkpoint proves executed.
   for (auto it = active_.begin(); it != active_.end();) {
-    if (clients_.executed(*it)) {
-      if (auto timer_it = forward_timers_.find(*it); timer_it != forward_timers_.end()) {
+    if (clients_.executed(it->first)) {
+      if (auto timer_it = forward_timers_.find(it->first); timer_it != forward_timers_.end()) {
         cancel_timer(timer_it->second);
         forward_timers_.erase(timer_it);
       }

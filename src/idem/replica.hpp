@@ -22,6 +22,7 @@
 // the rejection-aware view change.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,7 +32,9 @@
 #include <vector>
 
 #include "app/state_machine.hpp"
+#include "common/histogram.hpp"
 #include "common/ids.hpp"
+#include "common/reject_reason.hpp"
 #include "consensus/addresses.hpp"
 #include "consensus/checkpoint.hpp"
 #include "consensus/messages.hpp"
@@ -44,15 +47,18 @@
 #include "core/timers.hpp"
 #include "core/view_engine.hpp"
 #include "idem/config.hpp"
+#include "obs/metrics_registry.hpp"
 #include "sim/node.hpp"
 
 namespace idem::core {
 
-/// Counters exposed to experiments and tests.
+/// Counters exposed to experiments, tests and the metrics registry
+/// (IdemReplica::register_metrics). Each event is counted here once.
 struct ReplicaStats {
   std::uint64_t requests_received = 0;
   std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
+  std::uint64_t rejected = 0;  ///< every REJECT sent: the sum of `rejects`
+  std::array<std::uint64_t, kRejectReasonCount> rejects{};  ///< REJECTs sent, by RejectReason
   std::uint64_t forward_accepted = 0;  ///< accepted via FORWARD, bypassing the test
   std::uint64_t executed = 0;          ///< requests executed (deduplicated)
   std::uint64_t duplicates_skipped = 0;
@@ -65,8 +71,15 @@ struct ReplicaStats {
   std::uint64_t exec_offloaded = 0;   ///< instances handed to the async executor
   std::uint64_t requires_adopted = 0;  ///< rejected bodies adopted on REQUIRE evidence
   std::uint64_t superseded_released = 0;  ///< abandoned active slots released
-  std::uint64_t wrong_shard = 0;  ///< REQUESTs redirected to another group
   std::uint64_t deadline_misses = 0;  ///< replies sent after the request's budget
+
+  void count_reject(RejectReason reason) {
+    ++rejected;
+    ++rejects[static_cast<std::size_t>(reason)];
+  }
+  std::uint64_t rejects_for(RejectReason reason) const {
+    return rejects[static_cast<std::size_t>(reason)];
+  }
 };
 
 class IdemReplica final : public sim::Node {
@@ -82,6 +95,11 @@ class IdemReplica final : public sim::Node {
   }
   const ReplicaStats& stats() const { return stats_; }
   const IdemConfig& config() const { return config_; }
+
+  /// Names this replica's series on `registry` under `prefix` ("r0." in the
+  /// sim's cluster-wide registry, "" in real mode); read it on the
+  /// replica's thread.
+  void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix = "") const;
 
   /// r_now: client-issued requests accepted and not yet executed here.
   std::size_t active_requests() const { return active_.size(); }
@@ -189,10 +207,10 @@ class IdemReplica final : public sim::Node {
   void send_to_leader(sim::PayloadPtr message);
   void reply_to_client(ClientId cid, sim::PayloadPtr message);
 
-  /// Closes a request's arrival-side tracking: records live reply latency
-  /// when this replica replied, counts a deadline miss when that reply
-  /// left after the request's budget, always drops the arrival entry.
-  void finish_request_tracking(RequestId id, bool replied);
+  /// Releases an executed request's r_now slot. When this replica replied,
+  /// records the reply latency and counts a deadline miss if the reply
+  /// left after the request's budget.
+  void release_executed(RequestId id, bool replied);
 
   IdemConfig config_;
   ReplicaId me_;
@@ -203,20 +221,15 @@ class IdemReplica final : public sim::Node {
 
   // Owned request bodies (accepted, forwarded, or fetched).
   std::unordered_map<RequestId, std::vector<std::byte>> requests_;
-  // Client-issued accepted requests not yet executed (the r_now set).
-  std::unordered_set<RequestId> active_;
-  // Forward timers per accepted-but-unexecuted request.
-  std::unordered_map<RequestId, sim::TimerId> forward_timers_;
-
-  // REQUEST arrival times for live reply-latency measurement and deadline
-  // accounting. Populated with an attached telemetry shard (real mode) or
-  // when the request carries a deadline; bounded like active_ (entries die
-  // at execution or supersession).
+  // Client-issued accepted requests not yet executed (the r_now set), with
+  // their REQUEST arrival for reply latency and deadline accounting.
   struct Arrival {
     Time at = 0;
     Duration deadline = 0;  ///< request budget (0 = none)
   };
-  std::unordered_map<RequestId, Arrival> arrival_;
+  std::unordered_map<RequestId, Arrival> active_;
+  // Forward timers per accepted-but-unexecuted request.
+  std::unordered_map<RequestId, sim::TimerId> forward_timers_;
 
   // Recently rejected requests, still available for FETCH/agreement.
   RejectedCache rejected_;
@@ -256,6 +269,9 @@ class IdemReplica final : public sim::Node {
   mutable Rng cost_rng_;
 
   ReplicaStats stats_;
+  /// REPLY sent minus REQUEST arrival, for each accepted REQUEST this
+  /// replica answered as leader (the "reply_latency" series).
+  Histogram reply_latency_;
 };
 
 }  // namespace idem::core

@@ -8,14 +8,6 @@ namespace idem::obs {
 
 namespace {
 
-template <typename T>
-T* find_series(std::vector<std::pair<std::string, T>>& series, const std::string& name) {
-  for (auto& [n, value] : series) {
-    if (n == name) return &value;
-  }
-  return nullptr;
-}
-
 /// Splits "rejects[reason=rt-queue-full]" into a sanitized metric name and
 /// an optional label clause; plain names pass through.
 struct PromName {
@@ -53,11 +45,7 @@ PromName prom_name(const std::string& name) {
         clauses.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
     if (out.labels.size() > 1) out.labels += ",";
     auto eq = clause.find('=');
-    if (eq == std::string::npos) {
-      out.labels += "label=\"" + clause + "\"";
-    } else {
-      out.labels += sanitize(clause.substr(0, eq)) + "=\"" + clause.substr(eq + 1) + "\"";
-    }
+    out.labels += sanitize(clause.substr(0, eq)) + "=\"" + clause.substr(eq + 1) + "\"";
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -76,93 +64,41 @@ void append_f(std::string& out, const char* fmt, ...) {
 
 }  // namespace
 
-LiveShard::SeriesId LiveShard::counter(const std::string& name) {
-  std::lock_guard lock(mu_);
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    if (counters_[i].first == name) return i;
-  }
-  counters_.emplace_back(name, 0);
-  return counters_.size() - 1;
-}
-
-LiveShard::SeriesId LiveShard::histogram(const std::string& name) {
-  std::lock_guard lock(mu_);
-  for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    if (histograms_[i].first == name) return i;
-  }
-  histograms_.emplace_back(name, Histogram{});
-  return histograms_.size() - 1;
-}
-
-void LiveShard::add(SeriesId id, std::uint64_t delta) {
-  std::lock_guard lock(mu_);
-  counters_[id].second += delta;
-}
-
-void LiveShard::set(SeriesId id, std::uint64_t total) {
-  std::lock_guard lock(mu_);
-  counters_[id].second = total;
-}
-
-void LiveShard::record(SeriesId id, Duration value) {
-  std::lock_guard lock(mu_);
-  histograms_[id].second.record(value);
-}
-
 LiveMetrics::LiveMetrics() : prev_at_(std::chrono::steady_clock::now()) {}
 
-LiveShard* LiveMetrics::make_shard() {
-  std::lock_guard lock(mu_);
-  return &shards_.emplace_back();
-}
-
-LiveSnapshot LiveMetrics::snapshot() {
-  std::lock_guard lock(mu_);
+LiveSnapshot LiveMetrics::snapshot(MetricsReading reading) {
   const auto now = std::chrono::steady_clock::now();
   // Sub-millisecond windows (back-to-back scrapes) would turn rates into
   // noise; clamp the divisor, never the data.
   double elapsed = std::chrono::duration<double>(now - prev_at_).count();
   double divisor = std::max(elapsed, 1e-3);
 
-  // Merge all shards by series name (exact: every shard lock is taken).
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, Histogram>> histograms;
-  for (LiveShard& shard : shards_) {
-    std::lock_guard shard_lock(shard.mu_);
-    for (const auto& [name, value] : shard.counters_) {
-      if (auto* merged = find_series(counters, name)) {
-        *merged += value;
-      } else {
-        counters.emplace_back(name, value);
-      }
-    }
-    for (const auto& [name, hist] : shard.histograms_) {
-      if (auto* merged = find_series(histograms, name)) {
-        merged->merge(hist);
-      } else {
-        histograms.emplace_back(name, hist);
-      }
-    }
-  }
-
   LiveSnapshot snap;
   snap.window_seconds = elapsed;
-  for (const auto& [name, total] : counters) {
+  for (const MetricsReading::Scalar& s : reading.scalars) {
+    if (s.kind == SeriesKind::Gauge) {
+      snap.gauges.push_back(s);
+      continue;
+    }
     LiveSnapshot::Counter c;
-    c.name = name;
-    c.total = total;
+    c.name = s.name;
+    c.total = static_cast<std::uint64_t>(s.value);
     std::uint64_t before = 0;
-    if (auto* prev = find_series(prev_counters_, name)) before = *prev;
-    c.window = total > before ? total - before : 0;
+    auto prev = std::find_if(prev_.scalars.begin(), prev_.scalars.end(),
+                             [&s](const auto& p) { return p.name == s.name; });
+    if (prev != prev_.scalars.end()) before = static_cast<std::uint64_t>(prev->value);
+    c.window = c.total > before ? c.total - before : 0;
     c.rate = static_cast<double>(c.window) / divisor;
     snap.counters.push_back(std::move(c));
   }
-  for (const auto& [name, hist] : histograms) {
+  for (const auto& [name, hist] : reading.histograms) {
     LiveSnapshot::Latency l;
     l.name = name;
     l.total_count = hist.count();
     Histogram window = hist;
-    if (auto* prev = find_series(prev_histograms_, name)) window = hist.delta(*prev);
+    auto prev = std::find_if(prev_.histograms.begin(), prev_.histograms.end(),
+                             [&l](const auto& p) { return p.first == l.name; });
+    if (prev != prev_.histograms.end()) window = hist.delta(prev->second);
     l.window_count = window.count();
     l.rate = static_cast<double>(l.window_count) / divisor;
     l.p50 = window.p50();
@@ -172,8 +108,7 @@ LiveSnapshot LiveMetrics::snapshot() {
     snap.latencies.push_back(std::move(l));
   }
 
-  prev_counters_ = std::move(counters);
-  prev_histograms_ = std::move(histograms);
+  prev_ = std::move(reading);
   prev_at_ = now;
   return snap;
 }
@@ -188,43 +123,42 @@ std::string LiveMetrics::render_prometheus(const LiveSnapshot& snap) {
              static_cast<unsigned long long>(c.total));
     append_f(out, "%s_rate%s %.3f\n", p.metric.c_str(), p.labels.c_str(), c.rate);
   }
+  for (const auto& g : snap.gauges) {
+    PromName p = prom_name(g.name);
+    append_f(out, "%s%s %.9g\n", p.metric.c_str(), p.labels.c_str(), g.value);
+  }
   for (const auto& l : snap.latencies) {
     PromName p = prom_name(l.name);
     append_f(out, "%s_rate%s %.3f\n", p.metric.c_str(), p.labels.c_str(), l.rate);
-    append_f(out, "%s_p50_seconds%s %.9f\n", p.metric.c_str(), p.labels.c_str(),
-             static_cast<double>(l.p50) / 1e9);
-    append_f(out, "%s_p99_seconds%s %.9f\n", p.metric.c_str(), p.labels.c_str(),
-             static_cast<double>(l.p99) / 1e9);
-    append_f(out, "%s_p999_seconds%s %.9f\n", p.metric.c_str(), p.labels.c_str(),
-             static_cast<double>(l.p999) / 1e9);
-    append_f(out, "%s_mean_seconds%s %.9f\n", p.metric.c_str(), p.labels.c_str(),
-             l.mean_ns / 1e9);
+    const std::pair<const char*, double> quantiles[] = {
+        {"p50", static_cast<double>(l.p50)},
+        {"p99", static_cast<double>(l.p99)},
+        {"p999", static_cast<double>(l.p999)},
+        {"mean", l.mean_ns}};
+    for (const auto& [stat, ns] : quantiles) {
+      append_f(out, "%s_%s_seconds%s %.9f\n", p.metric.c_str(), stat, p.labels.c_str(), ns / 1e9);
+    }
   }
   return out;
 }
 
-std::string LiveMetrics::render_json(const LiveSnapshot& snap) {
-  std::string out = "{";
-  append_f(out, "\"window_seconds\": %.6f, \"counters\": {", snap.window_seconds);
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    const auto& c = snap.counters[i];
-    append_f(out, "%s\"%s\": {\"total\": %llu, \"window\": %llu, \"rate\": %.3f}",
-             i > 0 ? ", " : "", c.name.c_str(), static_cast<unsigned long long>(c.total),
-             static_cast<unsigned long long>(c.window), c.rate);
+json::Value LiveMetrics::render_json(const LiveSnapshot& snap) {
+  json::Object counters;
+  for (const auto& c : snap.counters) {
+    counters[c.name] = json::Object{{"total", c.total}, {"window", c.window}, {"rate", c.rate}};
   }
-  out += "}, \"latencies\": {";
-  for (std::size_t i = 0; i < snap.latencies.size(); ++i) {
-    const auto& l = snap.latencies[i];
-    append_f(out,
-             "%s\"%s\": {\"window_count\": %llu, \"rate\": %.3f, \"p50_ms\": %.4f,"
-             " \"p99_ms\": %.4f, \"p999_ms\": %.4f, \"mean_ms\": %.4f}",
-             i > 0 ? ", " : "", l.name.c_str(),
-             static_cast<unsigned long long>(l.window_count), l.rate,
-             static_cast<double>(l.p50) / 1e6, static_cast<double>(l.p99) / 1e6,
-             static_cast<double>(l.p999) / 1e6, l.mean_ns / 1e6);
+  json::Object gauges;
+  for (const auto& g : snap.gauges) gauges[g.name] = g.value;
+  json::Object latencies;
+  for (const auto& l : snap.latencies) {
+    latencies[l.name] = json::Object{{"window_count", l.window_count}, {"rate", l.rate},
+                                     {"p50_ms", to_ms(l.p50)}, {"p99_ms", to_ms(l.p99)},
+                                     {"p999_ms", to_ms(l.p999)}, {"mean_ms", to_ms(l.mean_ns)}};
   }
-  out += "}}";
-  return out;
+  return json::Object{{"window_seconds", snap.window_seconds},
+                      {"counters", std::move(counters)},
+                      {"gauges", std::move(gauges)},
+                      {"latencies", std::move(latencies)}};
 }
 
 }  // namespace idem::obs

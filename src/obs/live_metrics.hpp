@@ -1,75 +1,26 @@
-// Windowed live metrics for real mode.
+// Windowed live view of registry reads (real mode's /metrics and /stats).
 //
-// The PR 2 observability stack (metrics_registry, trace ring) is
-// export-at-end: numbers are cumulative-since-boot and only leave the
-// process when someone asks at shutdown. Live telemetry inverts that: a
-// running process answers "what is happening *now*" — counter rates and
-// latency quantiles over the window since the previous scrape, not since
-// boot.
-//
-// Structure:
-//   LiveMetrics  — the per-process hub. Owns shards, serves snapshots.
-//   LiveShard    — per-thread recording surface: named counters and
-//                  common::Histogram series behind one shard mutex. The
-//                  recording thread takes the (uncontended) lock per
-//                  update; the snapshot reader takes it briefly per
-//                  scrape, so cross-thread reads are exact and TSan-clean.
-//
-// Windowing: the hub remembers the merged state at the previous
-// snapshot() and returns deltas — counter rate = delta / elapsed, latency
-// quantiles from Histogram::delta of the bucket states. First scrape
-// windows from hub creation.
-//
-// This subsystem is real-mode-only by construction: nothing in the
-// simulator references it, so traced/untraced sim trajectories are
-// untouched.
+// Each scrape hands snapshot() one merged MetricsReading, which it windows
+// against the previous scrape's: counter rate = delta / elapsed, latency
+// quantiles from Histogram::delta of the bucket states. The first scrape
+// windows from construction. A LiveMetrics belongs to the thread that
+// scrapes (the admin loop); it takes no locks.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/histogram.hpp"
+#include "common/json.hpp"
 #include "common/time.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace idem::obs {
 
-/// Per-thread recording surface. Obtain from LiveMetrics::make_shard();
-/// register series up front (find-or-create by name), then update through
-/// the returned ids on the hot path.
-///
-/// Naming convention: a series name may carry one Prometheus-style label
-/// in brackets — "rejects[reason=rt-queue-full]" — which the Prometheus
-/// renderer turns into `idem_rejects_total{reason="rt-queue-full"}`.
-/// Identically named series on different shards aggregate in snapshots.
-class LiveShard {
- public:
-  using SeriesId = std::size_t;
-
-  /// Find-or-create a monotonic counter / latency histogram.
-  SeriesId counter(const std::string& name);
-  SeriesId histogram(const std::string& name);
-
-  /// Hot-path updates (one uncontended mutex acquisition each).
-  void add(SeriesId id, std::uint64_t delta = 1);
-  /// Sets a counter to an absolute value (for mirroring an externally
-  /// maintained monotonic total, e.g. TransportStats, into the window
-  /// machinery at scrape time).
-  void set(SeriesId id, std::uint64_t total);
-  void record(SeriesId id, Duration value);
-
- private:
-  friend class LiveMetrics;
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::string, std::uint64_t>> counters_;
-  std::vector<std::pair<std::string, Histogram>> histograms_;
-};
-
 /// One scrape's view: totals plus rates/quantiles over the window since
-/// the previous scrape.
+/// the previous scrape. Bracketed labels in series names,
+/// "rejects[group=0,reason=x]", render as `{group="0",reason="x"}`.
 struct LiveSnapshot {
   double window_seconds = 0;
 
@@ -91,35 +42,28 @@ struct LiveSnapshot {
   };
 
   std::vector<Counter> counters;
+  std::vector<MetricsReading::Scalar> gauges;  ///< point-in-time values, as read
   std::vector<Latency> latencies;
 };
 
-/// Process-wide hub: hands out shards, merges them into windowed
-/// snapshots, renders exposition formats.
 class LiveMetrics {
  public:
   LiveMetrics();
 
-  /// Creates a shard (stable address for the hub's lifetime). Thread-safe.
-  LiveShard* make_shard();
-
-  /// Merges all shards and returns the window since the previous call
-  /// (concurrent scrapers therefore split the stream between them).
-  LiveSnapshot snapshot();
+  /// Windows `reading` against the previous call's reading.
+  LiveSnapshot snapshot(MetricsReading reading);
 
   /// Prometheus text exposition (text/plain; version=0.0.4). Counters
-  /// render as `idem_<name>_total` plus `idem_<name>_rate`; latency series
-  /// as `idem_<name>_{p50,p99,p999}_seconds` and `idem_<name>_rate`.
+  /// render as `idem_<name>_total` plus `idem_<name>_rate`, gauges as
+  /// `idem_<name>`, latency series as
+  /// `idem_<name>_{p50,p99,p999,mean}_seconds` and `idem_<name>_rate`.
   static std::string render_prometheus(const LiveSnapshot& snap);
 
-  /// The same snapshot as a JSON object (admin /stats building block).
-  static std::string render_json(const LiveSnapshot& snap);
+  /// The same snapshot as a JSON object (the /stats "live" section).
+  static json::Value render_json(const LiveSnapshot& snap);
 
  private:
-  std::mutex mu_;  ///< guards shards_ and the previous-window state
-  std::deque<LiveShard> shards_;
-  std::vector<std::pair<std::string, std::uint64_t>> prev_counters_;
-  std::vector<std::pair<std::string, Histogram>> prev_histograms_;
+  MetricsReading prev_;
   std::chrono::steady_clock::time_point prev_at_;
 };
 

@@ -1,50 +1,82 @@
-// Per-replica metrics registry: named counters and gauges sampled on a
-// simulated-time tick.
-//
-// Registration (names, gauge closures, sample-buffer reservation) happens
-// at cluster setup and may allocate freely. The recording side is two
-// disjoint hot paths, both allocation-free once reserved:
-//   - counters: producers hold a stable std::uint64_t* and increment it;
-//   - sample(): reads every series (counter load or gauge call) and
-//     appends one row to the pre-reserved columnar sample store.
-// Samples dump as JSONL (one object per tick) via write_jsonl(); see
-// docs/OBSERVABILITY.md for the format.
+// The metrics registry, in sim and in real mode: named series that read
+// the counters each component already keeps (a ReplicaStats field, a
+// TransportStats field, a histogram the replica records). Registration may
+// allocate.
+//   - sample() appends one row of every series to a pre-reserved columnar
+//     store, allocation-free; the simulator calls it on a simulated-time
+//     tick (obs::MetricsTicker) and write_jsonl() dumps the rows;
+//   - read() returns every series' current value; real mode's admin reads
+//     each member's registry on the member's thread per scrape, merges the
+//     reads (MetricsReading::merge) and windows them (obs::LiveMetrics).
+// See docs/OBSERVABILITY.md for the series names and the JSONL format.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/histogram.hpp"
+#include "common/reject_reason.hpp"
 #include "common/time.hpp"
 
 namespace idem::obs {
 
+enum class SeriesKind : std::uint8_t {
+  Counter,    ///< monotonic total: windowed into deltas and rates
+  Gauge,      ///< point-in-time value
+  Histogram,  ///< latency distribution: windowed into quantiles
+};
+
+/// The name of a per-reason reject counter, "rejects[reason=rt-queue-full]"
+/// (the replica and the transport count different reasons in the family).
+std::string reject_series(RejectReason reason);
+
+/// `name` with `labels` ("group=0") first in its label set: "rejects[reason=x]"
+/// becomes "rejects[group=0,reason=x]", "replies" becomes "replies[group=0]".
+std::string with_labels(const std::string& name, const std::string& labels);
+
+/// One read of every series of one or more registries.
+struct MetricsReading {
+  struct Scalar {
+    std::string name;
+    SeriesKind kind = SeriesKind::Counter;
+    double value = 0;
+  };
+  std::vector<Scalar> scalars;  ///< counters and gauges, in registration order
+  std::vector<std::pair<std::string, Histogram>> histograms;
+
+  /// Folds `other` in by series name, its series labelled `labels` first:
+  /// counters and histograms add up, gauges keep the larger value.
+  void merge(const MetricsReading& other, const std::string& labels = "");
+};
+
 class MetricsRegistry {
  public:
-  using GaugeFn = std::function<double()>;
+  /// Reads a series' current value; must be pure observation (reading
+  /// cluster state must not change the simulation trajectory).
+  using ReadFn = std::function<double()>;
 
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers a monotonically increasing counter; the returned slot is
-  /// stable for the registry's lifetime (producers cache the pointer and
-  /// increment it directly on the hot path).
-  std::uint64_t* add_counter(std::string name) {
-    counters_.push_back(0);
-    series_.push_back(Series{std::move(name), nullptr, &counters_.back()});
-    return &counters_.back();
+  /// Registers a monotonic counter its component keeps.
+  void add_counter(std::string name, ReadFn read) {
+    series_.push_back(Series{std::move(name), SeriesKind::Counter, std::move(read), nullptr});
   }
 
-  /// Registers a gauge evaluated at every sample() tick. The callback must
-  /// be pure observation: reading cluster state through it must not change
-  /// the simulation trajectory.
-  void add_gauge(std::string name, GaugeFn fn) {
-    series_.push_back(Series{std::move(name), std::move(fn), nullptr});
+  void add_gauge(std::string name, ReadFn read) {
+    series_.push_back(Series{std::move(name), SeriesKind::Gauge, std::move(read), nullptr});
+  }
+
+  /// Registers a histogram its component records (borrowed: it must
+  /// outlive the registry). A sample row holds its p50 in milliseconds.
+  void add_histogram(std::string name, const Histogram& histogram) {
+    series_.push_back(Series{std::move(name), SeriesKind::Histogram, nullptr, &histogram});
   }
 
   /// Pre-sizes the sample store for `rows` ticks so steady-state sampling
@@ -57,11 +89,11 @@ class MetricsRegistry {
   /// Takes one sample row of every registered series at time `now`.
   void sample(Time now) {
     sample_times_.push_back(now);
-    for (const Series& s : series_) {
-      sample_values_.push_back(s.counter != nullptr ? static_cast<double>(*s.counter)
-                                                    : s.gauge());
-    }
+    for (const Series& s : series_) sample_values_.push_back(s.current());
   }
+
+  /// Every series' current value, histograms copied whole.
+  MetricsReading read() const;
 
   std::size_t series_count() const { return series_.size(); }
   const std::string& series_name(std::size_t i) const { return series_[i].name; }
@@ -71,26 +103,28 @@ class MetricsRegistry {
     return sample_values_[row * series_.size() + series];
   }
 
-  /// Current value of a series by name (last resort for tests; O(n)).
+  /// Current value of a series by name, as sample() would record it
+  /// (last resort for tests; O(n)).
   double current(std::string_view name) const {
     for (const Series& s : series_) {
-      if (s.name == name) return s.counter != nullptr ? static_cast<double>(*s.counter) : s.gauge();
+      if (s.name == name) return s.current();
     }
     return 0.0;
   }
 
   /// Writes every sample row as one JSON object per line:
-  ///   {"t_ms":12.3,"r0.queue_depth":4,...}
+  ///   {"t_ms":12.3,"r0.queue":4,...}
   void write_jsonl(std::FILE* out) const;
 
  private:
   struct Series {
     std::string name;
-    GaugeFn gauge;            ///< non-null for gauges
-    std::uint64_t* counter;   ///< non-null for counters
+    SeriesKind kind = SeriesKind::Counter;
+    ReadFn read;                            ///< counters and gauges
+    const Histogram* histogram = nullptr;   ///< histograms
+    double current() const { return histogram != nullptr ? to_ms(histogram->p50()) : read(); }
   };
 
-  std::deque<std::uint64_t> counters_;  ///< deque: stable addresses
   std::vector<Series> series_;
   std::vector<Time> sample_times_;
   std::vector<double> sample_values_;   ///< row-major [row][series]

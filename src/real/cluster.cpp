@@ -11,14 +11,6 @@ namespace idem::real {
 
 RealCluster::RealCluster(RealClusterConfig config)
     : config_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {
-  if (config_.admin || config_.live_hub != nullptr) config_.live_metrics = true;
-  if (config_.live_hub != nullptr) {
-    hub_ = config_.live_hub;
-  } else if (config_.live_metrics) {
-    live_ = std::make_unique<obs::LiveMetrics>();
-    hub_ = live_.get();
-  }
-
   members_.resize(config_.n);
   for (std::size_t i = 0; i < config_.n; ++i) {
     Member& member = members_[i];
@@ -38,11 +30,6 @@ RealCluster::RealCluster(RealClusterConfig config)
       member.trace = std::make_unique<obs::TraceRecorder>(config_.trace_capacity);
       replica_config.trace = member.trace.get();
     }
-    if (hub_ != nullptr) {
-      // Identical series names across replicas aggregate cluster-wide.
-      replica_config.telemetry =
-          core::LiveTelemetry::attach(hub_->make_shard(), config_.telemetry_labels);
-    }
     if (config_.execution_thread) {
       member.executor = std::make_unique<ExecutionThread>(member.runtime->loop());
       replica_config.executor = member.executor.get();
@@ -53,6 +40,9 @@ RealCluster::RealCluster(RealClusterConfig config)
         core::make_default_acceptance(replica_config, config_.expected_clients));
     member.port = member.runtime->transport().port_of(
         consensus::replica_address(ReplicaId{static_cast<std::uint32_t>(i)}));
+    member.metrics = std::make_unique<obs::MetricsRegistry>();
+    member.replica->register_metrics(*member.metrics);
+    member.runtime->transport().register_metrics(*member.metrics);
   }
 
   // Full mesh: every replica knows every peer's loopback port.
@@ -66,15 +56,37 @@ RealCluster::RealCluster(RealClusterConfig config)
   }
 
   if (config_.admin) {
-    // Rides member 0's loop; the shards behind the hub are mutex-backed,
-    // so a scrape observes every replica without cross-thread hazards.
-    admin_ = std::make_unique<rpc::HttpAdmin>(members_[0].runtime->loop(), config_.admin_port);
-    obs::LiveMetrics* hub = hub_;
-    admin_->route("/metrics", "text/plain; version=0.0.4",
-                  [hub] { return obs::LiveMetrics::render_prometheus(hub->snapshot()); });
-    admin_->route("/stats", "application/json",
-                  [hub] { return obs::LiveMetrics::render_json(hub->snapshot()); });
+    RealRuntimeConfig runtime_config;
+    runtime_config.seed = config_.seed + 0xAD31u;
+    runtime_config.epoch = epoch_;
+    admin_runtime_ = std::make_unique<RealRuntime>(runtime_config);
+    admin_ = std::make_unique<Admin>(admin_runtime_->loop(), config_.admin_port, admin_members(),
+                                     obs::ChromeTraceMeta{"RealCluster",
+                                                          rpc::realtime_anchor_ns(epoch_)});
   }
+}
+
+std::vector<Admin::Member> RealCluster::admin_members(std::optional<std::uint32_t> group) {
+  std::vector<Admin::Member> out;
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    Member& member = members_[i];
+    Admin::Member entry;
+    entry.name = "r" + std::to_string(i);
+    entry.group = group;
+    entry.read = [this, &member] {
+      std::lock_guard lock(crash_mu_);
+      if (member.crashed) return member.final_metrics;
+      return member.runtime->call([&member] { return member.metrics->read(); });
+    };
+    if (member.trace) {
+      entry.trace = [this, &member] {
+        std::lock_guard lock(crash_mu_);
+        return trace_of(member);
+      };
+    }
+    out.push_back(std::move(entry));
+  }
+  return out;
 }
 
 RealCluster::~RealCluster() { shutdown(); }
@@ -99,9 +111,12 @@ void RealCluster::start() {
   for (Member& member : members_) {
     if (!member.crashed) member.runtime->start();
   }
+  if (admin_runtime_) admin_runtime_->start();
 }
 
 void RealCluster::shutdown() {
+  // Admin first: its reads call into the members' loops.
+  if (admin_runtime_) admin_runtime_->stop();
   for (Member& member : members_) {
     if (member.runtime) member.runtime->stop();
   }
@@ -110,16 +125,22 @@ void RealCluster::shutdown() {
 void RealCluster::crash_replica(std::size_t index) {
   Member& member = members_[index];
   if (member.crashed) return;
+  std::lock_guard lock(crash_mu_);
   member.runtime->stop();
-  // The admin endpoint's sockets live on member 0's loop; tear it down
-  // before that loop object dies.
-  if (index == 0) admin_.reset();
   // Loop thread is gone; reading and tearing down on this thread is safe.
   // The executor joins before the replica dies — a completion it posted to
   // the stopped loop is never run.
   if (member.executor) member.executor->stop();
   member.final_stats = member.replica->stats();
   member.final_transport = member.runtime->transport().stats();
+  // Totals outlive the member, so cluster totals never go backwards; its
+  // point-in-time values (leader, view, inflight, connections) do not.
+  member.final_metrics = member.metrics->read();
+  std::erase_if(member.final_metrics.scalars, [](const obs::MetricsReading::Scalar& s) {
+    return s.kind == obs::SeriesKind::Gauge;
+  });
+  member.final_metrics.scalars.push_back({"crashed", obs::SeriesKind::Gauge, 1});
+  member.metrics.reset();
   member.executor.reset();
   member.replica.reset();   // unregisters from the transport
   member.runtime.reset();   // closes all sockets: peers see a crash
@@ -207,22 +228,17 @@ std::size_t RealCluster::leader_index() {
   return members_.size();
 }
 
+std::vector<obs::TraceEvent> RealCluster::trace_of(Member& member) {
+  if (member.crashed) return member.trace->snapshot();
+  return member.runtime->call([&member] { return member.trace->snapshot(); });
+}
+
 std::vector<std::vector<obs::TraceEvent>> RealCluster::trace_snapshots() {
   std::vector<std::vector<obs::TraceEvent>> parts;
   for (Member& member : members_) {
-    if (!member.trace) continue;
-    if (member.crashed || !member.runtime) {
-      parts.push_back(member.trace->snapshot());
-    } else {
-      parts.push_back(
-          member.runtime->call([&member] { return member.trace->snapshot(); }));
-    }
+    if (member.trace) parts.push_back(trace_of(member));
   }
   return parts;
-}
-
-std::vector<obs::TraceEvent> RealCluster::merged_trace() {
-  return obs::merge_trace_snapshots(trace_snapshots());
 }
 
 }  // namespace idem::real

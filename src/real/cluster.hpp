@@ -7,7 +7,8 @@
 // Observability: one TraceRecorder per replica thread (strict thread
 // confinement, so TSAN-clean), stamped from a shared clock epoch so the
 // per-thread rings merge into one coherent timeline after shutdown, and
-// the windowed obs::LiveMetrics hub for the live view.
+// one MetricsRegistry per replica over its stats and transport, which the
+// admin endpoint (real::Admin) reads on the replica's own loop thread.
 //
 // Thread protocol: the constructor builds everything on the controller
 // thread (no loop threads exist yet); start() hands each replica to its
@@ -18,6 +19,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,11 +29,10 @@
 #include "idem/client.hpp"
 #include "idem/config.hpp"
 #include "idem/replica.hpp"
-#include "obs/live_metrics.hpp"
 #include "obs/trace.hpp"
+#include "real/admin.hpp"
 #include "real/exec_thread.hpp"
 #include "real/runtime.hpp"
-#include "rpc/http_admin.hpp"
 
 namespace idem::real {
 
@@ -64,20 +66,9 @@ struct RealClusterConfig {
   bool trace = false;
   std::size_t trace_capacity = 1u << 16;
 
-  /// Windowed live telemetry: one obs::LiveMetrics hub for the process,
-  /// one shard per replica (core::LiveTelemetry). Shards are mutex-backed,
-  /// so scraping from any thread is safe while the loops run.
-  bool live_metrics = false;
-  /// External hub to register the replica shards on instead of owning one
-  /// (sharded deployments aggregate every group into one /metrics).
-  /// Implies live_metrics; must outlive the cluster.
-  obs::LiveMetrics* live_hub = nullptr;
-  /// Label set stamped into every telemetry series ("group=0"), so groups
-  /// sharing a hub stay distinguishable.
-  std::string telemetry_labels;
-  /// Serve /metrics (Prometheus) and /stats (JSON) over HTTP from member
-  /// 0's loop; implies live_metrics. 0 binds an ephemeral port — query
-  /// admin_port() after construction.
+  /// Serve /metrics, /stats and /trace (real::Admin) from a loop thread of
+  /// its own, which a replica crash cannot take down; off, the cluster
+  /// starts one thread per replica. 0 binds an ephemeral port (admin_port()).
   bool admin = false;
   std::uint16_t admin_port = 0;
 
@@ -134,10 +125,11 @@ class RealCluster {
   /// Index of the first live replica that believes itself leader, or n().
   std::size_t leader_index();
 
-  /// Live-telemetry hub (nullptr unless live_metrics/admin is on); the
-  /// external hub when config.live_hub was set. Snapshotting is
-  /// thread-safe; note each snapshot consumes the window.
-  obs::LiveMetrics* live_metrics() { return hub_; }
+  /// The admin members of this cluster's replicas ("r0", ...), labelled
+  /// with `group` in sharded deployments. Reads run on the replica's loop
+  /// thread; a crashed replica answers with the counters and histograms
+  /// read at its crash plus the gauge crashed = 1.
+  std::vector<Admin::Member> admin_members(std::optional<std::uint32_t> group = std::nullopt);
 
   /// Quiescence probe for drain coordination (split handshake): sampled on
   /// the owning loop thread. `settled` additionally requires the member to
@@ -164,8 +156,6 @@ class RealCluster {
   /// loop thread when live. Merge with client-side rings via
   /// obs::merge_trace_snapshots.
   std::vector<std::vector<obs::TraceEvent>> trace_snapshots();
-  /// The replicas' rings merged into one timeline.
-  std::vector<obs::TraceEvent> merged_trace();
 
  private:
   struct Member {
@@ -177,22 +167,28 @@ class RealCluster {
     std::unique_ptr<obs::TraceRecorder> trace;
     std::unique_ptr<core::IdemReplica> replica;
     std::unique_ptr<ExecutionThread> executor;
+    std::unique_ptr<obs::MetricsRegistry> metrics;  ///< the replica's and transport's series
     std::uint16_t port = 0;
     bool crashed = false;
     core::ReplicaStats final_stats;        ///< captured when crashed
     rpc::TransportStats final_transport;   ///< captured when crashed
+    obs::MetricsReading final_metrics;     ///< totals captured when crashed
   };
 
   std::unique_ptr<app::StateMachine> make_store() const;
+  /// Member `member`'s trace ring, read on its loop thread while it lives.
+  static std::vector<obs::TraceEvent> trace_of(Member& member);
 
   RealClusterConfig config_;
   rpc::EventLoop::Epoch epoch_;
-  std::unique_ptr<obs::LiveMetrics> live_;  ///< owned hub (no external live_hub)
-  obs::LiveMetrics* hub_ = nullptr;         ///< effective hub (owned or external)
   std::vector<Member> members_;
-  /// Declared after members_ so it tears down first (it holds fds
-  /// registered with member 0's loop, which must still exist).
-  std::unique_ptr<rpc::HttpAdmin> admin_;
+  /// Held by admin reads and across crash_replica's teardown, so a scrape
+  /// never calls into a member that is being destroyed.
+  std::mutex crash_mu_;
+  /// Declared after members_ so they tear down first (admin reads call
+  /// into the members).
+  std::unique_ptr<RealRuntime> admin_runtime_;
+  std::unique_ptr<Admin> admin_;
   bool started_ = false;
 };
 

@@ -160,4 +160,26 @@ void HttpAdmin::respond(Connection& connection) {
       make_response(200, "OK", it->second.content_type, it->second.handler());
 }
 
+std::string http_exchange(std::uint16_t port, const std::string& request) {
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return {};
+  }
+  (void)!::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
 }  // namespace idem::rpc

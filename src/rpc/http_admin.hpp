@@ -1,12 +1,11 @@
 // Minimal HTTP/1.0 admin responder on an rpc::EventLoop.
 //
-// Serves registered GET routes — /metrics (Prometheus text), /stats
-// (JSON), /trace (Chrome trace dump) — from the same epoll loop that runs
-// the protocol, so a scrape observes the node exactly as the protocol
-// thread sees it, with no extra threads or synchronization. Handlers run
-// on the loop thread and return the full response body; the responder
-// adds Content-Length and closes the connection (HTTP/1.0 semantics —
-// curl and Prometheus both speak it).
+// Serves registered GET routes — real::Admin registers /metrics
+// (Prometheus text), /stats (JSON) and /trace (Chrome trace dump) — from
+// the epoll loop it is constructed on. Handlers run on the loop thread
+// and return the full response body; the responder adds Content-Length
+// and closes the connection (HTTP/1.0 semantics — curl and Prometheus
+// both speak it).
 //
 // Deliberately not a web server: GET only, no keep-alive, request heads
 // over 4 KB are rejected, and anything but a registered route is 404.
@@ -68,5 +67,11 @@ class HttpAdmin {
   std::unordered_map<std::string, Route> routes_;
   std::unordered_map<int, Connection> connections_;
 };
+
+/// One blocking HTTP/1.0 exchange with 127.0.0.1:port: sends `request`
+/// verbatim ("GET /metrics HTTP/1.0\r\n\r\n") and returns the whole
+/// response, head and body; empty when the connect fails. For tests and
+/// benches that scrape an admin endpoint from another thread.
+std::string http_exchange(std::uint16_t port, const std::string& request);
 
 }  // namespace idem::rpc

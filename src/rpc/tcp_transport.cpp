@@ -222,7 +222,7 @@ void TcpTransport::accept_ready(LocalNode& node) {
       // At the connection cap: shed at accept, before the connection costs
       // a buffer or a watch. The peer sees an immediate close (reset once
       // it writes) — the connection-limit early rejection
-      // (RejectReason::ConnectionLimit in the telemetry mirrors).
+      // (RejectReason::ConnectionLimit in the metrics registry).
       ++stats_.connection_limit_sheds;
       ::close(fd);
       continue;
@@ -546,13 +546,6 @@ void TcpTransport::sweep_connections() {
   }
 }
 
-std::size_t TcpTransport::pending_write_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [dest, connection] : outbound_) total += connection->out.total_bytes;
-  for (const auto& [fd, connection] : inbound_) total += connection->out.total_bytes;
-  return total;
-}
-
 TransportMemory TcpTransport::memory() const {
   TransportMemory memory;
   memory.inbound_connections = inbound_.size();
@@ -565,6 +558,31 @@ TransportMemory TcpTransport::memory() const {
     memory.pending_write_bytes += connection->out.total_bytes;
   }
   return memory;
+}
+
+void TcpTransport::register_metrics(obs::MetricsRegistry& registry) const {
+  auto counter = [&registry](std::string name, const std::uint64_t& field) {
+    registry.add_counter(std::move(name), [&field] { return static_cast<double>(field); });
+  };
+  counter("tcp.messages_sent", stats_.messages_sent);
+  counter("tcp.bytes_sent", stats_.bytes_sent);
+  counter("tcp.messages_delivered", stats_.messages_delivered);
+  counter("tcp.dropped", stats_.dropped);
+  counter("tcp.decode_errors", stats_.decode_errors);
+  counter("tcp.accepted_connections", stats_.accepted_connections);
+  counter("tcp.idle_evictions", stats_.idle_evictions);
+  counter("tcp.half_open_evictions", stats_.half_open_evictions);
+  counter(obs::reject_series(RejectReason::BackpressureShed), stats_.send_queue_overflows);
+  counter(obs::reject_series(RejectReason::OversizedFrame), stats_.oversized_frames);
+  counter(obs::reject_series(RejectReason::ConnectionLimit), stats_.connection_limit_sheds);
+  registry.add_gauge("tcp.inbound_connections",
+                     [this] { return static_cast<double>(inbound_.size()); });
+  registry.add_gauge("tcp.outbound_connections",
+                     [this] { return static_cast<double>(outbound_.size()); });
+  registry.add_gauge("tcp.pending_write_bytes",
+                     [this] { return static_cast<double>(memory().pending_write_bytes); });
+  registry.add_gauge("tcp.connection_memory_bytes",
+                     [this] { return static_cast<double>(memory().total_bytes()); });
 }
 
 void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr message) {

@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics_registry.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/framing.hpp"
 #include "sim/transport.hpp"
@@ -168,7 +169,7 @@ struct TcpTransportConfig {
   /// (0 = unlimited). At the cap, newly accepted connections are closed
   /// immediately — an early shed the peer observes as a reset, counted in
   /// TransportStats::connection_limit_sheds and classified as
-  /// RejectReason::ConnectionLimit in telemetry.
+  /// RejectReason::ConnectionLimit in the metrics registry.
   std::size_t max_inbound_connections = 0;
   /// Initial receive-buffer capacity per inbound connection (also the
   /// recv chunk size). The default suits a handful of replica peers;
@@ -222,16 +223,12 @@ class TcpTransport final : public sim::Transport {
 
   const TransportStats& stats() const { return stats_; }
 
-  /// Bytes queued but not yet written across all outbound connections —
-  /// the live backpressure signal (admin /stats).
-  std::size_t pending_write_bytes() const;
-
-  /// Open connection counts (admin /stats).
-  std::size_t inbound_connections() const { return inbound_.size(); }
-  std::size_t outbound_connections() const { return outbound_.size(); }
-
   /// Per-connection memory accounting (admin /stats, /metrics gauges).
   TransportMemory memory() const;
+
+  /// Names this transport's series on `registry` ("tcp." and its sheds'
+  /// reject reasons); read it on the loop thread.
+  void register_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   struct LocalNode;

@@ -55,6 +55,16 @@ GroupShardGate::Stats GroupShardGate::stats() const {
   return stats_;
 }
 
+void GroupShardGate::register_metrics(obs::MetricsRegistry& registry) const {
+  registry.add_gauge("shard.map_epoch", [this] { return static_cast<double>(epoch()); });
+  registry.add_gauge("shard.frozen", [this] { return frozen() ? 1.0 : 0.0; });
+  registry.add_counter("shard.admitted", [this] { return static_cast<double>(stats().admitted); });
+  registry.add_counter("shard.redirected",
+                       [this] { return static_cast<double>(stats().redirected); });
+  registry.add_counter("shard.frozen_rejects",
+                       [this] { return static_cast<double>(stats().frozen); });
+}
+
 void GroupShardGate::set_frozen(bool on) {
   std::lock_guard lock(mu_);
   frozen_ = on;

@@ -17,6 +17,7 @@
 #include <mutex>
 
 #include "core/sharding.hpp"
+#include "obs/metrics_registry.hpp"
 #include "shard/shard_map.hpp"
 
 namespace idem::shard {
@@ -44,6 +45,10 @@ class GroupShardGate final : public core::ShardGate {
   std::uint64_t epoch() const;
   ShardMap map() const;
   Stats stats() const;
+
+  /// Names this gate's series on `registry` (the "shard." family). The
+  /// gate is internally synchronized, so any thread may read them.
+  void register_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   void set_frozen(bool on);

@@ -9,9 +9,6 @@ namespace idem::shard {
 
 ShardedRealCluster::ShardedRealCluster(ShardedRealConfig config)
     : config_(std::move(config)), map_(ShardMap::uniform(config_.groups)) {
-  if (config_.admin) config_.live_metrics = true;
-  if (config_.live_metrics) live_ = std::make_unique<obs::LiveMetrics>();
-
   gates_.reserve(config_.groups);
   clusters_.reserve(config_.groups);
   for (std::size_t g = 0; g < config_.groups; ++g) {
@@ -23,10 +20,6 @@ ShardedRealCluster::ShardedRealCluster(ShardedRealConfig config)
     cluster_config.seed = config_.base.seed + g * 1000;
     cluster_config.idem.shard_gate = gates_.back().get();
     cluster_config.admin = false;  // aggregated below instead
-    if (live_) {
-      cluster_config.live_hub = live_.get();
-      cluster_config.telemetry_labels = "group=" + std::to_string(g);
-    }
     clusters_.push_back(std::make_unique<real::RealCluster>(std::move(cluster_config)));
   }
 
@@ -34,11 +27,22 @@ ShardedRealCluster::ShardedRealCluster(ShardedRealConfig config)
     real::RealRuntimeConfig runtime_config;
     runtime_config.seed = config_.base.seed + 0xAD31u;
     admin_runtime_ = std::make_unique<real::RealRuntime>(runtime_config);
-    admin_ = std::make_unique<rpc::HttpAdmin>(admin_runtime_->loop(), config_.admin_port);
-    obs::LiveMetrics* hub = live_.get();
-    admin_->route("/metrics", "text/plain; version=0.0.4",
-                  [hub] { return obs::LiveMetrics::render_prometheus(hub->snapshot()); });
-    admin_->route("/stats", "application/json", [this] { return render_stats(); });
+    std::vector<real::Admin::Member> members;
+    for (std::size_t g = 0; g < config_.groups; ++g) {
+      const auto group = static_cast<std::uint32_t>(g);
+      for (real::Admin::Member& member : clusters_[g]->admin_members(group)) {
+        members.push_back(std::move(member));
+      }
+      // The gate is shared by the group's replicas: one member of its own,
+      // read directly (it is internally synchronized).
+      obs::MetricsRegistry& registry = *gate_metrics_.emplace_back(
+          std::make_unique<obs::MetricsRegistry>());
+      gates_[g]->register_metrics(registry);
+      members.push_back(real::Admin::Member{"gate", group, [&registry] { return registry.read(); },
+                                            nullptr});
+    }
+    admin_ = std::make_unique<real::Admin>(admin_runtime_->loop(), config_.admin_port,
+                                           std::move(members));
   }
 }
 
@@ -77,27 +81,6 @@ void ShardedRealCluster::shutdown() {
   // nothing protocol-side depends on it.
   if (admin_runtime_) admin_runtime_->stop();
   for (auto& cluster : clusters_) cluster->shutdown();
-}
-
-std::string ShardedRealCluster::render_stats() {
-  std::string out = "{\"groups\":" + std::to_string(clusters_.size());
-  out += ",\"map_epoch\":" + std::to_string(map().epoch());
-  out += ",\"per_group\":[";
-  for (std::size_t g = 0; g < clusters_.size(); ++g) {
-    const GroupShardGate::Stats stats = gates_[g]->stats();
-    if (g > 0) out += ",";
-    out += "{\"group\":" + std::to_string(g);
-    out += ",\"epoch\":" + std::to_string(gates_[g]->epoch());
-    out += ",\"frozen\":" + std::string(gates_[g]->frozen() ? "true" : "false");
-    out += ",\"admitted\":" + std::to_string(stats.admitted);
-    out += ",\"redirected\":" + std::to_string(stats.redirected);
-    out += ",\"frozen_rejects\":" + std::to_string(stats.frozen);
-    out += "}";
-  }
-  out += "]";
-  if (live_) out += ",\"live\":" + obs::LiveMetrics::render_json(live_->snapshot());
-  out += "}";
-  return out;
 }
 
 bool ShardedRealCluster::drained(std::size_t group) {

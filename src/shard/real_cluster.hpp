@@ -8,10 +8,9 @@
 // talk to each other: the only cross-group machinery is the client-side
 // router (shard/real_clients.hpp) and the split coordinator below.
 //
-// Observability aggregates: every group's replica shards register on one
-// obs::LiveMetrics hub with a group=<g> label, and a dedicated admin loop
-// thread serves /metrics (Prometheus, group-labelled series) and /stats
-// (JSON with a per-group section) for the whole deployment.
+// Observability aggregates: one real::Admin on a dedicated loop thread
+// serves the whole deployment; its members are every group's replicas and
+// gates, labelled group="<g>" (/stats adds a per-group section).
 //
 // Elastic reconfiguration: run_split() executes the freeze -> drain ->
 // transfer -> flip handshake from the controller thread, touching replica
@@ -23,9 +22,10 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics_registry.hpp"
+#include "real/admin.hpp"
 #include "real/cluster.hpp"
 #include "real/runtime.hpp"
-#include "rpc/http_admin.hpp"
 #include "shard/gate.hpp"
 #include "shard/shard_map.hpp"
 
@@ -35,14 +35,12 @@ struct ShardedRealConfig {
   std::size_t groups = 2;
 
   /// Per-group template: n, f, protocol knobs, transport hardening,
-  /// preload/workload. The cluster overrides seed (disjoint per group),
-  /// admin (aggregated here instead), live_hub and telemetry_labels.
+  /// preload/workload. The cluster overrides seed (disjoint per group) and
+  /// admin (one admin serves every group, below).
   real::RealClusterConfig base;
 
-  /// Aggregated live telemetry across all groups (implied by admin).
-  bool live_metrics = false;
-  /// Serve /metrics and /stats for the whole deployment from a dedicated
-  /// admin loop thread; 0 binds an ephemeral port (query admin_port()).
+  /// Serve /metrics, /stats and /trace for the whole deployment from a
+  /// dedicated loop thread; 0 binds an ephemeral port (admin_port()).
   bool admin = false;
   std::uint16_t admin_port = 0;
 
@@ -79,12 +77,6 @@ class ShardedRealCluster {
 
   /// Bound aggregated-admin port (0 when the endpoint is off).
   std::uint16_t admin_port() const { return admin_ ? admin_->port() : 0; }
-  /// Aggregated hub (nullptr unless live_metrics/admin is on).
-  obs::LiveMetrics* live_metrics() { return live_.get(); }
-
-  /// The /stats JSON body (also exposed for tests: per-group gate
-  /// counters, freeze state, map epoch, plus the windowed live section).
-  std::string render_stats();
 
   /// Elastic range migration under load, from the controller thread:
   /// freeze the source group's intake, poll (wall clock) until its
@@ -99,8 +91,8 @@ class ShardedRealCluster {
   bool drained(std::size_t group);
 
   ShardedRealConfig config_;
-  std::unique_ptr<obs::LiveMetrics> live_;
   std::vector<std::unique_ptr<GroupShardGate>> gates_;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> gate_metrics_;  ///< admin on only
   std::vector<std::unique_ptr<real::RealCluster>> clusters_;
 
   mutable std::mutex map_mu_;
@@ -110,7 +102,7 @@ class ShardedRealCluster {
   /// scrape never delays protocol work; crash_replica on any group cannot
   /// kill it either).
   std::unique_ptr<real::RealRuntime> admin_runtime_;
-  std::unique_ptr<rpc::HttpAdmin> admin_;
+  std::unique_ptr<real::Admin> admin_;
   bool started_ = false;
 };
 

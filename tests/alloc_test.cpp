@@ -206,7 +206,8 @@ TEST(AllocationBudget, ObsHotPathIsAllocationFree) {
   // acquired up front (ring at construction, samples via reserve_samples).
   obs::TraceRecorder recorder(1u << 12);
   obs::MetricsRegistry registry;
-  std::uint64_t* accepted = registry.add_counter("accepted");
+  std::uint64_t accepted = 0;
+  registry.add_counter("accepted", [&accepted] { return static_cast<double>(accepted); });
   double queue = 0;
   registry.add_gauge("queue", [&queue] { return queue; });
   registry.reserve_samples(512);
@@ -217,7 +218,7 @@ TEST(AllocationBudget, ObsHotPathIsAllocationFree) {
     for (int i = 0; i < 16; ++i) {
       recorder.record(round * 16 + i, obs::TraceEventKind::AcceptVerdict, /*node=*/0, id,
                       /*arg=*/1);
-      *accepted += 1;
+      accepted += 1;
       queue += 1;
     }
     registry.sample(static_cast<Time>(round) * kMillisecond);

@@ -18,30 +18,6 @@
 namespace idem::rpc {
 namespace {
 
-/// One blocking HTTP/1.0 exchange against 127.0.0.1:port; returns the full
-/// response (head + body), empty on connect failure.
-std::string http_get(std::uint16_t port, const std::string& request) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return {};
-  }
-  (void)!::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 class HttpAdminTest : public ::testing::Test {
  protected:
   void start() {
@@ -71,7 +47,7 @@ class HttpAdminTest : public ::testing::Test {
 
 TEST_F(HttpAdminTest, ServesRegisteredRoute) {
   start();
-  std::string response = http_get(admin_->port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  std::string response = http_exchange(admin_->port(), "GET /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
@@ -80,7 +56,7 @@ TEST_F(HttpAdminTest, ServesRegisteredRoute) {
 
 TEST_F(HttpAdminTest, ContentLengthMatchesBody) {
   start();
-  std::string response = http_get(admin_->port(), "GET /stats HTTP/1.0\r\n\r\n");
+  std::string response = http_exchange(admin_->port(), "GET /stats HTTP/1.0\r\n\r\n");
   std::string expected = "Content-Length: " + std::to_string(std::strlen("{\"ok\":true}"));
   EXPECT_NE(response.find(expected), std::string::npos);
   EXPECT_NE(response.find("{\"ok\":true}"), std::string::npos);
@@ -88,13 +64,13 @@ TEST_F(HttpAdminTest, ContentLengthMatchesBody) {
 
 TEST_F(HttpAdminTest, QueryStringIsStripped) {
   start();
-  std::string response = http_get(admin_->port(), "GET /metrics?x=1 HTTP/1.0\r\n\r\n");
+  std::string response = http_exchange(admin_->port(), "GET /metrics?x=1 HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
 }
 
 TEST_F(HttpAdminTest, UnknownRouteIs404ListingRoutes) {
   start();
-  std::string response = http_get(admin_->port(), "GET /nope HTTP/1.0\r\n\r\n");
+  std::string response = http_exchange(admin_->port(), "GET /nope HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 404 Not Found"), std::string::npos);
   EXPECT_NE(response.find("/metrics"), std::string::npos);
   EXPECT_NE(response.find("/stats"), std::string::npos);
@@ -102,7 +78,7 @@ TEST_F(HttpAdminTest, UnknownRouteIs404ListingRoutes) {
 
 TEST_F(HttpAdminTest, NonGetIs405) {
   start();
-  std::string response = http_get(admin_->port(), "POST /metrics HTTP/1.0\r\n\r\n");
+  std::string response = http_exchange(admin_->port(), "POST /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 405"), std::string::npos);
 }
 
@@ -135,9 +111,9 @@ TEST_F(HttpAdminTest, SplitRequestHeadIsReassembled) {
 TEST_F(HttpAdminTest, ServedCounterAdvancesPerRoutedRequest) {
   start();
   EXPECT_EQ(admin_->requests_served(), 0u);
-  (void)http_get(admin_->port(), "GET /metrics HTTP/1.0\r\n\r\n");
-  (void)http_get(admin_->port(), "GET /nope HTTP/1.0\r\n\r\n");
-  (void)http_get(admin_->port(), "GET /stats HTTP/1.0\r\n\r\n");
+  (void)http_exchange(admin_->port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  (void)http_exchange(admin_->port(), "GET /nope HTTP/1.0\r\n\r\n");
+  (void)http_exchange(admin_->port(), "GET /stats HTTP/1.0\r\n\r\n");
   // 404s do not count as served scrapes. The counter is written on the
   // loop thread; stop the loop before reading it.
   loop_.stop();

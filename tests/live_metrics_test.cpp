@@ -1,69 +1,69 @@
-// Windowed live metrics: shard recording, cross-shard aggregation,
-// snapshot windowing, exposition rendering, and (under TSan in ci.sh)
-// concurrent recording while a scraper snapshots.
+// Windowed live metrics over registry reads: snapshot windowing, merging
+// members' reads by name, and exposition rendering. The cross-thread
+// scrape runs end to end in RealClusterTest.AdminServesThroughALeaderCrash.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <cstdint>
+#include <string>
 
-#include "common/reject_reason.hpp"
-#include "core/telemetry.hpp"
+#include "common/json.hpp"
 #include "obs/live_metrics.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace idem::obs {
 namespace {
 
 TEST(LiveMetrics, CounterWindowsSinceLastSnapshot) {
-  LiveMetrics hub;
-  LiveShard* shard = hub.make_shard();
-  auto id = shard->counter("accepts");
-  shard->add(id, 5);
+  MetricsRegistry registry;
+  std::uint64_t accepts = 5;
+  registry.add_counter("accepts", [&accepts] { return static_cast<double>(accepts); });
 
-  LiveSnapshot first = hub.snapshot();
+  LiveMetrics live;
+  LiveSnapshot first = live.snapshot(registry.read());
   ASSERT_EQ(first.counters.size(), 1u);
   EXPECT_EQ(first.counters[0].name, "accepts");
   EXPECT_EQ(first.counters[0].total, 5u);
   EXPECT_EQ(first.counters[0].window, 5u);
   EXPECT_GT(first.counters[0].rate, 0.0);
 
-  shard->add(id, 3);
-  LiveSnapshot second = hub.snapshot();
+  accepts += 3;
+  LiveSnapshot second = live.snapshot(registry.read());
   EXPECT_EQ(second.counters[0].total, 8u);
   EXPECT_EQ(second.counters[0].window, 3u);
 
   // A quiet window: totals persist, the window is empty.
-  LiveSnapshot third = hub.snapshot();
+  LiveSnapshot third = live.snapshot(registry.read());
   EXPECT_EQ(third.counters[0].total, 8u);
   EXPECT_EQ(third.counters[0].window, 0u);
   EXPECT_EQ(third.counters[0].rate, 0.0);
 }
 
 TEST(LiveMetrics, SetMirrorsExternalTotalsIntoWindows) {
-  // set() feeds an externally maintained monotonic total (TransportStats
-  // mirroring); the window machinery deltas it like any counter.
-  LiveMetrics hub;
-  LiveShard* shard = hub.make_shard();
-  auto id = shard->counter("tcp_messages_sent");
-  shard->set(id, 100);
-  EXPECT_EQ(hub.snapshot().counters[0].window, 100u);
-  shard->set(id, 140);
-  LiveSnapshot snap = hub.snapshot();
+  // A counter its component keeps (TransportStats) is read at scrape
+  // time; the window machinery deltas it like any counter.
+  MetricsRegistry registry;
+  std::uint64_t sent = 100;
+  registry.add_counter("tcp_messages_sent", [&sent] { return static_cast<double>(sent); });
+  LiveMetrics live;
+  EXPECT_EQ(live.snapshot(registry.read()).counters[0].window, 100u);
+  sent = 140;
+  LiveSnapshot snap = live.snapshot(registry.read());
   EXPECT_EQ(snap.counters[0].total, 140u);
   EXPECT_EQ(snap.counters[0].window, 40u);
 }
 
 TEST(LiveMetrics, HistogramQuantilesCoverOnlyTheWindow) {
-  LiveMetrics hub;
-  LiveShard* shard = hub.make_shard();
-  auto id = shard->histogram("reply_latency");
-  for (int i = 0; i < 1000; ++i) shard->record(id, 1000);
-  (void)hub.snapshot();
+  MetricsRegistry registry;
+  Histogram latency;
+  registry.add_histogram("reply_latency", latency);
+  for (int i = 0; i < 1000; ++i) latency.record(1000);
+  LiveMetrics live;
+  (void)live.snapshot(registry.read());
 
   // New window at a different magnitude: quantiles must not see the old
   // thousand samples at 1 us.
-  for (int i = 0; i < 100; ++i) shard->record(id, 1'000'000);
-  LiveSnapshot snap = hub.snapshot();
+  for (int i = 0; i < 100; ++i) latency.record(1'000'000);
+  LiveSnapshot snap = live.snapshot(registry.read());
   ASSERT_EQ(snap.latencies.size(), 1u);
   EXPECT_EQ(snap.latencies[0].window_count, 100u);
   EXPECT_EQ(snap.latencies[0].total_count, 1100u);
@@ -72,29 +72,27 @@ TEST(LiveMetrics, HistogramQuantilesCoverOnlyTheWindow) {
 }
 
 TEST(LiveMetrics, ShardsAggregateByName) {
-  // Identical series names on different shards (one per replica) merge
-  // into one cluster-wide series.
-  LiveMetrics hub;
-  LiveShard* a = hub.make_shard();
-  LiveShard* b = hub.make_shard();
-  auto ida = a->counter("accepts");
-  auto idb = b->counter("accepts");
-  a->add(ida, 2);
-  b->add(idb, 3);
-  LiveSnapshot snap = hub.snapshot();
+  // Identical series names in different members' reads (one per replica)
+  // merge into one cluster-wide series.
+  MetricsRegistry a;
+  MetricsRegistry b;
+  a.add_counter("accepts", [] { return 2.0; });
+  b.add_counter("accepts", [] { return 3.0; });
+  MetricsReading merged = a.read();
+  merged.merge(b.read());
+  LiveSnapshot snap = LiveMetrics().snapshot(std::move(merged));
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].total, 5u);
 }
 
 TEST(LiveMetrics, PrometheusRenderCarriesLabelsAndQuantiles) {
-  LiveMetrics hub;
-  LiveShard* shard = hub.make_shard();
-  auto rejects = shard->counter("rejects[reason=rt-queue-full]");
-  auto lat = shard->histogram("reply_latency");
-  shard->add(rejects, 7);
-  shard->record(lat, 1'000'000);
+  MetricsRegistry registry;
+  registry.add_counter("rejects[reason=rt-queue-full]", [] { return 7.0; });
+  Histogram latency;
+  latency.record(1'000'000);
+  registry.add_histogram("reply_latency", latency);
 
-  std::string text = LiveMetrics::render_prometheus(hub.snapshot());
+  std::string text = LiveMetrics::render_prometheus(LiveMetrics().snapshot(registry.read()));
   EXPECT_NE(text.find("idem_window_seconds"), std::string::npos);
   EXPECT_NE(text.find("idem_rejects_total{reason=\"rt-queue-full\"} 7"), std::string::npos);
   EXPECT_NE(text.find("idem_rejects_rate{reason=\"rt-queue-full\"}"), std::string::npos);
@@ -103,85 +101,12 @@ TEST(LiveMetrics, PrometheusRenderCarriesLabelsAndQuantiles) {
 }
 
 TEST(LiveMetrics, JsonRenderCarriesWindowAndSeries) {
-  LiveMetrics hub;
-  LiveShard* shard = hub.make_shard();
-  shard->add(shard->counter("replies"), 4);
-  std::string json = LiveMetrics::render_json(hub.snapshot());
-  EXPECT_NE(json.find("\"window_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"replies\": {\"total\": 4"), std::string::npos);
-}
-
-TEST(LiveMetrics, TelemetryDefaultConstructedIsInert) {
-  // The simulator runs with exactly this instance; every call must no-op.
-  core::LiveTelemetry telemetry;
-  EXPECT_FALSE(telemetry.enabled());
-  telemetry.count_accept();
-  telemetry.count_reject(RejectReason::RtQueueFull);
-  telemetry.record_reply_latency(1000);
-}
-
-TEST(LiveMetrics, TelemetryAttachRoutesIntoShard) {
-  LiveMetrics hub;
-  core::LiveTelemetry telemetry = core::LiveTelemetry::attach(hub.make_shard());
-  ASSERT_TRUE(telemetry.enabled());
-  telemetry.count_accept();
-  telemetry.count_reject(RejectReason::RejectedCacheHit);
-  telemetry.count_reject(RejectReason::RejectedCacheHit);
-  telemetry.record_reply_latency(5000);
-
-  LiveSnapshot snap = hub.snapshot();
-  std::uint64_t accepts = 0, cache_hits = 0, replies = 0;
-  for (const auto& c : snap.counters) {
-    if (c.name == "accepts") accepts = c.total;
-    if (c.name == "rejects[reason=rejected-cache-hit]") cache_hits = c.total;
-    if (c.name == "replies") replies = c.total;
-  }
-  EXPECT_EQ(accepts, 1u);
-  EXPECT_EQ(cache_hits, 2u);
-  EXPECT_EQ(replies, 1u);
-  ASSERT_EQ(snap.latencies.size(), 1u);
-  EXPECT_EQ(snap.latencies[0].window_count, 1u);
-}
-
-TEST(LiveMetrics, ConcurrentRecordingWhileScraping) {
-  // The real deployment: one shard per replica thread recording at full
-  // speed while an admin scraper snapshots. Run under TSan in ci.sh; the
-  // final snapshot must account for every update exactly.
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 20'000;
-  LiveMetrics hub;
-  std::vector<LiveShard*> shards;
-  for (int t = 0; t < kThreads; ++t) shards.push_back(hub.make_shard());
-
-  std::atomic<bool> stop{false};
-  std::thread scraper([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      (void)hub.snapshot();
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([shard = shards[t]] {
-      auto counter = shard->counter("accepts");
-      auto hist = shard->histogram("reply_latency");
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        shard->add(counter);
-        shard->record(hist, static_cast<Duration>(1000 + i % 64));
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  stop.store(true);
-  scraper.join();
-
-  LiveSnapshot snap = hub.snapshot();
-  std::uint64_t accepts = 0;
-  for (const auto& c : snap.counters) {
-    if (c.name == "accepts") accepts = c.total;
-  }
-  EXPECT_EQ(accepts, kThreads * kPerThread);
-  ASSERT_EQ(snap.latencies.size(), 1u);
-  EXPECT_EQ(snap.latencies[0].total_count, kThreads * kPerThread);
+  MetricsRegistry registry;
+  registry.add_counter("replies", [] { return 4.0; });
+  const json::Value doc = LiveMetrics::render_json(LiveMetrics().snapshot(registry.read()));
+  const json::Value parsed = json::Value::parse(doc.dump());
+  EXPECT_TRUE(parsed.contains("window_seconds"));
+  EXPECT_EQ(parsed.at("counters").at("replies").at("total").as_uint(), 4u);
 }
 
 }  // namespace

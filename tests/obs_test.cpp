@@ -67,15 +67,16 @@ TEST(TraceRecorder, RequestIdAndKindNamesRoundTrip) {
 
 TEST(MetricsRegistry, CountersGaugesAndSampling) {
   obs::MetricsRegistry registry;
-  std::uint64_t* accepted = registry.add_counter("accepted");
+  std::uint64_t accepted = 0;
+  registry.add_counter("accepted", [&accepted] { return static_cast<double>(accepted); });
   double queue = 0;
   registry.add_gauge("queue", [&queue] { return queue; });
   registry.reserve_samples(4);
 
-  *accepted += 3;
+  accepted += 3;
   queue = 1.5;
   registry.sample(100 * kMillisecond);
-  *accepted += 2;
+  accepted += 2;
   queue = 7;
   registry.sample(200 * kMillisecond);
 

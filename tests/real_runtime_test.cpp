@@ -3,11 +3,20 @@
 // and the in-process RealCluster harness (including crash injection).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdlib>
 #include <future>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "app/kv_store.hpp"
+#include "common/json.hpp"
 #include "consensus/addresses.hpp"
 #include "consensus/messages.hpp"
 #include "obs/metrics_registry.hpp"
@@ -16,6 +25,7 @@
 #include "real/cluster.hpp"
 #include "real/exec_thread.hpp"
 #include "real/runtime.hpp"
+#include "rpc/http_admin.hpp"
 #include "shard/real_clients.hpp"
 #include "test_util.hpp"
 
@@ -28,6 +38,13 @@ harness::RunMetrics drive_for(const shard::RealClientsConfig& clients, Duration 
   harness::LoadConfig load;
   load.measure = span;
   return shard::RealClients(clients).drive(load);
+}
+
+/// Value of the Prometheus line `series` in a /metrics response (-1 when
+/// the series is absent).
+double series_value(const std::string& response, const std::string& series) {
+  const std::size_t at = response.find("\n" + series + " ");
+  return at == std::string::npos ? -1.0 : std::atof(response.c_str() + at + series.size() + 2);
 }
 
 /// A stand-in replica that rejects every REQUEST, or stays silent.
@@ -346,6 +363,117 @@ TEST(RealClusterTest, LeaderCrashTriggersViewChange) {
   EXPECT_EQ(leader, 1u);
   EXPECT_GT(cluster.replica_stats(1).view_changes, 0u);
   EXPECT_GT(stats.replies, 0u);  // service resumed after the view change
+  cluster.shutdown();
+}
+
+TEST(RealClusterTest, MetricsCountTransportSheds) {
+  // The transport sheds connections past its cap before any replica sees
+  // them; the admin must count those sheds under their reject reason.
+  real::RealClusterConfig config;
+  config.seed = 41;
+  config.admin = true;
+  config.transport.max_inbound_connections = 4;
+  real::RealCluster cluster(config);
+  cluster.start();
+
+  std::vector<int> fds;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(cluster.port_of(0));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (int i = 0; i < 12; ++i) {
+    fds.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_EQ(::connect(fds.back(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  // Replica 0's loop accepts and sheds asynchronously: poll until a scrape
+  // and the transports agree on a nonzero count.
+  std::string metrics;
+  double served = -1;
+  std::uint64_t sheds = 0;
+  for (int attempt = 0; attempt < 100 && (sheds == 0 || served != sheds); ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    metrics = rpc::http_exchange(cluster.admin_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+    served = series_value(metrics, "idem_rejects_total{reason=\"connection-limit\"}");
+    sheds = 0;
+    for (std::size_t i = 0; i < cluster.n(); ++i) {
+      sheds += cluster.transport_stats(i).connection_limit_sheds;
+    }
+  }
+  EXPECT_GE(sheds, 1u);
+  EXPECT_EQ(served, static_cast<double>(sheds));
+  EXPECT_GE(series_value(metrics, "idem_tcp_messages_sent_total"), 0.0);
+  for (int fd : fds) ::close(fd);
+  cluster.shutdown();
+}
+
+TEST(RealClusterTest, AdminServesThroughALeaderCrash) {
+  // One thread scrapes /metrics and /stats while load runs and the leader
+  // crashes: the admin has a loop of its own, and a crashed member keeps
+  // contributing its last read.
+  real::RealClusterConfig config;
+  config.seed = 43;
+  config.admin = true;
+  config.idem.viewchange_timeout = 250 * kMillisecond;
+  real::RealCluster cluster(config);
+  cluster.start();
+  const std::uint16_t port = cluster.admin_port();
+  ASSERT_NE(port, 0);
+
+  std::atomic<bool> crashed{false};
+  std::atomic<bool> done{false};
+  int scrapes_after_crash = 0;
+  int failures_after_crash = 0;
+  double replies_seen = 0;
+  bool replies_decreased = false;
+  std::thread scraper([&] {
+    while (!done.load()) {
+      const bool after_crash = crashed.load();
+      const std::string metrics = rpc::http_exchange(port, "GET /metrics HTTP/1.0\r\n\r\n");
+      const std::string stats = rpc::http_exchange(port, "GET /stats HTTP/1.0\r\n\r\n");
+      if (after_crash) {
+        ++scrapes_after_crash;
+        if (metrics.rfind("HTTP/1.0 200", 0) != 0 || stats.rfind("HTTP/1.0 200", 0) != 0) {
+          ++failures_after_crash;
+        }
+      }
+      const double replies = series_value(metrics, "idem_replies_total");
+      replies_decreased |= replies < replies_seen;
+      replies_seen = std::max(replies_seen, replies);
+    }
+  });
+
+  shard::RealClientsConfig clients = clients_of(cluster, 2, 43);
+  clients.client.retry_interval = 200 * kMillisecond;
+  harness::RunMetrics stats;
+  std::thread loader([&] { stats = drive_for(clients, 1500 * kMillisecond); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  cluster.crash_replica(0);
+  crashed.store(true);
+  loader.join();
+  done.store(true);
+  scraper.join();
+
+  EXPECT_GT(scrapes_after_crash, 0);
+  EXPECT_EQ(failures_after_crash, 0);
+  EXPECT_FALSE(replies_decreased);
+  EXPECT_GT(replies_seen, 0.0);
+  EXPECT_GT(stats.replies, 0u);
+  // A survivor moved to a higher view; the dead leader is marked crashed
+  // and keeps its totals, but no longer reports itself leader.
+  const std::string response = rpc::http_exchange(port, "GET /stats HTTP/1.0\r\n\r\n");
+  const json::Value doc = json::Value::parse(response.substr(response.find("\r\n\r\n") + 4));
+  std::uint64_t survivor_view = 0;
+  for (const json::Value& member : doc.at("members").as_array()) {
+    if (member.at("member").as_string() == "r0") {
+      EXPECT_TRUE(member.contains("crashed")) << response;
+      EXPECT_FALSE(member.contains("leader")) << response;
+      EXPECT_GT(member.at("requests_received").as_uint(), 0u) << response;
+      continue;
+    }
+    EXPECT_FALSE(member.contains("crashed")) << response;
+    survivor_view = std::max(survivor_view, member.at("view").as_uint());
+  }
+  EXPECT_GT(survivor_view, 0u) << response;
   cluster.shutdown();
 }
 

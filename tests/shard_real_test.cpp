@@ -4,45 +4,17 @@
 // surface (group-labelled /metrics, per-group /stats sections).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/linearizability.hpp"
+#include "rpc/http_admin.hpp"
 #include "shard/real_clients.hpp"
 #include "shard/real_cluster.hpp"
 
 namespace idem::shard {
 namespace {
-
-/// One blocking HTTP/1.0 exchange against 127.0.0.1:port; returns the
-/// full response (head + body), empty on connect failure.
-std::string http_get(std::uint16_t port, const std::string& request) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return {};
-  }
-  (void)!::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
 
 ShardedRealConfig small_config(std::size_t groups) {
   ShardedRealConfig config;
@@ -98,7 +70,7 @@ TEST(ShardedReal, StaleClientMapRedirectsAndRecovers) {
   std::uint64_t wrong_shard = 0;
   for (std::size_t g = 0; g < cluster.groups(); ++g) {
     for (std::size_t i = 0; i < cluster.group(g).n(); ++i) {
-      wrong_shard += cluster.group(g).replica_stats(i).wrong_shard;
+      wrong_shard += cluster.group(g).replica_stats(i).rejects_for(RejectReason::WrongShard);
     }
   }
   EXPECT_GT(wrong_shard, 0u);
@@ -150,13 +122,14 @@ TEST(ShardedReal, AggregatedAdminServesGroupLabelledTelemetry) {
   (void)RealClients(clients_of(cluster, 2, 23)).drive(small_load(200 * kMillisecond));
 
   const std::string metrics =
-      http_get(cluster.admin_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+      rpc::http_exchange(cluster.admin_port(), "GET /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("group=\"0\""), std::string::npos);
   EXPECT_NE(metrics.find("group=\"1\""), std::string::npos);
   EXPECT_NE(metrics.find("idem_replies"), std::string::npos);
 
-  const std::string stats = http_get(cluster.admin_port(), "GET /stats HTTP/1.0\r\n\r\n");
+  const std::string stats =
+      rpc::http_exchange(cluster.admin_port(), "GET /stats HTTP/1.0\r\n\r\n");
   EXPECT_NE(stats.find("\"per_group\""), std::string::npos);
   EXPECT_NE(stats.find("\"map_epoch\":1"), std::string::npos);
   EXPECT_NE(stats.find("\"admitted\""), std::string::npos);

@@ -416,7 +416,7 @@ TEST(ShardedSim, WrongShardRejectsRedirectStaleRouters) {
   std::uint64_t wrong_shard = 0;
   for (std::size_t g = 0; g < 2; ++g) {
     for (std::size_t i = 0; i < cluster.config().idem.n; ++i) {
-      wrong_shard += cluster.replica(g, i).stats().wrong_shard;
+      wrong_shard += cluster.replica(g, i).stats().rejects_for(RejectReason::WrongShard);
     }
   }
   EXPECT_GT(wrong_shard, 0u);

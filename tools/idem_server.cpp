@@ -27,12 +27,12 @@
 #include "idem/acceptance.hpp"
 #include "idem/replica.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/live_metrics.hpp"
+#include "obs/metrics_registry.hpp"
+#include "real/admin.hpp"
 #include "real/exec_thread.hpp"
 #include "real/replica.hpp"
 #include "cli_util.hpp"
 #include "rpc/event_loop.hpp"
-#include "rpc/http_admin.hpp"
 #include "rpc/tcp_transport.hpp"
 #include "sim/discipline.hpp"
 #include "shard/gate.hpp"
@@ -329,9 +329,6 @@ int main(int argc, char** argv) {
     config.shard_gate = gate.get();
   }
 
-  obs::LiveMetrics hub;
-  if (options.admin) config.telemetry = core::LiveTelemetry::attach(hub.make_shard());
-
   std::unique_ptr<obs::TraceRecorder> trace;
   if (options.trace_out != nullptr || options.admin) {
     trace = std::make_unique<obs::TraceRecorder>(options.trace_capacity);
@@ -361,117 +358,19 @@ int main(int argc, char** argv) {
     transport.set_remote(consensus::replica_address(ReplicaId{peer_id}), address);
   }
 
-  std::unique_ptr<rpc::HttpAdmin> admin;
+  // The admin shares the replica's loop, so its reads are direct calls.
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<real::Admin> admin;
   if (options.admin) {
-    // Transport counters are maintained outside the shard machinery;
-    // mirror them in at scrape time so they window like everything else.
-    obs::LiveShard* net_shard = hub.make_shard();
-    struct NetSeries {
-      obs::LiveShard::SeriesId sent, delivered, dropped, decode_errors, shed, oversized,
-          conn_limit, idle_evicted, half_open_evicted, accepted, inbound, outbound,
-          conn_memory;
-    };
-    NetSeries net{net_shard->counter("tcp_messages_sent"),
-                  net_shard->counter("tcp_messages_delivered"),
-                  net_shard->counter("tcp_dropped"),
-                  net_shard->counter("tcp_decode_errors"),
-                  net_shard->counter("rejects[reason=backpressure-shed]"),
-                  net_shard->counter("rejects[reason=oversized-frame]"),
-                  net_shard->counter("rejects[reason=connection-limit]"),
-                  net_shard->counter("tcp_idle_evictions"),
-                  net_shard->counter("tcp_half_open_evictions"),
-                  net_shard->counter("tcp_accepted_connections"),
-                  net_shard->counter("tcp_inbound_connections"),
-                  net_shard->counter("tcp_outbound_connections"),
-                  net_shard->counter("tcp_connection_memory_bytes")};
-    auto mirror_transport = [&transport, net_shard, net] {
-      const rpc::TransportStats& t = transport.stats();
-      const rpc::TransportMemory m = transport.memory();
-      net_shard->set(net.sent, t.messages_sent);
-      net_shard->set(net.delivered, t.messages_delivered);
-      net_shard->set(net.dropped, t.dropped);
-      net_shard->set(net.decode_errors, t.decode_errors);
-      net_shard->set(net.shed, t.send_queue_overflows);
-      net_shard->set(net.oversized, t.oversized_frames);
-      net_shard->set(net.conn_limit, t.connection_limit_sheds);
-      net_shard->set(net.idle_evicted, t.idle_evictions);
-      net_shard->set(net.half_open_evicted, t.half_open_evictions);
-      net_shard->set(net.accepted, t.accepted_connections);
-      net_shard->set(net.inbound, m.inbound_connections);
-      net_shard->set(net.outbound, m.outbound_connections);
-      net_shard->set(net.conn_memory, m.total_bytes());
-    };
-
-    admin = std::make_unique<rpc::HttpAdmin>(loop, options.admin_port);
-    admin->route("/metrics", "text/plain; version=0.0.4", [&hub, mirror_transport] {
-      mirror_transport();
-      return obs::LiveMetrics::render_prometheus(hub.snapshot());
-    });
-    admin->route("/stats", "application/json", [&replica, &transport, &trace, &gate] {
-      const core::ReplicaStats& s = replica->stats();
-      const rpc::TransportStats& t = transport.stats();
-      const rpc::TransportMemory m = transport.memory();
-      char shard_buf[192] = "";
-      if (gate) {
-        const shard::GroupShardGate::Stats gs = gate->stats();
-        std::snprintf(shard_buf, sizeof shard_buf,
-                      "\"shard\":{\"group\":%u,\"map_epoch\":%llu,\"admitted\":%llu,"
-                      "\"redirected\":%llu,\"frozen_rejects\":%llu},",
-                      gate->group(), static_cast<unsigned long long>(gate->epoch()),
-                      static_cast<unsigned long long>(gs.admitted),
-                      static_cast<unsigned long long>(gs.redirected),
-                      static_cast<unsigned long long>(gs.frozen));
-      }
-      char buf[1792];
-      std::snprintf(
-          buf, sizeof buf,
-          "{\"view\":%llu,\"leader\":%s,"
-          "\"requests_received\":%llu,\"accepted\":%llu,\"rejected\":%llu,"
-          "\"wrong_shard\":%llu,\"executed\":%llu,\"deadline_misses\":%llu,%s"
-          "\"tcp\":{\"messages_sent\":%llu,\"bytes_sent\":%llu,"
-          "\"messages_delivered\":%llu,\"dropped\":%llu,\"decode_errors\":%llu,"
-          "\"send_queue_overflows\":%llu,\"oversized_frames\":%llu,"
-          "\"accepted_connections\":%llu,\"connection_limit_sheds\":%llu,"
-          "\"idle_evictions\":%llu,\"half_open_evictions\":%llu,"
-          "\"pending_write_bytes\":%zu,"
-          "\"inbound_connections\":%zu,\"outbound_connections\":%zu,"
-          "\"inbound_buffer_bytes\":%zu,\"connection_memory_bytes\":%zu},"
-          "\"trace_recorded\":%llu}",
-          static_cast<unsigned long long>(replica->view().value),
-          replica->is_leader() ? "true" : "false",
-          static_cast<unsigned long long>(s.requests_received),
-          static_cast<unsigned long long>(s.accepted),
-          static_cast<unsigned long long>(s.rejected),
-          static_cast<unsigned long long>(s.wrong_shard),
-          static_cast<unsigned long long>(s.executed),
-          static_cast<unsigned long long>(s.deadline_misses), shard_buf,
-          static_cast<unsigned long long>(t.messages_sent),
-          static_cast<unsigned long long>(t.bytes_sent),
-          static_cast<unsigned long long>(t.messages_delivered),
-          static_cast<unsigned long long>(t.dropped),
-          static_cast<unsigned long long>(t.decode_errors),
-          static_cast<unsigned long long>(t.send_queue_overflows),
-          static_cast<unsigned long long>(t.oversized_frames),
-          static_cast<unsigned long long>(t.accepted_connections),
-          static_cast<unsigned long long>(t.connection_limit_sheds),
-          static_cast<unsigned long long>(t.idle_evictions),
-          static_cast<unsigned long long>(t.half_open_evictions),
-          transport.pending_write_bytes(), m.inbound_connections,
-          m.outbound_connections, m.inbound_buffer_bytes, m.total_bytes(),
-          static_cast<unsigned long long>(trace ? trace->total_recorded() : 0));
-      return std::string(buf);
-    });
-    admin->route("/trace", "application/json", [&trace, &trace_meta] {
-      char* buf = nullptr;
-      std::size_t len = 0;
-      std::FILE* mem = open_memstream(&buf, &len);
-      if (mem == nullptr) return std::string("{}");
-      obs::write_chrome_trace(mem, trace->snapshot(), trace_meta);
-      std::fclose(mem);
-      std::string body(buf, len);
-      std::free(buf);
-      return body;
-    });
+    replica->register_metrics(metrics);
+    transport.register_metrics(metrics);
+    if (gate) gate->register_metrics(metrics);
+    real::Admin::Member member{"r" + std::to_string(options.replica_id),
+                               gate ? std::optional(gate->group()) : std::nullopt,
+                               [&metrics] { return metrics.read(); },
+                               [&trace] { return trace->snapshot(); }};
+    admin = std::make_unique<real::Admin>(loop, options.admin_port, std::vector{member},
+                                          trace_meta);
     std::printf("idem_server: admin on 127.0.0.1:%u (/metrics /stats /trace)\n",
                 admin->port());
   }
