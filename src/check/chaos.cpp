@@ -104,8 +104,6 @@ class ExecLog {
         p->on_execute = hook;
       } else if (auto* s = cluster.smart_replica(i)) {
         s->on_execute = hook;
-      } else if (auto* sp = cluster.smart_pr_replica(i)) {
-        sp->on_execute = hook;
       }
     }
   }
@@ -232,7 +230,6 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   }
   if (config.rejected_cache > 0) {
     cluster_config.idem.rejected_cache_size = config.rejected_cache;
-    cluster_config.smart_pr.rejected_cache_size = config.rejected_cache;
   }
   if (config.discipline == "edf") {
     cluster_config.discipline = sim::DisciplineKind::Edf;

@@ -108,22 +108,25 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       break;
     }
     case Protocol::SmartPR: {
-      smart::SmartPrConfig rc = config_.smart_pr;
+      // The agreement is SMaRt's; the intake phase is IDEM's.
+      smart::SmartConfig rc = config_.smart;
       rc.n = n;
       rc.f = config_.f;
-      rc.reject_threshold = config_.reject_threshold;
       rc.trace = trace_.get();
-      core::IdemConfig acceptance_params = config_.idem;
-      acceptance_params.n = n;
-      acceptance_params.f = config_.f;
-      acceptance_params.reject_threshold = config_.reject_threshold;
+      core::IdemConfig idem_params = config_.idem;
+      idem_params.n = n;
+      idem_params.f = config_.f;
+      idem_params.reject_threshold = config_.reject_threshold;
+      const smart::SmartPrConfig intake{idem_params.reject_threshold,
+                                        idem_params.forward_timeout,
+                                        idem_params.rejected_cache_size};
       for (std::size_t i = 0; i < n; ++i) {
         std::unique_ptr<core::AcceptanceTest> test =
             config_.acceptance_factory
                 ? config_.acceptance_factory(i)
-                : core::make_default_acceptance(acceptance_params, config_.clients);
+                : core::make_default_acceptance(idem_params, config_.clients);
         replicas_.push_back(std::make_unique<smart::SmartPrReplica>(
-            *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, make_store(),
+            *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, intake, make_store(),
             std::move(test)));
       }
       // SMaRt clients multicast; the reject-quorum client is IDEM's.
@@ -351,7 +354,7 @@ std::size_t Cluster::leader_index() const {
       if (r->is_leader()) return i;
     } else if (const auto* p = dynamic_cast<const paxos::PaxosReplica*>(replicas_[i].get())) {
       if (p->is_leader()) return i;
-    } else if (const auto* s = dynamic_cast<const smart::SmartReplica*>(replicas_[i].get())) {
+    } else if (const auto* s = dynamic_cast<const smart::SmartAgreement*>(replicas_[i].get())) {
       if (s->is_leader()) return i;
     }
   }
@@ -366,8 +369,8 @@ paxos::PaxosReplica* Cluster::paxos_replica(std::size_t index) {
   return dynamic_cast<paxos::PaxosReplica*>(replicas_[index].get());
 }
 
-smart::SmartReplica* Cluster::smart_replica(std::size_t index) {
-  return dynamic_cast<smart::SmartReplica*>(replicas_[index].get());
+smart::SmartAgreement* Cluster::smart_replica(std::size_t index) {
+  return dynamic_cast<smart::SmartAgreement*>(replicas_[index].get());
 }
 
 smart::SmartPrReplica* Cluster::smart_pr_replica(std::size_t index) {

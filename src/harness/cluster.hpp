@@ -72,9 +72,9 @@ struct ClusterConfig {
   core::IdemClientConfig idem_client; ///< n/f overridden
   paxos::PaxosConfig paxos;
   paxos::PaxosClientConfig paxos_client;
+  /// Also SMaRt+PR's agreement; its intake phase takes `idem`.
   smart::SmartConfig smart;
   smart::SmartClientConfig smart_client;
-  smart::SmartPrConfig smart_pr;
 
   ObsConfig obs;
 
@@ -135,7 +135,8 @@ class Cluster {
   // Typed accessors (nullptr when the protocol does not match).
   core::IdemReplica* idem_replica(std::size_t index);
   paxos::PaxosReplica* paxos_replica(std::size_t index);
-  smart::SmartReplica* smart_replica(std::size_t index);
+  /// Either SMaRt replica: the baseline or SMaRt+PR.
+  smart::SmartAgreement* smart_replica(std::size_t index);
   smart::SmartPrReplica* smart_pr_replica(std::size_t index);
 
  private:

@@ -355,7 +355,7 @@ void IdemReplica::note_require(ReplicaId voter, RequestId id) {
   std::size_t votes = requires_.vote(id, voter);
   if (votes >= config_.quorum() && !in_eligible_.contains(id)) {
     in_eligible_.insert(id);
-    batch_.push(id, now());
+    batch_.push(id);
     arm_progress_timer();
   }
   // Collect every quorum completed in this scheduling step into one

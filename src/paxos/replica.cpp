@@ -17,7 +17,7 @@ PaxosReplica::PaxosReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       sm_(std::move(state_machine)),
       cost_rng_(sim.seed(), 0xC057'1000ull + id.value) {
   assert(config_.n == 2 * config_.f + 1);
-  batch_.configure({config_.batch_max, config_.batch_min, config_.batch_flush_delay});
+  batch_.configure({config_.batch_max});
   if (is_leader()) send_heartbeat();
   arm_failure_timer();
   retransmit_tick();
@@ -29,7 +29,6 @@ void PaxosReplica::on_restart() {
   cancel_timer(heartbeat_timer_);
   cancel_timer(failure_timer_);
   cancel_timer(retransmit_timer_);
-  cancel_timer(batch_timer_);
   if (is_leader()) send_heartbeat();
   arm_failure_timer();
   retransmit_tick();
@@ -110,7 +109,7 @@ void PaxosReplica::handle_request(const msg::Request& request) {
   ++stats_.accepted;
   core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
   queued_.insert(id);
-  batch_.push(request, now());
+  batch_.push(request);
   try_propose();
   arm_failure_timer();
 }
@@ -119,10 +118,6 @@ void PaxosReplica::try_propose() {
   if (!is_leader()) return;
   const std::uint64_t window_end = log_.next_exec() + config_.window_size;
   while (!batch_.empty() && next_sqn_ < window_end) {
-    if (!batch_.ready(now())) {
-      arm_batch_timer();
-      break;
-    }
     next_sqn_ = log_.skip_bound(next_sqn_);
     if (next_sqn_ >= window_end) break;
 
@@ -153,15 +148,6 @@ void PaxosReplica::try_propose() {
     ++next_sqn_;
   }
   try_execute();
-}
-
-void PaxosReplica::arm_batch_timer() {
-  // Only reachable with batch_min > 1 and a nonzero flush delay.
-  if (batch_timer_.valid()) return;
-  batch_timer_ = set_timer(batch_.delay_until_ready(now()), [this] {
-    batch_timer_ = sim::TimerId{};
-    try_propose();
-  });
 }
 
 bool PaxosReplica::observe_view(ViewId view) {
@@ -443,7 +429,6 @@ void PaxosReplica::enter_view(ViewId view) {
   core::lifecycle::viewchange_done(config_.trace, now(), me_.value, view.value);
   if (was_leader && !is_leader()) {
     cancel_timer(heartbeat_timer_);
-    cancel_timer(batch_timer_);
     // A demoted leader's pending queue dies with its leadership; clients
     // retransmit to the new leader.
     batch_.clear();

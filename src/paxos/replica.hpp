@@ -43,11 +43,6 @@ struct PaxosConfig {
   std::size_t n = 3;
   std::size_t f = 1;
   std::size_t batch_max = 32;
-  /// Ordered-log batching (see core::BatchPipeline): cut once batch_min
-  /// requests are queued or the oldest waited batch_flush_delay. Defaults
-  /// (1, 0) cut immediately, i.e. legacy behavior.
-  std::size_t batch_min = 1;
-  Duration batch_flush_delay = 0;
   /// In-flight consensus instances (relative to execution progress).
   std::uint64_t window_size = 256;
   Duration viewchange_timeout = 1500 * kMillisecond;
@@ -113,7 +108,6 @@ class PaxosReplica final : public sim::Node {
 
   void handle_request(const msg::Request& request);
   void try_propose();
-  void arm_batch_timer();
   void handle_propose(const msg::PaxosPropose& propose);
   void handle_accept(const msg::PaxosAccept& accept);
   void adopt_binding(std::uint64_t sqn, ViewId view, std::vector<msg::Request> requests);
@@ -144,7 +138,6 @@ class PaxosReplica final : public sim::Node {
   core::BatchPipeline<msg::Request> batch_;  ///< leader: accepted, not yet proposed
   std::unordered_set<RequestId> queued_;
   std::size_t inflight_requests_ = 0;  ///< proposed, not yet executed
-  sim::TimerId batch_timer_;           ///< pending time-based batch cut
 
   core::OrderedLog<Instance> log_;
   std::uint64_t next_sqn_ = 0;

@@ -8,25 +8,30 @@ namespace idem::smart {
 
 namespace core = idem::core;
 
-SmartReplica::SmartReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
-                           SmartConfig config, std::unique_ptr<app::StateMachine> state_machine)
+// ---------------------------------------------------------------------------
+// Mod-SMaRt agreement
+// ---------------------------------------------------------------------------
+
+SmartAgreement::SmartAgreement(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
+                               SmartConfig config,
+                               std::unique_ptr<app::StateMachine> state_machine,
+                               std::uint64_t cost_stream)
     : sim::Node(sim, net, consensus::replica_address(id), sim::NodeKind::Replica),
       config_(config),
       me_(id),
       sm_(std::move(state_machine)),
-      cost_rng_(sim.seed(), 0xC057'2000ull + id.value) {
+      cost_rng_(sim.seed(), cost_stream + id.value) {
   assert(config_.n == 2 * config_.f + 1);
-  batch_.configure({config_.batch_max, config_.batch_min, config_.batch_flush_delay});
   retransmit_tick();
 }
 
-void SmartReplica::on_restart() {
+void SmartAgreement::on_restart() {
+  restart_intake();
   cancel_timer(retransmit_timer_);
-  cancel_timer(batch_timer_);
   retransmit_tick();
 }
 
-void SmartReplica::retransmit_tick() {
+void SmartAgreement::retransmit_tick() {
   retransmit_timer_ = set_timer(config_.retransmit_interval, [this] { retransmit_tick(); });
   if (!is_leader()) return;
   Instance* head = log_.head();
@@ -43,22 +48,22 @@ void SmartReplica::retransmit_tick() {
   }
 }
 
-Duration SmartReplica::message_cost(const sim::Payload& message) const {
+Duration SmartAgreement::message_cost(const sim::Payload& message) const {
   return config_.costs.cost(message, cost_rng_);
 }
 
-Duration SmartReplica::send_cost(const sim::Payload& message) const {
+Duration SmartAgreement::send_cost(const sim::Payload& message) const {
   return config_.costs.send_cost(message, cost_rng_);
 }
 
-void SmartReplica::multicast(sim::PayloadPtr message) {
+void SmartAgreement::multicast(sim::PayloadPtr message) {
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     if (i == me_.value) continue;
     send(consensus::replica_address(ReplicaId{i}), message);
   }
 }
 
-void SmartReplica::on_message(sim::NodeId from, const sim::Payload& message) {
+void SmartAgreement::on_message(sim::NodeId from, const sim::Payload& message) {
   (void)from;
   const auto* base = dynamic_cast<const msg::Message*>(&message);
   if (base == nullptr) return;
@@ -76,11 +81,12 @@ void SmartReplica::on_message(sim::NodeId from, const sim::Payload& message) {
       handle_accept(static_cast<const msg::SmartAccept&>(*base));
       break;
     default:
+      handle_intake(*base);
       break;
   }
 }
 
-void SmartReplica::handle_request(const msg::Request& request) {
+void SmartAgreement::handle_request(const msg::Request& request) {
   ++stats_.requests_received;
   const RequestId id = request.id;
   if (clients_.executed(id)) {
@@ -89,28 +95,15 @@ void SmartReplica::handle_request(const msg::Request& request) {
     }
     return;
   }
-  if (!is_leader()) return;  // followers see the request again in the PROPOSE
-  if (queued_.contains(id)) return;
-  // No acceptance test: the leader takes everything (accepted always).
-  core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
-  queued_.insert(id);
-  batch_.push(request, now());  // unbounded: no overload protection
-  try_propose();
+  admit(request);
 }
 
-void SmartReplica::try_propose() {
+void SmartAgreement::try_propose() {
   if (!is_leader()) return;
   const std::uint64_t window_end = log_.next_exec() + config_.window_size;
-  while (!batch_.empty() && next_sqn_ < window_end) {
-    if (!batch_.ready(now())) {
-      arm_batch_timer();
-      break;
-    }
-    std::vector<msg::Request> batch;
-    batch_.cut([&](msg::Request& request) {
-      batch.push_back(std::move(request));
-      return core::BatchPipeline<msg::Request>::Verdict::Take;
-    });
+  while (next_sqn_ < window_end) {
+    std::vector<msg::Request> batch = cut_batch();
+    if (batch.empty()) break;
 
     Instance& inst = log_.at(next_sqn_);
     inst.requests = batch;
@@ -134,16 +127,7 @@ void SmartReplica::try_propose() {
   try_execute();
 }
 
-void SmartReplica::arm_batch_timer() {
-  // Only reachable with batch_min > 1 and a nonzero flush delay.
-  if (batch_timer_.valid()) return;
-  batch_timer_ = set_timer(batch_.delay_until_ready(now()), [this] {
-    batch_timer_ = sim::TimerId{};
-    try_propose();
-  });
-}
-
-void SmartReplica::handle_propose(const msg::SmartPropose& propose) {
+void SmartAgreement::handle_propose(const msg::SmartPropose& propose) {
   const std::uint64_t sqn = propose.sqn.value;
   if (sqn < log_.next_exec()) {
     // Retransmission for an executed instance: the sender lost our votes;
@@ -189,7 +173,7 @@ void SmartReplica::handle_propose(const msg::SmartPropose& propose) {
   try_execute();
 }
 
-void SmartReplica::handle_write(const msg::SmartWrite& write) {
+void SmartAgreement::handle_write(const msg::SmartWrite& write) {
   const std::uint64_t sqn = write.sqn.value;
   if (sqn < log_.next_exec()) return;
   Instance& inst = log_.at(sqn);
@@ -198,7 +182,7 @@ void SmartReplica::handle_write(const msg::SmartWrite& write) {
   try_execute();
 }
 
-void SmartReplica::maybe_advance(std::uint64_t sqn) {
+void SmartAgreement::maybe_advance(std::uint64_t sqn) {
   Instance& inst = log_.at(sqn);
   if (inst.write_votes.size() >= config_.quorum() && !inst.own_accept_sent) {
     auto accept = std::make_shared<msg::SmartAccept>();
@@ -212,12 +196,12 @@ void SmartReplica::maybe_advance(std::uint64_t sqn) {
   }
 }
 
-void SmartReplica::note_accept_quorum(std::uint64_t sqn, Instance& inst) {
+void SmartAgreement::note_accept_quorum(std::uint64_t sqn, Instance& inst) {
   core::lifecycle::decision_quorum(config_.trace, now(), me_.value, sqn, inst,
                                    inst.accept_votes.size(), config_.quorum());
 }
 
-void SmartReplica::handle_accept(const msg::SmartAccept& accept) {
+void SmartAgreement::handle_accept(const msg::SmartAccept& accept) {
   const std::uint64_t sqn = accept.sqn.value;
   if (sqn < log_.next_exec()) return;
   Instance& inst = log_.at(sqn);
@@ -226,7 +210,7 @@ void SmartReplica::handle_accept(const msg::SmartAccept& accept) {
   try_execute();
 }
 
-void SmartReplica::try_execute() {
+void SmartAgreement::try_execute() {
   for (;;) {
     Instance* inst = log_.head();
     if (inst == nullptr) return;
@@ -245,7 +229,7 @@ void SmartReplica::try_execute() {
       core::lifecycle::executed(config_.trace, now(), me_.value, id, log_.next_exec());
       auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
       clients_.record(id, reply);
-      queued_.erase(id);
+      release(id);
       // All replicas reply; a CFT client needs just one reply.
       send(consensus::client_address(id.cid), reply);
       core::lifecycle::reply_sent(config_.trace, now(), me_.value, id);
@@ -256,5 +240,37 @@ void SmartReplica::try_execute() {
     log_.advance_head();
   }
 }
+
+// ---------------------------------------------------------------------------
+// Baseline intake: the leader queues everything
+// ---------------------------------------------------------------------------
+
+SmartReplica::SmartReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
+                           SmartConfig config, std::unique_ptr<app::StateMachine> state_machine)
+    : SmartAgreement(sim, net, id, config, std::move(state_machine), 0xC057'2000ull) {
+  batch_.configure({config_.batch_max});
+}
+
+void SmartReplica::admit(const msg::Request& request) {
+  const RequestId id = request.id;
+  if (!is_leader()) return;  // followers see the request again in the PROPOSE
+  if (queued_.contains(id)) return;
+  // No acceptance test: the leader takes everything (accepted always).
+  core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
+  queued_.insert(id);
+  batch_.push(request);  // unbounded: no overload protection
+  try_propose();
+}
+
+std::vector<msg::Request> SmartReplica::cut_batch() {
+  std::vector<msg::Request> batch;
+  batch_.cut([&](msg::Request& request) {
+    batch.push_back(std::move(request));
+    return core::BatchPipeline<msg::Request>::Verdict::Take;
+  });
+  return batch;
+}
+
+void SmartReplica::release(RequestId id) { queued_.erase(id); }
 
 }  // namespace idem::smart

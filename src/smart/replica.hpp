@@ -11,9 +11,11 @@
 // this baseline (the paper's crash experiments only involve IDEM variants
 // and Paxos_LBR); see DESIGN.md.
 //
-// Structurally a policy layer over the replication core (src/core): the
-// ordered log, client table and batch pipeline are shared with the other
-// protocols; SMaRt contributes the three-phase agreement.
+// The agreement is SmartAgreement, a policy layer over the replication
+// core (src/core: ordered log, client table, batch pipeline). It leaves
+// the intake — which requests the leader proposes — to its subclass:
+// SmartReplica below queues every request at the leader, and
+// SmartPrReplica (smart/replica_pr.hpp) puts IDEM's intake phase in front.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +42,6 @@ struct SmartConfig {
   std::size_t n = 3;
   std::size_t f = 1;
   std::size_t batch_max = 32;
-  /// Ordered-log batching (see core::BatchPipeline): cut once batch_min
-  /// requests are queued or the oldest waited batch_flush_delay. Defaults
-  /// (1, 0) cut immediately, i.e. legacy behavior.
-  std::size_t batch_min = 1;
-  Duration batch_flush_delay = 0;
   std::uint64_t window_size = 256;
   /// Leader retransmits the proposal of the oldest unexecuted instance
   /// when it makes no progress for this long (fair-loss links).
@@ -62,10 +59,14 @@ struct SmartStats {
   std::uint64_t executed = 0;
   std::uint64_t duplicates_skipped = 0;
   std::uint64_t proposals_sent = 0;
+  // Intake phase; only SmartPrReplica counts these.
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t forward_accepted = 0;
+  std::uint64_t forwards_sent = 0;
 };
 
-/// The three-phase consensus slot, shared with the proactive-rejection
-/// variant (smart/replica_pr.hpp) whose agreement path is identical.
+/// The three-phase consensus slot.
 struct SmartSlot : core::SlotBase {
   std::vector<msg::Request> requests;
   bool own_write_sent = false;
@@ -74,15 +75,14 @@ struct SmartSlot : core::SlotBase {
   std::unordered_set<std::uint32_t> accept_votes;
 };
 
-class SmartReplica final : public sim::Node {
+/// Mod-SMaRt agreement: the ordered log, the client table, PROPOSE / WRITE
+/// / ACCEPT handling, the leader's retransmission, execution and replies.
+/// A subclass supplies the intake through the hooks below.
+class SmartAgreement : public sim::Node {
  public:
-  SmartReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, SmartConfig config,
-               std::unique_ptr<app::StateMachine> state_machine);
-
   ReplicaId replica_id() const { return me_; }
-  bool is_leader() const { return consensus::leader_of(view_, config_.n) == me_; }
+  bool is_leader() const { return leader() == me_; }
   const SmartStats& stats() const { return stats_; }
-  std::size_t backlog() const { return batch_.size(); }
   SeqNum next_execute() const { return SeqNum{log_.next_exec()}; }
 
   app::StateMachine& state_machine() { return *sm_; }
@@ -90,17 +90,43 @@ class SmartReplica final : public sim::Node {
   std::function<void(SeqNum, RequestId)> on_execute;
 
  protected:
-  void on_message(sim::NodeId from, const sim::Payload& message) override;
-  void on_restart() override;
-  Duration message_cost(const sim::Payload& message) const override;
-  Duration send_cost(const sim::Payload& message) const override;
+  /// `cost_stream` names the replica's service-time jitter stream
+  /// (CostModel::jitter); each subclass keeps its own.
+  SmartAgreement(sim::Runtime& sim, sim::Transport& net, ReplicaId id, SmartConfig config,
+                 std::unique_ptr<app::StateMachine> state_machine, std::uint64_t cost_stream);
+
+  // Intake hooks.
+  /// A client REQUEST that has not executed (executed ones are answered
+  /// from the reply cache before this is called).
+  virtual void admit(const msg::Request& request) = 0;
+  /// Any other message that is not agreement traffic.
+  virtual void handle_intake(const msg::Message& message) { (void)message; }
+  /// The leader's next batch to propose; empty when there is none.
+  virtual std::vector<msg::Request> cut_batch() = 0;
+  /// `id` executed here; called before its reply is sent.
+  virtual void release(RequestId id) = 0;
+  /// The replica restarted; called before the agreement re-arms its timers.
+  virtual void restart_intake() {}
+
+  ReplicaId leader() const { return consensus::leader_of(view_, config_.n); }
+  bool executed(RequestId id) const { return clients_.executed(id); }
+  /// Proposes batches from cut_batch() while the window has room.
+  void try_propose();
+  void multicast(sim::PayloadPtr message);
+
+  const SmartConfig config_;
+  const ReplicaId me_;
+  SmartStats stats_;
 
  private:
   using Instance = SmartSlot;
 
+  void on_message(sim::NodeId from, const sim::Payload& message) final;
+  void on_restart() final;
+  Duration message_cost(const sim::Payload& message) const final;
+  Duration send_cost(const sim::Payload& message) const final;
+
   void handle_request(const msg::Request& request);
-  void try_propose();
-  void arm_batch_timer();
   void handle_propose(const msg::SmartPropose& propose);
   void handle_write(const msg::SmartWrite& write);
   void handle_accept(const msg::SmartAccept& accept);
@@ -109,16 +135,9 @@ class SmartReplica final : public sim::Node {
   void note_accept_quorum(std::uint64_t sqn, Instance& inst);
   void try_execute();
   void retransmit_tick();
-  void multicast(sim::PayloadPtr message);
 
-  SmartConfig config_;
-  ReplicaId me_;
   std::unique_ptr<app::StateMachine> sm_;
   ViewId view_;
-
-  core::BatchPipeline<msg::Request> batch_;  ///< leader's unbounded request buffer
-  std::unordered_set<RequestId> queued_;
-  sim::TimerId batch_timer_;  ///< pending time-based batch cut
 
   core::OrderedLog<Instance> log_;
   std::uint64_t next_sqn_ = 0;
@@ -130,8 +149,24 @@ class SmartReplica final : public sim::Node {
 
   // Service-time variability stream (CostModel::jitter).
   mutable Rng cost_rng_;
+};
 
-  SmartStats stats_;
+/// The baseline: the leader queues every request it receives and proposes
+/// it — no acceptance test, no bound on the queue.
+class SmartReplica final : public SmartAgreement {
+ public:
+  SmartReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, SmartConfig config,
+               std::unique_ptr<app::StateMachine> state_machine);
+
+  std::size_t backlog() const { return batch_.size(); }
+
+ private:
+  void admit(const msg::Request& request) override;
+  std::vector<msg::Request> cut_batch() override;
+  void release(RequestId id) override;
+
+  core::BatchPipeline<msg::Request> batch_;  ///< leader's unbounded request buffer
+  std::unordered_set<RequestId> queued_;
 };
 
 }  // namespace idem::smart

@@ -4,8 +4,8 @@
 // easier to combine our approach with other consensus protocols"), made
 // concrete.
 //
-// The composition keeps Mod-SMaRt's agreement (PROPOSE / WRITE / ACCEPT
-// on full request batches) untouched and bolts IDEM's intake phase in
+// The composition keeps Mod-SMaRt's agreement (SmartAgreement, the same
+// code the baseline SmartReplica runs) and puts IDEM's intake phase in
 // front of it:
 //   - every replica runs a local acceptance test on each REQUEST and
 //     either REJECTs to the client or stores the request and REQUIREs it
@@ -24,114 +24,53 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
-#include "app/state_machine.hpp"
-#include "common/ids.hpp"
-#include "consensus/addresses.hpp"
 #include "consensus/quorum.hpp"
 #include "core/acceptance.hpp"
-#include "core/batch_pipeline.hpp"
-#include "core/client_table.hpp"
-#include "core/ordered_log.hpp"
 #include "core/rejected_cache.hpp"
-#include "core/timers.hpp"
 #include "smart/replica.hpp"
 
 namespace idem::smart {
 
+/// The intake phase's knobs (IDEM's, see core::IdemConfig); the agreement
+/// takes a SmartConfig.
 struct SmartPrConfig {
-  std::size_t n = 3;
-  std::size_t f = 1;
-  std::size_t batch_max = 32;
-  /// Ordered-log batching (see core::BatchPipeline): cut once batch_min
-  /// requests are queued or the oldest waited batch_flush_delay. Defaults
-  /// (1, 0) cut immediately, i.e. legacy behavior.
-  std::size_t batch_min = 1;
-  Duration batch_flush_delay = 0;
-  std::uint64_t window_size = 256;
-  Duration retransmit_interval = 200 * kMillisecond;
-  consensus::CostModel costs;
-
-  /// Intake phase (IDEM parameters).
   std::size_t reject_threshold = 50;
   Duration forward_timeout = 10 * kMillisecond;
   std::size_t rejected_cache_size = 1024;
-
-  /// Optional request-lifecycle trace sink (borrowed, may be null).
-  obs::TraceRecorder* trace = nullptr;
-
-  std::size_t quorum() const { return f + 1; }
 };
 
-struct SmartPrStats {
-  std::uint64_t requests_received = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t forward_accepted = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t duplicates_skipped = 0;
-  std::uint64_t proposals_sent = 0;
-  std::uint64_t forwards_sent = 0;
-};
-
-class SmartPrReplica final : public sim::Node {
+class SmartPrReplica final : public SmartAgreement {
  public:
-  SmartPrReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, SmartPrConfig config,
-                 std::unique_ptr<app::StateMachine> state_machine,
+  SmartPrReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, SmartConfig config,
+                 SmartPrConfig intake, std::unique_ptr<app::StateMachine> state_machine,
                  std::unique_ptr<core::AcceptanceTest> acceptance);
 
-  ReplicaId replica_id() const { return me_; }
-  bool is_leader() const { return consensus::leader_of(view_, config_.n) == me_; }
-  const SmartPrStats& stats() const { return stats_; }
   std::size_t active_requests() const { return active_.size(); }
-  SeqNum next_execute() const { return SeqNum{log_.next_exec()}; }
-
-  app::StateMachine& state_machine() { return *sm_; }
-
-  std::function<void(SeqNum, RequestId)> on_execute;
-
- protected:
-  void on_message(sim::NodeId from, const sim::Payload& message) override;
-  void on_restart() override;
-  Duration message_cost(const sim::Payload& message) const override;
-  Duration send_cost(const sim::Payload& message) const override;
 
  private:
-  using Instance = SmartSlot;  ///< agreement state shared with SmartReplica
-
   // Intake phase (IDEM, Section 4.3 / 5.1 / 5.2).
-  void handle_request(const msg::Request& request);
+  void admit(const msg::Request& request) override;
+  void handle_intake(const msg::Message& message) override;
+  std::vector<msg::Request> cut_batch() override;
+  void release(RequestId id) override;
+  void restart_intake() override;
+
   void accept_request(RequestId id, std::vector<std::byte> command, bool client_issued);
+  void send_require(RequestId id);
   void note_require(ReplicaId voter, RequestId id);
   void handle_forward(const msg::Forward& forward);
   void arm_forward_timer(RequestId id);
   void forward_request(RequestId id);
   const std::vector<std::byte>* find_command(RequestId id) const;
 
-  // Unmodified Mod-SMaRt-style agreement.
-  void try_propose();
-  void arm_batch_timer();
-  void handle_propose(const msg::SmartPropose& propose);
-  void handle_write(const msg::SmartWrite& write);
-  void handle_accept(const msg::SmartAccept& accept);
-  void maybe_advance(std::uint64_t sqn);
-  /// Emits the CommitQuorum trace event once per instance.
-  void note_accept_quorum(std::uint64_t sqn, Instance& inst);
-  void try_execute();
-  void retransmit_tick();
-  void multicast(sim::PayloadPtr message);
-
-  SmartPrConfig config_;
-  ReplicaId me_;
-  std::unique_ptr<app::StateMachine> sm_;
+  const SmartPrConfig intake_;
   std::unique_ptr<core::AcceptanceTest> acceptance_;
-  ViewId view_;
 
-  // Intake state.
   std::unordered_map<RequestId, std::vector<std::byte>> requests_;
   std::unordered_set<RequestId> active_;
   std::unordered_map<RequestId, sim::TimerId> forward_timers_;
@@ -140,17 +79,6 @@ class SmartPrReplica final : public sim::Node {
   core::BatchPipeline<RequestId> batch_;  ///< ids with an f+1 REQUIRE quorum
   std::unordered_set<RequestId> in_eligible_;
   std::unordered_set<RequestId> proposed_;
-  sim::TimerId batch_timer_;  ///< pending time-based batch cut
-
-  // Agreement state.
-  core::OrderedLog<Instance> log_;
-  std::uint64_t next_sqn_ = 0;
-  core::ClientTable clients_;
-  sim::TimerId retransmit_timer_;
-  core::StallWatermark retransmit_stall_;
-
-  mutable Rng cost_rng_;
-  SmartPrStats stats_;
 };
 
 }  // namespace idem::smart

@@ -98,10 +98,10 @@ TEST(ClientTable, ClearRepliesKeepsSessions) {
 using IdPipeline = BatchPipeline<RequestId>;
 
 TEST(BatchPipeline, DefaultsCutImmediately) {
-  IdPipeline pipe;  // batch_min = 1, flush_delay = 0
-  EXPECT_FALSE(pipe.ready(0));
-  pipe.push(rid(1, 1), 0);
-  EXPECT_TRUE(pipe.ready(0));
+  IdPipeline pipe;
+  EXPECT_TRUE(pipe.empty());
+  pipe.push(rid(1, 1));
+  EXPECT_FALSE(pipe.empty());
   std::vector<RequestId> batch;
   pipe.cut([&](RequestId& id) {
     batch.push_back(id);
@@ -111,23 +111,10 @@ TEST(BatchPipeline, DefaultsCutImmediately) {
   EXPECT_TRUE(pipe.empty());
 }
 
-TEST(BatchPipeline, BatchMinHoldsUntilSizeOrDelay) {
-  IdPipeline pipe;
-  pipe.configure({/*batch_max=*/32, /*batch_min=*/4, /*flush_delay=*/100});
-  pipe.push(rid(1, 1), 10);
-  pipe.push(rid(2, 1), 20);
-  EXPECT_FALSE(pipe.ready(50));          // 2 of 4 queued, oldest waited 40
-  EXPECT_EQ(pipe.delay_until_ready(50), 60);
-  EXPECT_TRUE(pipe.ready(110));          // oldest waited the full delay
-  pipe.push(rid(3, 1), 30);
-  pipe.push(rid(4, 1), 30);
-  EXPECT_TRUE(pipe.ready(31));           // batch_min reached: size cut
-}
-
 TEST(BatchPipeline, CutRespectsBatchMaxAndDrop) {
   IdPipeline pipe;
-  pipe.configure({/*batch_max=*/2, /*batch_min=*/1, /*flush_delay=*/0});
-  for (std::uint64_t i = 1; i <= 4; ++i) pipe.push(rid(i, 1), 0);
+  pipe.configure({/*batch_max=*/2});
+  for (std::uint64_t i = 1; i <= 4; ++i) pipe.push(rid(i, 1));
   std::vector<RequestId> batch;
   std::size_t taken = pipe.cut([&](RequestId& id) {
     if (id.cid.value == 1) return IdPipeline::Verdict::Drop;
@@ -145,8 +132,8 @@ TEST(BatchPipeline, CutRespectsBatchMaxAndDrop) {
 
 TEST(BatchPipeline, DeferRequeuesBehindTailInOrder) {
   IdPipeline pipe;
-  pipe.configure({/*batch_max=*/8, /*batch_min=*/1, /*flush_delay=*/0});
-  for (std::uint64_t i = 1; i <= 3; ++i) pipe.push(rid(i, 1), 0);
+  pipe.configure({/*batch_max=*/8});
+  for (std::uint64_t i = 1; i <= 3; ++i) pipe.push(rid(i, 1));
   // Defer clients 1 and 3 (no body yet), take client 2.
   pipe.cut([&](RequestId& id) {
     return id.cid.value == 2 ? IdPipeline::Verdict::Take : IdPipeline::Verdict::Defer;

@@ -98,6 +98,7 @@ TEST_P(DeterminismTest, Seed11TrajectoryIsPinned) {
   switch (GetParam()) {
     case Protocol::Idem: pin = {174'217, 9'672, 96, 5'582'681, 1'368'405}; break;
     case Protocol::Paxos: pin = {382'351, 18'014, 0, 4'871'684, 10'829'516}; break;
+    case Protocol::SmartPR: pin = {494'517, 9'666, 103, 7'922'038, 11'473'927}; break;
     default: pin = {661'336, 14'341, 0, 11'630'612, 14'970'626}; break;
   }
   const Trace t = run_once(GetParam(), 11);
@@ -142,11 +143,13 @@ TEST_P(DeterminismTest, SameSeedBitIdenticalTraceBuffer) {
 #endif  // IDEM_TRACE_OFF
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, DeterminismTest,
-                         ::testing::Values(Protocol::Idem, Protocol::Paxos, Protocol::Smart),
+                         ::testing::Values(Protocol::Idem, Protocol::Paxos, Protocol::Smart,
+                                           Protocol::SmartPR),
                          [](const ::testing::TestParamInfo<Protocol>& info) {
                            switch (info.param) {
                              case Protocol::Idem: return std::string("Idem");
                              case Protocol::Paxos: return std::string("Paxos");
+                             case Protocol::SmartPR: return std::string("SmartPR");
                              default: return std::string("Smart");
                            }
                          });

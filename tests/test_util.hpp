@@ -59,8 +59,6 @@ class ExecutionRecorder {
         p->on_execute = hook;
       } else if (auto* s = cluster.smart_replica(i)) {
         s->on_execute = hook;
-      } else if (auto* sp = cluster.smart_pr_replica(i)) {
-        sp->on_execute = hook;
       }
     }
   }

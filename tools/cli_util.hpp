@@ -1,13 +1,18 @@
-// Shared pieces of the CLI load drivers (idem_client, storm_client):
-// argv option-value scanning, replica-address collection, YCSB workload
-// lookup by letter, and the throughput/latency report block. Header-only
-// on purpose — these are two small mains and a library target would
-// outweigh the code.
+// Shared pieces of the CLIs (idem_server, idem_client, storm_client):
+// argv option-value scanning, checked number parsing, replica-address
+// collection, YCSB workload lookup by letter, and the throughput/latency
+// report block. Header-only on purpose — these are small mains and a
+// library target would outweigh the code.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "app/ycsb.hpp"
 #include "harness/metrics.hpp"
@@ -21,6 +26,35 @@ namespace idem::cli {
 inline const char* next_value(int argc, char** argv, int& i) {
   if (i + 1 >= argc) return nullptr;
   return argv[++i];
+}
+
+/// Parses all of `text` as a decimal T in [min, max] (no blanks, no sign
+/// on unsigned types), printing the usage error on failure.
+template <typename T>
+std::optional<T> parse_number(const char* argv0, const char* flag, const char* text,
+                              std::type_identity_t<T> min = std::numeric_limits<T>::lowest(),
+                              std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  // Written so that NaN fails the range check.
+  if (error == std::errc{} && stop == end && value >= min && value <= max) return value;
+  std::fprintf(stderr, "%s: bad %s value '%s'\n", argv0, flag, text);
+  return std::nullopt;
+}
+
+/// Scans the value of a numeric "--flag VALUE" option into `out` (see
+/// parse_number). False when the value is missing or bad.
+template <typename T>
+bool next_number(int argc, char** argv, int& i, T& out,
+                 std::type_identity_t<T> min = std::numeric_limits<T>::lowest(),
+                 std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+  const char* flag = argv[i];
+  const char* text = next_value(argc, argv, i);
+  if (text == nullptr) return false;
+  const std::optional<T> value = parse_number<T>(argv[0], flag, text, min, max);
+  if (value.has_value()) out = *value;
+  return value.has_value();
 }
 
 /// Parses one --replica operand, printing the usage error on failure.

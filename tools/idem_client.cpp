@@ -97,6 +97,9 @@ std::optional<Options> parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
+    auto number = [&](auto& out, auto... range) {
+      return cli::next_number(argc, argv, i, out, range...);
+    };
     if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       usage(argv[0]);
       std::exit(0);
@@ -106,53 +109,39 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!address.has_value()) return std::nullopt;
       options.replicas.push_back(*address);
     } else if (!std::strcmp(arg, "--clients")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.clients = std::strtoul(v, nullptr, 10);
+      if (!number(options.clients, 1)) return std::nullopt;
     } else if (!std::strcmp(arg, "--client-id-base")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.client_id_base = std::strtoull(v, nullptr, 10);
+      if (!number(options.client_id_base)) return std::nullopt;
     } else if (!std::strcmp(arg, "--seconds")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.seconds = std::atof(v);
+      if (!number(options.seconds, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--warmup")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.warmup = std::atof(v);
+      if (!number(options.warmup, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--rate")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.rate = std::atof(v);
+      if (!number(options.rate, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--seed")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!number(options.seed)) return std::nullopt;
     } else if (!std::strcmp(arg, "--f")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.f = std::strtoul(v, nullptr, 10);
+      if (!number(options.f)) return std::nullopt;
     } else if (!std::strcmp(arg, "--records")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.records = std::strtoull(v, nullptr, 10);
+      if (!number(options.records, 1)) return std::nullopt;
     } else if (!std::strcmp(arg, "--value-size")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.value_size = std::strtoul(v, nullptr, 10);
+      if (!number(options.value_size)) return std::nullopt;
     } else if (!std::strcmp(arg, "--workload")) {
       if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
       options.workload = v;
     } else if (!std::strcmp(arg, "--shards")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.shards = std::strtoul(v, nullptr, 10);
+      if (!number(options.shards)) return std::nullopt;
     } else if (!std::strcmp(arg, "--map-file")) {
       if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
       options.map_file = v;
     } else if (!std::strcmp(arg, "--deadline-ms")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.deadline_ms = std::atof(v);
+      if (!number(options.deadline_ms, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--deadline-jitter")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.deadline_jitter_ms = std::atof(v);
+      if (!number(options.deadline_jitter_ms, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--backoff-min")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.backoff_min_ms = std::atof(v);
+      if (!number(options.backoff_min_ms, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--backoff-max")) {
-      if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
-      options.backoff_max_ms = std::atof(v);
+      if (!number(options.backoff_max_ms, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--trace-out")) {
       if ((v = cli::next_value(argc, argv, i)) == nullptr) return std::nullopt;
       options.trace_out = v;

@@ -10,12 +10,15 @@
 //   idem_server --replica-id 2 --listen :7002 --peer 0=:7000 --peer 1=:7001
 //
 // Runs until SIGINT/SIGTERM (or --seconds); prints protocol and transport
-// counters on exit. Exit code 0 on a clean stop, 2 on usage errors.
+// counters on exit. Exit code 0 on a clean stop, 2 on usage errors
+// (including a malformed number, n != 2f + 1, or a replica or peer id not
+// below n).
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -79,7 +82,7 @@ void usage(const char* argv0) {
       "  --listen ADDR      bind address; HOST defaults to 127.0.0.1, use\n"
       "                     0.0.0.0 to accept non-local peers (required)\n"
       "  --peer J=ADDR      address of replica J (repeat for every peer)\n"
-      "  --n N              cluster size                  (default: 3)\n"
+      "  --n N              cluster size, n = 2f + 1      (default: 3)\n"
       "  --f F              tolerated crash faults        (default: 1)\n"
       "  --rt N             reject threshold r            (default: 50)\n"
       "  --clients N        expected client population,\n"
@@ -127,18 +130,16 @@ std::optional<Options> parse_args(int argc, char** argv) {
   Options options;
   bool saw_id = false, saw_listen = false;
   for (int i = 1; i < argc; ++i) {
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
+    auto value = [&]() { return cli::next_value(argc, argv, i); };
+    auto number = [&](auto& out, auto... range) {
+      return cli::next_number(argc, argv, i, out, range...);
     };
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       usage(argv[0]);
       std::exit(0);
     } else if (!std::strcmp(arg, "--replica-id")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.replica_id = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!number(options.replica_id)) return std::nullopt;
       saw_id = true;
     } else if (!std::strcmp(arg, "--listen")) {
       const char* v = value();
@@ -158,46 +159,31 @@ std::optional<Options> parse_args(int argc, char** argv) {
         std::fprintf(stderr, "%s: --peer wants J=ADDR, got '%s'\n", argv[0], v);
         return std::nullopt;
       }
+      auto peer = cli::parse_number<std::uint32_t>(argv[0], arg, std::string(v, eq).c_str());
+      if (!peer.has_value()) return std::nullopt;
       auto address = rpc::parse_address(eq + 1);
       if (!address.has_value()) {
         std::fprintf(stderr, "%s: bad --peer address '%s'\n", argv[0], eq + 1);
         return std::nullopt;
       }
-      options.peers.emplace_back(
-          static_cast<std::uint32_t>(std::strtoul(std::string(v, eq).c_str(), nullptr, 10)),
-          *address);
+      options.peers.emplace_back(*peer, *address);
     } else if (!std::strcmp(arg, "--n")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.n = std::strtoul(v, nullptr, 10);
+      // Replica ids are 32-bit.
+      if (!number(options.n, 1, std::numeric_limits<std::uint32_t>::max())) return std::nullopt;
     } else if (!std::strcmp(arg, "--f")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.f = std::strtoul(v, nullptr, 10);
+      if (!number(options.f)) return std::nullopt;
     } else if (!std::strcmp(arg, "--rt")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.reject_threshold = std::strtoul(v, nullptr, 10);
+      if (!number(options.reject_threshold)) return std::nullopt;
     } else if (!std::strcmp(arg, "--clients")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.expected_clients = std::strtoul(v, nullptr, 10);
+      if (!number(options.expected_clients)) return std::nullopt;
     } else if (!std::strcmp(arg, "--seed")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!number(options.seed)) return std::nullopt;
     } else if (!std::strcmp(arg, "--seconds")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.seconds = std::atof(v);
+      if (!number(options.seconds, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--viewchange")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.viewchange_seconds = std::atof(v);
+      if (!number(options.viewchange_seconds, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--batch-max")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.batch_max = std::strtoul(v, nullptr, 10);
+      if (!number(options.batch_max, 1)) return std::nullopt;
     } else if (!std::strcmp(arg, "--exec-thread")) {
       options.exec_thread = true;
     } else if (!std::strcmp(arg, "--discipline")) {
@@ -212,45 +198,29 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--deadline-aware")) {
       options.deadline_aware = true;
     } else if (!std::strcmp(arg, "--max-conns")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.max_conns = std::strtoul(v, nullptr, 10);
+      if (!number(options.max_conns)) return std::nullopt;
     } else if (!std::strcmp(arg, "--idle-timeout")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.idle_timeout_sec = std::atof(v);
+      if (!number(options.idle_timeout_sec, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--half-open-timeout")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.half_open_timeout_sec = std::atof(v);
+      if (!number(options.half_open_timeout_sec, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--read-buffer")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.read_buffer = std::strtoul(v, nullptr, 10);
+      if (!number(options.read_buffer)) return std::nullopt;
     } else if (!std::strcmp(arg, "--shard-group")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.shard_group = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!number(options.shard_group)) return std::nullopt;
       options.sharded = true;
     } else if (!std::strcmp(arg, "--shard-count")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.shard_count = std::strtoul(v, nullptr, 10);
+      if (!number(options.shard_count)) return std::nullopt;
     } else if (!std::strcmp(arg, "--shard-map")) {
       options.shard_map_file = value();
       if (options.shard_map_file == nullptr) return std::nullopt;
     } else if (!std::strcmp(arg, "--admin-port")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
+      if (!number(options.admin_port)) return std::nullopt;
       options.admin = true;
-      options.admin_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
     } else if (!std::strcmp(arg, "--trace-out")) {
       options.trace_out = value();
       if (options.trace_out == nullptr) return std::nullopt;
     } else if (!std::strcmp(arg, "--trace-capacity")) {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      options.trace_capacity = std::strtoul(v, nullptr, 10);
+      if (!number(options.trace_capacity, 1)) return std::nullopt;
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg);
       return std::nullopt;
@@ -259,6 +229,23 @@ std::optional<Options> parse_args(int argc, char** argv) {
   if (!saw_id || !saw_listen) {
     if (argc > 1) std::fprintf(stderr, "%s: --replica-id and --listen are required\n", argv[0]);
     return std::nullopt;
+  }
+  // Odd n with f = (n - 1) / 2, i.e. n = 2f + 1 (written so no f overflows).
+  if (options.n % 2 == 0 || options.f != options.n / 2) {
+    std::fprintf(stderr, "%s: --n %zu and --f %zu break n = 2f + 1\n", argv[0], options.n,
+                 options.f);
+    return std::nullopt;
+  }
+  if (options.replica_id >= options.n) {
+    std::fprintf(stderr, "%s: --replica-id %u is not below --n %zu\n", argv[0],
+                 options.replica_id, options.n);
+    return std::nullopt;
+  }
+  for (const auto& [peer_id, address] : options.peers) {
+    if (peer_id >= options.n) {
+      std::fprintf(stderr, "%s: --peer %u is not below --n %zu\n", argv[0], peer_id, options.n);
+      return std::nullopt;
+    }
   }
   if (options.sharded && options.shard_count == 0 && options.shard_map_file == nullptr) {
     std::fprintf(stderr, "%s: --shard-group needs --shard-count or --shard-map\n", argv[0]);
