@@ -467,7 +467,7 @@ void StormEngine::conn_readable(Session& session, std::size_t ci) {
   }
   conn.reader.commit(static_cast<std::size_t>(received));
   const bool ok = conn.reader.drain(
-      [this, &session, epoch](std::uint32_t sender, std::uint32_t /*sender_port*/,
+      [this, &session, epoch](std::uint32_t sender, std::uint32_t /*route*/,
                               std::span<const std::byte> payload) {
         // A frame earlier in this batch may have completed the operation
         // and torn the connections down (reconnect_every_ops churn).

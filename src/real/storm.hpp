@@ -14,9 +14,9 @@
 // replicas answer over the same inbound connection (the transport's
 // reply-over-inbound route). A frame sent while its connection is still
 // connecting, or while the session waits to reconnect, goes out once the
-// connection is up. shard::RealClients hosts IdemClients on a
-// listener-backed TcpTransport instead, which tops out at a few hundred
-// sessions per process.
+// connection is up. shard::RealClients hosts IdemClients on one
+// TcpTransport instead, which carries all of them over one connection
+// per replica.
 //
 // Behaviors, all per-session and mixable in one storm:
 //   - ramp: session spawns spread evenly across StormOptions::ramp;

@@ -1,11 +1,16 @@
 // Wire framing for the TCP transport.
 //
-// Every frame is [u32 length][u32 sender-node-id][u32 sender-listen-port]
-// [payload bytes], with the payload being a consensus::messages binary
-// encoding. Carrying the sender's listening port lets receivers learn
-// return addresses automatically (a replica can answer a client it has
-// never been configured with). FrameReader reassembles frames from an
-// arbitrary stream of socket reads.
+// Every frame is [u32 length][u32 sender-node-id][u32 route][payload bytes],
+// with the payload being a consensus::messages binary encoding. The route
+// word depends on the connection's direction:
+//   - on a connection the sender dialed, it is the sender's listen port,
+//     so receivers learn return addresses automatically (a replica can
+//     reach a peer it has never been configured with). Port 0 means the
+//     sender has no listener: answer it over this connection;
+//   - on an answer travelling back over a connection the receiver dialed,
+//     it is the destination node id, so one connection can carry the
+//     answers of every client node the dialing transport hosts.
+// FrameReader reassembles frames from an arbitrary stream of socket reads.
 //
 // Hot-path shape: the reader owns one grow-only buffer that sockets recv
 // directly into (write_span()/commit()), and parsing tracks a head offset
@@ -32,16 +37,17 @@
 
 namespace idem::rpc {
 
-constexpr std::size_t kFrameHeaderBytes = 12;  // u32 length + u32 sender + u32 port
+constexpr std::size_t kFrameHeaderBytes = 12;  // u32 length + u32 sender + u32 route
 constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
 /// Default size of the span write_span() offers to recv into; also the
 /// reader's initial buffer capacity, so typical connections never grow.
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 
-/// Builds one frame ready for transmission. `sender_port` is the port on
-/// which the sending node accepts connections (0 when unknown).
-inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t sender_port,
+/// Builds one frame ready for transmission. `route` is the sender's listen
+/// port (0 for none) on a dialed connection, or the destination node id on
+/// an answer over an accepted one.
+inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t route,
                                            std::span<const std::byte> payload) {
   std::vector<std::byte> out;
   out.reserve(kFrameHeaderBytes + payload.size());
@@ -53,7 +59,7 @@ inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t s
   };
   push_u32(static_cast<std::uint32_t>(payload.size()));
   push_u32(sender);
-  push_u32(sender_port);
+  push_u32(route);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -64,7 +70,7 @@ inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t s
 /// split across any number of reads, and multiple frames per read.
 class FrameReader {
  public:
-  using FrameCallback = std::function<void(std::uint32_t sender, std::uint32_t sender_port,
+  using FrameCallback = std::function<void(std::uint32_t sender, std::uint32_t route,
                                            std::span<const std::byte> payload)>;
 
   enum class Error : std::uint8_t {
@@ -111,13 +117,13 @@ class FrameReader {
     while (fill_ - head_ >= kFrameHeaderBytes) {
       std::uint32_t length = read_u32(head_);
       std::uint32_t sender = read_u32(head_ + 4);
-      std::uint32_t sender_port = read_u32(head_ + 8);
+      std::uint32_t route = read_u32(head_ + 8);
       if (length > max_frame_) {
         error_ = Error::Oversized;
         return false;
       }
       if (fill_ - head_ - kFrameHeaderBytes < length) break;
-      callback(sender, sender_port,
+      callback(sender, route,
                std::span<const std::byte>(buffer_.data() + head_ + kFrameHeaderBytes, length));
       head_ += kFrameHeaderBytes + length;
     }

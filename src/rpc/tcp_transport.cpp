@@ -59,30 +59,37 @@ std::optional<PeerAddress> parse_address(const std::string& text) {
 
 struct TcpTransport::LocalNode {
   sim::NodeId id;
-  sim::NodeKind kind = sim::NodeKind::Replica;
   sim::Endpoint* endpoint = nullptr;
-  int listen_fd = -1;
-  std::uint16_t port = 0;
-  std::vector<int> inbound_fds;  // accepted connections delivering to this node
+  int listen_fd = -1;      // -1 for client nodes: they only dial
+  std::uint16_t port = 0;  // 0 for client nodes
 };
 
-struct TcpTransport::InboundConnection {
+/// One TCP connection, whichever side opened it. A dialed connection
+/// carries our nodes' frames to `node` and brings back the answers
+/// addressed to our listener-less nodes; an accepted one carries peers'
+/// frames to our `node` and our answers back to listener-less peers.
+struct TcpTransport::Connection {
   static constexpr Time kNoPartial = -1;
 
   int fd = -1;
-  std::uint32_t local_node = 0;  // destination of the frames on this connection
-  std::string peer_host;         // learned at accept; return address for senders
+  bool dialed = false;
+  bool connected = true;     ///< false while a dial's handshake is pending
+  std::uint32_t node = 0;    ///< dialed: the destination; accepted: our listener's node
+  std::string peer_host;     ///< accepted: learned at accept; return address for senders
   FrameReader reader;
-  /// Listener-less senders (port-0 frames) whose replies route back over
-  /// this connection; one entry in practice (one session per socket).
-  std::vector<std::uint32_t> route_nodes;
-  PendingWrites out;             // reply-over-inbound frames awaiting write
+  PendingWrites out;
+  std::uint32_t events = 0;  ///< the epoll mask currently registered
   bool flush_scheduled = false;  ///< a deferred end-of-iteration flush is queued
-  Time last_activity = 0;        ///< accept time, then the last recv that moved bytes
+  /// Accepted: listener-less senders whose answers route over this
+  /// connection. A node is appended each time its route moves here, so
+  /// keeping it costs O(1) per frame however many sessions share the
+  /// connection.
+  std::vector<std::uint32_t> routes;
+  Time last_activity = 0;           ///< accept time, then the last recv that moved bytes
   Time partial_since = kNoPartial;  ///< when the currently buffered partial
                                     ///< frame started (completed frames reset it)
 
-  InboundConnection(std::size_t max_frame, std::size_t initial_capacity)
+  Connection(std::size_t max_frame, std::size_t initial_capacity)
       : reader(max_frame, initial_capacity) {}
 };
 
@@ -112,14 +119,6 @@ void PendingWrites::consume(std::size_t written) {
   }
 }
 
-struct TcpTransport::OutboundConnection {
-  int fd = -1;
-  std::uint32_t dest = 0;
-  bool connected = false;
-  bool flush_scheduled = false;  ///< a deferred end-of-iteration flush is queued
-  PendingWrites out;
-};
-
 TcpTransport::TcpTransport(EventLoop& loop, TcpTransportConfig config)
     : loop_(loop), config_(std::move(config)) {
   arm_sweep();
@@ -127,15 +126,9 @@ TcpTransport::TcpTransport(EventLoop& loop, TcpTransportConfig config)
 
 TcpTransport::~TcpTransport() {
   if (sweep_timer_.valid()) loop_.cancel(sweep_timer_);
-  for (auto& [fd, connection] : inbound_) {
+  for (auto& [fd, connection] : connections_) {
     loop_.unwatch(fd);
     ::close(fd);
-  }
-  for (auto& [dest, connection] : outbound_) {
-    if (connection->fd >= 0) {
-      loop_.unwatch(connection->fd);
-      ::close(connection->fd);
-    }
   }
   for (auto& [id, node] : locals_) {
     if (node->listen_fd >= 0) {
@@ -148,8 +141,12 @@ TcpTransport::~TcpTransport() {
 void TcpTransport::add_node(sim::NodeId id, sim::NodeKind kind, sim::Endpoint* endpoint) {
   auto node = std::make_unique<LocalNode>();
   node->id = id;
-  node->kind = kind;
   node->endpoint = endpoint;
+  if (kind == sim::NodeKind::Client) {
+    // Clients only dial: their answers come back over those connections.
+    locals_[id.value] = std::move(node);
+    return;
+  }
 
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
@@ -189,14 +186,11 @@ void TcpTransport::remove_node(sim::NodeId id) {
   if (node.listen_fd >= 0) {
     loop_.unwatch(node.listen_fd);
     ::close(node.listen_fd);
-  }
-  for (int fd : node.inbound_fds) {
-    auto conn_it = inbound_.find(fd);
-    if (conn_it != inbound_.end()) {
-      loop_.unwatch(fd);
-      ::close(fd);
-      inbound_.erase(conn_it);
+    std::vector<Connection*> accepted;
+    for (auto& [fd, connection] : connections_) {
+      if (!connection->dialed && connection->node == id.value) accepted.push_back(connection.get());
     }
+    for (Connection* connection : accepted) close_connection(*connection);
   }
   locals_.erase(it);
 }
@@ -218,7 +212,7 @@ void TcpTransport::accept_ready(LocalNode& node) {
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or error: backlog drained for now
     if (config_.max_inbound_connections != 0 &&
-        inbound_.size() >= config_.max_inbound_connections) {
+        connections_.size() - dialed_.size() >= config_.max_inbound_connections) {
       // At the connection cap: shed at accept, before the connection costs
       // a buffer or a watch. The peer sees an immediate close (reset once
       // it writes) — the connection-limit early rejection
@@ -228,10 +222,10 @@ void TcpTransport::accept_ready(LocalNode& node) {
       continue;
     }
     set_nodelay(fd);
-    auto connection = std::make_unique<InboundConnection>(config_.max_frame_bytes,
-                                                          config_.read_buffer_bytes);
+    auto connection =
+        std::make_unique<Connection>(config_.max_frame_bytes, config_.read_buffer_bytes);
     connection->fd = fd;
-    connection->local_node = node.id.value;
+    connection->node = node.id.value;
     connection->last_activity = loop_.now();
     char host[INET_ADDRSTRLEN] = "127.0.0.1";
     if (peer.sin_family == AF_INET) {
@@ -239,9 +233,7 @@ void TcpTransport::accept_ready(LocalNode& node) {
     }
     connection->peer_host = host;
     ++stats_.accepted_connections;
-    node.inbound_fds.push_back(fd);
-    inbound_[fd] = std::move(connection);
-    loop_.watch(fd, EPOLLIN, [this, fd](std::uint32_t events) { inbound_event(fd, events); });
+    adopt(std::move(connection), EPOLLIN);
   }
   // Burst budget spent with the backlog possibly non-empty: continue in
   // the next loop iteration (deferred tasks deferred from a deferred task
@@ -253,115 +245,7 @@ void TcpTransport::accept_ready(LocalNode& node) {
   });
 }
 
-void TcpTransport::close_inbound(int fd, InboundConnection& connection) {
-  loop_.unwatch(fd);
-  ::close(fd);
-  // Detach from the owning node so remove_node never touches a recycled
-  // fd number.
-  if (auto local_it = locals_.find(connection.local_node); local_it != locals_.end()) {
-    auto& fds = local_it->second->inbound_fds;
-    std::erase(fds, fd);
-  }
-  // Retire reply routes that still point at this connection (a reconnect
-  // may already have repointed them at a newer fd — leave those alone).
-  for (std::uint32_t node : connection.route_nodes) {
-    if (auto route = inbound_routes_.find(node);
-        route != inbound_routes_.end() && route->second == fd) {
-      inbound_routes_.erase(route);
-    }
-  }
-  inbound_.erase(fd);
-}
-
-void TcpTransport::inbound_event(int fd, std::uint32_t events) {
-  if (events & EPOLLOUT) {
-    auto it = inbound_.find(fd);
-    if (it == inbound_.end()) return;
-    flush_inbound(*it->second);         // may close the connection on error
-    if (!inbound_.contains(fd)) return;
-  }
-  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) inbound_ready(fd);
-}
-
-void TcpTransport::inbound_ready(int fd) {
-  auto it = inbound_.find(fd);
-  if (it == inbound_.end()) return;
-  InboundConnection& connection = *it->second;
-
-  for (;;) {
-    // Recv straight into the reader's reuse buffer: no intermediate copy,
-    // and no allocation once the buffer has warmed up to the connection's
-    // largest frame.
-    std::span<std::byte> dst = connection.reader.write_span(config_.read_buffer_bytes);
-    ssize_t n = ::recv(fd, dst.data(), dst.size(), 0);
-    if (n > 0) {
-      connection.reader.commit(static_cast<std::size_t>(n));
-      connection.last_activity = loop_.now();
-      bool completed_frame = false;
-      bool ok = connection.reader.drain(
-          [&](std::uint32_t sender, std::uint32_t sender_port,
-              std::span<const std::byte> payload) {
-            completed_frame = true;
-            // Learn the sender's return address (self-advertised port, peer
-            // IP from the socket): this is how replicas can answer clients
-            // they were never configured with in multi-process deployments.
-            // Port 0 means the sender has no listener at all — replies to
-            // it go back over this very connection.
-            if (!locals_.contains(sender)) {
-              if (sender_port != 0) {
-                remotes_[sender] =
-                    PeerAddress{connection.peer_host, static_cast<std::uint16_t>(sender_port)};
-              } else {
-                inbound_routes_[sender] = fd;  // newest connection wins
-                auto& routed = connection.route_nodes;
-                if (std::find(routed.begin(), routed.end(), sender) == routed.end()) {
-                  routed.push_back(sender);
-                }
-              }
-            }
-            auto local_it = locals_.find(connection.local_node);
-            if (local_it == locals_.end()) return;
-            try {
-              auto message = msg::decode(payload);
-              ++stats_.messages_delivered;
-              local_it->second->endpoint->deliver(sim::NodeId{sender}, std::move(message));
-            } catch (const CodecError&) {
-              ++stats_.decode_errors;
-            }
-          });
-      // Half-open tracking: a buffered partial frame starts (or keeps) the
-      // eviction clock; completing any frame restarts it — so pipelined
-      // bursts are safe while a trickled never-ending frame is not.
-      if (!connection.reader.truncated()) {
-        connection.partial_since = InboundConnection::kNoPartial;
-      } else if (completed_frame ||
-                 connection.partial_since == InboundConnection::kNoPartial) {
-        connection.partial_since = loop_.now();
-      }
-      if (!ok) {
-        // Oversized length header: poisoned stream, count and drop it.
-        ++stats_.decode_errors;
-        ++stats_.oversized_frames;
-        LOG_WARN("tcp", "dropping connection to node ", connection.local_node,
-                 " (oversized frame)");
-        close_inbound(fd, connection);
-        return;
-      }
-      continue;
-    }
-    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-      // Peer closed or reset. Bytes of an unfinished frame mean the stream
-      // was cut mid-message: account for the truncated frame.
-      if (connection.reader.truncated()) ++stats_.decode_errors;
-      close_inbound(fd, connection);
-      return;
-    }
-    return;  // EAGAIN: wait for more data
-  }
-}
-
-TcpTransport::OutboundConnection* TcpTransport::connect_to(std::uint32_t dest,
-                                                           const PeerAddress& address) {
+TcpTransport::Connection* TcpTransport::dial(std::uint32_t dest, const PeerAddress& address) {
   sockaddr_in addr;
   if (!resolve(address.host, address.port, addr)) return nullptr;
 
@@ -375,67 +259,174 @@ TcpTransport::OutboundConnection* TcpTransport::connect_to(std::uint32_t dest,
     return nullptr;
   }
 
-  auto connection = std::make_unique<OutboundConnection>();
+  auto connection =
+      std::make_unique<Connection>(config_.max_frame_bytes, config_.read_buffer_bytes);
   connection->fd = fd;
-  connection->dest = dest;
+  connection->dialed = true;
   connection->connected = (rc == 0);
-  OutboundConnection* raw = connection.get();
-  outbound_[dest] = std::move(connection);
-  loop_.watch(fd, EPOLLOUT, [this, dest](std::uint32_t events) { outbound_ready(dest, events); });
+  connection->node = dest;
+  // A pending handshake reports completion as writability.
+  return &adopt(std::move(connection), rc == 0 ? EPOLLIN : EPOLLIN | EPOLLOUT);
+}
+
+TcpTransport::Connection& TcpTransport::adopt(std::unique_ptr<Connection> connection,
+                                              std::uint32_t events) {
+  const int fd = connection->fd;
+  Connection& raw = *connection;
+  raw.events = events;
+  if (raw.dialed) dialed_[raw.node] = &raw;
+  connections_[fd] = std::move(connection);
+  loop_.watch(fd, events, [this, fd](std::uint32_t ready) { connection_event(fd, ready); });
   return raw;
 }
 
-void TcpTransport::drop_outbound(std::uint32_t dest) {
-  auto it = outbound_.find(dest);
-  if (it == outbound_.end()) return;
-  if (it->second->fd >= 0) {
-    loop_.unwatch(it->second->fd);
-    ::close(it->second->fd);
+void TcpTransport::close_connection(Connection& connection) {
+  // Frames still queued die with the connection: fair loss, counted.
+  stats_.dropped += connection.out.frames.size();
+  loop_.unwatch(connection.fd);
+  ::close(connection.fd);
+  if (connection.dialed) dialed_.erase(connection.node);
+  // Retire answer routes that still point here (a reconnect may already
+  // have repointed them at a newer connection — leave those alone).
+  for (std::uint32_t node : connection.routes) {
+    if (auto route = routes_.find(node); route != routes_.end() && route->second == &connection) {
+      routes_.erase(route);
+    }
   }
-  outbound_.erase(it);
+  connections_.erase(connection.fd);  // destroys `connection`
 }
 
-void TcpTransport::outbound_ready(std::uint32_t dest, std::uint32_t events) {
-  auto it = outbound_.find(dest);
-  if (it == outbound_.end()) return;
-  OutboundConnection& connection = *it->second;
-
-  if (events & (EPOLLERR | EPOLLHUP)) {
-    // Connection refused / reset: fair-loss drop of everything queued.
-    drop_outbound(dest);
-    return;
-  }
+void TcpTransport::connection_event(int fd, std::uint32_t events) {
+  auto it = connections_.find(fd);
+  if (it == connections_.end()) return;
+  Connection& connection = *it->second;
   if (!connection.connected) {
     int error = 0;
     socklen_t len = sizeof(error);
-    ::getsockopt(connection.fd, SOL_SOCKET, SO_ERROR, &error, &len);
-    if (error != 0) {
-      drop_outbound(dest);
+    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len);
+    if (error != 0 || (events & (EPOLLERR | EPOLLHUP))) {
+      // Connection refused or reset: fair-loss drop of everything queued.
+      close_connection(connection);
       return;
     }
     connection.connected = true;
+    events |= EPOLLOUT;  // write what queued during the handshake
   }
-  flush(connection);
+  if (events & EPOLLOUT) {
+    flush(connection);  // may close the connection on error
+    if (!connections_.contains(fd)) return;
+  }
+  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) read_ready(connection);
 }
 
-void TcpTransport::schedule_flush(OutboundConnection& connection) {
+void TcpTransport::learn_route(Connection& connection, std::uint32_t sender,
+                               std::uint32_t port) {
+  if (port == 0) {
+    // No listener: answer the sender over this connection, addressed by
+    // node id. The newest connection wins.
+    auto [route, inserted] = routes_.try_emplace(sender, &connection);
+    if (!inserted) {
+      if (route->second == &connection) return;
+      route->second = &connection;
+    }
+    connection.routes.push_back(sender);
+  } else if (!locals_.contains(sender)) {
+    // The sender's listener, at the IP the connection came from: this is
+    // how replicas reach peers they were configured with only by port, or
+    // not at all, in multi-process deployments.
+    PeerAddress& address = remotes_[sender];
+    if (address.port != port || address.host != connection.peer_host) {
+      address = PeerAddress{connection.peer_host, static_cast<std::uint16_t>(port)};
+    }
+  }
+}
+
+void TcpTransport::read_ready(Connection& connection) {
+  for (;;) {
+    // Recv straight into the reader's reuse buffer: no intermediate copy,
+    // and no allocation once the buffer has warmed up to the connection's
+    // largest frame.
+    std::span<std::byte> dst = connection.reader.write_span(config_.read_buffer_bytes);
+    ssize_t n = ::recv(connection.fd, dst.data(), dst.size(), 0);
+    if (n > 0) {
+      connection.reader.commit(static_cast<std::size_t>(n));
+      connection.last_activity = loop_.now();
+      bool completed_frame = false;
+      bool ok = connection.reader.drain(
+          [&](std::uint32_t sender, std::uint32_t route, std::span<const std::byte> payload) {
+            completed_frame = true;
+            // On a dialed connection the route word names which of our
+            // nodes an answer is for; on an accepted one it is the sender's
+            // listen port, and the frame is for the listener's node.
+            std::uint32_t to = route;
+            if (!connection.dialed) {
+              learn_route(connection, sender, route);
+              to = connection.node;
+            }
+            auto local_it = locals_.find(to);
+            if (local_it == locals_.end()) return;
+            try {
+              auto message = msg::decode(payload);
+              ++stats_.messages_delivered;
+              local_it->second->endpoint->deliver(sim::NodeId{sender}, std::move(message));
+            } catch (const CodecError&) {
+              ++stats_.decode_errors;
+            }
+          });
+      // Half-open tracking: a buffered partial frame starts (or keeps) the
+      // eviction clock; completing any frame restarts it — so pipelined
+      // bursts are safe while a trickled never-ending frame is not.
+      if (!connection.reader.truncated()) {
+        connection.partial_since = Connection::kNoPartial;
+      } else if (completed_frame || connection.partial_since == Connection::kNoPartial) {
+        connection.partial_since = loop_.now();
+      }
+      if (!ok) {
+        // Oversized length header: poisoned stream, count and drop it.
+        ++stats_.decode_errors;
+        ++stats_.oversized_frames;
+        LOG_WARN("tcp", "dropping connection to node ", connection.node, " (oversized frame)");
+        close_connection(connection);
+        return;
+      }
+      continue;
+    }
+    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+      // Peer closed or reset. Bytes of an unfinished frame mean the stream
+      // was cut mid-message: account for the truncated frame.
+      if (connection.reader.truncated()) ++stats_.decode_errors;
+      close_connection(connection);
+      return;
+    }
+    return;  // EAGAIN: wait for more data
+  }
+}
+
+void TcpTransport::set_events(Connection& connection, std::uint32_t events) {
+  if (connection.events == events) return;
+  connection.events = events;
+  loop_.modify(connection.fd, events);
+}
+
+void TcpTransport::schedule_flush(Connection& connection) {
   // Coalescing point: every send during this loop iteration appends to the
   // pending queue, and one deferred flush writes them all with a single
-  // sendmsg. The deferred task re-resolves the connection by destination —
-  // it may have been dropped (or dropped and re-established) before the
-  // end of the iteration.
+  // sendmsg. The deferred task re-resolves the connection by fd — it may
+  // have been closed (and the fd recycled) before the end of the
+  // iteration, in which case flushing the newer connection early is
+  // harmless.
   if (connection.flush_scheduled) return;
   connection.flush_scheduled = true;
-  std::uint32_t dest = connection.dest;
-  loop_.defer([this, dest] {
-    auto it = outbound_.find(dest);
-    if (it == outbound_.end()) return;
+  const int fd = connection.fd;
+  loop_.defer([this, fd] {
+    auto it = connections_.find(fd);
+    if (it == connections_.end()) return;
     it->second->flush_scheduled = false;
     if (it->second->connected) flush(*it->second);
   });
 }
 
-void TcpTransport::flush(OutboundConnection& connection) {
+void TcpTransport::flush(Connection& connection) {
   while (!connection.out.empty()) {
     iovec iov[kMaxFlushIov];
     std::size_t n_iov = connection.out.fill_iovec(iov, kMaxFlushIov);
@@ -449,54 +440,14 @@ void TcpTransport::flush(OutboundConnection& connection) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      loop_.modify(connection.fd, EPOLLOUT);
+      set_events(connection, EPOLLIN | EPOLLOUT);
       return;
     }
-    drop_outbound(connection.dest);  // invalidates `connection`
+    close_connection(connection);  // peer gone; invalidates `connection`
     return;
   }
-  // Fully flushed: only wake on errors until there is more to send.
-  loop_.modify(connection.fd, 0);
-}
-
-void TcpTransport::schedule_inbound_flush(InboundConnection& connection) {
-  // Same write-coalescing shape as outbound: replies queued during one
-  // loop iteration leave in a single sendmsg. The deferred task re-resolves
-  // the connection by fd — it may have been closed (and the fd recycled)
-  // before the end of the iteration, in which case flushing the new
-  // connection's (empty) queue is a harmless no-op.
-  if (connection.flush_scheduled) return;
-  connection.flush_scheduled = true;
-  int fd = connection.fd;
-  loop_.defer([this, fd] {
-    auto it = inbound_.find(fd);
-    if (it == inbound_.end()) return;
-    it->second->flush_scheduled = false;
-    flush_inbound(*it->second);
-  });
-}
-
-void TcpTransport::flush_inbound(InboundConnection& connection) {
-  while (!connection.out.empty()) {
-    iovec iov[kMaxFlushIov];
-    std::size_t n_iov = connection.out.fill_iovec(iov, kMaxFlushIov);
-    msghdr header{};
-    header.msg_iov = iov;
-    header.msg_iovlen = n_iov;
-    ssize_t n = ::sendmsg(connection.fd, &header, MSG_NOSIGNAL);
-    if (n > 0) {
-      ++stats_.write_syscalls;
-      connection.out.consume(static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      loop_.modify(connection.fd, EPOLLIN | EPOLLOUT);
-      return;
-    }
-    close_inbound(connection.fd, connection);  // peer gone; invalidates `connection`
-    return;
-  }
-  loop_.modify(connection.fd, EPOLLIN);
+  // Fully flushed: wake only for reads until there is more to send.
+  set_events(connection, EPOLLIN);
 }
 
 void TcpTransport::arm_sweep() {
@@ -518,12 +469,14 @@ void TcpTransport::arm_sweep() {
 
 void TcpTransport::sweep_connections() {
   const Time now = loop_.now();
-  // Two-phase: collect first, then evict — close_inbound mutates inbound_.
+  // Two-phase: collect first, then evict — close_connection mutates
+  // connections_. Only accepted connections are swept: our own dialed
+  // ones are legitimately silent on the read side.
   std::vector<int> half_open;
   std::vector<int> idle;
-  for (const auto& [fd, connection] : inbound_) {
-    if (config_.half_open_timeout > 0 &&
-        connection->partial_since != InboundConnection::kNoPartial &&
+  for (const auto& [fd, connection] : connections_) {
+    if (connection->dialed) continue;
+    if (config_.half_open_timeout > 0 && connection->partial_since != Connection::kNoPartial &&
         now - connection->partial_since >= config_.half_open_timeout) {
       half_open.push_back(fd);
     } else if (config_.idle_timeout > 0 &&
@@ -532,29 +485,26 @@ void TcpTransport::sweep_connections() {
     }
   }
   for (int fd : half_open) {
-    if (auto it = inbound_.find(fd); it != inbound_.end()) {
+    if (auto it = connections_.find(fd); it != connections_.end()) {
       ++stats_.half_open_evictions;
       ++stats_.decode_errors;  // the trickled frame dies truncated
-      close_inbound(fd, *it->second);
+      close_connection(*it->second);
     }
   }
   for (int fd : idle) {
-    if (auto it = inbound_.find(fd); it != inbound_.end()) {
+    if (auto it = connections_.find(fd); it != connections_.end()) {
       ++stats_.idle_evictions;
-      close_inbound(fd, *it->second);
+      close_connection(*it->second);
     }
   }
 }
 
 TransportMemory TcpTransport::memory() const {
   TransportMemory memory;
-  memory.inbound_connections = inbound_.size();
-  memory.outbound_connections = outbound_.size();
-  for (const auto& [fd, connection] : inbound_) {
+  memory.outbound_connections = dialed_.size();
+  memory.inbound_connections = connections_.size() - dialed_.size();
+  for (const auto& [fd, connection] : connections_) {
     memory.inbound_buffer_bytes += connection->reader.capacity();
-    memory.pending_write_bytes += connection->out.total_bytes;
-  }
-  for (const auto& [dest, connection] : outbound_) {
     memory.pending_write_bytes += connection->out.total_bytes;
   }
   return memory;
@@ -575,10 +525,11 @@ void TcpTransport::register_metrics(obs::MetricsRegistry& registry) const {
   counter(obs::reject_series(RejectReason::BackpressureShed), stats_.send_queue_overflows);
   counter(obs::reject_series(RejectReason::OversizedFrame), stats_.oversized_frames);
   counter(obs::reject_series(RejectReason::ConnectionLimit), stats_.connection_limit_sheds);
-  registry.add_gauge("tcp.inbound_connections",
-                     [this] { return static_cast<double>(inbound_.size()); });
+  registry.add_gauge("tcp.inbound_connections", [this] {
+    return static_cast<double>(connections_.size() - dialed_.size());
+  });
   registry.add_gauge("tcp.outbound_connections",
-                     [this] { return static_cast<double>(outbound_.size()); });
+                     [this] { return static_cast<double>(dialed_.size()); });
   registry.add_gauge("tcp.pending_write_bytes",
                      [this] { return static_cast<double>(memory().pending_write_bytes); });
   registry.add_gauge("tcp.connection_memory_bytes",
@@ -592,50 +543,43 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
     return;
   }
 
-  std::uint32_t sender_port_adv = 0;
-  if (auto sender_it = locals_.find(from.value); sender_it != locals_.end()) {
-    sender_port_adv = sender_it->second->port;
-  }
-
-  PeerAddress address;
-  if (auto it = locals_.find(to.value); it != locals_.end()) {
-    address = PeerAddress{"127.0.0.1", it->second->port};
+  // A node we dial (a connection to it, a listener of ours, or a declared
+  // address) gets the sender's listen port as the route word; a
+  // listener-less node gets the frame over the connection it wrote from,
+  // addressed by its node id.
+  Connection* connection = nullptr;
+  std::uint32_t route = 0;
+  if (auto dialed = dialed_.find(to.value); dialed != dialed_.end()) {
+    connection = dialed->second;
+  } else if (auto local = locals_.find(to.value);
+             local != locals_.end() && local->second->port != 0) {
+    connection = dial(to.value, PeerAddress{"127.0.0.1", local->second->port});
   } else if (auto remote = remotes_.find(to.value); remote != remotes_.end()) {
-    address = remote->second;
+    connection = dial(to.value, remote->second);
+  } else if (auto answer = routes_.find(to.value); answer != routes_.end()) {
+    connection = answer->second;
+    route = to.value;
   }
-  if (address.port == 0) {
-    // Not dialable — but a listener-less peer (port-0 frames) may have an
-    // inbound connection we can answer over.
-    if (auto route = inbound_routes_.find(to.value); route != inbound_routes_.end()) {
-      if (auto conn_it = inbound_.find(route->second); conn_it != inbound_.end()) {
-        InboundConnection& connection = *conn_it->second;
-        std::vector<std::byte> frame =
-            encode_frame(from.value, sender_port_adv, typed->encode());
-        if (connection.out.total_bytes + frame.size() > config_.max_pending_write_bytes) {
-          ++stats_.send_queue_overflows;
-          ++stats_.dropped;
-          return;
-        }
-        stats_.messages_sent += 1;
-        stats_.bytes_sent += frame.size();
-        connection.out.push(std::move(frame));
-        schedule_inbound_flush(connection);
-        return;
-      }
-    }
-    ++stats_.dropped;
-    return;
-  }
-
-  auto it = outbound_.find(to.value);
-  OutboundConnection* connection =
-      it != outbound_.end() ? it->second.get() : connect_to(to.value, address);
   if (connection == nullptr) {
     ++stats_.dropped;
     return;
   }
+  if (connection->dialed) {
+    if (auto sender = locals_.find(from.value); sender != locals_.end()) {
+      route = sender->second->port;
+    }
+  }
 
-  std::vector<std::byte> frame = encode_frame(from.value, sender_port_adv, typed->encode());
+  std::vector<std::byte> frame;
+  if (message == framed_message_ && from.value == framed_from_ && route == framed_route_) {
+    frame = framed_;  // the same message to another node: reuse its framing
+  } else {
+    frame = encode_frame(from.value, route, typed->encode());
+    framed_.assign(frame.begin(), frame.end());
+    framed_message_ = std::move(message);
+    framed_from_ = from.value;
+    framed_route_ = route;
+  }
   if (connection->out.total_bytes + frame.size() > config_.max_pending_write_bytes) {
     // The peer stopped draining: shed this frame (fair loss) rather than
     // buffer without bound.
@@ -646,9 +590,8 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
   stats_.messages_sent += 1;
   stats_.bytes_sent += frame.size();
   connection->out.push(std::move(frame));
+  // Not yet connected: the handshake's completion flushes.
   if (connection->connected) schedule_flush(*connection);
-  // Not yet connected: the EPOLLOUT watcher flushes once the connect
-  // completes.
 }
 
 }  // namespace idem::rpc

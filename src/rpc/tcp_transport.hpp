@@ -1,27 +1,32 @@
 // Real TCP transport implementing sim::Transport.
 //
-// Every registered node gets its own listener; send() lazily opens one
-// outgoing connection per destination node and writes length-prefixed
-// frames (rpc/framing.hpp) carrying consensus::messages encodings.
-// Connections are unidirectional by default: replies travel over the
-// peer's own outgoing connection to our listener, mirroring how the
-// protocols treat links as independent fair-loss channels. Peers without
-// a listener of their own (storm clients multiplexing thousands of
-// sessions) advertise sender-port 0 in their frames, and replies to them
-// are routed back over the same inbound connection instead — one socket
-// per session instead of a listener plus a dial-back each.
+// Replica-kind nodes get a listener; client-kind nodes get none and
+// advertise port 0. send() lazily dials one connection per destination
+// node and writes length-prefixed frames (rpc/framing.hpp) carrying
+// consensus::messages encodings. Replicas reach each other over their own
+// dialed connections, mirroring how the protocols treat links as
+// independent fair-loss channels. A frame whose sender advertises port 0
+// teaches the receiver a route: answers to that node travel back over the
+// connection the frame came in on, addressed to it by node id, and the
+// dialing transport hands each to the local node it names. So all client
+// nodes of one transport share one connection per replica in both
+// directions, and every REPLY/REJECT a replica produces for them in one
+// loop iteration leaves in one sendmsg. Storm sessions, which are their
+// own transports, use the same route with one socket each.
 //
 // Failure semantics match the protocols' fair-loss assumption: a send to
 // an unknown, crashed or unreachable node is silently dropped (and
-// counted); a broken connection is torn down and re-established on the
-// next send. Malformed inbound streams (oversized length headers,
-// connections closed mid-frame) are counted in TransportStats::
-// decode_errors and the connection is dropped.
+// counted), and so is every frame still queued on a connection that
+// breaks; a broken connection is torn down and re-established on the next
+// send. Malformed inbound streams (oversized length headers, connections
+// closed mid-frame) are counted in TransportStats::decode_errors and the
+// connection is dropped.
 //
-// Addressing: nodes on this transport bind `listen_host` (loopback by
-// default; "0.0.0.0" for multi-host deployments). Remote nodes are
-// declared with set_remote() as host:port pairs, so a deployment can span
-// machines — the loopback-port overload remains for single-host setups.
+// Addressing: listeners bind `listen_host` (loopback by default;
+// "0.0.0.0" for multi-host deployments). Remote nodes are declared with
+// set_remote() as host:port pairs, so a deployment can span machines —
+// the loopback-port overload remains for single-host setups. Clients
+// never need to be reachable: they only dial.
 //
 // Single-threaded: all calls must happen on the EventLoop thread (or
 // before that thread starts running the loop).
@@ -48,7 +53,8 @@ struct TransportStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_delivered = 0;
-  std::uint64_t dropped = 0;        ///< unknown destination / send failure
+  std::uint64_t dropped = 0;        ///< unknown destination, send failure, or
+                                    ///< queued on a connection that broke
   std::uint64_t decode_errors = 0;  ///< malformed frames received (bad
                                     ///< encoding, oversized, truncated)
   std::uint64_t write_syscalls = 0;    ///< sendmsg calls that moved bytes;
@@ -77,10 +83,10 @@ struct TransportStats {
 /// bytes are capacities (what the process actually holds), not fill
 /// levels, so a storm of mostly-idle connections is charged honestly.
 struct TransportMemory {
-  std::size_t inbound_connections = 0;
-  std::size_t outbound_connections = 0;
+  std::size_t inbound_connections = 0;    ///< accepted by our listeners
+  std::size_t outbound_connections = 0;   ///< dialed by this transport
   std::size_t inbound_buffer_bytes = 0;   ///< receive-buffer capacity across
-                                          ///< inbound connections
+                                          ///< all connections
   std::size_t pending_write_bytes = 0;    ///< unsent bytes queued across all
                                           ///< connections (both directions)
 
@@ -142,9 +148,9 @@ struct PeerAddress {
 std::optional<PeerAddress> parse_address(const std::string& text);
 
 struct TcpTransportConfig {
-  /// When non-zero, the first locally registered node binds this port
-  /// instead of an ephemeral one (multi-process deployments agree on
-  /// fixed ports up front). Further nodes keep getting ephemeral ports.
+  /// When non-zero, the first locally registered replica node binds this
+  /// port instead of an ephemeral one (multi-process deployments agree on
+  /// fixed ports up front). Further replicas keep getting ephemeral ports.
   std::uint16_t fixed_port = 0;
   /// Numeric IPv4 address the listeners bind ("0.0.0.0" to accept
   /// non-local peers).
@@ -171,11 +177,11 @@ struct TcpTransportConfig {
   /// TransportStats::connection_limit_sheds and classified as
   /// RejectReason::ConnectionLimit in the metrics registry.
   std::size_t max_inbound_connections = 0;
-  /// Initial receive-buffer capacity per inbound connection (also the
-  /// recv chunk size). The default suits a handful of replica peers;
-  /// servers expecting thousands of small-frame client connections shrink
-  /// it so per-connection memory stays bounded. Buffers still grow on
-  /// demand up to max_frame_bytes.
+  /// Initial receive-buffer capacity per connection (also the recv chunk
+  /// size). The default suits a handful of replica peers; servers
+  /// expecting thousands of small-frame client connections shrink it so
+  /// per-connection memory stays bounded. Buffers still grow on demand up
+  /// to max_frame_bytes.
   std::size_t read_buffer_bytes = kReadChunkBytes;
   /// Evict an inbound connection that has sent nothing for this long
   /// (0 = never). Off by default: replica peers are legitimately silent
@@ -201,15 +207,16 @@ class TcpTransport final : public sim::Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   // --- sim::Transport ---
-  /// Registers a local node: binds a listener on `listen_host` (ephemeral
-  /// port; query it with port_of).
+  /// Registers a local node. A replica binds a listener on `listen_host`
+  /// (ephemeral port; query it with port_of); a client binds none.
   void add_node(sim::NodeId id, sim::NodeKind kind, sim::Endpoint* endpoint) override;
-  /// Unregisters a node: closes its listener and all its connections
-  /// (peers see resets/refusals — exactly what a crash looks like).
+  /// Unregisters a node: closes its listener and the connections accepted
+  /// for it (peers see resets/refusals — exactly what a crash looks like).
   void remove_node(sim::NodeId id) override;
   void send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr message) override;
 
-  /// Listening port of a locally registered node (0 if unknown).
+  /// Listening port of a locally registered node (0 for a client node or
+  /// an unknown one).
   std::uint16_t port_of(sim::NodeId id) const;
 
   /// Declares where a non-local node can be reached, enabling multi-
@@ -232,20 +239,18 @@ class TcpTransport final : public sim::Transport {
 
  private:
   struct LocalNode;
-  struct InboundConnection;
-  struct OutboundConnection;
+  struct Connection;
 
   void accept_ready(LocalNode& node);
-  void inbound_event(int fd, std::uint32_t events);
-  void inbound_ready(int fd);
-  void close_inbound(int fd, InboundConnection& connection);
-  void outbound_ready(std::uint32_t dest, std::uint32_t events);
-  OutboundConnection* connect_to(std::uint32_t dest, const PeerAddress& address);
-  void drop_outbound(std::uint32_t dest);
-  void schedule_flush(OutboundConnection& connection);
-  void flush(OutboundConnection& connection);
-  void schedule_inbound_flush(InboundConnection& connection);
-  void flush_inbound(InboundConnection& connection);
+  Connection* dial(std::uint32_t dest, const PeerAddress& address);
+  Connection& adopt(std::unique_ptr<Connection> connection, std::uint32_t events);
+  void connection_event(int fd, std::uint32_t events);
+  void read_ready(Connection& connection);
+  void learn_route(Connection& connection, std::uint32_t sender, std::uint32_t port);
+  void close_connection(Connection& connection);
+  void set_events(Connection& connection, std::uint32_t events);
+  void schedule_flush(Connection& connection);
+  void flush(Connection& connection);
   void arm_sweep();
   void sweep_connections();
 
@@ -254,11 +259,20 @@ class TcpTransport final : public sim::Transport {
   bool fixed_port_used_ = false;
   std::unordered_map<std::uint32_t, std::unique_ptr<LocalNode>> locals_;
   std::unordered_map<std::uint32_t, PeerAddress> remotes_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<OutboundConnection>> outbound_;
-  std::unordered_map<int, std::unique_ptr<InboundConnection>> inbound_;
+  /// Every open connection, dialed or accepted, by fd.
+  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  /// Destination node → the connection this transport dialed to it.
+  std::unordered_map<std::uint32_t, Connection*> dialed_;
   /// Listener-less senders (frames advertising port 0): node id → the
-  /// inbound fd whose connection replies to that node travel back over.
-  std::unordered_map<std::uint32_t, int> inbound_routes_;
+  /// accepted connection that answers to that node travel back over.
+  std::unordered_map<std::uint32_t, Connection*> routes_;
+  /// The last frame encoded, and what it encodes: a message sent to
+  /// several nodes (a client's REQUEST, a leader's PROPOSE) is framed once.
+  /// Holding the message keeps its address from being reused.
+  sim::PayloadPtr framed_message_;
+  std::uint32_t framed_from_ = 0;
+  std::uint32_t framed_route_ = 0;
+  std::vector<std::byte> framed_;
   sim::EventId sweep_timer_;
   TransportStats stats_;
 };

@@ -508,9 +508,11 @@ TEST(TcpTransportTest, RepliesRouteOverTheInboundConnection) {
   ASSERT_GT(n, 0);
   std::size_t frames = 0;
   reader.feed(std::as_bytes(std::span(buf, static_cast<std::size_t>(n))),
-              [&](std::uint32_t sender, std::uint32_t, std::span<const std::byte> payload) {
+              [&](std::uint32_t sender, std::uint32_t route, std::span<const std::byte> payload) {
                 ++frames;
                 EXPECT_EQ(sender, 1u);
+                // An answer over an accepted connection names its node.
+                EXPECT_EQ(route, client_node);
                 auto message = msg::decode(payload);
                 ASSERT_EQ(message->type(), msg::Type::Reject);
                 EXPECT_EQ(static_cast<const msg::Reject&>(*message).id.cid.value, 777u);
@@ -518,6 +520,127 @@ TEST(TcpTransportTest, RepliesRouteOverTheInboundConnection) {
   EXPECT_EQ(frames, 1u);
   EXPECT_EQ(transport.stats().dropped, 0u);
   ::close(fd);
+}
+
+namespace {
+
+/// Answers every delivered message with a REJECT back to its sender.
+class AnsweringEndpoint final : public sim::Endpoint {
+ public:
+  AnsweringEndpoint(rpc::TcpTransport& transport, sim::NodeId self)
+      : transport_(transport), self_(self) {}
+  std::size_t delivered = 0;
+  void deliver(sim::NodeId from, sim::PayloadPtr) override {
+    ++delivered;
+    transport_.send(self_, from, std::make_shared<const msg::Reject>(RequestId{}));
+  }
+
+ private:
+  rpc::TcpTransport& transport_;
+  sim::NodeId self_;
+};
+
+}  // namespace
+
+TEST(TcpTransportTest, ClientNodesShareOneConnectionPerReplica) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport replicas(loop);
+  rpc::TcpTransport clients(loop);
+  const sim::NodeId replica_node{1};
+  CollectingEndpoint replica;
+  replicas.add_node(replica_node, sim::NodeKind::Replica, &replica);
+  clients.set_remote(replica_node, replicas.port_of(replica_node));
+
+  constexpr std::uint32_t kClients = 16;
+  std::vector<CollectingEndpoint> endpoints(kClients);
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    clients.add_node(sim::NodeId{1'000'000 + c}, sim::NodeKind::Client, &endpoints[c]);
+    EXPECT_EQ(clients.port_of(sim::NodeId{1'000'000 + c}), 0);  // no listener
+  }
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    clients.send(sim::NodeId{1'000'000 + c}, replica_node,
+                 std::make_shared<const msg::Request>(RequestId{ClientId{c}, OpNum{1}},
+                                                      test::put_cmd("k", "v")));
+  }
+  loop.run_for(100 * kMillisecond);
+  ASSERT_EQ(replica.received.size(), kClients);
+  // One connection carries every client node's frames.
+  EXPECT_EQ(clients.memory().outbound_connections, 1u);
+  EXPECT_EQ(replicas.stats().accepted_connections, 1u);
+
+  // Answers produced in one loop iteration leave together over that
+  // connection, each addressed to its own node.
+  const std::uint64_t writes_before = replicas.stats().write_syscalls;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    replicas.send(replica_node, sim::NodeId{1'000'000 + c},
+                  std::make_shared<const msg::Reject>(RequestId{ClientId{c}, OpNum{1}}));
+  }
+  loop.run_for(100 * kMillisecond);
+  EXPECT_LT(replicas.stats().write_syscalls - writes_before, kClients);
+  EXPECT_EQ(replicas.stats().dropped, 0u);
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(endpoints[c].received.size(), 1u) << "client " << c;
+    EXPECT_EQ(endpoints[c].received[0].first, replica_node);
+    const auto* reject = dynamic_cast<const msg::Reject*>(endpoints[c].received[0].second.get());
+    ASSERT_NE(reject, nullptr);
+    EXPECT_EQ(reject->id.cid.value, c);
+  }
+  // Nobody dialed back.
+  EXPECT_EQ(replicas.memory().outbound_connections, 0u);
+  EXPECT_EQ(clients.stats().accepted_connections, 0u);
+}
+
+TEST(TcpTransportTest, ClientBesideTheReplicaGetsItsAnswers) {
+  // Client and replica on one transport: the client has no listener, so
+  // the replica must learn a route for a local sender too.
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  const sim::NodeId replica_node{1};
+  const sim::NodeId client_node{1'000'000};
+  AnsweringEndpoint replica(transport, replica_node);
+  CollectingEndpoint client;
+  transport.add_node(replica_node, sim::NodeKind::Replica, &replica);
+  transport.add_node(client_node, sim::NodeKind::Client, &client);
+
+  transport.send(client_node, replica_node,
+                 std::make_shared<const msg::Request>(RequestId{ClientId{0}, OpNum{1}},
+                                                      test::put_cmd("k", "v")));
+  loop.run_for(200 * kMillisecond);
+  EXPECT_EQ(replica.delivered, 1u);
+  ASSERT_EQ(client.received.size(), 1u);
+  EXPECT_EQ(client.received[0].first, replica_node);
+  EXPECT_EQ(transport.stats().dropped, 0u);
+}
+
+TEST(TcpTransportTest, FramesQueuedOnARefusedConnectionCountAsDropped) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  CollectingEndpoint a;
+  transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+
+  // A port nothing listens on: bound, then closed without listen().
+  int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  ::close(probe);
+  transport.set_remote(sim::NodeId{2}, ntohs(addr.sin_port));
+
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    transport.send(sim::NodeId{1}, sim::NodeId{2},
+                   std::make_shared<const msg::Reject>(RequestId{ClientId{1}, OpNum{i}}));
+  }
+  loop.run_for(100 * kMillisecond);
+
+  // The frames queued behind the refused handshake die with it.
+  EXPECT_EQ(transport.stats().messages_sent, 5u);
+  EXPECT_EQ(transport.stats().dropped, 5u);
+  EXPECT_EQ(transport.stats().write_syscalls, 0u);
+  EXPECT_EQ(transport.memory().outbound_connections, 0u);
 }
 
 TEST(FramingTest, DecodeBufferIsReusedAcrossFrames) {

@@ -150,6 +150,36 @@ echo "== real mode: storm_client smoke (open loop, stampede) =="
   echo "storm_client smoke FAILED: no replies" >&2; exit 1; }
 wait
 
+# Non-loopback smoke: the same deployment on the host's first IPv4
+# address outside 127/8. Clients bind no listener, so the servers must
+# answer over the connections the client dialed; a client reachable only
+# at 127.0.0.1 would get no replies here.
+echo "== real mode: non-loopback CLI smoke =="
+HOST_IP="$(ip -4 -o addr show 2>/dev/null \
+    | awk '{split($4, a, "/"); if (a[1] !~ /^127\./) {print a[1]; exit}}')"
+if [[ -z "${HOST_IP}" ]]; then
+  echo "skipped: no non-loopback IPv4"
+else
+  NL_BASE=$(( 8100 + RANDOM % 200 ))
+  for i in 0 1 2; do
+    PEERS=()
+    for j in 0 1 2; do
+      [[ "${i}" -ne "${j}" ]] && PEERS+=(--peer "${j}=${HOST_IP}:$(( NL_BASE + j ))")
+    done
+    ./build/tools/idem_server --replica-id "${i}" --listen "${HOST_IP}:$(( NL_BASE + i ))" \
+        "${PEERS[@]}" --seconds 4 >/dev/null &
+  done
+  sleep 0.5
+  NL_OUT="$(./build/tools/idem_client --replica "${HOST_IP}:${NL_BASE}" \
+      --replica "${HOST_IP}:$(( NL_BASE + 1 ))" --replica "${HOST_IP}:$(( NL_BASE + 2 ))" \
+      --clients 8 --seconds 1.5 --warmup 0.3)" || {
+    echo "non-loopback smoke FAILED: no replies from servers on ${HOST_IP}" >&2
+    echo "${NL_OUT}" >&2; exit 1; }
+  wait
+  echo "non-loopback smoke OK on ${HOST_IP}:" \
+      "$(echo "${NL_OUT}" | grep -Eo '[0-9.]+ replies/s')"
+fi
+
 # Deadline smoke: the same 3-replica deployment with EDF scheduling and
 # deadline-aware admission armed, driven by budget-stamped clients. The
 # client report must show the deadline accounting line, and the /metrics
