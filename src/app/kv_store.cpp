@@ -131,6 +131,8 @@ void KvStore::restore(std::span<const std::byte> snapshot) {
 
 Duration KvStore::execution_cost(std::span<const std::byte> command) const {
   Duration cost = costs_.base;
+  // Only the size-dependent terms need the command decoded.
+  if (costs_.ns_per_value_byte == 0.0 && costs_.per_scan_entry == 0) return cost;
   try {
     KvCommand cmd = KvCommand::decode(command);
     if (cmd.op == KvOp::Put) {

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -33,6 +34,14 @@ class CodecError : public std::runtime_error {
 /// one allocation.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Writes over a recycled buffer: its bytes are discarded and its
+  /// capacity kept, so a writer handed back the buffer it produced last
+  /// time (see take()) encodes without allocating.
+  explicit ByteWriter(std::vector<std::byte> recycled) : buf_(std::move(recycled)) {
+    buf_.clear();
+  }
+
   /// Pre-size the buffer for a message of known encoded length.
   void reserve(std::size_t n) { buf_.reserve(n); }
 

@@ -80,16 +80,19 @@ struct CostModel {
   }
 
   Duration cost(const sim::Payload& message, Rng& rng) const {
-    Duration base = per_message + static_cast<Duration>(
-                                      ns_per_byte * static_cast<double>(message.wire_size()));
-    return apply_jitter(base, rng);
+    return apply_jitter(per_message + size_cost(ns_per_byte, message), rng);
   }
 
   Duration send_cost(const sim::Payload& message, Rng& rng) const {
-    Duration base = send_per_message +
-                    static_cast<Duration>(send_ns_per_byte *
-                                          static_cast<double>(message.wire_size()));
-    return apply_jitter(base, rng);
+    return apply_jitter(send_per_message + size_cost(send_ns_per_byte, message), rng);
+  }
+
+  /// The size-proportional term. A zero coefficient charges 0 ns without
+  /// asking for the size, which would encode the message: real mode zeroes
+  /// every coefficient and never pays for that.
+  static Duration size_cost(double ns_per, const sim::Payload& message) {
+    if (ns_per == 0.0) return 0;
+    return static_cast<Duration>(ns_per * static_cast<double>(message.wire_size()));
   }
 };
 

@@ -87,16 +87,25 @@ class Message : public sim::Payload {
   }
 
   /// Full binary encoding including the leading type byte. Also primes the
-  /// wire-size cache, and uses it when already known: the network layer
+  /// wire-size cache, and uses it when already known: the simulated network
   /// calls wire_size() on every send, so a later encode of the same message
-  /// serializes into an exactly-sized buffer in one allocation.
+  /// serializes into an exactly-sized buffer in one allocation. Real mode
+  /// never primes it: its transport encodes with encode_to(), and its zero
+  /// cost model never asks for a size.
   std::vector<std::byte> encode() const {
     ByteWriter w;
     if (size_) w.reserve(*size_);
-    w.u8(static_cast<std::uint8_t>(type()));
-    encode_body(w);
+    encode_to(w);
     if (!size_) size_ = w.size();
     return w.take();
+  }
+
+  /// Appends the full encoding (type byte first) to `w`, which may already
+  /// hold other bytes — the transport writes a frame header first and
+  /// encodes the message straight behind it.
+  void encode_to(ByteWriter& w) const {
+    w.u8(static_cast<std::uint8_t>(type()));
+    encode_body(w);
   }
 
  protected:

@@ -68,7 +68,8 @@ struct StormEngine::Session final : sim::Transport, consensus::ServiceClient {
       if (typed == nullptr) return;
       // Sender-port 0: replicas route the REPLY/REJECT back over this very
       // connection instead of dialing a listener we don't have.
-      frame = rpc::encode_frame(from.value, 0, typed->encode());
+      framed.reset();  // `frame` is rebuilt below
+      rpc::build_frame(frame, from.value, 0, [typed](ByteWriter& w) { typed->encode_to(w); });
       framed = std::move(message);
     }
     engine.send_frame(*this, consensus::replica_of_address(to).value, frame);
@@ -285,7 +286,7 @@ void StormEngine::connect_session(Session& session) {
     // up (conn_established flushes them).
     std::vector<std::byte> held = std::exchange(session.held[ci], {});
     if (!held.empty() && session.conns[ci].state != Conn::State::Dead) {
-      session.conns[ci].out.push(std::move(held));
+      session.conns[ci].out.push(held);
     }
   }
   // Whole cluster unreachable (or fd exhaustion): retry later instead of
@@ -422,12 +423,8 @@ void StormEngine::on_reset(Session& session) {
 bool StormEngine::flush_conn(Session& session, std::size_t ci) {
   Conn& conn = session.conns[ci];
   while (!conn.out.empty()) {
-    iovec iov[rpc::kMaxFlushIov];
-    const std::size_t count = conn.out.fill_iovec(iov, rpc::kMaxFlushIov);
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = count;
-    const ssize_t written = ::sendmsg(conn.fd, &mh, MSG_NOSIGNAL);
+    const std::span<const std::byte> bytes = conn.out.unwritten();
+    const ssize_t written = ::send(conn.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -491,19 +488,19 @@ void StormEngine::on_frame(Session& session, std::uint32_t sender,
 }
 
 void StormEngine::send_frame(Session& session, std::size_t replica,
-                             std::vector<std::byte> frame) {
+                             std::span<const std::byte> frame) {
   if (replica >= session.held.size()) return;
   if (session.reconnect_timer.valid()) {
     // Waiting to reconnect: keep the latest frame for the new connection
     // rather than sitting out a retransmission after every reconnect.
-    session.held[replica] = std::move(frame);
+    session.held[replica].assign(frame.begin(), frame.end());
     return;
   }
   Conn& conn = session.conns[replica];
   // A refused replica stays dark (fair loss); a connecting one flushes
   // when the handshake completes.
   if (conn.state == Conn::State::Dead) return;
-  conn.out.push(std::move(frame));
+  conn.out.push(frame);
   if (conn.state == Conn::State::Connected) flush_conn(session, replica);
 }
 

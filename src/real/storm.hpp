@@ -163,7 +163,7 @@ class StormEngine {
   void conn_readable(Session& session, std::size_t ci);
   void on_reset(Session& session);
   void on_frame(Session& session, std::uint32_t sender, std::span<const std::byte> payload);
-  void send_frame(Session& session, std::size_t replica, std::vector<std::byte> frame);
+  void send_frame(Session& session, std::size_t replica, std::span<const std::byte> frame);
   void op_completed(Session& session);
   /// Returns false when the write failed and the session's connections
   /// were torn down (the caller must not touch the connection again).

@@ -6,11 +6,16 @@
 //   - on a connection the sender dialed, it is the sender's listen port,
 //     so receivers learn return addresses automatically (a replica can
 //     reach a peer it has never been configured with). Port 0 means the
-//     sender has no listener: answer it over this connection;
+//     sender has no listener;
 //   - on an answer travelling back over a connection the receiver dialed,
 //     it is the destination node id, so one connection can carry the
-//     answers of every client node the dialing transport hosts.
-// FrameReader reassembles frames from an arbitrary stream of socket reads.
+//     answers of every node the dialing transport hosts. Replicas answer
+//     replicas this way too: a replica's PROPOSE to a follower that
+//     dialed it rides that follower's connection, addressed by node id.
+// build_frame() encodes a frame in place into a recycled buffer; a frame
+// sent to several nodes is built once and only its route word rewritten
+// per destination (set_frame_route()). FrameReader reassembles frames from
+// an arbitrary stream of socket reads.
 //
 // Hot-path shape: the reader owns one grow-only buffer that sockets recv
 // directly into (write_span()/commit()), and parsing tracks a head offset
@@ -35,6 +40,8 @@
 #include <span>
 #include <vector>
 
+#include "common/codec.hpp"
+
 namespace idem::rpc {
 
 constexpr std::size_t kFrameHeaderBytes = 12;  // u32 length + u32 sender + u32 route
@@ -44,24 +51,51 @@ constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 /// reader's initial buffer capacity, so typical connections never grow.
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 
+/// Little-endian u32 at `at` — the header words' byte order.
+inline void store_frame_word(std::byte* at, std::uint32_t v) {
+  at[0] = std::byte(v & 0xFF);
+  at[1] = std::byte((v >> 8) & 0xFF);
+  at[2] = std::byte((v >> 16) & 0xFF);
+  at[3] = std::byte((v >> 24) & 0xFF);
+}
+
+inline std::uint32_t load_frame_word(const std::byte* at) {
+  return static_cast<std::uint32_t>(at[0]) | (static_cast<std::uint32_t>(at[1]) << 8) |
+         (static_cast<std::uint32_t>(at[2]) << 16) | (static_cast<std::uint32_t>(at[3]) << 24);
+}
+
 /// Builds one frame ready for transmission. `route` is the sender's listen
 /// port (0 for none) on a dialed connection, or the destination node id on
 /// an answer over an accepted one.
 inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t route,
                                            std::span<const std::byte> payload) {
-  std::vector<std::byte> out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  auto push_u32 = [&out](std::uint32_t v) {
-    out.push_back(std::byte(v & 0xFF));
-    out.push_back(std::byte((v >> 8) & 0xFF));
-    out.push_back(std::byte((v >> 16) & 0xFF));
-    out.push_back(std::byte((v >> 24) & 0xFF));
-  };
-  push_u32(static_cast<std::uint32_t>(payload.size()));
-  push_u32(sender);
-  push_u32(route);
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::vector<std::byte> out(kFrameHeaderBytes + payload.size());
+  store_frame_word(out.data(), static_cast<std::uint32_t>(payload.size()));
+  store_frame_word(out.data() + 4, sender);
+  store_frame_word(out.data() + 8, route);
+  if (!payload.empty()) std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
   return out;
+}
+
+/// Builds one frame in place: the header, then whatever `write_payload`
+/// appends to the ByteWriter it is given, then the length patched in.
+/// `frame` is recycled — its old bytes are replaced, its capacity kept —
+/// so a warmed-up buffer frames a message without allocating.
+template <typename WritePayload>
+void build_frame(std::vector<std::byte>& frame, std::uint32_t sender, std::uint32_t route,
+                 const WritePayload& write_payload) {
+  ByteWriter w(std::move(frame));
+  w.u32(0);
+  w.u32(sender);
+  w.u32(route);
+  write_payload(w);
+  frame = w.take();
+  store_frame_word(frame.data(), static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes));
+}
+
+/// Rewrites the route word of a built frame.
+inline void set_frame_route(std::span<std::byte> frame, std::uint32_t route) {
+  store_frame_word(frame.data() + 8, route);
 }
 
 /// Incremental frame decoder: recv into write_span(), commit() the byte
@@ -167,12 +201,7 @@ class FrameReader {
     head_ = 0;
   }
 
-  std::uint32_t read_u32(std::size_t at) const {
-    return static_cast<std::uint32_t>(buffer_[at]) |
-           (static_cast<std::uint32_t>(buffer_[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(buffer_[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(buffer_[at + 3]) << 24);
-  }
+  std::uint32_t read_u32(std::size_t at) const { return load_frame_word(buffer_.data() + at); }
 
   std::size_t max_frame_;
   Error error_ = Error::None;

@@ -25,6 +25,11 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// routes_ key: answers from `local` to `remote`.
+std::uint64_t route_key(std::uint32_t local, std::uint32_t remote) {
+  return (std::uint64_t{local} << 32) | remote;
+}
+
 bool resolve(const std::string& host, std::uint16_t port, sockaddr_in& out) {
   out = sockaddr_in{};
   out.sin_family = AF_INET;
@@ -65,9 +70,9 @@ struct TcpTransport::LocalNode {
 };
 
 /// One TCP connection, whichever side opened it. A dialed connection
-/// carries our nodes' frames to `node` and brings back the answers
-/// addressed to our listener-less nodes; an accepted one carries peers'
-/// frames to our `node` and our answers back to listener-less peers.
+/// carries our nodes' frames to `node` and brings back its answers, each
+/// addressed to one of our nodes; an accepted one carries peers' frames to
+/// our `node` and its answers back to them.
 struct TcpTransport::Connection {
   static constexpr Time kNoPartial = -1;
 
@@ -80,11 +85,11 @@ struct TcpTransport::Connection {
   PendingWrites out;
   std::uint32_t events = 0;  ///< the epoll mask currently registered
   bool flush_scheduled = false;  ///< a deferred end-of-iteration flush is queued
-  /// Accepted: listener-less senders whose answers route over this
-  /// connection. A node is appended each time its route moves here, so
+  /// Accepted: routes_ keys of the senders whose answers travel over this
+  /// connection. A key is appended each time its route moves here, so
   /// keeping it costs O(1) per frame however many sessions share the
   /// connection.
-  std::vector<std::uint32_t> routes;
+  std::vector<std::uint64_t> routes;
   Time last_activity = 0;           ///< accept time, then the last recv that moved bytes
   Time partial_since = kNoPartial;  ///< when the currently buffered partial
                                     ///< frame started (completed frames reset it)
@@ -93,30 +98,37 @@ struct TcpTransport::Connection {
       : reader(max_frame, initial_capacity) {}
 };
 
-std::size_t PendingWrites::fill_iovec(iovec* iov, std::size_t max) const {
-  std::size_t n = 0;
-  for (const std::vector<std::byte>& frame : frames) {
-    if (n == max) break;
-    std::size_t skip = (n == 0) ? front_offset : 0;
-    iov[n].iov_base = const_cast<std::byte*>(frame.data() + skip);
-    iov[n].iov_len = frame.size() - skip;
-    ++n;
+void PendingWrites::push(std::span<const std::byte> frame) {
+  if (bytes_.size() + frame.size() > bytes_.capacity() && frame_head_ > 0) {
+    // Out of room: drop the written frames from the front before growing.
+    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(frame_head_));
+    head_ -= frame_head_;
+    frame_head_ = 0;
   }
-  return n;
+  bytes_.insert(bytes_.end(), frame.begin(), frame.end());
+  ++frames_;
 }
 
 void PendingWrites::consume(std::size_t written) {
-  total_bytes -= written;
-  while (written > 0) {
-    std::size_t front_left = frames.front().size() - front_offset;
-    if (written < front_left) {
-      front_offset += written;
-      return;
-    }
-    written -= front_left;
-    frames.pop_front();
-    front_offset = 0;
+  head_ += written;
+  while (frames_ > 0) {
+    std::size_t end = frame_head_ + kFrameHeaderBytes + load_frame_word(&bytes_[frame_head_]);
+    if (end > head_) break;
+    frame_head_ = end;
+    --frames_;
   }
+  if (empty()) clear();
+}
+
+void PendingWrites::clear() {
+  if (bytes_.capacity() > kRetainedWriteBytes) {
+    std::vector<std::byte>().swap(bytes_);
+  } else {
+    bytes_.clear();
+  }
+  head_ = 0;
+  frame_head_ = 0;
+  frames_ = 0;
 }
 
 TcpTransport::TcpTransport(EventLoop& loop, TcpTransportConfig config)
@@ -282,18 +294,30 @@ TcpTransport::Connection& TcpTransport::adopt(std::unique_ptr<Connection> connec
 
 void TcpTransport::close_connection(Connection& connection) {
   // Frames still queued die with the connection: fair loss, counted.
-  stats_.dropped += connection.out.frames.size();
+  stats_.dropped += connection.out.frames();
   loop_.unwatch(connection.fd);
   ::close(connection.fd);
   if (connection.dialed) dialed_.erase(connection.node);
   // Retire answer routes that still point here (a reconnect may already
   // have repointed them at a newer connection — leave those alone).
-  for (std::uint32_t node : connection.routes) {
-    if (auto route = routes_.find(node); route != routes_.end() && route->second == &connection) {
+  for (std::uint64_t key : connection.routes) {
+    if (auto route = routes_.find(key); route != routes_.end() && route->second == &connection) {
       routes_.erase(route);
     }
   }
   connections_.erase(connection.fd);  // destroys `connection`
+}
+
+void TcpTransport::retire_if_unused(Connection& dialed) {
+  // Both sides dialed and the peer's connection won. Once ours has nothing
+  // queued, and no local node still prefers it (one below the peer's id,
+  // or one the peer never dialed), close it: the peer reads what is in
+  // flight, then a clean end of stream, and drops its end too.
+  if (!dialed.connected || !dialed.out.empty()) return;
+  for (const auto& [id, node] : locals_) {
+    if (id < dialed.node || !routes_.contains(route_key(id, dialed.node))) return;
+  }
+  close_connection(dialed);
 }
 
 void TcpTransport::connection_event(int fd, std::uint32_t events) {
@@ -321,23 +345,20 @@ void TcpTransport::connection_event(int fd, std::uint32_t events) {
 
 void TcpTransport::learn_route(Connection& connection, std::uint32_t sender,
                                std::uint32_t port) {
-  if (port == 0) {
-    // No listener: answer the sender over this connection, addressed by
-    // node id. The newest connection wins.
-    auto [route, inserted] = routes_.try_emplace(sender, &connection);
-    if (!inserted) {
-      if (route->second == &connection) return;
-      route->second = &connection;
-    }
-    connection.routes.push_back(sender);
-  } else if (!locals_.contains(sender)) {
-    // The sender's listener, at the IP the connection came from: this is
-    // how replicas reach peers they were configured with only by port, or
-    // not at all, in multi-process deployments.
-    PeerAddress& address = remotes_[sender];
-    if (address.port != port || address.host != connection.peer_host) {
-      address = PeerAddress{connection.peer_host, static_cast<std::uint16_t>(port)};
-    }
+  // Answers to the sender travel back over the connection its frames
+  // arrive on, addressed by node id. The newest connection wins.
+  auto [route, inserted] = routes_.try_emplace(route_key(connection.node, sender), &connection);
+  if (!inserted) {
+    if (route->second == &connection) return;  // known here: nothing new to learn
+    route->second = &connection;
+  }
+  connection.routes.push_back(route->first);
+  if (port != 0 && !locals_.contains(sender)) {
+    // The sender's listener, at the IP the connection came from: where to
+    // dial it once this connection is gone. This is how replicas reach
+    // peers they were configured with only by port, or not at all, in
+    // multi-process deployments.
+    remotes_[sender] = PeerAddress{connection.peer_host, static_cast<std::uint16_t>(port)};
   }
 }
 
@@ -348,6 +369,7 @@ void TcpTransport::read_ready(Connection& connection) {
     // largest frame.
     std::span<std::byte> dst = connection.reader.write_span(config_.read_buffer_bytes);
     ssize_t n = ::recv(connection.fd, dst.data(), dst.size(), 0);
+    ++stats_.read_syscalls;
     if (n > 0) {
       connection.reader.commit(static_cast<std::size_t>(n));
       connection.last_activity = loop_.now();
@@ -389,6 +411,11 @@ void TcpTransport::read_ready(Connection& connection) {
         close_connection(connection);
         return;
       }
+      // A read that left space unfilled emptied the socket: level-triggered
+      // epoll reports the next bytes, so asking again would only earn an
+      // EAGAIN. A read that filled its span (a bulk state transfer) may
+      // have left more behind: read on.
+      if (static_cast<std::size_t>(n) < dst.size()) return;
       continue;
     }
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
@@ -410,8 +437,8 @@ void TcpTransport::set_events(Connection& connection, std::uint32_t events) {
 
 void TcpTransport::schedule_flush(Connection& connection) {
   // Coalescing point: every send during this loop iteration appends to the
-  // pending queue, and one deferred flush writes them all with a single
-  // sendmsg. The deferred task re-resolves the connection by fd — it may
+  // pending buffer, and one deferred flush writes it all with a single
+  // send. The deferred task re-resolves the connection by fd — it may
   // have been closed (and the fd recycled) before the end of the
   // iteration, in which case flushing the newer connection early is
   // harmless.
@@ -428,12 +455,8 @@ void TcpTransport::schedule_flush(Connection& connection) {
 
 void TcpTransport::flush(Connection& connection) {
   while (!connection.out.empty()) {
-    iovec iov[kMaxFlushIov];
-    std::size_t n_iov = connection.out.fill_iovec(iov, kMaxFlushIov);
-    msghdr header{};
-    header.msg_iov = iov;
-    header.msg_iovlen = n_iov;
-    ssize_t n = ::sendmsg(connection.fd, &header, MSG_NOSIGNAL);
+    std::span<const std::byte> bytes = connection.out.unwritten();
+    ssize_t n = ::send(connection.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
     if (n > 0) {
       ++stats_.write_syscalls;
       connection.out.consume(static_cast<std::size_t>(n));
@@ -505,7 +528,7 @@ TransportMemory TcpTransport::memory() const {
   memory.inbound_connections = connections_.size() - dialed_.size();
   for (const auto& [fd, connection] : connections_) {
     memory.inbound_buffer_bytes += connection->reader.capacity();
-    memory.pending_write_bytes += connection->out.total_bytes;
+    memory.pending_write_bytes += connection->out.size();
   }
   return memory;
 }
@@ -519,6 +542,8 @@ void TcpTransport::register_metrics(obs::MetricsRegistry& registry) const {
   counter("tcp.messages_delivered", stats_.messages_delivered);
   counter("tcp.dropped", stats_.dropped);
   counter("tcp.decode_errors", stats_.decode_errors);
+  counter("tcp.read_syscalls", stats_.read_syscalls);
+  counter("tcp.write_syscalls", stats_.write_syscalls);
   counter("tcp.accepted_connections", stats_.accepted_connections);
   counter("tcp.idle_evictions", stats_.idle_evictions);
   counter("tcp.half_open_evictions", stats_.half_open_evictions);
@@ -543,44 +568,45 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
     return;
   }
 
-  // A node we dial (a connection to it, a listener of ours, or a declared
-  // address) gets the sender's listen port as the route word; a
-  // listener-less node gets the frame over the connection it wrote from,
-  // addressed by its node id.
+  // A node that dialed us gets the frame over its connection, addressed
+  // by its node id. When we dialed it as well, the connection dialed by
+  // the lower id carries both directions: the peer applies the same rule,
+  // so both ends pick the same connection, and the loser retires its own.
+  // Any other node is dialed (a listener of ours, or a declared or learned
+  // address), and the frame carries the sender's listen port.
   Connection* connection = nullptr;
-  std::uint32_t route = 0;
-  if (auto dialed = dialed_.find(to.value); dialed != dialed_.end()) {
+  std::uint32_t route = to.value;
+  auto dialed = dialed_.find(to.value);
+  if (auto answer = routes_.find(route_key(from.value, to.value));
+      answer != routes_.end() && (dialed == dialed_.end() || to.value < from.value)) {
+    connection = answer->second;
+    if (dialed != dialed_.end()) retire_if_unused(*dialed->second);
+  } else if (dialed != dialed_.end()) {
     connection = dialed->second;
   } else if (auto local = locals_.find(to.value);
              local != locals_.end() && local->second->port != 0) {
     connection = dial(to.value, PeerAddress{"127.0.0.1", local->second->port});
   } else if (auto remote = remotes_.find(to.value); remote != remotes_.end()) {
     connection = dial(to.value, remote->second);
-  } else if (auto answer = routes_.find(to.value); answer != routes_.end()) {
-    connection = answer->second;
-    route = to.value;
   }
   if (connection == nullptr) {
     ++stats_.dropped;
     return;
   }
   if (connection->dialed) {
-    if (auto sender = locals_.find(from.value); sender != locals_.end()) {
-      route = sender->second->port;
-    }
+    auto sender = locals_.find(from.value);
+    route = sender == locals_.end() ? 0 : sender->second->port;
   }
 
-  std::vector<std::byte> frame;
-  if (message == framed_message_ && from.value == framed_from_ && route == framed_route_) {
-    frame = framed_;  // the same message to another node: reuse its framing
+  if (message == framed_message_ && from.value == framed_from_) {
+    set_frame_route(framed_, route);  // the same message to another node
   } else {
-    frame = encode_frame(from.value, route, typed->encode());
-    framed_.assign(frame.begin(), frame.end());
+    framed_message_.reset();  // framed_ is rebuilt below
+    build_frame(framed_, from.value, route, [typed](ByteWriter& w) { typed->encode_to(w); });
     framed_message_ = std::move(message);
     framed_from_ = from.value;
-    framed_route_ = route;
   }
-  if (connection->out.total_bytes + frame.size() > config_.max_pending_write_bytes) {
+  if (connection->out.size() + framed_.size() > config_.max_pending_write_bytes) {
     // The peer stopped draining: shed this frame (fair loss) rather than
     // buffer without bound.
     ++stats_.send_queue_overflows;
@@ -588,8 +614,8 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
     return;
   }
   stats_.messages_sent += 1;
-  stats_.bytes_sent += frame.size();
-  connection->out.push(std::move(frame));
+  stats_.bytes_sent += framed_.size();
+  connection->out.push(framed_);
   // Not yet connected: the handshake's completion flushes.
   if (connection->connected) schedule_flush(*connection);
 }

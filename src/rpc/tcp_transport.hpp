@@ -1,18 +1,27 @@
 // Real TCP transport implementing sim::Transport.
 //
 // Replica-kind nodes get a listener; client-kind nodes get none and
-// advertise port 0. send() lazily dials one connection per destination
-// node and writes length-prefixed frames (rpc/framing.hpp) carrying
-// consensus::messages encodings. Replicas reach each other over their own
-// dialed connections, mirroring how the protocols treat links as
-// independent fair-loss channels. A frame whose sender advertises port 0
-// teaches the receiver a route: answers to that node travel back over the
-// connection the frame came in on, addressed to it by node id, and the
-// dialing transport hands each to the local node it names. So all client
-// nodes of one transport share one connection per replica in both
-// directions, and every REPLY/REJECT a replica produces for them in one
-// loop iteration leaves in one sendmsg. Storm sessions, which are their
-// own transports, use the same route with one socket each.
+// advertise port 0. Frames are length-prefixed (rpc/framing.hpp) and carry
+// consensus::messages encodings. One connection joins two nodes and
+// carries both directions: a frame arriving on an accepted connection
+// teaches the receiver a route back to its sender, addressed by node id,
+// and send() dials only when it has no route. Replicas reach each other
+// over their own dialed connections only until the peer's first frame
+// arrives: a follower's REQUIRE rides the connection it dialed to the
+// leader, and the leader's PROPOSE comes back over it. When both sides
+// dialed first, the connection dialed by the lower node id carries both
+// directions (each end derives that from the ids, so no handshake is
+// needed) and the other is closed once nothing is queued on it. So all
+// client nodes of one transport share one connection per replica, each
+// replica pair shares one, and every frame a node produces for one
+// connection in one loop iteration leaves in one write. Storm sessions,
+// their own transports, are answered the same way.
+//
+// Per message, send() encodes into one reused buffer behind the frame
+// header — once per multicast, only the route word rewritten per
+// destination — and appends the frame to the connection's write buffer.
+// A recv that did not fill its span ends the readiness: the socket is
+// empty, and level-triggered epoll reports the next bytes.
 //
 // Failure semantics match the protocols' fair-loss assumption: a send to
 // an unknown, crashed or unreachable node is silently dropped (and
@@ -32,12 +41,10 @@
 // before that thread starts running the loop).
 #pragma once
 
-#include <sys/uio.h>
-
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,9 +64,12 @@ struct TransportStats {
                                     ///< queued on a connection that broke
   std::uint64_t decode_errors = 0;  ///< malformed frames received (bad
                                     ///< encoding, oversized, truncated)
-  std::uint64_t write_syscalls = 0;    ///< sendmsg calls that moved bytes;
+  std::uint64_t write_syscalls = 0;    ///< send calls that moved bytes;
                                        ///< messages_sent / write_syscalls is
                                        ///< the coalescing ratio
+  std::uint64_t read_syscalls = 0;     ///< recv calls, EAGAIN included;
+                                       ///< messages_delivered / read_syscalls
+                                       ///< is the read side's ratio
   std::uint64_t send_queue_overflows = 0;  ///< frames dropped because a
                                            ///< connection's pending-write
                                            ///< queue hit its byte bound
@@ -98,43 +108,47 @@ struct TransportMemory {
   }
 };
 
-/// Upper bound on iovec entries per flush; writev/sendmsg reject more
-/// than IOV_MAX (1024 on Linux), and 64 frames per syscall already
-/// amortizes the syscall to noise.
-constexpr std::size_t kMaxFlushIov = 64;
+/// Capacity a drained write buffer keeps. One large frame (a
+/// StateResponse may be 64 MiB) grows the buffer past it; the buffer is
+/// released once that drains, so it does not stay pinned per connection.
+constexpr std::size_t kRetainedWriteBytes = 4 * kReadChunkBytes;
 
-/// Per-connection queue of encoded frames awaiting transmission, flushed
-/// with one sendmsg per event-loop iteration. Frames keep their identity
-/// (no flattening copy) and `front_offset` tracks how far a partial write
-/// got into the front frame, so resumption after EAGAIN mid-iovec is
-/// exact. Separate from the socket code so tests can drive partial-write
-/// sequences without a kernel.
-struct PendingWrites {
-  std::deque<std::vector<std::byte>> frames;
-  std::size_t front_offset = 0;  ///< bytes of frames.front() already written
-  std::size_t total_bytes = 0;   ///< unwritten bytes across all frames
-
-  bool empty() const { return frames.empty(); }
-
-  void push(std::vector<std::byte> frame) {
-    total_bytes += frame.size();
-    frames.push_back(std::move(frame));
+/// Per-connection bytes awaiting transmission: queued frames back to back
+/// in one buffer, written with one send per event-loop iteration. `head`
+/// marks how far writes got, so a partial write resumes at the exact byte.
+/// Frames stay countable — the unwritten ones die with a broken connection
+/// and count as dropped one each. Separate from the socket code so tests
+/// can drive partial-write sequences without a kernel.
+class PendingWrites {
+ public:
+  bool empty() const { return head_ == bytes_.size(); }
+  /// Unwritten bytes.
+  std::size_t size() const { return bytes_.size() - head_; }
+  /// Frames not yet completely written (a partly written one included).
+  std::size_t frames() const { return frames_; }
+  /// Buffer capacity held (memory accounting).
+  std::size_t capacity() const { return bytes_.capacity(); }
+  /// The unwritten bytes, ready for one send.
+  std::span<const std::byte> unwritten() const {
+    return std::span<const std::byte>(bytes_).subspan(head_);
   }
 
-  /// Fills up to `max` iovec entries with the unwritten byte ranges,
-  /// starting mid-frame if a previous write stopped there. Returns the
-  /// number of entries filled.
-  std::size_t fill_iovec(iovec* iov, std::size_t max) const;
+  /// Queues one whole frame (header included).
+  void push(std::span<const std::byte> frame);
 
-  /// Advances past `written` bytes: fully-written frames are released,
-  /// a partially-written front frame is remembered via front_offset.
+  /// Advances past `written` bytes of unwritten(). Frames completed by them
+  /// stop counting; a drained buffer rewinds (and gives back what one
+  /// large frame grew it to).
   void consume(std::size_t written);
 
-  void clear() {
-    frames.clear();
-    front_offset = 0;
-    total_bytes = 0;
-  }
+  /// Forgets everything queued.
+  void clear();
+
+ private:
+  std::vector<std::byte> bytes_;
+  std::size_t head_ = 0;        ///< first unwritten byte
+  std::size_t frame_head_ = 0;  ///< start of the first frame not completely written
+  std::size_t frames_ = 0;      ///< frames not completely written
 };
 
 /// Where a node can be reached: numeric IPv4 host + TCP port.
@@ -247,6 +261,7 @@ class TcpTransport final : public sim::Transport {
   void connection_event(int fd, std::uint32_t events);
   void read_ready(Connection& connection);
   void learn_route(Connection& connection, std::uint32_t sender, std::uint32_t port);
+  void retire_if_unused(Connection& dialed);
   void close_connection(Connection& connection);
   void set_events(Connection& connection, std::uint32_t events);
   void schedule_flush(Connection& connection);
@@ -263,15 +278,17 @@ class TcpTransport final : public sim::Transport {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   /// Destination node → the connection this transport dialed to it.
   std::unordered_map<std::uint32_t, Connection*> dialed_;
-  /// Listener-less senders (frames advertising port 0): node id → the
-  /// accepted connection that answers to that node travel back over.
-  std::unordered_map<std::uint32_t, Connection*> routes_;
-  /// The last frame encoded, and what it encodes: a message sent to
-  /// several nodes (a client's REQUEST, a leader's PROPOSE) is framed once.
-  /// Holding the message keeps its address from being reused.
+  /// Answer routes, keyed by route_key(local node, remote sender): the
+  /// connection accepted by the local node's listener that the sender's
+  /// frames arrive on, and answers to it travel back over.
+  std::unordered_map<std::uint64_t, Connection*> routes_;
+  /// The last frame built, and what it encodes: a message sent to several
+  /// nodes (a client's REQUEST, a leader's PROPOSE) is encoded once, and
+  /// only its route word is rewritten per destination. Holding the message
+  /// keeps its address from being reused. The buffer is recycled by every
+  /// build, so warmed-up sends do not allocate.
   sim::PayloadPtr framed_message_;
   std::uint32_t framed_from_ = 0;
-  std::uint32_t framed_route_ = 0;
   std::vector<std::byte> framed_;
   sim::EventId sweep_timer_;
   TransportStats stats_;

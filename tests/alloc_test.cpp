@@ -1,7 +1,9 @@
 // Proves the kernel's allocation budget (DESIGN.md "Kernel performance
 // model"): once warm, the steady-state dispatch path — EventQueue push ->
 // pop -> fire, Simulator::step, Node timer set/cancel, and network message
-// delivery with a reused payload — performs zero heap allocations.
+// delivery with a reused payload — performs zero heap allocations. Real
+// mode's send path (frame build, queue, end-of-iteration flush) and its
+// zero-cost execution charge keep the same budget.
 //
 // A counting global operator new/delete pair is armed only inside the
 // measured regions; everything else (gtest bookkeeping, warm-up capacity
@@ -14,8 +16,17 @@
 #include <memory>
 #include <new>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include "app/kv_store.hpp"
+#include "consensus/messages.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
+#include "rpc/event_loop.hpp"
+#include "rpc/tcp_transport.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
@@ -228,6 +239,87 @@ TEST(AllocationBudget, ObsHotPathIsAllocationFree) {
   EXPECT_GT(recorder.overwritten(), 0u);  // the ring wrapped and kept going
   EXPECT_EQ(registry.rows(), 512u);
   EXPECT_EQ(registry.current("accepted"), 8192.0);
+}
+
+TEST(AllocationBudget, TcpSendAndFlushAreAllocationFree) {
+  // A listener nobody's event loop serves: the test drains it by hand,
+  // into a stack buffer, so only the sending transport runs.
+  int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  class Silent final : public Endpoint {
+    void deliver(NodeId, PayloadPtr) override {}
+  } endpoint;
+  transport.add_node(NodeId{1}, NodeKind::Replica, &endpoint);
+  transport.set_remote(NodeId{2}, ntohs(addr.sin_port));
+
+  // Distinct messages of one encoded size, made up front: the budget
+  // covers the transport, not the protocol building its messages.
+  constexpr int kRounds = 50;
+  constexpr int kPerRound = 32;
+  std::vector<PayloadPtr> messages;
+  for (int i = 0; i < (kRounds + 2) * kPerRound; ++i) {
+    messages.push_back(std::make_shared<const msg::Reject>(
+        RequestId{ClientId{7}, OpNum{static_cast<std::uint64_t>(1'000'000 + i)}}));
+  }
+  int peer = -1;
+  std::byte sink[64 * 1024];
+  auto round = [&](int r) {
+    for (int i = 0; i < kPerRound; ++i) {
+      transport.send(NodeId{1}, NodeId{2}, messages[static_cast<std::size_t>(r * kPerRound + i)]);
+    }
+    loop.run_for(kMillisecond);  // the end-of-iteration flush
+    while (::recv(peer, sink, sizeof(sink), MSG_DONTWAIT) > 0) {
+    }
+  };
+  // Warm-up: dial, accept, and grow the frame and write buffers and both
+  // of the loop's alternating deferred-task vectors.
+  transport.send(NodeId{1}, NodeId{2}, messages[0]);
+  loop.run_for(20 * kMillisecond);
+  peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  round(0);
+  round(1);
+
+  std::uint64_t allocations = 0;
+  {
+    CountingGuard guard;
+    for (int r = 2; r < kRounds + 2; ++r) round(r);
+    allocations = guard.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "frame build -> queue -> flush must not allocate once warm";
+  EXPECT_EQ(transport.stats().messages_sent, 1u + (kRounds + 2) * kPerRound);
+  EXPECT_EQ(transport.stats().dropped, 0u);
+  ::close(peer);
+  ::close(listener);
+}
+
+TEST(AllocationBudget, ZeroCostKvExecutionChargeIsAllocationFree) {
+  app::KvStore store(app::KvStore::Costs{0, 0.0, 0});
+  app::KvCommand put;
+  put.op = app::KvOp::Put;
+  put.key = "user000000000000000000042";  // longer than any small-string buffer
+  put.value = std::string(100, 'v');
+  const std::vector<std::byte> command = put.encode();
+
+  Duration total = 0;
+  std::uint64_t allocations = 0;
+  {
+    CountingGuard guard;
+    for (int i = 0; i < 1000; ++i) total += store.execution_cost(command);
+    allocations = guard.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "a zero-cost charge must not decode the command";
+  EXPECT_EQ(total, 0);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <random>
 
+#include "common/rng.hpp"
+#include "consensus/cost_model.hpp"
 #include "consensus/messages.hpp"
 
 namespace idem::msg {
@@ -397,6 +399,72 @@ TEST(Messages, WireSizeMatchesEncoding) {
   m.from = ReplicaId{0};
   m.requests.emplace_back(RequestId{ClientId{1}, OpNum{1}}, bytes_of("payload"));
   EXPECT_EQ(m.wire_size(), m.encode().size());
+}
+
+TEST(Messages, EncodeToAppendsTheEncodingBehindWhatTheWriterHolds) {
+  Request m(RequestId{ClientId{7}, OpNum{42}}, bytes_of("command"), 3 * kMillisecond);
+  ByteWriter w;
+  w.u32(0xDEADBEEF);  // a frame header, say
+  m.encode_to(w);
+  const std::vector<std::byte> expected = m.encode();
+  ASSERT_EQ(w.size(), 4 + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), w.data().begin() + 4));
+}
+
+// ---------------------------------------------------------------------------
+// CostModel: the size term asks for the encoded size only when it charges
+// for it
+// ---------------------------------------------------------------------------
+
+/// A payload that counts how often its size is asked for.
+struct SizedPayload final : sim::Payload {
+  explicit SizedPayload(std::size_t bytes_) : bytes(bytes_) {}
+  std::size_t wire_size() const override {
+    ++asked;
+    return bytes;
+  }
+  std::string kind() const override { return "SIZED"; }
+  std::size_t bytes;
+  mutable std::size_t asked = 0;
+};
+
+TEST(CostModelTest, ZeroPerByteCoefficientsNeverAskForTheSize) {
+  consensus::CostModel model;
+  model.ns_per_byte = 0;
+  model.send_ns_per_byte = 0;
+  SizedPayload payload(1000);
+  Rng a(3, 1);
+  Rng b(3, 1);
+  for (int i = 0; i < 100; ++i) {
+    // Only the per-message term is left, jittered as before.
+    EXPECT_EQ(model.cost(payload, a), model.apply_jitter(model.per_message, b));
+    EXPECT_EQ(model.send_cost(payload, a), model.apply_jitter(model.send_per_message, b));
+  }
+  EXPECT_EQ(payload.asked, 0u);
+
+  // Real mode's all-zero model charges nothing and draws nothing either.
+  const consensus::CostModel zero{0, 0.0, 0, 0.0, 0.0, 0.0, 1.0};
+  EXPECT_EQ(zero.cost(payload, a), 0);
+  EXPECT_EQ(zero.send_cost(payload, a), 0);
+  EXPECT_EQ(payload.asked, 0u);
+  EXPECT_EQ(a.next_u64(), b.next_u64());  // no jitter drawn for a 0 ns charge
+}
+
+TEST(CostModelTest, PerByteChargeIsUnchanged) {
+  const consensus::CostModel model;  // 4 ns/B received, 1 ns/B sent, jittered
+  SizedPayload payload(1000);
+  Rng a(5, 2);
+  Rng b(5, 2);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(model.cost(payload, a),
+              model.apply_jitter(
+                  model.per_message + static_cast<Duration>(model.ns_per_byte * 1000.0), b));
+    EXPECT_EQ(model.send_cost(payload, a),
+              model.apply_jitter(model.send_per_message +
+                                     static_cast<Duration>(model.send_ns_per_byte * 1000.0),
+                                 b));
+  }
+  EXPECT_EQ(payload.asked, 200u);
 }
 
 }  // namespace

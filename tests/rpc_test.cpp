@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <linux/tcp.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -78,6 +79,22 @@ TEST(FramingTest, RoundTripSingleFrame) {
   }));
   EXPECT_EQ(frames, 1);
   EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FramingTest, BuildFrameMatchesEncodeFrameAndRecyclesItsBuffer) {
+  const msg::Request request(RequestId{ClientId{3}, OpNum{9}}, test::put_cmd("key", "value"));
+  auto encode = [&request](ByteWriter& w) { request.encode_to(w); };
+  std::vector<std::byte> frame;
+  rpc::build_frame(frame, 42, 9999, encode);
+  EXPECT_EQ(frame, rpc::encode_frame(42, 9999, request.encode()));
+
+  // The next build reuses the buffer; only the route word differs between
+  // two destinations of one message.
+  const std::byte* storage = frame.data();
+  rpc::build_frame(frame, 42, 7, encode);
+  EXPECT_EQ(frame.data(), storage);
+  rpc::set_frame_route(frame, 9999);
+  EXPECT_EQ(frame, rpc::encode_frame(42, 9999, request.encode()));
 }
 
 TEST(FramingTest, ReassemblesSplitFrames) {
@@ -643,6 +660,208 @@ TEST(TcpTransportTest, FramesQueuedOnARefusedConnectionCountAsDropped) {
   EXPECT_EQ(transport.memory().outbound_connections, 0u);
 }
 
+namespace {
+
+std::shared_ptr<const msg::Reject> reject_of(std::uint64_t onr) {
+  return std::make_shared<const msg::Reject>(RequestId{ClientId{1}, OpNum{onr}});
+}
+
+/// Checks that `received` holds REJECTs numbered 1, 2, ... in order.
+void expect_rejects_in_order(const CollectingEndpoint& endpoint, std::uint64_t count) {
+  ASSERT_EQ(endpoint.received.size(), count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto* reject = dynamic_cast<const msg::Reject*>(endpoint.received[i].second.get());
+    ASSERT_NE(reject, nullptr);
+    EXPECT_EQ(reject->id.onr.value, i + 1) << "frame " << i;
+  }
+}
+
+/// The fd in this process connected to loopback `port`: the dialed end of
+/// a transport's connection to the listener on that port (-1 if none).
+int dialed_fd_to(std::uint16_t port) {
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in peer{};
+    socklen_t len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        peer.sin_family == AF_INET && ntohs(peer.sin_port) == port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+/// Data segments a socket has received and sent, as the kernel counts them.
+struct DataSegments {
+  std::uint32_t in = 0;
+  std::uint32_t out = 0;
+};
+
+DataSegments data_segments(int fd) {
+  tcp_info info{};
+  socklen_t len = sizeof(info);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len), 0);
+  return DataSegments{info.tcpi_data_segs_in, info.tcpi_data_segs_out};
+}
+
+}  // namespace
+
+TEST(TcpTransportTest, ReplicaPairSharesOneConnection) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport first(loop);
+  rpc::TcpTransport second(loop);
+  const sim::NodeId a{1};
+  const sim::NodeId b{2};
+  CollectingEndpoint at_a, at_b;
+  first.add_node(a, sim::NodeKind::Replica, &at_a);
+  second.add_node(b, sim::NodeKind::Replica, &at_b);
+  first.set_remote(b, second.port_of(b));
+  second.set_remote(a, first.port_of(a));
+
+  // a dials b; b's answers ride back over that connection instead of a
+  // second one b would dial.
+  first.send(a, b, reject_of(1));
+  loop.run_for(100 * kMillisecond);
+  ASSERT_EQ(at_b.received.size(), 1u);
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    second.send(b, a, reject_of(i));
+    first.send(a, b, reject_of(i + 1));
+  }
+  loop.run_for(200 * kMillisecond);
+
+  expect_rejects_in_order(at_a, 50);
+  expect_rejects_in_order(at_b, 51);
+  const rpc::TransportMemory m1 = first.memory();
+  const rpc::TransportMemory m2 = second.memory();
+  EXPECT_EQ(m1.outbound_connections + m2.outbound_connections, 1u);
+  EXPECT_EQ(m1.inbound_connections + m2.inbound_connections, 1u);
+  EXPECT_EQ(first.stats().dropped + second.stats().dropped, 0u);
+}
+
+TEST(TcpTransportTest, WhenBothSidesDialedTheLowerIdsConnectionCarriesBothWays) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport low(loop);
+  rpc::TcpTransport high(loop);
+  const sim::NodeId low_node{1};
+  const sim::NodeId high_node{2};
+  CollectingEndpoint at_low, at_high;
+  low.add_node(low_node, sim::NodeKind::Replica, &at_low);
+  high.add_node(high_node, sim::NodeKind::Replica, &at_high);
+  low.set_remote(high_node, high.port_of(high_node));
+  high.set_remote(low_node, low.port_of(low_node));
+
+  // Both send before either heard from the other: both dial.
+  low.send(low_node, high_node, reject_of(1));
+  high.send(high_node, low_node, reject_of(1));
+  loop.run_for(100 * kMillisecond);
+  ASSERT_EQ(at_low.received.size(), 1u);
+  ASSERT_EQ(at_high.received.size(), 1u);
+  ASSERT_EQ(low.memory().outbound_connections, 1u);
+  ASSERT_EQ(high.memory().outbound_connections, 1u);
+  const int lows = dialed_fd_to(high.port_of(high_node));
+  ASSERT_GE(lows, 0);
+  const DataSegments before = data_segments(lows);
+
+  constexpr std::uint64_t kFrames = 200;
+  for (std::uint64_t i = 2; i <= kFrames; ++i) {
+    low.send(low_node, high_node, reject_of(i));
+    high.send(high_node, low_node, reject_of(i));
+    if (i % 50 == 0) loop.run_for(5 * kMillisecond);
+  }
+  loop.run_for(200 * kMillisecond);
+
+  // Every frame arrived, in order per direction...
+  expect_rejects_in_order(at_low, kFrames);
+  expect_rejects_in_order(at_high, kFrames);
+  // ...over the connection the lower id dialed, both ways. The higher id
+  // closed its own before its next frame, and the lower id dropped the
+  // accepted end.
+  const DataSegments after = data_segments(lows);
+  EXPECT_GT(after.out, before.out);
+  EXPECT_GT(after.in, before.in);
+  EXPECT_EQ(low.memory().outbound_connections, 1u);
+  EXPECT_EQ(low.memory().inbound_connections, 0u);
+  EXPECT_EQ(high.memory().outbound_connections, 0u);
+  EXPECT_EQ(high.memory().inbound_connections, 1u);
+  EXPECT_EQ(low.stats().dropped + high.stats().dropped, 0u);
+  EXPECT_EQ(low.stats().decode_errors + high.stats().decode_errors, 0u);
+}
+
+TEST(TcpTransportTest, BurstThatFitsOneRecvCostsOneRead) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  CollectingEndpoint a;
+  transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+
+  int fd = connect_raw(transport.port_of(sim::NodeId{1}));
+  std::vector<std::byte> burst;
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    auto frame = rpc::encode_frame(9, 0, msg::Reject{RequestId{ClientId{1}, OpNum{i}}}.encode());
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()), static_cast<ssize_t>(burst.size()));
+  loop.run_for(100 * kMillisecond);
+
+  // The recv that returned the burst left its span unfilled: the socket
+  // was empty, and asking again would only have returned EAGAIN.
+  expect_rejects_in_order(a, 10);
+  EXPECT_EQ(transport.stats().read_syscalls, 1u);
+  ::close(fd);
+}
+
+namespace {
+
+/// A REJECT that counts how often it is encoded.
+struct CountedReject final : msg::Message {
+  explicit CountedReject(RequestId id) : reject(id) {}
+  msg::Type type() const override { return msg::Type::Reject; }
+  std::string kind() const override { return "REJECT"; }
+  void encode_body(ByteWriter& w) const override {
+    ++encodes;
+    reject.encode_body(w);
+  }
+  msg::Reject reject;
+  mutable std::size_t encodes = 0;
+};
+
+}  // namespace
+
+TEST(TcpTransportTest, MulticastToAnswerRoutesIsEncodedOnce) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport replicas(loop);
+  rpc::TcpTransport clients(loop);
+  const sim::NodeId replica_node{1};
+  CollectingEndpoint replica;
+  replicas.add_node(replica_node, sim::NodeKind::Replica, &replica);
+  clients.set_remote(replica_node, replicas.port_of(replica_node));
+  const sim::NodeId c1{1'000'000};
+  const sim::NodeId c2{1'000'001};
+  CollectingEndpoint at_c1, at_c2;
+  clients.add_node(c1, sim::NodeKind::Client, &at_c1);
+  clients.add_node(c2, sim::NodeKind::Client, &at_c2);
+  for (sim::NodeId client : {c1, c2}) {
+    clients.send(client, replica_node,
+                 std::make_shared<const msg::Request>(RequestId{ClientId{client.value}, OpNum{1}},
+                                                      test::put_cmd("k", "v")));
+  }
+  loop.run_for(100 * kMillisecond);
+  ASSERT_EQ(replica.received.size(), 2u);
+
+  // One message to two nodes answered over routes, each frame carrying its
+  // own destination id: encoded once, route word rewritten per node.
+  auto message = std::make_shared<const CountedReject>(RequestId{ClientId{5}, OpNum{1}});
+  replicas.send(replica_node, c1, message);
+  replicas.send(replica_node, c2, message);
+  loop.run_for(100 * kMillisecond);
+
+  EXPECT_EQ(message->encodes, 1u);
+  for (const CollectingEndpoint* client : {&at_c1, &at_c2}) {
+    ASSERT_EQ(client->received.size(), 1u);
+    const auto* reject = dynamic_cast<const msg::Reject*>(client->received[0].second.get());
+    ASSERT_NE(reject, nullptr);
+    EXPECT_EQ(reject->id.cid.value, 5u);
+  }
+}
+
 TEST(FramingTest, DecodeBufferIsReusedAcrossFrames) {
   rpc::FrameReader reader;
   const std::size_t warm = reader.capacity();
@@ -677,56 +896,75 @@ TEST(FramingTest, DecodeBufferIsReusedAcrossFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// PendingWrites: the per-connection queue behind sendmsg coalescing
+// PendingWrites: the per-connection buffer behind write coalescing
 // ---------------------------------------------------------------------------
 
 namespace {
 
+/// A frame whose payload is `size` copies of `fill`.
 std::vector<std::byte> frame_of(std::size_t size, int fill) {
-  return std::vector<std::byte>(size, std::byte(fill));
+  return rpc::encode_frame(1, 0, std::vector<std::byte>(size, std::byte(fill)));
 }
 
 }  // namespace
 
 TEST(TcpTransportTest, PendingWritesResumeExactlyAfterPartialWrite) {
   rpc::PendingWrites out;
-  out.push(frame_of(10, 1));
-  out.push(frame_of(20, 2));
-  out.push(frame_of(30, 3));
-  EXPECT_EQ(out.total_bytes, 60u);
+  const std::vector<std::vector<std::byte>> frames = {frame_of(8, 1), frame_of(18, 2),
+                                                      frame_of(28, 3)};
+  for (const auto& frame : frames) out.push(frame);
+  EXPECT_EQ(out.size(), 90u);  // frames of 20, 30 and 40 bytes, back to back
+  EXPECT_EQ(out.frames(), 3u);
+  ASSERT_EQ(out.unwritten().size(), 90u);
+  EXPECT_TRUE(std::equal(frames[0].begin(), frames[0].end(), out.unwritten().begin()));
 
-  iovec iov[8];
-  ASSERT_EQ(out.fill_iovec(iov, 8), 3u);
-  EXPECT_EQ(iov[0].iov_len, 10u);
-  EXPECT_EQ(iov[1].iov_len, 20u);
-  EXPECT_EQ(iov[2].iov_len, 30u);
+  // send moved 35 bytes before EAGAIN: frame 0 fully, frame 1 to byte 15.
+  // The next write must start mid-frame, not re-send written bytes.
+  out.consume(35);
+  EXPECT_EQ(out.size(), 55u);
+  EXPECT_EQ(out.frames(), 2u);
+  std::span<const std::byte> rest = out.unwritten();
+  ASSERT_EQ(rest.size(), 55u);
+  EXPECT_TRUE(std::equal(rest.begin(), rest.begin() + 15, frames[1].begin() + 15));
+  EXPECT_TRUE(std::equal(rest.begin() + 15, rest.end(), frames[2].begin()));
 
-  // sendmsg moved 25 bytes before EAGAIN: frame 0 fully, frame 1 to byte
-  // 15. The next fill must start mid-frame, not re-send written bytes.
-  out.consume(25);
-  EXPECT_EQ(out.total_bytes, 35u);
-  ASSERT_EQ(out.fill_iovec(iov, 8), 2u);
-  EXPECT_EQ(iov[0].iov_base, out.frames.front().data() + 15);
-  EXPECT_EQ(iov[0].iov_len, 5u);
-  EXPECT_EQ(iov[1].iov_len, 30u);
+  // A frame queued behind the partial write lands after it, even when the
+  // buffer has to make room for it.
+  const std::vector<std::byte> late = frame_of(200, 4);
+  out.push(late);
+  EXPECT_EQ(out.frames(), 3u);
+  rest = out.unwritten();
+  ASSERT_EQ(rest.size(), 55u + late.size());
+  EXPECT_TRUE(std::equal(rest.begin(), rest.begin() + 15, frames[1].begin() + 15));
+  EXPECT_TRUE(std::equal(rest.begin() + 55, rest.end(), late.begin()));
 
-  // Exactly finishing the partial frame resets the offset.
-  out.consume(5);
-  EXPECT_EQ(out.front_offset, 0u);
-  ASSERT_EQ(out.fill_iovec(iov, 8), 1u);
-  EXPECT_EQ(iov[0].iov_len, 30u);
+  // Exactly finishing the partial frame leaves the next ones whole.
+  out.consume(15);
+  EXPECT_EQ(out.frames(), 2u);
+  EXPECT_TRUE(std::equal(frames[2].begin(), frames[2].end(), out.unwritten().begin()));
 
-  out.consume(30);
+  out.consume(40 + late.size());
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(out.total_bytes, 0u);
+  EXPECT_EQ(out.size(), 0u);
+  EXPECT_EQ(out.frames(), 0u);
 }
 
-TEST(TcpTransportTest, PendingWritesCapIovecEntries) {
+TEST(TcpTransportTest, PendingWritesReleaseWhatALargeFrameGrew) {
   rpc::PendingWrites out;
-  for (int i = 0; i < 5; ++i) out.push(frame_of(8, i));
-  iovec iov[5];
-  EXPECT_EQ(out.fill_iovec(iov, 2), 2u);  // kMaxFlushIov-style cap
-  EXPECT_EQ(out.fill_iovec(iov, 5), 5u);
+  out.push(frame_of(64, 1));
+  out.consume(out.size());
+  const std::size_t warm = out.capacity();
+  EXPECT_GT(warm, 0u);  // a small frame's buffer is kept for the next one
+
+  // A StateResponse-sized frame grows the buffer; once it drained, the
+  // connection no longer holds that memory.
+  out.push(frame_of(4 * rpc::kRetainedWriteBytes, 2));
+  EXPECT_GT(out.capacity(), rpc::kRetainedWriteBytes);
+  out.consume(out.size() / 2);
+  EXPECT_EQ(out.frames(), 1u);
+  out.consume(out.size());
+  EXPECT_TRUE(out.empty());
+  EXPECT_LE(out.capacity(), rpc::kRetainedWriteBytes);
 }
 
 TEST(TcpTransportTest, PendingWriteBoundShedsFramesAndCounts) {

@@ -135,6 +135,15 @@ if [[ "${SMOKE_REJECTS:-0}" -le 0 ]]; then
   exit 1
 fi
 echo "live scrape OK: ${SMOKE_REJECTS} rt-queue-full rejects visible mid-run"
+# Both syscall counters: messages per read and per write, live.
+for SERIES in idem_tcp_read_syscalls idem_tcp_write_syscalls; do
+  SYSCALLS="$(echo "${SMOKE_METRICS}" \
+      | awk -v series="${SERIES}_total" '$1 == series {print int($2)}')"
+  if [[ "${SYSCALLS:-0}" -le 0 ]]; then
+    echo "live scrape FAILED: expected nonzero ${SERIES} mid-run" >&2
+    exit 1
+  fi
+done
 curl -sf "http://127.0.0.1:${ADMIN_BASE}/stats" | grep -q '"requests_received"' || {
   echo "live scrape FAILED: /stats JSON missing" >&2; exit 1; }
 wait "${SMOKE_CLIENT}"
