@@ -8,93 +8,85 @@
 // spans by calling these.
 //
 // All helpers are passive pass-throughs to IDEM_TRACE: they must never
-// change the simulation trajectory. They take the node's clock rather than
-// a timestamp and read it only when a recorder is attached, so an untraced
-// real-mode replica never pays for a steady-clock read here.
+// change the simulation trajectory.
 #pragma once
 
 #include <cstdint>
 
 #include "common/ids.hpp"
 #include "common/reject_reason.hpp"
+#include "common/time.hpp"
 #include "obs/trace.hpp"
-#include "sim/runtime.hpp"
 
 namespace idem::core::lifecycle {
 
 /// Accepts keep arg == 1 exactly (legacy encoding, pinned by trace
 /// consumers); rejects carry their RejectReason in arg bits 8+.
 inline void accept_verdict([[maybe_unused]] obs::TraceRecorder* trace,
-                           [[maybe_unused]] const sim::Runtime& clock,
-                           [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id,
-                           [[maybe_unused]] bool accepted,
+                           [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
+                           [[maybe_unused]] RequestId id, [[maybe_unused]] bool accepted,
                            [[maybe_unused]] RejectReason reason = RejectReason::None) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::AcceptVerdict, me, id,
+  IDEM_TRACE(trace, now, obs::TraceEventKind::AcceptVerdict, me, id,
              pack_accept_verdict(accepted, reason));
 }
 
 inline void forward_accepted([[maybe_unused]] obs::TraceRecorder* trace,
-                             [[maybe_unused]] const sim::Runtime& clock,
-                             [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::ForwardAccepted, me, id);
+                             [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
+                             [[maybe_unused]] RequestId id) {
+  IDEM_TRACE(trace, now, obs::TraceEventKind::ForwardAccepted, me, id);
 }
 
 inline void require_noted([[maybe_unused]] obs::TraceRecorder* trace,
-                          [[maybe_unused]] const sim::Runtime& clock,
-                          [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id,
-                          [[maybe_unused]] std::uint32_t voter) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::RequireNoted, me, id, voter);
+                          [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
+                          [[maybe_unused]] RequestId id, [[maybe_unused]] std::uint32_t voter) {
+  IDEM_TRACE(trace, now, obs::TraceEventKind::RequireNoted, me, id, voter);
 }
 
-inline void proposed([[maybe_unused]] obs::TraceRecorder* trace,
-                     [[maybe_unused]] const sim::Runtime& clock, [[maybe_unused]] std::uint32_t me,
-                     [[maybe_unused]] RequestId id, [[maybe_unused]] std::uint64_t sqn) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::Proposed, me, id, sqn);
+inline void proposed([[maybe_unused]] obs::TraceRecorder* trace, [[maybe_unused]] Time now,
+                     [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id,
+                     [[maybe_unused]] std::uint64_t sqn) {
+  IDEM_TRACE(trace, now, obs::TraceEventKind::Proposed, me, id, sqn);
 }
 
 inline void propose_received([[maybe_unused]] obs::TraceRecorder* trace,
-                             [[maybe_unused]] const sim::Runtime& clock,
-                             [[maybe_unused]] std::uint32_t me,
+                             [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
                              [[maybe_unused]] std::uint64_t sqn) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::ProposeReceived, me, sqn);
+  IDEM_TRACE(trace, now, obs::TraceEventKind::ProposeReceived, me, sqn);
 }
 
 /// Emits the decision-quorum event once per slot (any protocol: commit
 /// votes, accept votes, ...). `votes` is the current vote count.
 template <typename Slot>
 inline void decision_quorum([[maybe_unused]] obs::TraceRecorder* trace,
-                            [[maybe_unused]] const sim::Runtime& clock,
-                            [[maybe_unused]] std::uint32_t me, [[maybe_unused]] std::uint64_t sqn,
-                            Slot& slot, std::size_t votes, std::size_t quorum) {
+                            [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
+                            [[maybe_unused]] std::uint64_t sqn, Slot& slot, std::size_t votes,
+                            std::size_t quorum) {
   if (slot.quorum_traced || votes < quorum) return;
   slot.quorum_traced = true;
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::CommitQuorum, me, sqn);
+  IDEM_TRACE(trace, now, obs::TraceEventKind::CommitQuorum, me, sqn);
 }
 
-inline void executed([[maybe_unused]] obs::TraceRecorder* trace,
-                     [[maybe_unused]] const sim::Runtime& clock, [[maybe_unused]] std::uint32_t me,
-                     [[maybe_unused]] RequestId id, [[maybe_unused]] std::uint64_t sqn) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::Executed, me, id, sqn);
+inline void executed([[maybe_unused]] obs::TraceRecorder* trace, [[maybe_unused]] Time now,
+                     [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id,
+                     [[maybe_unused]] std::uint64_t sqn) {
+  IDEM_TRACE(trace, now, obs::TraceEventKind::Executed, me, id, sqn);
 }
 
-inline void reply_sent([[maybe_unused]] obs::TraceRecorder* trace,
-                       [[maybe_unused]] const sim::Runtime& clock,
+inline void reply_sent([[maybe_unused]] obs::TraceRecorder* trace, [[maybe_unused]] Time now,
                        [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::ReplySent, me, id);
+  IDEM_TRACE(trace, now, obs::TraceEventKind::ReplySent, me, id);
 }
 
 inline void viewchange_start([[maybe_unused]] obs::TraceRecorder* trace,
-                             [[maybe_unused]] const sim::Runtime& clock,
-                             [[maybe_unused]] std::uint32_t me,
+                             [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
                              [[maybe_unused]] std::uint64_t target) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::ViewChangeStart, me, target);
+  IDEM_TRACE(trace, now, obs::TraceEventKind::ViewChangeStart, me, target);
 }
 
 inline void viewchange_done([[maybe_unused]] obs::TraceRecorder* trace,
-                            [[maybe_unused]] const sim::Runtime& clock,
-                            [[maybe_unused]] std::uint32_t me,
+                            [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
                             [[maybe_unused]] std::uint64_t view) {
-  IDEM_TRACE(trace, clock.now(), obs::TraceEventKind::ViewChangeDone, me, view);
+  IDEM_TRACE(trace, now, obs::TraceEventKind::ViewChangeDone, me, view);
 }
 
 }  // namespace idem::core::lifecycle

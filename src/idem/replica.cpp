@@ -150,7 +150,7 @@ void IdemReplica::handle_request(const msg::Request& request) {
     const ShardVerdict verdict = config_.shard_gate->admit(request.command);
     if (verdict.kind == ShardVerdict::Kind::WrongShard) {
       stats_.count_reject(RejectReason::WrongShard);
-      lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, false,
+      lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false,
                                 RejectReason::WrongShard);
       auto reject = std::make_shared<msg::Reject>(id, RejectReason::WrongShard);
       reject->map_epoch = verdict.map_epoch;
@@ -161,7 +161,7 @@ void IdemReplica::handle_request(const msg::Request& request) {
       return;
     }
     if (verdict.kind == ShardVerdict::Kind::Frozen) {
-      lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, false,
+      lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false,
                                 RejectReason::ViewChangeInProgress);
       reject_request(request, RejectReason::ViewChangeInProgress);
       return;
@@ -180,7 +180,7 @@ void IdemReplica::handle_request(const msg::Request& request) {
   ctx.deadline = request.deadline;
   RejectReason reason = RejectReason::None;
   if (acceptance_->accept(id, request.command, ctx, reason)) {
-    lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, true);
+    lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
     accept_request(id, request.command, /*client_issued=*/true, request.deadline);
   } else {
     // Replica-owned classification outranks the test's generic verdict: a
@@ -193,7 +193,7 @@ void IdemReplica::handle_request(const msg::Request& request) {
     } else if (rejected_.find(id) != nullptr) {
       reason = RejectReason::RejectedCacheHit;
     }
-    lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, false, reason);
+    lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false, reason);
     reject_request(request, reason);
   }
 }
@@ -276,7 +276,7 @@ void IdemReplica::accept_request(RequestId id, std::vector<std::byte> command,
     ++stats_.accepted;
   } else {
     ++stats_.forward_accepted;
-    lifecycle::forward_accepted(config_.trace, sim(), me_.value, id);
+    lifecycle::forward_accepted(config_.trace, now(), me_.value, id);
   }
   arm_forward_timer(id);
   queue_require(id);
@@ -351,7 +351,7 @@ void IdemReplica::maybe_adopt_required(RequestId id) {
 void IdemReplica::note_require(ReplicaId voter, RequestId id) {
   if (clients_.executed(id)) return;
   if (proposed_.contains(id)) return;
-  lifecycle::require_noted(config_.trace, sim(), me_.value, id, voter.value);
+  lifecycle::require_noted(config_.trace, now(), me_.value, id, voter.value);
   std::size_t votes = requires_.vote(id, voter);
   if (votes >= config_.quorum() && !in_eligible_.contains(id)) {
     in_eligible_.insert(id);
@@ -399,9 +399,9 @@ void IdemReplica::try_propose() {
     for (RequestId id : batch) {
       proposed_.insert(id);
       requires_.erase(id);
-      lifecycle::proposed(config_.trace, sim(), me_.value, id, next_sqn_);
+      lifecycle::proposed(config_.trace, now(), me_.value, id, next_sqn_);
     }
-    lifecycle::propose_received(config_.trace, sim(), me_.value, next_sqn_);
+    lifecycle::propose_received(config_.trace, now(), me_.value, next_sqn_);
     note_commit_quorum(next_sqn_, inst);
 
     auto propose = std::make_shared<msg::Propose>();
@@ -434,7 +434,7 @@ void IdemReplica::adopt_binding(std::uint64_t sqn, ViewId view, const std::vecto
   if (inst.executed) return;  // applied state is immutable
   if (inst.has_binding && inst.view >= view) return;
   if (!inst.has_binding) {
-    lifecycle::propose_received(config_.trace, sim(), me_.value, sqn);
+    lifecycle::propose_received(config_.trace, now(), me_.value, sqn);
   }
   inst.view = view;
   inst.ids = ids;
@@ -444,7 +444,7 @@ void IdemReplica::adopt_binding(std::uint64_t sqn, ViewId view, const std::vecto
 }
 
 void IdemReplica::note_commit_quorum(std::uint64_t sqn, Instance& inst) {
-  lifecycle::decision_quorum(config_.trace, sim(), me_.value, sqn, inst,
+  lifecycle::decision_quorum(config_.trace, now(), me_.value, sqn, inst,
                              inst.commit_votes.size(), config_.quorum());
 }
 
@@ -626,7 +626,7 @@ void IdemReplica::finish_async_execute(std::uint64_t sqn,
   for (std::size_t i = 0; i < exec_ids_.size(); ++i) {
     RequestId id = exec_ids_[i];
     ++stats_.executed;
-    lifecycle::executed(config_.trace, sim(), me_.value, id, sqn);
+    lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
     auto reply = std::make_shared<const msg::Reply>(id, std::move(results[i]));
     clients_.record(id, reply);
     release_executed(id, is_leader());
@@ -636,7 +636,7 @@ void IdemReplica::finish_async_execute(std::uint64_t sqn,
     }
     if (is_leader()) {
       reply_to_client(id.cid, reply);
-      lifecycle::reply_sent(config_.trace, sim(), me_.value, id);
+      lifecycle::reply_sent(config_.trace, now(), me_.value, id);
     }
     if (on_execute) on_execute(SeqNum{sqn}, id);
   }
@@ -659,7 +659,7 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     charge(config_.costs.apply_jitter(sm_->execution_cost(*command), cost_rng_));
     std::vector<std::byte> result = sm_->execute(*command);
     ++stats_.executed;
-    lifecycle::executed(config_.trace, sim(), me_.value, id, sqn);
+    lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
     auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
     clients_.record(id, reply);
     release_executed(id, is_leader());
@@ -669,7 +669,7 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     }
     if (is_leader()) {
       reply_to_client(id.cid, reply);
-      lifecycle::reply_sent(config_.trace, sim(), me_.value, id);
+      lifecycle::reply_sent(config_.trace, now(), me_.value, id);
     }
     if (on_execute) on_execute(SeqNum{sqn}, id);
   }
@@ -898,7 +898,7 @@ void IdemReplica::note_progress() {
 void IdemReplica::start_viewchange(ViewId target) {
   if (!views_.begin(target)) return;
   ++stats_.view_changes;
-  lifecycle::viewchange_start(config_.trace, sim(), me_.value, target.value);
+  lifecycle::viewchange_start(config_.trace, now(), me_.value, target.value);
 
   auto viewchange = std::make_shared<msg::ViewChange>();
   viewchange->from = me_;
@@ -985,7 +985,7 @@ void IdemReplica::maybe_become_leader(ViewId target) {
     inst.own_commit_sent = true;
     for (RequestId id : inst.ids) {
       proposed_.insert(id);
-      lifecycle::proposed(config_.trace, sim(), me_.value, id, sqn);
+      lifecycle::proposed(config_.trace, now(), me_.value, id, sqn);
     }
 
     auto propose = std::make_shared<msg::Propose>();
@@ -1002,7 +1002,7 @@ void IdemReplica::maybe_become_leader(ViewId target) {
 
 void IdemReplica::enter_view(ViewId view) {
   views_.enter(view);
-  lifecycle::viewchange_done(config_.trace, sim(), me_.value, view.value);
+  lifecycle::viewchange_done(config_.trace, now(), me_.value, view.value);
   resend_requires();
   note_progress();
 }

@@ -85,12 +85,15 @@ struct TcpTransport::Connection {
   PendingWrites out;
   std::uint32_t events = 0;  ///< the epoll mask currently registered
   bool flush_scheduled = false;  ///< a deferred end-of-iteration flush is queued
+  bool retire_scheduled = false;  ///< a deferred retire_if_unused is queued
   /// Accepted: routes_ keys of the senders whose answers travel over this
   /// connection. A key is appended each time its route moves here, so
   /// keeping it costs O(1) per frame however many sessions share the
   /// connection.
   std::vector<std::uint64_t> routes;
-  Time last_activity = 0;           ///< accept time, then the last recv that moved bytes
+  Time last_activity = 0;           ///< accept time, then the last recv or send
+                                    ///< that moved bytes; only the idle sweep
+                                    ///< reads it, so only it costs a clock read
   Time partial_since = kNoPartial;  ///< when the currently buffered partial
                                     ///< frame started (completed frames reset it)
 
@@ -308,6 +311,22 @@ void TcpTransport::close_connection(Connection& connection) {
   connections_.erase(connection.fd);  // destroys `connection`
 }
 
+void TcpTransport::schedule_retire(Connection& dialed) {
+  // Never closed inside send(): a send may run inside this connection's own
+  // read (an endpoint answering the frame it is being handed), and closing
+  // it there would free the reader mid-drain. The deferred task re-resolves
+  // the connection by fd, as schedule_flush does.
+  if (dialed.retire_scheduled) return;
+  dialed.retire_scheduled = true;
+  const int fd = dialed.fd;
+  loop_.defer([this, fd] {
+    auto it = connections_.find(fd);
+    if (it == connections_.end()) return;
+    it->second->retire_scheduled = false;
+    if (it->second->dialed) retire_if_unused(*it->second);
+  });
+}
+
 void TcpTransport::retire_if_unused(Connection& dialed) {
   // Both sides dialed and the peer's connection won. Once ours has nothing
   // queued, and no local node still prefers it (one below the peer's id,
@@ -372,7 +391,7 @@ void TcpTransport::read_ready(Connection& connection) {
     ++stats_.read_syscalls;
     if (n > 0) {
       connection.reader.commit(static_cast<std::size_t>(n));
-      connection.last_activity = loop_.now();
+      if (config_.idle_timeout > 0) connection.last_activity = loop_.now();
       bool completed_frame = false;
       bool ok = connection.reader.drain(
           [&](std::uint32_t sender, std::uint32_t route, std::span<const std::byte> payload) {
@@ -459,6 +478,9 @@ void TcpTransport::flush(Connection& connection) {
     ssize_t n = ::send(connection.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
     if (n > 0) {
       ++stats_.write_syscalls;
+      // An accepted connection may be busy only in our direction (a peer
+      // replica's link during a lull on its side): that is use too.
+      if (config_.idle_timeout > 0) connection.last_activity = loop_.now();
       connection.out.consume(static_cast<std::size_t>(n));
       continue;
     }
@@ -571,7 +593,8 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
   // A node that dialed us gets the frame over its connection, addressed
   // by its node id. When we dialed it as well, the connection dialed by
   // the lower id carries both directions: the peer applies the same rule,
-  // so both ends pick the same connection, and the loser retires its own.
+  // so both ends pick the same connection, and the loser retires its own
+  // once it has drained.
   // Any other node is dialed (a listener of ours, or a declared or learned
   // address), and the frame carries the sender's listen port.
   Connection* connection = nullptr;
@@ -580,7 +603,7 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
   if (auto answer = routes_.find(route_key(from.value, to.value));
       answer != routes_.end() && (dialed == dialed_.end() || to.value < from.value)) {
     connection = answer->second;
-    if (dialed != dialed_.end()) retire_if_unused(*dialed->second);
+    if (dialed != dialed_.end()) schedule_retire(*dialed->second);
   } else if (dialed != dialed_.end()) {
     connection = dialed->second;
   } else if (auto local = locals_.find(to.value);

@@ -11,11 +11,12 @@
 // leader, and the leader's PROPOSE comes back over it. When both sides
 // dialed first, the connection dialed by the lower node id carries both
 // directions (each end derives that from the ids, so no handshake is
-// needed) and the other is closed once nothing is queued on it. So all
-// client nodes of one transport share one connection per replica, each
-// replica pair shares one, and every frame a node produces for one
-// connection in one loop iteration leaves in one write. Storm sessions,
-// their own transports, are answered the same way.
+// needed) and the other is closed at the end of a loop iteration that
+// leaves nothing queued on it. So all client nodes of one transport share
+// one connection per replica, each replica pair shares one, and every
+// frame a node produces for one connection in one loop iteration leaves
+// in one write. Storm sessions, their own transports, are answered the
+// same way.
 //
 // Per message, send() encodes into one reused buffer behind the frame
 // header — once per multicast, only the route word rewritten per
@@ -82,7 +83,8 @@ struct TransportStats {
                                              ///< cap was reached
                                              ///< (RejectReason::ConnectionLimit)
   std::uint64_t idle_evictions = 0;       ///< inbound connections evicted for
-                                          ///< sending nothing for idle_timeout
+                                          ///< carrying nothing either way for
+                                          ///< idle_timeout
   std::uint64_t half_open_evictions = 0;  ///< inbound connections evicted for
                                           ///< holding a partial frame past
                                           ///< half_open_timeout (slow loris)
@@ -197,9 +199,9 @@ struct TcpTransportConfig {
   /// per-connection memory stays bounded. Buffers still grow on demand up
   /// to max_frame_bytes.
   std::size_t read_buffer_bytes = kReadChunkBytes;
-  /// Evict an inbound connection that has sent nothing for this long
-  /// (0 = never). Off by default: replica peers are legitimately silent
-  /// between bursts. Client-facing servers enable it to reclaim
+  /// Evict an inbound connection that has carried nothing either way for
+  /// this long (0 = never). Off by default: replica peers are legitimately
+  /// silent between bursts. Client-facing servers enable it to reclaim
   /// connections from hosts that connect and hold.
   Duration idle_timeout = 0;
   /// Evict an inbound connection that has held an incomplete frame for
@@ -261,6 +263,7 @@ class TcpTransport final : public sim::Transport {
   void connection_event(int fd, std::uint32_t events);
   void read_ready(Connection& connection);
   void learn_route(Connection& connection, std::uint32_t sender, std::uint32_t port);
+  void schedule_retire(Connection& dialed);
   void retire_if_unused(Connection& dialed);
   void close_connection(Connection& connection);
   void set_events(Connection& connection, std::uint32_t events);

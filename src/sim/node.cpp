@@ -41,7 +41,7 @@ void Node::restart() {
   if (!crashed_) return;
   crashed_ = false;
   processing_ = false;
-  busy_until_ = 0;  // charges made before the crash died with it
+  busy_until_ = runtime_.now();
   on_restart();
 }
 
@@ -55,7 +55,7 @@ void Node::deliver(NodeId from, PayloadPtr message) {
   // schedule-at-now hop fires before the loop goes back to sleep.
   Duration deadline = fifo_discipline_ ? 0 : message_deadline(*message);
   if (inline_dispatch_ && deadline <= 0 && !processing_ && queue_->count() == 0 &&
-      urgent_.count() == 0 && !cpu_busy() && message_cost(*message) <= 0) {
+      urgent_.count() == 0 && busy_until_ <= runtime_.now() && message_cost(*message) <= 0) {
     // Idle node, free message: handle it right here instead of taking a
     // round trip through the runtime's event queue. processing_ guards
     // against recursion when on_message triggers a same-thread delivery.
@@ -69,8 +69,7 @@ void Node::deliver(NodeId from, PayloadPtr message) {
   if (urgent_classifier_ != nullptr && urgent_classifier_(from)) {
     urgent_.push(from, std::move(message), 0);
   } else {
-    // FIFO ignores due times: only another discipline needs the clock.
-    Time due = fifo_discipline_ ? 0 : runtime_.now() + (deadline > 0 ? deadline : 0);
+    Time due = runtime_.now() + (deadline > 0 ? deadline : 0);
     queue_->push(from, std::move(message), due);
   }
   maybe_start_processing();
@@ -97,11 +96,7 @@ void Node::maybe_start_processing() {
   Time start = std::max(now(), busy_until_);
   Duration cost = message_cost(*next.message);
   Time finish = start + (cost > 0 ? cost : 0);
-  // A free message leaves the CPU as it found it: idle from `start` on,
-  // which every later comparison against the clock already concludes from
-  // the old mark. Only a charge moves it, so a node that is never charged
-  // keeps cpu_busy() free of clock reads.
-  if (cost > 0) busy_until_ = finish;
+  busy_until_ = finish;
 
   std::weak_ptr<Node*> weak = alive_;
   auto process = [weak, next = std::move(next)]() {

@@ -147,11 +147,6 @@ class Node : public Endpoint {
 
  private:
   void maybe_start_processing();
-  /// True while a CPU charge is outstanding. Reads the clock only when
-  /// some charge was ever made: real mode charges nothing, so its
-  /// deliveries skip the steady-clock read. Clocks start at 0, so an
-  /// unset mark is never in the future.
-  bool cpu_busy() const { return busy_until_ > 0 && busy_until_ > runtime_.now(); }
 
   Runtime& runtime_;
   Transport& net_;

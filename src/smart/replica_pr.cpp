@@ -45,14 +45,14 @@ void SmartPrReplica::admit(const msg::Request& request) {
   ctx.deadline = request.deadline;
   RejectReason reason = RejectReason::None;
   if (acceptance_->accept(id, request.command, ctx, reason)) {
-    core::lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, true);
+    core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
     accept_request(id, request.command, /*client_issued=*/true);
   } else {
     ++stats_.rejected;
     // A reject of a request already in the rejected cache is a
     // retransmission bouncing off it — classify it as such.
     if (rejected_.find(id) != nullptr) reason = RejectReason::RejectedCacheHit;
-    core::lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, false, reason);
+    core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false, reason);
     // insert() refreshes an already-cached entry to the LRU front: every
     // retransmission of an ambivalently rejected request (Section 4.5)
     // keeps its body fetchable.
@@ -70,7 +70,7 @@ void SmartPrReplica::accept_request(RequestId id, std::vector<std::byte> command
     ++stats_.accepted;
   } else {
     ++stats_.forward_accepted;
-    core::lifecycle::forward_accepted(config_.trace, sim(), me_.value, id);
+    core::lifecycle::forward_accepted(config_.trace, now(), me_.value, id);
   }
   arm_forward_timer(id);
   send_require(id);
@@ -89,7 +89,7 @@ void SmartPrReplica::send_require(RequestId id) {
 
 void SmartPrReplica::note_require(ReplicaId voter, RequestId id) {
   if (executed(id) || proposed_.contains(id)) return;
-  core::lifecycle::require_noted(config_.trace, sim(), me_.value, id, voter.value);
+  core::lifecycle::require_noted(config_.trace, now(), me_.value, id, voter.value);
   std::size_t votes = requires_.vote(id, voter);
   if (votes >= config_.quorum() && !in_eligible_.contains(id)) {
     in_eligible_.insert(id);

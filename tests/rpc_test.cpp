@@ -441,6 +441,45 @@ TEST(TcpTransportTest, IdleTimeoutEvictsSilentConnections) {
   ::close(chatty);
 }
 
+TEST(TcpTransportTest, IdleTimeoutSparesAConnectionBusyOnlyInOurDirection) {
+  rpc::EventLoop loop;
+  rpc::TcpTransportConfig config;
+  config.idle_timeout = 80 * kMillisecond;
+  config.sweep_interval = 20 * kMillisecond;
+  rpc::TcpTransport transport(loop, config);
+  CollectingEndpoint a;
+  transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+
+  // The peer sends one frame and then only listens, as a follower does
+  // when the leader it dialed keeps proposing through a lull on its side.
+  // The connection is in use all along and must survive the timeout.
+  int fd = connect_raw(transport.port_of(sim::NodeId{1}));
+  auto frame = rpc::encode_frame(
+      9, 0, msg::Reject{RequestId{ClientId{1}, OpNum{1}}}.encode());
+  ASSERT_EQ(::write(fd, frame.data(), frame.size()), static_cast<ssize_t>(frame.size()));
+  loop.run_for(20 * kMillisecond);
+  ASSERT_EQ(a.received.size(), 1u);
+  constexpr std::uint64_t kAnswers = 6;
+  for (std::uint64_t i = 1; i <= kAnswers; ++i) {
+    transport.send(sim::NodeId{1}, sim::NodeId{9},
+                   std::make_shared<const msg::Reject>(RequestId{ClientId{1}, OpNum{i}}));
+    loop.run_for(40 * kMillisecond);
+  }
+
+  EXPECT_EQ(transport.stats().idle_evictions, 0u);
+  EXPECT_EQ(transport.stats().dropped, 0u);
+  rpc::FrameReader reader;
+  std::uint64_t answers = 0;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
+    reader.feed(std::as_bytes(std::span(buf, static_cast<std::size_t>(n))),
+                [&](std::uint32_t, std::uint32_t, std::span<const std::byte>) { ++answers; });
+  }
+  EXPECT_EQ(answers, kAnswers);
+  EXPECT_FALSE(peer_closed(fd));
+  ::close(fd);
+}
+
 TEST(TcpTransportTest, HalfOpenTimeoutEvictsPartialFrame) {
   rpc::EventLoop loop;
   rpc::TcpTransportConfig config;
@@ -541,15 +580,17 @@ TEST(TcpTransportTest, RepliesRouteOverTheInboundConnection) {
 
 namespace {
 
-/// Answers every delivered message with a REJECT back to its sender.
+/// Answers every delivered message with a REJECT back to its sender, from
+/// inside the delivery (while `answering`).
 class AnsweringEndpoint final : public sim::Endpoint {
  public:
   AnsweringEndpoint(rpc::TcpTransport& transport, sim::NodeId self)
       : transport_(transport), self_(self) {}
   std::size_t delivered = 0;
+  bool answering = true;
   void deliver(sim::NodeId from, sim::PayloadPtr) override {
     ++delivered;
-    transport_.send(self_, from, std::make_shared<const msg::Reject>(RequestId{}));
+    if (answering) transport_.send(self_, from, std::make_shared<const msg::Reject>(RequestId{}));
   }
 
  private:
@@ -784,6 +825,87 @@ TEST(TcpTransportTest, WhenBothSidesDialedTheLowerIdsConnectionCarriesBothWays) 
   EXPECT_EQ(high.memory().inbound_connections, 1u);
   EXPECT_EQ(low.stats().dropped + high.stats().dropped, 0u);
   EXPECT_EQ(low.stats().decode_errors + high.stats().decode_errors, 0u);
+}
+
+namespace {
+
+/// A loopback listener for a raw peer a transport dials; sets `port`.
+int listen_raw(std::uint16_t& port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  EXPECT_EQ(::listen(fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
+}  // namespace
+
+TEST(TcpTransportTest, AnswerFromInsideTheLosingConnectionsReadRetiresItAfterwards) {
+  // The higher id answers a frame that arrived on the connection it dialed
+  // while it also holds a route over the lower id's connection: the answer
+  // takes the route, and the dialed connection lost. It is still being
+  // read, so it may only be closed once that read is over.
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  const sim::NodeId low{1};  // played by raw sockets
+  const sim::NodeId high{2};
+  AnsweringEndpoint at_high(transport, high);
+  transport.add_node(high, sim::NodeKind::Replica, &at_high);
+  std::uint16_t low_port = 0;
+  const int listener = listen_raw(low_port);
+  transport.set_remote(low, low_port);
+
+  // high dials low.
+  transport.send(high, low, reject_of(1));
+  loop.run_for(50 * kMillisecond);
+  const int dialed = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(dialed, 0);
+  char buf[4096];
+  ASSERT_GT(::recv(dialed, buf, sizeof buf, 0), 0);  // the REJECT
+  ASSERT_EQ(transport.memory().outbound_connections, 1u);
+
+  // low dials high too, which teaches high a route back to low.
+  at_high.answering = false;
+  const int accepted = connect_raw(transport.port_of(high));
+  auto hello = rpc::encode_frame(low.value, low_port, reject_of(2)->encode());
+  ASSERT_EQ(::write(accepted, hello.data(), hello.size()), static_cast<ssize_t>(hello.size()));
+  loop.run_for(50 * kMillisecond);
+  ASSERT_EQ(at_high.delivered, 1u);
+
+  // A frame on high's dialed connection, answered during its delivery.
+  at_high.answering = true;
+  auto late = rpc::encode_frame(low.value, high.value, reject_of(3)->encode());
+  ASSERT_EQ(::write(dialed, late.data(), late.size()), static_cast<ssize_t>(late.size()));
+  loop.run_for(50 * kMillisecond);
+  ASSERT_EQ(at_high.delivered, 2u);
+
+  // The answer came over the route, addressed to low...
+  rpc::FrameReader reader;
+  std::size_t answers = 0;
+  ssize_t n = ::recv(accepted, buf, sizeof buf, MSG_DONTWAIT);
+  ASSERT_GT(n, 0);
+  reader.feed(std::as_bytes(std::span(buf, static_cast<std::size_t>(n))),
+              [&](std::uint32_t sender, std::uint32_t route, std::span<const std::byte>) {
+                ++answers;
+                EXPECT_EQ(sender, high.value);
+                EXPECT_EQ(route, low.value);
+              });
+  EXPECT_EQ(answers, 1u);
+  // ...and the losing connection was retired once its read was over.
+  EXPECT_TRUE(peer_closed(dialed));
+  EXPECT_EQ(transport.memory().outbound_connections, 0u);
+  EXPECT_EQ(transport.memory().inbound_connections, 1u);
+  EXPECT_EQ(transport.stats().dropped, 0u);
+  EXPECT_EQ(transport.stats().decode_errors, 0u);
+  ::close(dialed);
+  ::close(accepted);
+  ::close(listener);
 }
 
 TEST(TcpTransportTest, BurstThatFitsOneRecvCostsOneRead) {

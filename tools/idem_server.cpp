@@ -61,7 +61,7 @@ struct Options {
   bool edf = false;            ///< --discipline edf
   bool deadline_aware = false; ///< wrap acceptance in core::DeadlineAware
   std::size_t max_conns = 0;          ///< inbound connection cap (0 = unlimited)
-  double idle_timeout_sec = 0;        ///< evict silent inbound connections (0 = off)
+  double idle_timeout_sec = 0;        ///< evict idle inbound connections (0 = off)
   double half_open_timeout_sec = 0;   ///< evict trickled partial frames (0 = off)
   std::size_t read_buffer = 0;        ///< per-connection recv buffer (0 = default)
   bool admin = false;             ///< --admin-port given
@@ -101,8 +101,8 @@ void usage(const char* argv0) {
       "  --max-conns N      cap concurrent inbound connections; beyond it,\n"
       "                     new connections are shed at accept\n"
       "                     (reason connection-limit)      (default: unlimited)\n"
-      "  --idle-timeout S   evict inbound connections silent for S seconds\n"
-      "                     (default: off)\n"
+      "  --idle-timeout S   evict inbound connections that carried nothing\n"
+      "                     either way for S seconds       (default: off)\n"
       "  --half-open-timeout S\n"
       "                     evict inbound connections holding a partial\n"
       "                     frame for S seconds (slow-loris defence)\n"
