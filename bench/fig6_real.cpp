@@ -17,10 +17,13 @@
 // (run with the admin endpoint on and GET /metrics every 100 ms through
 // each load point, to measure what scraping costs against a plain run).
 // The measured and warm-up spans can also be set on the command line
-// (--measure-seconds S, --warmup S), which wins over the environment.
+// (--measure-seconds S, --warmup S), which wins over the environment, and
+// --records N sets the YCSB records preloaded on every replica (default
+// 1000).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,15 +77,18 @@ struct RealPoint {
 int main(int argc, char** argv) {
   double warmup_sec = env_double("IDEM_BENCH_WARMUP", 0.5);
   double measure_sec = env_double("IDEM_BENCH_SECONDS", 2.0);
+  std::uint64_t records = 1000;
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (!std::strcmp(argv[i], "--measure-seconds")) {
       if (const char* v = value()) measure_sec = std::atof(v);
     } else if (!std::strcmp(argv[i], "--warmup")) {
       if (const char* v = value()) warmup_sec = std::atof(v);
+    } else if (!std::strcmp(argv[i], "--records")) {
+      if (const char* v = value()) records = std::strtoull(v, nullptr, 10);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--measure-seconds S] [--warmup S]\n"
+                   "usage: %s [--measure-seconds S] [--warmup S] [--records N]\n"
                    "(env: IDEM_BENCH_SECONDS, IDEM_BENCH_WARMUP, IDEM_REAL_RT,"
                    " IDEM_REAL_CLIENTS, IDEM_REAL_LIVE, IDEM_REAL_JSON)\n",
                    argv[0]);
@@ -113,7 +119,7 @@ int main(int argc, char** argv) {
     config.seed = 1 + clients;
     config.expected_clients = max_clients;
     config.preload = true;
-    config.workload.record_count = 1000;
+    config.workload.record_count = records;
     config.admin = live;
     real::RealCluster cluster(config);
     cluster.start();

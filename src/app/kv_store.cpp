@@ -101,7 +101,7 @@ std::vector<std::byte> KvStore::execute(std::span<const std::byte> command) {
 }
 
 std::vector<std::byte> KvStore::snapshot() const {
-  // Checkpointing serializes the whole store; size the buffer up front so the
+  // A state transfer serializes the whole store; size the buffer up front so the
   // snapshot is a single allocation plus memcpy-sized appends (this showed up
   // at ~28% of the fig6 overload profile before).
   std::size_t estimate = 10;

@@ -20,7 +20,7 @@ class StateMachine {
   /// the client in a REPLY).
   virtual std::vector<std::byte> execute(std::span<const std::byte> command) = 0;
 
-  /// Serializes the complete application state (for checkpoints).
+  /// Serializes the complete application state (for state transfer).
   virtual std::vector<std::byte> snapshot() const = 0;
 
   /// Replaces the state with a previously produced snapshot. May throw

@@ -157,7 +157,7 @@ void check_exec_logs(const ExecLog& exec, const History& history, ChaosResult& r
       executed_anywhere.insert(id);
     }
   }
-  // Agreement, tolerant to batching and checkpoint catch-up skips: any
+  // Agreement, tolerant to batching and state-transfer catch-up skips: any
   // two replicas execute their *common* requests in the same order.
   for (std::size_t a = 0; a < exec.logs().size(); ++a) {
     for (std::size_t b = a + 1; b < exec.logs().size(); ++b) {

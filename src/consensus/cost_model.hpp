@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -41,6 +42,12 @@ struct CostModel {
   /// the growing latency variance the paper's error bars show (Figure 2).
   double straggler_prob = 0.01;
   double straggler_factor = 6.0;
+  /// Serializing a state snapshot for a lagging peer, or restoring one
+  /// (state transfer, Section 4.4): a fixed cost plus a per-byte term.
+  /// Charged without jitter, and only when a snapshot is actually built or
+  /// restored.
+  Duration snapshot_base = 20 * kMicrosecond;
+  double snapshot_ns_per_byte = 1.0;
 
   /// Heavy-tailed per-op service costs: with `tail_prob`, a cost draws an
   /// extra multiplier from the configured tail distribution. Unlike the
@@ -85,6 +92,10 @@ struct CostModel {
 
   Duration send_cost(const sim::Payload& message, Rng& rng) const {
     return apply_jitter(send_per_message + size_cost(send_ns_per_byte, message), rng);
+  }
+
+  Duration snapshot_cost(std::size_t bytes) const {
+    return snapshot_base + static_cast<Duration>(snapshot_ns_per_byte * static_cast<double>(bytes));
   }
 
   /// The size-proportional term. A zero coefficient charges 0 ns without

@@ -389,7 +389,7 @@ struct ViewChange final : Message {
   }
 };
 
-/// Lagging replica asks a peer for the newest checkpoint (Section 4.4).
+/// Lagging replica asks a peer for its state (Section 4.4).
 struct StateRequest final : Message {
   ReplicaId from;
   SeqNum have;  ///< highest sequence number already applied locally
@@ -408,10 +408,11 @@ struct StateRequest final : Message {
   }
 };
 
-/// Checkpoint shipment: application snapshot + duplicate-detection metadata.
+/// State shipment: application snapshot + duplicate-detection metadata,
+/// taken at the sender's execution head when the request arrived.
 struct StateResponse final : Message {
   ReplicaId from;
-  SeqNum upto;  ///< checkpoint covers all sequence numbers <= upto
+  SeqNum upto;  ///< the state covers all sequence numbers <= upto
   std::vector<std::byte> snapshot;
   std::vector<std::pair<ClientId, OpNum>> last_executed;
 

@@ -51,7 +51,7 @@ class ClientTable {
     last_reply_[id.cid.value] = std::move(reply);
   }
 
-  /// Checkpoint restore: adopt the newer of our and the checkpoint's
+  /// State-transfer restore: adopt the newer of our and the shipped
   /// per-client progress.
   void merge_executed(ClientId cid, OpNum onr) {
     auto& entry = last_exec_[cid.value];
@@ -62,7 +62,7 @@ class ClientTable {
   /// if they still need one.
   void clear_replies() { last_reply_.clear(); }
 
-  /// The raw session map (cid -> onr), e.g. for checkpoint metadata.
+  /// The raw session map (cid -> onr), e.g. for a state transfer.
   const std::unordered_map<std::uint64_t, std::uint64_t>& sessions() const {
     return last_exec_;
   }

@@ -6,8 +6,8 @@
 // and does not touch the state machine again until the completion callback
 // has run — the implementation must invoke `done` back on the replica's
 // runtime thread. That one-in-flight contract is what makes the handoff a
-// plain SPSC exchange and keeps snapshot()/restore() (checkpoints, state
-// transfer) safe without locking inside the state machine.
+// plain SPSC exchange and keeps snapshot()/restore() (state transfer)
+// safe without locking inside the state machine.
 //
 // Simulation never sets an executor (IdemConfig::executor == nullptr), so
 // the deterministic trajectories are untouched; real deployments opt in

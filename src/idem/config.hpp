@@ -64,9 +64,6 @@ struct IdemConfig {
   /// (Section 4.4). 0 means "4 * r_max".
   std::uint64_t window_size = 0;
 
-  /// Checkpoint every this many sequence numbers.
-  std::uint64_t checkpoint_interval = 256;
-
   /// Progress timeout before a replica abandons the view (Section 4.5).
   Duration viewchange_timeout = 1500 * kMillisecond;
 

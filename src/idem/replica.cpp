@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/executor.hpp"
@@ -13,8 +14,6 @@ namespace idem::core {
 namespace {
 constexpr Duration kFetchRetry = 5 * kMillisecond;
 constexpr std::size_t kFetchPrefetch = 64;  // committed instances fetched ahead of the head
-constexpr Duration kCheckpointBaseCost = 20 * kMicrosecond;
-constexpr double kCheckpointNsPerByte = 1.0;
 }  // namespace
 
 IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
@@ -26,7 +25,6 @@ IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       sm_(std::move(state_machine)),
       acceptance_(std::move(acceptance)),
       rejected_(config.rejected_cache_size),
-      checkpoints_(config.checkpoint_interval),
       cost_rng_(sim.seed(), 0xC057'0000ull + id.value) {
   assert(config_.n == 2 * config_.f + 1);
   assert(sm_ != nullptr);
@@ -249,6 +247,8 @@ void IdemReplica::register_metrics(obs::MetricsRegistry& registry,
   counter("rejected", stats_.rejected);
   counter("executed", stats_.executed);
   counter("view_changes", stats_.view_changes);
+  counter("state_snapshots_sent", stats_.state_snapshots_sent);
+  counter("state_transfers", stats_.state_transfers);
   counter("requests_received", stats_.requests_received);
   for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
     const auto reason = static_cast<RejectReason>(i);
@@ -573,7 +573,6 @@ void IdemReplica::try_execute() {
       return;
     }
     execute_instance(log_.next_exec(), inst);
-    maybe_checkpoint(log_.next_exec());
     log_.advance_head();
     note_progress();
   }
@@ -642,9 +641,13 @@ void IdemReplica::finish_async_execute(std::uint64_t sqn,
   }
   exec_ids_.clear();
   inst.executed = true;
-  maybe_checkpoint(sqn);
   log_.advance_head();
   note_progress();
+  // The state machine is this thread's again: answer the peers that asked
+  // for state while the executor held it.
+  for (const auto& [peer, have] : std::exchange(deferred_state_requests_, {})) {
+    send_state(peer, have);
+  }
   try_execute();
 }
 
@@ -728,7 +731,7 @@ const std::vector<std::byte>* IdemReplica::find_command(RequestId id) const {
 }
 
 // ---------------------------------------------------------------------------
-// Implicit garbage collection and checkpoints (Section 4.4)
+// Implicit garbage collection and state transfer (Section 4.4)
 // ---------------------------------------------------------------------------
 
 void IdemReplica::request_state_transfer(ReplicaId source) {
@@ -739,9 +742,9 @@ void IdemReplica::request_state_transfer(ReplicaId source) {
   request->from = me_;
   request->have = SeqNum{log_.next_exec() == 0 ? 0 : log_.next_exec() - 1};
   send(consensus::replica_address(source), std::move(request));
-  // The peer stays silent when it has no newer checkpoint (or the
-  // response is lost): release the latch after a while and re-evaluate,
-  // or this replica could never ask again.
+  // The peer stays silent when it is not ahead of us (or the response is
+  // lost): release the latch after a while and re-evaluate, or this replica
+  // could never ask again.
   cancel_timer(state_retry_timer_);
   state_retry_timer_ = set_timer(250 * kMillisecond, [this] {
     state_retry_timer_ = sim::TimerId{};
@@ -752,8 +755,8 @@ void IdemReplica::request_state_transfer(ReplicaId source) {
 
 void IdemReplica::maybe_request_state() {
   // A bound instance ahead of an unbound execution head means the missing
-  // slots may have been garbage-collected cluster-wide: only a checkpoint
-  // can bridge the gap.
+  // slots may have been garbage-collected cluster-wide: only a state
+  // transfer can bridge the gap.
   const Instance* head = log_.find(log_.next_exec());
   if (head != nullptr && head->has_binding) return;
   auto ahead = log_.slots().upper_bound(log_.next_exec());
@@ -780,7 +783,7 @@ void IdemReplica::observe_sequence(std::uint64_t sqn, ReplicaId source) {
 
   if (new_low > log_.next_exec()) {
     // We are lagging: f+1 replicas have executed past our window, so the
-    // old instances may be gone system-wide. Catch up via checkpoint.
+    // old instances may be gone system-wide. Catch up by state transfer.
     request_state_transfer(source);
     new_low = log_.next_exec();
   }
@@ -796,36 +799,41 @@ void IdemReplica::advance_window(std::uint64_t new_low) {
   });
 }
 
-void IdemReplica::maybe_checkpoint(std::uint64_t executed_sqn) {
-  if (!checkpoints_.due(SeqNum{executed_sqn})) return;
-  std::vector<std::byte> snapshot = sm_->snapshot();
-  charge(kCheckpointBaseCost +
-         static_cast<Duration>(kCheckpointNsPerByte * static_cast<double>(snapshot.size())));
-  consensus::Checkpoint checkpoint;
-  checkpoint.upto = SeqNum{executed_sqn};
-  checkpoint.snapshot = std::move(snapshot);
-  checkpoint.last_executed = {clients_.sessions().begin(), clients_.sessions().end()};
-  checkpoints_.store(std::move(checkpoint));
-  ++stats_.checkpoints_created;
+void IdemReplica::handle_state_request(const msg::StateRequest& request) {
+  if (!exec_inflight_) {
+    send_state(request.from, request.have);
+    return;
+  }
+  // The executor is mutating the state machine: answer once it drains.
+  for (auto& [peer, have] : deferred_state_requests_) {
+    if (peer == request.from) {
+      have = request.have;
+      return;
+    }
+  }
+  deferred_state_requests_.emplace_back(request.from, request.have);
 }
 
-void IdemReplica::handle_state_request(const msg::StateRequest& request) {
-  const auto& latest = checkpoints_.latest();
-  if (!latest || latest->upto.value <= request.have.value) return;
+void IdemReplica::send_state(ReplicaId to, SeqNum have) {
+  // State is built from the live replica only when a peer asks: its upto
+  // is the last executed instance.
+  if (log_.next_exec() == 0 || log_.next_exec() - 1 <= have.value) return;
   auto response = std::make_shared<msg::StateResponse>();
   response->from = me_;
-  response->upto = latest->upto;
-  response->snapshot = latest->snapshot;
-  response->last_executed.reserve(latest->last_executed.size());
-  for (const auto& [cid, onr] : latest->last_executed) {
+  response->upto = SeqNum{log_.next_exec() - 1};
+  response->snapshot = sm_->snapshot();
+  charge(config_.costs.snapshot_cost(response->snapshot.size()));
+  response->last_executed.reserve(clients_.sessions().size());
+  for (const auto& [cid, onr] : clients_.sessions()) {
     response->last_executed.emplace_back(ClientId{cid}, OpNum{onr});
   }
-  send(consensus::replica_address(request.from), std::move(response));
+  ++stats_.state_snapshots_sent;
+  send(consensus::replica_address(to), std::move(response));
 }
 
 void IdemReplica::handle_state_response(const msg::StateResponse& response) {
   // Only accept the response we asked for, from the replica we asked:
-  // unsolicited or duplicate checkpoints must not be able to replace
+  // unsolicited or duplicate responses must not be able to replace
   // state (a replica never needs state it did not request).
   if (!state_transfer_pending_ || response.from != state_transfer_source_) return;
   // restore() while the executor runs would race the state machine; keep
@@ -840,8 +848,7 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
     // exception-safe by contract, so our state is untouched — drop it.
     return;
   }
-  charge(kCheckpointBaseCost + static_cast<Duration>(kCheckpointNsPerByte *
-                                                     static_cast<double>(response.snapshot.size())));
+  charge(config_.costs.snapshot_cost(response.snapshot.size()));
   for (const auto& [cid, onr] : response.last_executed) {
     clients_.merge_executed(cid, onr);
   }
@@ -849,7 +856,7 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
   clients_.clear_replies();
   log_.set_next_exec(response.upto.value + 1);
   if (log_.next_exec() > log_.low()) advance_window(log_.next_exec());
-  // Drop active entries that the checkpoint proves executed.
+  // Drop active entries that the transferred state proves executed.
   for (auto it = active_.begin(); it != active_.end();) {
     if (clients_.executed(it->first)) {
       if (auto timer_it = forward_timers_.find(it->first); timer_it != forward_timers_.end()) {
@@ -862,11 +869,11 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
     }
   }
   ++stats_.state_transfers;
+  if (on_restore) on_restore(response.upto);
   cancel_timer(state_retry_timer_);
   try_execute();
-  // The checkpoint may still be older than the cluster's GC line (the
-  // peer simply shipped its newest): if a gap remains, ask again — by
-  // then the peer has likely checkpointed further.
+  // The peer's head may still be below the cluster's GC line (it lagged
+  // too): if a gap remains, ask again.
   maybe_request_state();
 }
 

@@ -36,7 +36,6 @@
 #include "common/ids.hpp"
 #include "common/reject_reason.hpp"
 #include "consensus/addresses.hpp"
-#include "consensus/checkpoint.hpp"
 #include "consensus/messages.hpp"
 #include "consensus/quorum.hpp"
 #include "core/acceptance.hpp"
@@ -66,8 +65,8 @@ struct ReplicaStats {
   std::uint64_t forwards_sent = 0;
   std::uint64_t fetches_sent = 0;
   std::uint64_t view_changes = 0;
-  std::uint64_t checkpoints_created = 0;
-  std::uint64_t state_transfers = 0;
+  std::uint64_t state_snapshots_sent = 0;  ///< StateResponses built for lagging peers
+  std::uint64_t state_transfers = 0;       ///< StateResponses restored here
   std::uint64_t exec_offloaded = 0;   ///< instances handed to the async executor
   std::uint64_t requires_adopted = 0;  ///< rejected bodies adopted on REQUIRE evidence
   std::uint64_t superseded_released = 0;  ///< abandoned active slots released
@@ -122,6 +121,9 @@ class IdemReplica final : public sim::Node {
 
   /// Test hook: invoked after each executed request with (sqn, id).
   std::function<void(SeqNum, RequestId)> on_execute;
+  /// Test hook: invoked after a state transfer restored the state of every
+  /// instance up to `upto`; execution resumes at upto + 1.
+  std::function<void(SeqNum upto)> on_restore;
 
  protected:
   void on_message(sim::NodeId from, const sim::Payload& message) override;
@@ -182,15 +184,17 @@ class IdemReplica final : public sim::Node {
   void forward_request(RequestId id);
   const std::vector<std::byte>* find_command(RequestId id) const;
 
-  // -- garbage collection / checkpoints (Section 4.4) -----------------------
+  // -- garbage collection / state transfer (Section 4.4) ---------------------
   void observe_sequence(std::uint64_t sqn, ReplicaId source);
   void advance_window(std::uint64_t new_low);
-  void maybe_checkpoint(std::uint64_t executed_sqn);
   void handle_state_request(const msg::StateRequest& request);
+  /// Ships the live state (snapshot and client table at the execution
+  /// head) to `to` when it is ahead of `have`; silent otherwise.
+  void send_state(ReplicaId to, SeqNum have);
   void handle_state_response(const msg::StateResponse& response);
   void request_state_transfer(ReplicaId source);
-  /// Requests a checkpoint when execution is gapped below a known binding
-  /// (the missing instances may be garbage-collected cluster-wide).
+  /// Requests state when execution is gapped below a known binding (the
+  /// missing instances may be garbage-collected cluster-wide).
   void maybe_request_state();
 
   // -- view change (Section 4.5) --------------------------------------------
@@ -258,7 +262,10 @@ class IdemReplica final : public sim::Node {
   bool exec_inflight_ = false;
   std::vector<RequestId> exec_ids_;
 
-  consensus::CheckpointStore checkpoints_;
+  // StateRequests that arrived while the executor held an instance (one per
+  // peer, the newest `have`): answered once it drains, so no snapshot reads
+  // a state machine another thread is mutating.
+  std::vector<std::pair<ReplicaId, SeqNum>> deferred_state_requests_;
   bool state_transfer_pending_ = false;
   ReplicaId state_transfer_source_;  ///< the only replica whose response we accept
   sim::TimerId state_retry_timer_;

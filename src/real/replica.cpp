@@ -8,7 +8,7 @@ std::unique_ptr<core::IdemReplica> make_replica(sim::Runtime& runtime, sim::Tran
                                                 ReplicaId id, core::IdemConfig config,
                                                 std::unique_ptr<app::StateMachine> state_machine,
                                                 std::unique_ptr<core::AcceptanceTest> acceptance) {
-  config.costs = consensus::CostModel{0, 0.0, 0, 0.0, 0.0, 0.0, 1.0};
+  config.costs = consensus::CostModel{0, 0.0, 0, 0.0, 0.0, 0.0, 1.0, 0, 0.0};
   config.require_flush_interval = 0;
   auto replica = std::make_unique<core::IdemReplica>(runtime, transport, id, config,
                                                      std::move(state_machine),

@@ -4,7 +4,8 @@
 // the realtime examples) builds its replicas here, so they cannot drift
 // apart.
 //
-//   - No cost model: handling a message takes however long it takes.
+//   - No cost model: handling a message, or building and restoring a state
+//     snapshot, takes however long it takes and charges nothing on top.
 //   - REQUIREs flush at the end of each loop iteration: due zero-delay
 //     timers fire after the iteration's I/O phase, so every id accepted
 //     from one recv burst leaves in one REQUIRE without added latency.

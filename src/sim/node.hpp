@@ -3,7 +3,7 @@
 // A node owns a FIFO service queue driven by a simple CPU model: every
 // incoming message occupies the node's (single) CPU for a per-message cost
 // the subclass declares, and handlers can charge additional work (request
-// execution, checkpoint creation). This queueing is what turns offered
+// execution, building a state snapshot). This queueing is what turns offered
 // load beyond capacity into the latency explosion the paper measures —
 // see DESIGN.md Section 1.
 #pragma once

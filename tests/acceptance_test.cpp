@@ -2,7 +2,6 @@
 // consensus bookkeeping helpers.
 #include <gtest/gtest.h>
 
-#include "consensus/checkpoint.hpp"
 #include "consensus/quorum.hpp"
 #include "idem/acceptance.hpp"
 
@@ -385,30 +384,6 @@ TEST(QuorumTracker, EraseResets) {
   tracker.vote(5, ReplicaId{0});
   tracker.erase(5);
   EXPECT_EQ(tracker.count(5), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointStore
-// ---------------------------------------------------------------------------
-
-TEST(CheckpointStore, DueAtInterval) {
-  consensus::CheckpointStore store(100);
-  EXPECT_FALSE(store.due(SeqNum{0}));
-  EXPECT_TRUE(store.due(SeqNum{99}));
-  EXPECT_TRUE(store.due(SeqNum{199}));
-  EXPECT_FALSE(store.due(SeqNum{200}));
-}
-
-TEST(CheckpointStore, KeepsNewest) {
-  consensus::CheckpointStore store(10);
-  consensus::Checkpoint old_cp;
-  old_cp.upto = SeqNum{9};
-  consensus::Checkpoint new_cp;
-  new_cp.upto = SeqNum{19};
-  store.store(new_cp);
-  store.store(old_cp);  // stale; must not replace
-  ASSERT_TRUE(store.latest().has_value());
-  EXPECT_EQ(store.latest()->upto, SeqNum{19});
 }
 
 }  // namespace

@@ -101,7 +101,6 @@ TEST(FaultPlan, WindowedPartitionAutoHeals) {
   // from the window expiring rather than an explicit heal() call.
   auto config = test_cluster_config(Protocol::Idem);
   config.reject_threshold = 2;
-  config.idem.checkpoint_interval = 8;
   // Long isolation must not trigger a view change on the cut replica; this
   // test is about the window mechanics, not failover.
   config.idem.viewchange_timeout = 30 * kSecond;
@@ -133,7 +132,6 @@ TEST(FaultPlan, OverlappingWindowsCompose) {
   // when the first one does.
   auto config = test_cluster_config(Protocol::Idem);
   config.reject_threshold = 2;
-  config.idem.checkpoint_interval = 8;
   config.idem.viewchange_timeout = 30 * kSecond;
   Cluster cluster(config);
   cluster.apply({
@@ -148,7 +146,7 @@ TEST(FaultPlan, OverlappingWindowsCompose) {
   const auto baseline = cluster.idem_replica(2)->next_execute().value;
   EXPECT_GE(baseline, 1u);
   // t in (600ms, 1.9s): first window over, second still active — enough
-  // traffic for a checkpoint while replica 2 must stay frozen.
+  // traffic to move the window past replica 2, which must stay frozen.
   cluster.simulator().run_until(800 * kMillisecond);
   for (int i = 0; i < 30; ++i) {
     ASSERT_EQ(invoke_and_wait(cluster, 0, put_cmd("k" + std::to_string(i), "v"))->kind,

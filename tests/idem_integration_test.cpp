@@ -201,7 +201,6 @@ TEST(IdemIntegration, FetchRecoversMissingRequestBody) {
 TEST(IdemIntegration, ImplicitGarbageCollectionAdvancesWindow) {
   auto config = test_cluster_config(Protocol::Idem, /*clients=*/1);
   config.reject_threshold = 2;  // r_max = 6: windows advance quickly
-  config.idem.checkpoint_interval = 8;
   Cluster cluster(config);
   for (int i = 0; i < 40; ++i) {
     auto outcome = invoke_and_wait(cluster, 0, put_cmd("k", "v" + std::to_string(i)));
@@ -219,7 +218,6 @@ TEST(IdemIntegration, ImplicitGarbageCollectionAdvancesWindow) {
 TEST(IdemIntegration, LaggingReplicaCatchesUpViaCheckpoint) {
   auto config = test_cluster_config(Protocol::Idem, /*clients=*/1);
   config.reject_threshold = 2;
-  config.idem.checkpoint_interval = 8;
   Cluster cluster(config);
 
   // Cut replica 2 off completely.

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "app/kv_store.hpp"
+#include "core/executor.hpp"
 #include "idem/replica.hpp"
+#include "real/replica.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
@@ -57,12 +61,14 @@ struct ReplicaFixture {
   std::unique_ptr<Probe> peer;                 // poses as replica 2
   std::unique_ptr<Probe> client;               // poses as client 0
 
-  explicit ReplicaFixture(core::IdemConfig config = make_config(), std::uint32_t me = 1) {
+  explicit ReplicaFixture(core::IdemConfig config = make_config(), std::uint32_t me = 1,
+                          std::unique_ptr<app::StateMachine> state_machine = nullptr) {
     net_config.jitter_mean = 0;
     net = std::make_unique<sim::SimNetwork>(sim, net_config);
-    replica = std::make_unique<core::IdemReplica>(
-        sim, *net, ReplicaId{me}, config, std::make_unique<app::KvStore>(),
-        std::make_unique<core::NeverReject>());
+    if (state_machine == nullptr) state_machine = std::make_unique<app::KvStore>();
+    replica = std::make_unique<core::IdemReplica>(sim, *net, ReplicaId{me}, config,
+                                                  std::move(state_machine),
+                                                  std::make_unique<core::NeverReject>());
     leader = std::make_unique<Probe>(sim, *net, consensus::replica_address(ReplicaId{0}));
     peer = std::make_unique<Probe>(sim, *net, consensus::replica_address(ReplicaId{2}));
     client = std::make_unique<Probe>(sim, *net, consensus::client_address(ClientId{0}),
@@ -75,7 +81,6 @@ struct ReplicaFixture {
     config.f = 1;
     config.reject_threshold = 4;  // r_max = 12: GC paths reachable quickly
     config.viewchange_timeout = 10 * kSecond;  // quiet unless a test wants it
-    config.checkpoint_interval = 4;
     return config;
   }
 
@@ -106,6 +111,64 @@ struct ReplicaFixture {
   }
 
   void settle(Duration span = 100 * kMillisecond) { sim.run_for(span); }
+
+  /// Client 0's request `onr` arrives, then the leader binds it to `sqn`:
+  /// with f = 1 that commits and executes it here.
+  void execute(std::uint64_t sqn, std::uint64_t onr) {
+    auto req = request(onr, ("k" + std::to_string(onr % 8)).c_str());
+    client_sends(req);
+    settle(kMillisecond);
+    leader_proposes(sqn, {req.id});
+    settle(kMillisecond);
+  }
+
+  void peer_requests_state(std::uint64_t have) {
+    auto state_request = std::make_shared<msg::StateRequest>();
+    state_request->from = ReplicaId{2};
+    state_request->have = SeqNum{have};
+    peer->inject(replica->id(), std::move(state_request));
+  }
+};
+
+/// Counts snapshot() calls on the KvStore it wraps.
+class SnapshotCounter final : public app::StateMachine {
+ public:
+  explicit SnapshotCounter(std::size_t& snapshots) : snapshots_(snapshots) {}
+  std::vector<std::byte> execute(std::span<const std::byte> command) override {
+    return store_.execute(command);
+  }
+  std::vector<std::byte> snapshot() const override {
+    ++snapshots_;
+    return store_.snapshot();
+  }
+  void restore(std::span<const std::byte> snapshot) override { store_.restore(snapshot); }
+
+ private:
+  app::KvStore store_;
+  std::size_t& snapshots_;
+};
+
+/// Holds each submitted batch until the test drains it, as an execution
+/// thread that has not finished yet would.
+class ManualExecutor final : public core::Executor {
+ public:
+  void execute(app::StateMachine& sm, std::vector<std::vector<std::byte>> commands, Time,
+               Done done) override {
+    sm_ = &sm;
+    commands_ = std::move(commands);
+    done_ = std::move(done);
+  }
+  bool holding() const { return done_ != nullptr; }
+  void drain() {
+    std::vector<std::vector<std::byte>> results;
+    for (const auto& command : commands_) results.push_back(sm_->execute(command));
+    std::exchange(done_, nullptr)(std::move(results));
+  }
+
+ private:
+  app::StateMachine* sm_ = nullptr;
+  std::vector<std::vector<std::byte>> commands_;
+  Done done_;
 };
 
 TEST(IdemReplicaUnit, AcceptSendsRequire) {
@@ -467,6 +530,142 @@ TEST(IdemReplicaUnit, MalformedSnapshotSurvived) {
   f.settle();
   // Still alive, state untouched.
   EXPECT_EQ(f.replica->state_machine().snapshot(), before);
+}
+
+TEST(IdemReplicaUnit, StateRequestAnsweredAtTheExecutionHead) {
+  ReplicaFixture f;
+  for (std::uint64_t sqn = 0; sqn < 5; ++sqn) f.execute(sqn, sqn + 1);
+  ASSERT_EQ(f.replica->next_execute().value, 5u);
+
+  f.peer_requests_state(1);
+  f.settle();
+  // The state is the live one, at the last executed instance.
+  auto responses = f.peer->received_of<msg::StateResponse>();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0]->from, ReplicaId{1});
+  EXPECT_EQ(responses[0]->upto, SeqNum{4});
+  EXPECT_EQ(responses[0]->snapshot, f.replica->state_machine().snapshot());
+  ASSERT_EQ(responses[0]->last_executed.size(), 1u);
+  EXPECT_EQ(responses[0]->last_executed[0], std::make_pair(ClientId{0}, OpNum{5}));
+  EXPECT_EQ(f.replica->stats().state_snapshots_sent, 1u);
+}
+
+TEST(IdemReplicaUnit, StateRequestAtOrAheadOfTheHeadIsNotAnswered) {
+  ReplicaFixture f;
+  f.peer_requests_state(0);  // nothing executed yet
+  f.settle();
+  for (std::uint64_t sqn = 0; sqn < 3; ++sqn) f.execute(sqn, sqn + 1);
+  ASSERT_EQ(f.replica->next_execute().value, 3u);
+  f.peer_requests_state(2);  // the peer has what this replica has
+  f.peer_requests_state(7);  // the peer is ahead
+  f.settle();
+  EXPECT_TRUE(f.peer->received_of<msg::StateResponse>().empty());
+  EXPECT_EQ(f.replica->stats().state_snapshots_sent, 0u);
+}
+
+TEST(IdemReplicaUnit, NoSnapshotIsTakenWhileNoPeerAsks) {
+  std::size_t snapshots = 0;
+  ReplicaFixture f(ReplicaFixture::make_config(), 1, std::make_unique<SnapshotCounter>(snapshots));
+  constexpr std::uint64_t kInstances = 1100;
+  for (std::uint64_t sqn = 0; sqn < kInstances; ++sqn) f.execute(sqn, sqn + 1);
+  ASSERT_EQ(f.replica->next_execute().value, kInstances);
+  ASSERT_EQ(f.replica->stats().executed, kInstances);
+  EXPECT_EQ(snapshots, 0u);
+
+  f.peer_requests_state(10);
+  f.settle();
+  EXPECT_EQ(snapshots, 1u);
+  ASSERT_EQ(f.peer->received_of<msg::StateResponse>().size(), 1u);
+  EXPECT_EQ(f.peer->received_of<msg::StateResponse>()[0]->upto, SeqNum{kInstances - 1});
+}
+
+TEST(IdemReplicaUnit, StateRequestWaitsForTheExecutorToDrain) {
+  ManualExecutor executor;
+  std::size_t snapshots = 0;
+  auto config = ReplicaFixture::make_config();
+  config.executor = &executor;
+  ReplicaFixture f(config, 1, std::make_unique<SnapshotCounter>(snapshots));
+  for (std::uint64_t sqn = 0; sqn < 2; ++sqn) {
+    f.execute(sqn, sqn + 1);
+    ASSERT_TRUE(executor.holding());
+    executor.drain();
+  }
+  f.execute(2, 3);
+  ASSERT_TRUE(executor.holding());
+  ASSERT_EQ(f.replica->next_execute().value, 2u);
+
+  // Two requests from one peer while the executor holds instance 2: no
+  // snapshot of a state machine in use, and one answer, to the newer.
+  f.peer_requests_state(0);
+  f.peer_requests_state(1);
+  f.settle();
+  EXPECT_EQ(snapshots, 0u);
+  EXPECT_TRUE(f.peer->received_of<msg::StateResponse>().empty());
+
+  executor.drain();
+  f.settle();
+  EXPECT_EQ(snapshots, 1u);
+  auto responses = f.peer->received_of<msg::StateResponse>();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0]->upto, SeqNum{2});
+  EXPECT_EQ(f.replica->stats().state_snapshots_sent, 1u);
+}
+
+TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
+  // real::make_replica zeroes the cost model, snapshot coefficients
+  // included: serving and restoring state must leave the replica idle, so
+  // the next message is still handled inline, without advancing time.
+  sim::Simulator sim(5);
+  sim::SimNetwork net(sim, {});
+  Probe leader(sim, net, consensus::replica_address(ReplicaId{0}));
+  Probe peer(sim, net, consensus::replica_address(ReplicaId{2}));
+  Probe client(sim, net, consensus::client_address(ClientId{0}), sim::NodeKind::Client);
+  // A real deployment's store charges nothing either (real::RealCluster).
+  auto replica = real::make_replica(
+      sim, net, ReplicaId{1}, ReplicaFixture::make_config(),
+      std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}),
+      std::make_unique<core::NeverReject>());
+  auto request = [](std::uint64_t onr) {
+    return std::make_shared<const msg::Request>(RequestId{ClientId{0}, OpNum{onr}},
+                                                test::put_cmd("k", "v" + std::to_string(onr)));
+  };
+  for (std::uint64_t sqn = 0; sqn < 2; ++sqn) {
+    replica->deliver(client.id(), request(sqn + 1));
+    auto propose = std::make_shared<msg::Propose>();
+    propose->sqn = SeqNum{sqn};
+    propose->ids = {RequestId{ClientId{0}, OpNum{sqn + 1}}};
+    replica->deliver(leader.id(), std::move(propose));
+  }
+  ASSERT_EQ(replica->next_execute().value, 2u);
+
+  auto state_request = std::make_shared<msg::StateRequest>();
+  state_request->from = ReplicaId{2};
+  state_request->have = SeqNum{0};
+  replica->deliver(peer.id(), std::move(state_request));
+  ASSERT_EQ(replica->stats().state_snapshots_sent, 1u);
+
+  // A commit far beyond the window makes the replica ask the peer for
+  // state; the peer's answer is restored.
+  auto commit = std::make_shared<msg::Commit>();
+  commit->from = ReplicaId{2};
+  commit->sqn = SeqNum{100};
+  replica->deliver(peer.id(), std::move(commit));
+  app::KvStore peer_store;
+  peer_store.execute(test::put_cmd("restored", "v"));
+  auto response = std::make_shared<msg::StateResponse>();
+  response->from = ReplicaId{2};
+  response->upto = SeqNum{90};
+  response->snapshot = peer_store.snapshot();
+  replica->deliver(peer.id(), std::move(response));
+  ASSERT_EQ(replica->stats().state_transfers, 1u);
+  ASSERT_EQ(replica->next_execute().value, 91u);
+
+  const Time before = sim.now();
+  const std::uint64_t received = replica->stats().requests_received;
+  replica->deliver(client.id(), request(3));
+  EXPECT_EQ(replica->queue_length(), 0u);
+  EXPECT_EQ(replica->stats().requests_received, received + 1);
+  EXPECT_EQ(sim.now(), before);
 }
 
 TEST(IdemReplicaUnit, RejectingReplicaCachesBody) {

@@ -54,7 +54,6 @@ TEST(Partition, MinorityLeaderCannotCommit) {
 TEST(Partition, HealedReplicaCatchesUp) {
   auto config = test_cluster_config(Protocol::Idem);
   config.reject_threshold = 2;  // small r_max: GC outruns the partition fast
-  config.idem.checkpoint_interval = 8;
   Cluster cluster(config);
   arm(cluster, {sim::Fault::partition(0, {2}, {0, 1})});  // sticky
   for (int i = 0; i < 30; ++i) {

@@ -43,18 +43,21 @@ inline std::optional<consensus::Outcome> invoke_and_wait(harness::Cluster& clust
   return result;
 }
 
-/// Records the execution order (sqn, request id) at every replica so tests
-/// can assert the fundamental SMR safety property: all replicas execute
-/// the same requests in the same order.
+/// Records the execution order (sqn, request id) at every replica, and
+/// every state transfer an IDEM replica restored, so tests can assert the
+/// fundamental SMR safety property: all replicas execute the same requests
+/// in the same order.
 class ExecutionRecorder {
  public:
   explicit ExecutionRecorder(harness::Cluster& cluster) {
     const std::size_t n = cluster.config().n;
     logs_.resize(n);
+    restores_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       auto hook = [this, i](SeqNum sqn, RequestId id) { logs_[i].push_back({sqn, id}); };
       if (auto* r = cluster.idem_replica(i)) {
         r->on_execute = hook;
+        r->on_restore = [this, i](SeqNum upto) { restores_[i].push_back({logs_[i].size(), upto}); };
       } else if (auto* p = cluster.paxos_replica(i)) {
         p->on_execute = hook;
       } else if (auto* s = cluster.smart_replica(i)) {
@@ -69,17 +72,35 @@ class ExecutionRecorder {
 
   /// Asserts pairwise prefix consistency of the execution logs: one log
   /// may be shorter (lagging replica), but where both have entries they
-  /// must match exactly.
+  /// must match exactly, position by position. The one exception is a
+  /// state transfer: a replica that restored the state of every instance
+  /// up to `upto` executed none of the instances it skipped, so at that
+  /// point of its log the other log skips to its first instance above
+  /// `upto`, and the restoring replica must resume exactly there.
   void expect_consistent() const {
+    for (std::size_t r = 0; r < logs_.size(); ++r) {
+      for (const auto& [position, upto] : restores_[r]) {
+        if (position >= logs_[r].size()) continue;
+        ASSERT_GT(logs_[r][position].first, upto)
+            << "replica " << r << " executed an instance its state transfer covered";
+      }
+    }
     for (std::size_t a = 0; a < logs_.size(); ++a) {
       for (std::size_t b = a + 1; b < logs_.size(); ++b) {
-        std::size_t common = std::min(logs_[a].size(), logs_[b].size());
-        for (std::size_t i = 0; i < common; ++i) {
-          ASSERT_EQ(logs_[a][i].first, logs_[b][i].first)
-              << "sqn divergence between replica " << a << " and " << b << " at position " << i;
-          ASSERT_EQ(logs_[a][i].second, logs_[b][i].second)
-              << "request divergence between replica " << a << " and " << b << " at position "
-              << i;
+        std::size_t i = 0, j = 0, restore_a = 0, restore_b = 0;
+        for (;;) {
+          // A skip can pass the other log's restores; apply until neither moves.
+          while (skip_restored(a, i, restore_a, b, j) || skip_restored(b, j, restore_b, a, i)) {
+          }
+          if (i >= logs_[a].size() || j >= logs_[b].size()) break;
+          ASSERT_EQ(logs_[a][i].first, logs_[b][j].first)
+              << "sqn divergence between replica " << a << " and " << b << " at positions " << i
+              << " and " << j;
+          ASSERT_EQ(logs_[a][i].second, logs_[b][j].second)
+              << "request divergence between replica " << a << " and " << b << " at positions "
+              << i << " and " << j;
+          ++i;
+          ++j;
         }
       }
     }
@@ -104,7 +125,22 @@ class ExecutionRecorder {
   }
 
  private:
+  /// Applies replica `x`'s restores recorded at or before its log position
+  /// `i` to replica `y`: cursor `j` moves past every instance they covered.
+  /// True when `j` moved.
+  bool skip_restored(std::size_t x, std::size_t i, std::size_t& restore, std::size_t y,
+                     std::size_t& j) const {
+    bool moved = false;
+    for (; restore < restores_[x].size() && restores_[x][restore].first <= i; ++restore) {
+      const SeqNum upto = restores_[x][restore].second;
+      for (; j < logs_[y].size() && logs_[y][j].first <= upto; ++j) moved = true;
+    }
+    return moved;
+  }
+
   std::vector<std::vector<std::pair<SeqNum, RequestId>>> logs_;
+  /// Per replica: (log length when the restore happened, its upto).
+  std::vector<std::vector<std::pair<std::size_t, SeqNum>>> restores_;
 };
 
 /// A cluster configuration with fast timeouts suitable for unit tests.

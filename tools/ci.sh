@@ -144,6 +144,11 @@ for SERIES in idem_tcp_read_syscalls idem_tcp_write_syscalls; do
     exit 1
   fi
 done
+# State transfer is visible even when no replica lagged (the counters read 0).
+for SERIES in idem_state_snapshots_sent_total idem_state_transfers_total; do
+  echo "${SMOKE_METRICS}" | grep -q "^${SERIES} " || {
+    echo "live scrape FAILED: ${SERIES} missing mid-run" >&2; exit 1; }
+done
 curl -sf "http://127.0.0.1:${ADMIN_BASE}/stats" | grep -q '"requests_received"' || {
   echo "live scrape FAILED: /stats JSON missing" >&2; exit 1; }
 wait "${SMOKE_CLIENT}"
