@@ -239,7 +239,7 @@ std::vector<RequestId> IdemReplica::leaked_slots() const {
 void IdemReplica::register_metrics(obs::MetricsRegistry& registry,
                                    const std::string& prefix) const {
   auto counter = [&](const std::string& name, const std::uint64_t& field) {
-    registry.add_counter(prefix + name, [&field] { return static_cast<double>(field); });
+    registry.add_counter(prefix + name, field);
   };
   registry.add_gauge(prefix + "inflight",
                      [this] { return static_cast<double>(active_.size()); });

@@ -69,6 +69,13 @@ class MetricsRegistry {
     series_.push_back(Series{std::move(name), SeriesKind::Counter, std::move(read), nullptr});
   }
 
+  /// Registers a counter that is a plain field (borrowed: it must outlive
+  /// the registry).
+  void add_counter(std::string name, const std::uint64_t& field) {
+    add_counter(std::move(name), [&field] { return static_cast<double>(field); });
+  }
+  void add_counter(std::string name, const std::uint64_t&& value) = delete;  // would dangle
+
   void add_gauge(std::string name, ReadFn read) {
     series_.push_back(Series{std::move(name), SeriesKind::Gauge, std::move(read), nullptr});
   }

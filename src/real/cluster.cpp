@@ -43,6 +43,7 @@ RealCluster::RealCluster(RealClusterConfig config)
     member.metrics = std::make_unique<obs::MetricsRegistry>();
     member.replica->register_metrics(*member.metrics);
     member.runtime->transport().register_metrics(*member.metrics);
+    member.runtime->loop().register_metrics(*member.metrics);
   }
 
   // Full mesh: every replica knows every peer's loopback port.

@@ -1,16 +1,23 @@
 #include "rpc/event_loop.hpp"
 
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics_registry.hpp"
+
 namespace idem::rpc {
 
 namespace {
+
+/// Longest blocking wait: run() re-reads stopped_ at least this often.
+constexpr Duration kMaxSleep = 100 * kMillisecond;
 
 std::uint64_t hash_name(std::string_view name) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -160,15 +167,34 @@ void EventLoop::fire_due_timers() {
   }
 }
 
-void EventLoop::poll_once(Duration max_wait) {
-  // Clamp the wait so due timers never starve behind a long epoll sleep.
-  Duration until_timer = timers_.empty() ? max_wait : timers_.next_time() - now();
-  Duration wait = std::min(max_wait, std::max<Duration>(0, until_timer));
-  int timeout_ms = static_cast<int>((wait + kMillisecond - 1) / kMillisecond);
-  if (!deferred_.empty()) timeout_ms = 0;
+bool EventLoop::poll_once(Time deadline) {
+  const Time start = now();
+  stats_.busy_ns += static_cast<std::uint64_t>(start - woke_);
+  if (start >= deadline) return false;
+  ++stats_.iterations;
+
+  // Poll without blocking while deferred tasks or due timers wait, and
+  // inside the spin window; otherwise sleep until the next timer (ms-
+  // rounded, which is why the spin also covers a timer due within it).
+  Time due = std::min(deadline, start + kMaxSleep);
+  if (!timers_.empty()) due = std::min(due, timers_.next_time());
+  const bool must_poll = !deferred_.empty() || due <= start;
+  const bool spinning = !must_poll && start < spin_until_;
+  int timeout_ms = 0;
+  if (!must_poll && !spinning) {
+    timeout_ms = static_cast<int>((due - start + kMillisecond - 1) / kMillisecond);
+    ++stats_.sleeps;
+  }
 
   epoll_event events[64];
-  int ready = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  const int ready = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  // An empty spin poll hands the CPU to any thread waiting for it: a loop
+  // that spun without yielding starved the loops sharing its CPU.
+  if (spinning && ready <= 0) ::sched_yield();
+  woke_ = now();
+  if (spinning) stats_.spin_ns += static_cast<std::uint64_t>(woke_ - start);
+  if (ready > 0) spin_until_ = woke_ + kSpinWindow;
+
   for (int i = 0; i < ready; ++i) {
     if (events[i].data.fd == wake_fd_) {
       drain_posted();
@@ -182,21 +208,28 @@ void EventLoop::poll_once(Duration max_wait) {
   }
   fire_due_timers();
   run_deferred();
+  return true;
 }
 
 void EventLoop::run() {
   stopped_.store(false, std::memory_order_release);
-  while (!stopped_.load(std::memory_order_acquire)) {
-    poll_once(100 * kMillisecond);
-  }
+  woke_ = now();
+  while (!stopped_.load(std::memory_order_acquire)) poll_once(kTimeNever);
 }
 
 void EventLoop::run_for(Duration span) {
   stopped_.store(false, std::memory_order_release);
-  Time deadline = now() + span;
-  while (!stopped_.load(std::memory_order_acquire) && now() < deadline) {
-    poll_once(std::min<Duration>(deadline - now(), 50 * kMillisecond));
+  woke_ = now();
+  const Time deadline = woke_ + span;
+  while (!stopped_.load(std::memory_order_acquire) && poll_once(deadline)) {
   }
+}
+
+void EventLoop::register_metrics(obs::MetricsRegistry& registry) const {
+  registry.add_counter("loop.iterations", stats_.iterations);
+  registry.add_counter("loop.sleeps", stats_.sleeps);
+  registry.add_counter("loop.spin_ns", stats_.spin_ns);
+  registry.add_counter("loop.busy_ns", stats_.busy_ns);
 }
 
 }  // namespace idem::rpc

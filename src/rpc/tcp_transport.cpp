@@ -556,22 +556,22 @@ TransportMemory TcpTransport::memory() const {
 }
 
 void TcpTransport::register_metrics(obs::MetricsRegistry& registry) const {
-  auto counter = [&registry](std::string name, const std::uint64_t& field) {
-    registry.add_counter(std::move(name), [&field] { return static_cast<double>(field); });
-  };
-  counter("tcp.messages_sent", stats_.messages_sent);
-  counter("tcp.bytes_sent", stats_.bytes_sent);
-  counter("tcp.messages_delivered", stats_.messages_delivered);
-  counter("tcp.dropped", stats_.dropped);
-  counter("tcp.decode_errors", stats_.decode_errors);
-  counter("tcp.read_syscalls", stats_.read_syscalls);
-  counter("tcp.write_syscalls", stats_.write_syscalls);
-  counter("tcp.accepted_connections", stats_.accepted_connections);
-  counter("tcp.idle_evictions", stats_.idle_evictions);
-  counter("tcp.half_open_evictions", stats_.half_open_evictions);
-  counter(obs::reject_series(RejectReason::BackpressureShed), stats_.send_queue_overflows);
-  counter(obs::reject_series(RejectReason::OversizedFrame), stats_.oversized_frames);
-  counter(obs::reject_series(RejectReason::ConnectionLimit), stats_.connection_limit_sheds);
+  registry.add_counter("tcp.messages_sent", stats_.messages_sent);
+  registry.add_counter("tcp.bytes_sent", stats_.bytes_sent);
+  registry.add_counter("tcp.messages_delivered", stats_.messages_delivered);
+  registry.add_counter("tcp.dropped", stats_.dropped);
+  registry.add_counter("tcp.decode_errors", stats_.decode_errors);
+  registry.add_counter("tcp.read_syscalls", stats_.read_syscalls);
+  registry.add_counter("tcp.write_syscalls", stats_.write_syscalls);
+  registry.add_counter("tcp.accepted_connections", stats_.accepted_connections);
+  registry.add_counter("tcp.idle_evictions", stats_.idle_evictions);
+  registry.add_counter("tcp.half_open_evictions", stats_.half_open_evictions);
+  registry.add_counter(obs::reject_series(RejectReason::BackpressureShed),
+                       stats_.send_queue_overflows);
+  registry.add_counter(obs::reject_series(RejectReason::OversizedFrame),
+                       stats_.oversized_frames);
+  registry.add_counter(obs::reject_series(RejectReason::ConnectionLimit),
+                       stats_.connection_limit_sheds);
   registry.add_gauge("tcp.inbound_connections", [this] {
     return static_cast<double>(connections_.size() - dialed_.size());
   });

@@ -402,6 +402,11 @@ TEST(RealClusterTest, MetricsCountTransportSheds) {
   EXPECT_GE(sheds, 1u);
   EXPECT_EQ(served, static_cast<double>(sheds));
   EXPECT_GE(series_value(metrics, "idem_tcp_messages_sent_total"), 0.0);
+  // Every member's loop accounting sits beside its transport's.
+  EXPECT_GT(series_value(metrics, "idem_loop_iterations_total"), 0.0);
+  EXPECT_GT(series_value(metrics, "idem_loop_busy_ns_total"), 0.0);
+  EXPECT_GE(series_value(metrics, "idem_loop_sleeps_total"), 0.0);
+  EXPECT_GE(series_value(metrics, "idem_loop_spin_ns_total"), 0.0);
   for (int fd : fds) ::close(fd);
   cluster.shutdown();
 }

@@ -7,9 +7,13 @@
 #include <linux/tcp.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <optional>
+#include <thread>
 
 #include "app/kv_store.hpp"
 #include "idem/acceptance.hpp"
@@ -59,6 +63,83 @@ TEST(EventLoopTest, NowAdvancesWithWallClock) {
 TEST(EventLoopTest, RngStreamsAreDeterministic) {
   rpc::EventLoop a(7), b(7);
   EXPECT_EQ(a.rng("x").next_u64(), b.rng("x").next_u64());
+}
+
+// The wait policy: poll for kSpinWindow after activity, sleep otherwise.
+// Bounds are loose (sanitizer builds run these under ctest -j); each still
+// fails a loop that never spins or never stops.
+
+Duration thread_cpu_time() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<Duration>(ts.tv_sec) * kSecond + ts.tv_nsec;
+}
+
+TEST(EventLoopTest, IdleLoopSleepsWithoutSpinning) {
+  rpc::EventLoop loop;
+  const Duration cpu_before = thread_cpu_time();
+  loop.run_for(100 * kMillisecond);
+  EXPECT_EQ(loop.stats().spin_ns, 0u);
+  EXPECT_GE(loop.stats().sleeps, 1u);
+  EXPECT_LT(thread_cpu_time() - cpu_before, 10 * kMillisecond);
+}
+
+TEST(EventLoopTest, SpinEndsWhenTheWindowCloses) {
+  rpc::EventLoop loop;
+  std::optional<std::uint64_t> sleeps_before_task;
+  loop.post([&] { sleeps_before_task = loop.stats().sleeps; });
+  loop.run_for(50 * kMillisecond);
+  ASSERT_TRUE(sleeps_before_task.has_value());
+  const rpc::LoopStats& stats = loop.stats();
+  EXPECT_GT(stats.spin_ns, 0u);
+  EXPECT_GT(stats.sleeps, *sleeps_before_task);  // slept after the task
+  // One window is 0.1 ms; a loop that kept polling would spin ~50 ms.
+  EXPECT_LT(stats.spin_ns, static_cast<std::uint64_t>(25 * kMillisecond));
+  EXPECT_GT(stats.busy_ns, 0u);
+}
+
+TEST(EventLoopTest, TimerDueInsideTheSpinWindowSkipsTheMillisecondWait) {
+  // A blocking wait rounds up to whole milliseconds: without the spin a
+  // 50 µs timer fires about 1 ms late. The best of five trials ignores a
+  // preempted one.
+  rpc::EventLoop loop;
+  Duration best = kSecond;
+  for (int trial = 0; trial < 5; ++trial) {
+    Time due = 0;
+    Time fired = 0;
+    loop.post([&] {
+      due = loop.now() + 50 * kMicrosecond;
+      loop.schedule_at(due, [&] {
+        fired = loop.now();
+        loop.stop();
+      });
+    });
+    loop.run_for(kSecond);
+    ASSERT_GT(fired, 0);
+    best = std::min(best, fired - due);
+  }
+  EXPECT_LT(best, 500 * kMicrosecond);
+}
+
+TEST(EventLoopTest, CrossThreadPostReachesASpinningLoop) {
+  // Ping-pong with a foreign thread: each post arrives right after the
+  // loop ran the previous task, inside its spin window, so most are
+  // picked up by a spin poll rather than by waking from a sleep.
+  rpc::EventLoop loop;
+  constexpr int kRounds = 1000;
+  std::atomic<int> ran{0};
+  std::thread poster([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      loop.post([&ran] { ran.fetch_add(1, std::memory_order_release); });
+      while (ran.load(std::memory_order_acquire) <= i) std::this_thread::yield();
+    }
+    loop.stop();
+  });
+  loop.run_for(60 * kSecond);
+  poster.join();
+  EXPECT_EQ(ran.load(), kRounds);
+  EXPECT_GT(loop.stats().spin_ns, 0u);
+  EXPECT_LT(loop.stats().sleeps, static_cast<std::uint64_t>(kRounds / 2));
 }
 
 // ---------------------------------------------------------------------------

@@ -144,6 +144,15 @@ for SERIES in idem_tcp_read_syscalls idem_tcp_write_syscalls; do
     exit 1
   fi
 done
+# The loop's accounting: it has worked, spun after work, and slept while idle.
+for SERIES in idem_loop_iterations idem_loop_sleeps idem_loop_spin_ns idem_loop_busy_ns; do
+  LOOP_VALUE="$(echo "${SMOKE_METRICS}" \
+      | awk -v series="${SERIES}_total" '$1 == series {print int($2)}')"
+  if [[ "${LOOP_VALUE:-0}" -le 0 ]]; then
+    echo "live scrape FAILED: expected nonzero ${SERIES} mid-run" >&2
+    exit 1
+  fi
+done
 # State transfer is visible even when no replica lagged (the counters read 0).
 for SERIES in idem_state_snapshots_sent_total idem_state_transfers_total; do
   echo "${SMOKE_METRICS}" | grep -q "^${SERIES} " || {

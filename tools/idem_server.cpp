@@ -351,6 +351,7 @@ int main(int argc, char** argv) {
   if (options.admin) {
     replica->register_metrics(metrics);
     transport.register_metrics(metrics);
+    loop.register_metrics(metrics);
     if (gate) gate->register_metrics(metrics);
     real::Admin::Member member{"r" + std::to_string(options.replica_id),
                                gate ? std::optional(gate->group()) : std::nullopt,
