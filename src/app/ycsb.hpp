@@ -23,8 +23,6 @@ class ZipfianGenerator {
 
   std::uint64_t next(Rng& rng);
 
-  std::uint64_t item_count() const { return n_; }
-
  private:
   static double zeta(std::uint64_t n, double theta);
 

@@ -19,10 +19,6 @@ inline sim::NodeId client_address(ClientId c) {
 
 inline bool is_client_address(sim::NodeId id) { return id.value >= kClientAddressBase; }
 
-inline ClientId client_of_address(sim::NodeId id) {
-  return ClientId{id.value - kClientAddressBase};
-}
-
 inline ReplicaId replica_of_address(sim::NodeId id) { return ReplicaId{id.value}; }
 
 /// Leader of view v in all round-robin protocols here: replica (v mod n).

@@ -23,7 +23,6 @@ class RejectedCache {
  public:
   explicit RejectedCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return lru_.size(); }
 

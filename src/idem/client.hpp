@@ -62,8 +62,6 @@ class IdemClient final : public sim::Node, public consensus::ServiceClient {
   ClientId client_id() const override { return cid_; }
   bool busy() const override { return pending_.has_value(); }
 
-  std::uint64_t operations_started() const { return onr_; }
-
   /// Section 5.3 optimization: invoked the moment the (n-f)th REJECT
   /// arrives (the ambivalence state), with the rejects seen so far. An
   /// optimistic client application can start *preparing* its fallback

@@ -10,7 +10,6 @@
 
 namespace idem::core {
 
-class Executor;
 class ShardGate;
 
 struct IdemConfig {
@@ -73,13 +72,6 @@ struct IdemConfig {
   /// Optional request-lifecycle trace sink (borrowed, may be null). Hooks
   /// are passive: recording must never change the simulation trajectory.
   obs::TraceRecorder* trace = nullptr;
-
-  /// Optional asynchronous state-machine executor (borrowed, may be null).
-  /// When set, committed instances execute off the replica's runtime
-  /// thread, one instance in flight at a time (core/executor.hpp). Real
-  /// deployments set this to a real::ExecutionThread; the simulator never
-  /// does, so simulated trajectories are unaffected.
-  Executor* executor = nullptr;
 
   /// Optional shard admission gate (borrowed, may be null). Sharded
   /// deployments point every replica of a group at its gate; client

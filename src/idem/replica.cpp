@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "core/executor.hpp"
 #include "core/lifecycle.hpp"
 #include "core/sharding.hpp"
 
@@ -212,10 +211,7 @@ void IdemReplica::release_superseded(RequestId newer) {
   }
   for (const RequestId& id : stale) {
     active_.erase(id);
-    if (auto timer_it = forward_timers_.find(id); timer_it != forward_timers_.end()) {
-      cancel_timer(timer_it->second);
-      forward_timers_.erase(timer_it);
-    }
+    cancel_forward_timer(id);
     // A proposed id is bound to an instance: execution still needs the
     // body under requests_, and execute_instance does its own cleanup.
     if (auto body_it = requests_.find(id);
@@ -448,13 +444,6 @@ void IdemReplica::note_commit_quorum(std::uint64_t sqn, Instance& inst) {
                              inst.commit_votes.size(), config_.quorum());
 }
 
-void IdemReplica::add_commit_vote(std::uint64_t sqn, ReplicaId voter) {
-  if (sqn < log_.low()) return;
-  Instance* inst = log_.find(sqn);
-  if (inst == nullptr) return;
-  inst->commit_votes.insert(voter.value);
-}
-
 void IdemReplica::send_own_commit(std::uint64_t sqn, Instance& inst) {
   auto commit = std::make_shared<msg::Commit>();
   commit->from = me_;
@@ -512,7 +501,7 @@ void IdemReplica::handle_commit(const msg::Commit& commit) {
   try_execute();
 }
 
-bool IdemReplica::fetch_missing(std::uint64_t sqn, Instance& inst) {
+bool IdemReplica::fetch_missing(Instance& inst) {
   std::vector<RequestId> missing;
   for (RequestId id : inst.ids) {
     if (clients_.executed(id)) continue;
@@ -536,14 +525,10 @@ bool IdemReplica::fetch_missing(std::uint64_t sqn, Instance& inst) {
     send(consensus::replica_address(target), std::move(fetch));
     ++stats_.fetches_sent;
   }
-  (void)sqn;
   return true;
 }
 
 void IdemReplica::try_execute() {
-  // While the executor holds the head instance, execution order is already
-  // pinned; we resume from finish_async_execute.
-  if (exec_inflight_) return;
   for (;;) {
     auto it = log_.slots().find(log_.next_exec());
     if (it == log_.slots().end()) return;
@@ -551,7 +536,7 @@ void IdemReplica::try_execute() {
     if (!inst.has_binding || inst.executed) return;
     if (inst.commit_votes.size() < config_.quorum()) return;
 
-    if (fetch_missing(log_.next_exec(), inst)) {
+    if (fetch_missing(inst)) {
       // The head is blocked on missing bodies. Prefetch for the committed
       // instances behind it too: fetching one instance per round trip
       // would otherwise serialize catch-up at network latency.
@@ -561,94 +546,17 @@ void IdemReplica::try_execute() {
         Instance& future = ahead->second;
         if (!future.has_binding || future.executed) continue;
         if (future.commit_votes.size() < config_.quorum()) continue;
-        fetch_missing(ahead->first, future);
+        fetch_missing(future);
       }
       // Retry via timer in case fetch responses are lost.
       set_timer(kFetchRetry, [this] { try_execute(); });
       return;
     }
 
-    if (config_.executor != nullptr) {
-      begin_async_execute(log_.next_exec(), inst);
-      return;
-    }
     execute_instance(log_.next_exec(), inst);
     log_.advance_head();
     note_progress();
   }
-}
-
-void IdemReplica::begin_async_execute(std::uint64_t sqn, Instance& inst) {
-  // Duplicates are filtered at submission (nothing can execute them in the
-  // meantime: only this path executes, and only one instance is in
-  // flight). Command bodies are copied because find_command may point into
-  // the rejected cache, which evicts under LRU while the executor runs.
-  exec_ids_.clear();
-  std::vector<std::vector<std::byte>> commands;
-  for (RequestId id : inst.ids) {
-    if (clients_.executed(id)) {
-      ++stats_.duplicates_skipped;
-      continue;
-    }
-    const std::vector<std::byte>* command = find_command(id);
-    assert(command != nullptr);
-    exec_ids_.push_back(id);
-    commands.push_back(*command);
-  }
-  // Earliest deadline across the batch, for executors shared by several
-  // submitters (EDF drain order); 0 = nothing in the batch carries one.
-  Time due = 0;
-  for (RequestId id : exec_ids_) {
-    auto it = active_.find(id);
-    if (it == active_.end() || it->second.deadline <= 0) continue;
-    Time candidate = it->second.at + it->second.deadline;
-    if (due == 0 || candidate < due) due = candidate;
-  }
-  exec_inflight_ = true;
-  ++stats_.exec_offloaded;
-  config_.executor->execute(
-      *sm_, std::move(commands), due,
-      [this, sqn](std::vector<std::vector<std::byte>> results) {
-        finish_async_execute(sqn, std::move(results));
-      });
-}
-
-void IdemReplica::finish_async_execute(std::uint64_t sqn,
-                                       std::vector<std::vector<std::byte>> results) {
-  exec_inflight_ = false;
-  assert(sqn == log_.next_exec());
-  auto it = log_.slots().find(sqn);
-  assert(it != log_.slots().end());
-  Instance& inst = it->second;
-
-  assert(results.size() == exec_ids_.size());
-  for (std::size_t i = 0; i < exec_ids_.size(); ++i) {
-    RequestId id = exec_ids_[i];
-    ++stats_.executed;
-    lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
-    auto reply = std::make_shared<const msg::Reply>(id, std::move(results[i]));
-    clients_.record(id, reply);
-    release_executed(id, is_leader());
-    if (auto timer_it = forward_timers_.find(id); timer_it != forward_timers_.end()) {
-      cancel_timer(timer_it->second);
-      forward_timers_.erase(timer_it);
-    }
-    if (is_leader()) {
-      reply_to_client(id.cid, reply);
-      lifecycle::reply_sent(config_.trace, now(), me_.value, id);
-    }
-    if (on_execute) on_execute(SeqNum{sqn}, id);
-  }
-  exec_ids_.clear();
-  inst.executed = true;
-  log_.advance_head();
-  note_progress();
-  // The state machine is this thread's again: answer the peers that asked
-  // for state while the executor held it.
-  for (const auto& [peer, have] : std::exchange(deferred_state_requests_, {})) {
-    send_state(peer, have);
-  }
-  try_execute();
 }
 
 void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
@@ -666,10 +574,7 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
     clients_.record(id, reply);
     release_executed(id, is_leader());
-    if (auto timer_it = forward_timers_.find(id); timer_it != forward_timers_.end()) {
-      cancel_timer(timer_it->second);
-      forward_timers_.erase(timer_it);
-    }
+    cancel_forward_timer(id);
     if (is_leader()) {
       reply_to_client(id.cid, reply);
       lifecycle::reply_sent(config_.trace, now(), me_.value, id);
@@ -689,6 +594,13 @@ void IdemReplica::arm_forward_timer(RequestId id) {
     forward_timers_.erase(id);
     forward_request(id);
   });
+}
+
+void IdemReplica::cancel_forward_timer(RequestId id) {
+  auto it = forward_timers_.find(id);
+  if (it == forward_timers_.end()) return;
+  cancel_timer(it->second);
+  forward_timers_.erase(it);
 }
 
 void IdemReplica::forward_request(RequestId id) {
@@ -800,24 +712,9 @@ void IdemReplica::advance_window(std::uint64_t new_low) {
 }
 
 void IdemReplica::handle_state_request(const msg::StateRequest& request) {
-  if (!exec_inflight_) {
-    send_state(request.from, request.have);
-    return;
-  }
-  // The executor is mutating the state machine: answer once it drains.
-  for (auto& [peer, have] : deferred_state_requests_) {
-    if (peer == request.from) {
-      have = request.have;
-      return;
-    }
-  }
-  deferred_state_requests_.emplace_back(request.from, request.have);
-}
-
-void IdemReplica::send_state(ReplicaId to, SeqNum have) {
   // State is built from the live replica only when a peer asks: its upto
   // is the last executed instance.
-  if (log_.next_exec() == 0 || log_.next_exec() - 1 <= have.value) return;
+  if (log_.next_exec() == 0 || log_.next_exec() - 1 <= request.have.value) return;
   auto response = std::make_shared<msg::StateResponse>();
   response->from = me_;
   response->upto = SeqNum{log_.next_exec() - 1};
@@ -828,7 +725,7 @@ void IdemReplica::send_state(ReplicaId to, SeqNum have) {
     response->last_executed.emplace_back(ClientId{cid}, OpNum{onr});
   }
   ++stats_.state_snapshots_sent;
-  send(consensus::replica_address(to), std::move(response));
+  send(consensus::replica_address(request.from), std::move(response));
 }
 
 void IdemReplica::handle_state_response(const msg::StateResponse& response) {
@@ -836,9 +733,6 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
   // unsolicited or duplicate responses must not be able to replace
   // state (a replica never needs state it did not request).
   if (!state_transfer_pending_ || response.from != state_transfer_source_) return;
-  // restore() while the executor runs would race the state machine; keep
-  // the latch set and let the retry timer ask again once execution drains.
-  if (exec_inflight_) return;
   state_transfer_pending_ = false;
   if (response.upto.value < log_.next_exec()) return;  // stale; we caught up meanwhile
   try {
@@ -859,10 +753,7 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
   // Drop active entries that the transferred state proves executed.
   for (auto it = active_.begin(); it != active_.end();) {
     if (clients_.executed(it->first)) {
-      if (auto timer_it = forward_timers_.find(it->first); timer_it != forward_timers_.end()) {
-        cancel_timer(timer_it->second);
-        forward_timers_.erase(timer_it);
-      }
+      cancel_forward_timer(it->first);
       it = active_.erase(it);
     } else {
       ++it;

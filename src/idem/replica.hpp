@@ -67,7 +67,6 @@ struct ReplicaStats {
   std::uint64_t view_changes = 0;
   std::uint64_t state_snapshots_sent = 0;  ///< StateResponses built for lagging peers
   std::uint64_t state_transfers = 0;       ///< StateResponses restored here
-  std::uint64_t exec_offloaded = 0;   ///< instances handed to the async executor
   std::uint64_t requires_adopted = 0;  ///< rejected bodies adopted on REQUIRE evidence
   std::uint64_t superseded_released = 0;  ///< abandoned active slots released
   std::uint64_t deadline_misses = 0;  ///< replies sent after the request's budget
@@ -161,36 +160,29 @@ class IdemReplica final : public sim::Node {
   void adopt_binding(std::uint64_t sqn, ViewId view, const std::vector<RequestId>& ids);
   /// Sends this replica's COMMIT for `inst` and counts its own vote.
   void send_own_commit(std::uint64_t sqn, Instance& inst);
-  void add_commit_vote(std::uint64_t sqn, ReplicaId voter);
   /// Emits the CommitQuorum trace event once per instance.
   void note_commit_quorum(std::uint64_t sqn, Instance& inst);
   bool observe_view(ViewId view);  ///< true when the message should be processed
   /// Requests missing bodies for `inst` (rate-limited); true if any are
   /// still missing.
-  bool fetch_missing(std::uint64_t sqn, Instance& inst);
+  bool fetch_missing(Instance& inst);
   void try_execute();
   void execute_instance(std::uint64_t sqn, Instance& instance);
-  // Async execution (config_.executor set): the head instance's commands
-  // are copied out and handed to the executor; the completion callback
-  // replays execute_instance's bookkeeping on the runtime thread and
-  // resumes try_execute. At most one instance is in flight.
-  void begin_async_execute(std::uint64_t sqn, Instance& instance);
-  void finish_async_execute(std::uint64_t sqn, std::vector<std::vector<std::byte>> results);
 
   // -- availability (Section 5.2) -------------------------------------------
   void handle_forward(const msg::Forward& forward);
   void handle_fetch(ReplicaId from, const msg::Fetch& fetch);
   void arm_forward_timer(RequestId id);
+  void cancel_forward_timer(RequestId id);
   void forward_request(RequestId id);
   const std::vector<std::byte>* find_command(RequestId id) const;
 
   // -- garbage collection / state transfer (Section 4.4) ---------------------
   void observe_sequence(std::uint64_t sqn, ReplicaId source);
   void advance_window(std::uint64_t new_low);
-  void handle_state_request(const msg::StateRequest& request);
   /// Ships the live state (snapshot and client table at the execution
-  /// head) to `to` when it is ahead of `have`; silent otherwise.
-  void send_state(ReplicaId to, SeqNum have);
+  /// head) to a peer whose `have` is behind it; silent otherwise.
+  void handle_state_request(const msg::StateRequest& request);
   void handle_state_response(const msg::StateResponse& response);
   void request_state_transfer(ReplicaId source);
   /// Requests state when execution is gapped below a known binding (the
@@ -257,15 +249,6 @@ class IdemReplica final : public sim::Node {
   // Execution results for duplicate suppression and re-replies.
   ClientTable clients_;
 
-  // Async execution state: the instance in flight on the executor, and the
-  // ids it is executing (already filtered for duplicates).
-  bool exec_inflight_ = false;
-  std::vector<RequestId> exec_ids_;
-
-  // StateRequests that arrived while the executor held an instance (one per
-  // peer, the newest `have`): answered once it drains, so no snapshot reads
-  // a state machine another thread is mutating.
-  std::vector<std::pair<ReplicaId, SeqNum>> deferred_state_requests_;
   bool state_transfer_pending_ = false;
   ReplicaId state_transfer_source_;  ///< the only replica whose response we accept
   sim::TimerId state_retry_timer_;

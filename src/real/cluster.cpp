@@ -30,10 +30,6 @@ RealCluster::RealCluster(RealClusterConfig config)
       member.trace = std::make_unique<obs::TraceRecorder>(config_.trace_capacity);
       replica_config.trace = member.trace.get();
     }
-    if (config_.execution_thread) {
-      member.executor = std::make_unique<ExecutionThread>(member.runtime->loop());
-      replica_config.executor = member.executor.get();
-    }
     member.replica = make_replica(
         *member.runtime, member.runtime->transport(), ReplicaId{static_cast<std::uint32_t>(i)},
         replica_config, make_store(),
@@ -129,9 +125,6 @@ void RealCluster::crash_replica(std::size_t index) {
   std::lock_guard lock(crash_mu_);
   member.runtime->stop();
   // Loop thread is gone; reading and tearing down on this thread is safe.
-  // The executor joins before the replica dies — a completion it posted to
-  // the stopped loop is never run.
-  if (member.executor) member.executor->stop();
   member.final_stats = member.replica->stats();
   member.final_transport = member.runtime->transport().stats();
   // Totals outlive the member, so cluster totals never go backwards; its
@@ -142,7 +135,6 @@ void RealCluster::crash_replica(std::size_t index) {
   });
   member.final_metrics.scalars.push_back({"crashed", obs::SeriesKind::Gauge, 1});
   member.metrics.reset();
-  member.executor.reset();
   member.replica.reset();   // unregisters from the transport
   member.runtime.reset();   // closes all sockets: peers see a crash
   member.port = 0;

@@ -31,7 +31,6 @@
 #include "idem/replica.hpp"
 #include "obs/trace.hpp"
 #include "real/admin.hpp"
-#include "real/exec_thread.hpp"
 #include "real/runtime.hpp"
 
 namespace idem::real {
@@ -56,11 +55,6 @@ struct RealClusterConfig {
   /// idle/half-open eviction, accept burst, receive-buffer sizing) for
   /// storm scenarios. fixed_port/listen_host are managed by the cluster.
   rpc::TcpTransportConfig transport;
-
-  /// Run each replica's state-machine execution on a dedicated thread
-  /// (real::ExecutionThread) so the loop thread stays latency-bound. Off
-  /// by default: it only pays off with spare cores.
-  bool execution_thread = false;
 
   /// Per-replica request-lifecycle tracing (wall-clock timestamps).
   bool trace = false;
@@ -159,14 +153,11 @@ class RealCluster {
 
  private:
   struct Member {
-    // Declaration order doubles as teardown order (reversed): the executor
-    // worker must join before the replica (and its state machine) dies,
-    // and the replica must unregister from the transport before the
-    // runtime dies.
+    // Declaration order doubles as teardown order (reversed): the replica
+    // must unregister from the transport before the runtime dies.
     std::unique_ptr<RealRuntime> runtime;
     std::unique_ptr<obs::TraceRecorder> trace;
     std::unique_ptr<core::IdemReplica> replica;
-    std::unique_ptr<ExecutionThread> executor;
     std::unique_ptr<obs::MetricsRegistry> metrics;  ///< the replica's and transport's series
     std::uint16_t port = 0;
     bool crashed = false;

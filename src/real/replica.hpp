@@ -11,9 +11,10 @@
 //     from one recv burst leaves in one REQUIRE without added latency.
 //   - Inline dispatch: a delivery to an idle replica is handled at once,
 //     without the event-queue hop that models service time in sim.
-//   - Agreement-first service lane: replica-to-replica traffic is served
-//     ahead of client REQUESTs, so a REQUEST flood cannot starve the
-//     REQUIREs, PROPOSEs and COMMITs that drain accepted requests.
+//   - Agreement-first service lane: replica-to-replica traffic that arrives
+//     while client REQUESTs wait is served ahead of them. Only EDF makes a
+//     REQUEST wait (one with a budget skips inline dispatch); under FIFO
+//     every delivery is handled inline and the lane stays empty.
 #pragma once
 
 #include <memory>

@@ -62,8 +62,6 @@ class ShardRouter final : public consensus::ServiceClient {
   void install(ShardMap map);
   const ShardMap& map() const { return map_; }
   const RouterStats& stats() const { return stats_; }
-  /// Group the last issued (or in-flight) operation was routed to.
-  GroupId last_group() const { return last_group_; }
 
  private:
   GroupId route(const std::vector<std::byte>& command) const;

@@ -65,9 +65,6 @@ class Node : public Endpoint {
   /// tests and load metrics. Counts both lanes.
   std::size_t queue_length() const { return queue_->count() + urgent_.count(); }
 
-  /// Messages waiting in the urgent lane only.
-  std::size_t urgent_queue_length() const { return urgent_.count(); }
-
   /// Replaces the normal lane's service discipline (FIFO by default; the
   /// pre-refactor ring, bit-identical). Call before traffic arrives — a
   /// swap does not migrate already-queued messages. EDF nodes consult
@@ -83,11 +80,12 @@ class Node : public Endpoint {
   /// classifier marks urgent are dispatched before anything in the normal
   /// lane. Off (nullptr) by default: in the simulator it lowered IDEM's
   /// goodput at 4x Figure 6 load. Real deployments (real::make_replica)
-  /// switch it on so agreement traffic between replicas keeps a
-  /// guaranteed share of loop time while a flood of client requests is
-  /// being rejected (the paper's goodput-under-overload promise). Plain
-  /// function pointer: classifying happens on every delivery, and the
-  /// classifiers are stateless.
+  /// switch it on, and there it acts only while an EDF discipline holds
+  /// deadline-carrying messages: those skip inline dispatch and queue, and
+  /// agreement traffic that arrives meanwhile overtakes them. Under FIFO
+  /// with inline dispatch no delivery queues, so the lane stays empty.
+  /// Plain function pointer: classifying happens on every delivery, and
+  /// the classifiers are stateless.
   using UrgentClassifier = bool (*)(NodeId from);
   void set_urgent_classifier(UrgentClassifier classifier) { urgent_classifier_ = classifier; }
 

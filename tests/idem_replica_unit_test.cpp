@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "app/kv_store.hpp"
-#include "core/executor.hpp"
 #include "idem/replica.hpp"
 #include "real/replica.hpp"
 #include "sim/network.hpp"
@@ -146,29 +145,6 @@ class SnapshotCounter final : public app::StateMachine {
  private:
   app::KvStore store_;
   std::size_t& snapshots_;
-};
-
-/// Holds each submitted batch until the test drains it, as an execution
-/// thread that has not finished yet would.
-class ManualExecutor final : public core::Executor {
- public:
-  void execute(app::StateMachine& sm, std::vector<std::vector<std::byte>> commands, Time,
-               Done done) override {
-    sm_ = &sm;
-    commands_ = std::move(commands);
-    done_ = std::move(done);
-  }
-  bool holding() const { return done_ != nullptr; }
-  void drain() {
-    std::vector<std::vector<std::byte>> results;
-    for (const auto& command : commands_) results.push_back(sm_->execute(command));
-    std::exchange(done_, nullptr)(std::move(results));
-  }
-
- private:
-  app::StateMachine* sm_ = nullptr;
-  std::vector<std::vector<std::byte>> commands_;
-  Done done_;
 };
 
 TEST(IdemReplicaUnit, AcceptSendsRequire) {
@@ -577,38 +553,6 @@ TEST(IdemReplicaUnit, NoSnapshotIsTakenWhileNoPeerAsks) {
   EXPECT_EQ(snapshots, 1u);
   ASSERT_EQ(f.peer->received_of<msg::StateResponse>().size(), 1u);
   EXPECT_EQ(f.peer->received_of<msg::StateResponse>()[0]->upto, SeqNum{kInstances - 1});
-}
-
-TEST(IdemReplicaUnit, StateRequestWaitsForTheExecutorToDrain) {
-  ManualExecutor executor;
-  std::size_t snapshots = 0;
-  auto config = ReplicaFixture::make_config();
-  config.executor = &executor;
-  ReplicaFixture f(config, 1, std::make_unique<SnapshotCounter>(snapshots));
-  for (std::uint64_t sqn = 0; sqn < 2; ++sqn) {
-    f.execute(sqn, sqn + 1);
-    ASSERT_TRUE(executor.holding());
-    executor.drain();
-  }
-  f.execute(2, 3);
-  ASSERT_TRUE(executor.holding());
-  ASSERT_EQ(f.replica->next_execute().value, 2u);
-
-  // Two requests from one peer while the executor holds instance 2: no
-  // snapshot of a state machine in use, and one answer, to the newer.
-  f.peer_requests_state(0);
-  f.peer_requests_state(1);
-  f.settle();
-  EXPECT_EQ(snapshots, 0u);
-  EXPECT_TRUE(f.peer->received_of<msg::StateResponse>().empty());
-
-  executor.drain();
-  f.settle();
-  EXPECT_EQ(snapshots, 1u);
-  auto responses = f.peer->received_of<msg::StateResponse>();
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0]->upto, SeqNum{2});
-  EXPECT_EQ(f.replica->stats().state_snapshots_sent, 1u);
 }
 
 TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {

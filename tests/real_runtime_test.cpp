@@ -10,12 +10,10 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "app/kv_store.hpp"
 #include "common/json.hpp"
 #include "consensus/addresses.hpp"
 #include "consensus/messages.hpp"
@@ -23,7 +21,6 @@
 #include "obs/ticker.hpp"
 #include "obs/trace.hpp"
 #include "real/cluster.hpp"
-#include "real/exec_thread.hpp"
 #include "real/runtime.hpp"
 #include "rpc/http_admin.hpp"
 #include "shard/real_clients.hpp"
@@ -149,62 +146,6 @@ TEST(RealRuntimeTest, TasksPostedBeforeStartRunAfterStart) {
   runtime.call([] {});  // barrier
   EXPECT_EQ(value.load(), 13);
   runtime.stop();
-}
-
-// ---------------------------------------------------------------------------
-// ExecutionThread: SPSC handoff between loop thread and execution worker
-// ---------------------------------------------------------------------------
-
-TEST(RealRuntimeTest, ExecutionThreadRunsBatchAndCompletesOnLoopThread) {
-  real::RealRuntime runtime;
-  real::ExecutionThread executor(runtime.loop());
-  app::KvStore store(app::KvStore::Costs{0, 0.0, 0});
-  runtime.start();
-
-  std::promise<std::pair<std::thread::id, std::size_t>> completion;
-  auto future = completion.get_future();
-  runtime.post([&] {
-    std::vector<std::vector<std::byte>> commands;
-    commands.push_back(test::put_cmd("a", "1"));
-    commands.push_back(test::put_cmd("b", "2"));
-    executor.execute(store, std::move(commands), /*due=*/0,
-                     [&](std::vector<std::vector<std::byte>> results) {
-                       completion.set_value({std::this_thread::get_id(), results.size()});
-                     });
-  });
-
-  auto [completed_on, results] = future.get();
-  EXPECT_EQ(results, 2u);  // one result per command, in order
-  // The contract: `done` runs back on the submitting replica's loop thread.
-  EXPECT_EQ(completed_on, runtime.call([] { return std::this_thread::get_id(); }));
-  EXPECT_EQ(executor.batches_executed(), 1u);
-
-  runtime.stop();
-  executor.stop();
-  executor.stop();  // idempotent
-}
-
-TEST(RealClusterTest, ExecutionThreadServesRequestsEndToEnd) {
-  real::RealClusterConfig config;
-  config.n = 3;
-  config.f = 1;
-  config.seed = 41;
-  config.execution_thread = true;  // network/execution split on every replica
-  real::RealCluster cluster(config);
-  cluster.start();
-
-  harness::RunMetrics stats = drive_for(clients_of(cluster, 4, 41), 400 * kMillisecond);
-
-  EXPECT_GT(stats.replies, 0u);
-  EXPECT_EQ(stats.malformed, 0u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_GT(cluster.replica_stats(i).executed, 0u) << "replica " << i;
-  }
-  // Crash with an executor attached: the worker joins before the replica
-  // and its state machine die (the teardown-order contract).
-  cluster.crash_replica(2);
-  EXPECT_TRUE(cluster.crashed(2));
-  cluster.shutdown();
 }
 
 // ---------------------------------------------------------------------------

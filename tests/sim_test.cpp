@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/discipline.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
@@ -362,6 +363,98 @@ TEST(Node, DeterministicReplay) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));  // jitter differs across seeds
+}
+
+// Dispatch paths: inline, the service discipline and the urgent lane. The
+// messages are handed to deliver() directly, as a real event loop does.
+
+struct TaggedPayload final : Payload {
+  int tag;
+  Duration deadline;
+  Duration cost;
+  TaggedPayload(int t, Duration d, Duration c) : tag(t), deadline(d), cost(c) {}
+  std::size_t wire_size() const override { return 1; }
+  std::string kind() const override { return "TAGGED"; }
+};
+
+class DispatchNode final : public Node {
+ public:
+  DispatchNode(Simulator& sim, SimNetwork& net, bool edf)
+      : Node(sim, net, NodeId{1}, NodeKind::Replica) {
+    set_inline_dispatch(true);
+    if (edf) set_discipline(make_discipline(DisciplineKind::Edf));
+  }
+
+  std::vector<int> handled;
+
+  void take(std::uint32_t from, int tag, Duration deadline = 0, Duration cost = 0) {
+    deliver(NodeId{from}, std::make_shared<TaggedPayload>(tag, deadline, cost));
+  }
+
+ protected:
+  static const TaggedPayload& tagged(const Payload& m) {
+    return static_cast<const TaggedPayload&>(m);
+  }
+  void on_message(NodeId, const Payload& m) override { handled.push_back(tagged(m).tag); }
+  Duration message_cost(const Payload& m) const override { return tagged(m).cost; }
+  Duration message_deadline(const Payload& m) const override { return tagged(m).deadline; }
+};
+
+TEST(Node, InlineDispatchHandlesAFreeMessageInsideDeliver) {
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, /*edf=*/false);
+  node.take(2, 1);
+  EXPECT_EQ(node.handled, std::vector<int>{1});
+  EXPECT_EQ(node.queue_length(), 0u);
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+
+  // A message that costs CPU goes through the event queue, and a free one
+  // that arrives while it is in service waits behind it.
+  node.take(2, 2, /*deadline=*/0, /*cost=*/kMillisecond);
+  node.take(2, 3);
+  EXPECT_EQ(node.handled, std::vector<int>{1});
+  EXPECT_EQ(node.queue_length(), 1u);
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Node, EdfQueuesDeadlineMessagesAndDrainsEarliestDueFirst) {
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, /*edf=*/true);
+  // The first one enters service at once and the rest queue behind it. A
+  // free deadline-less message waits too while one is in service, and
+  // counts as due at arrival.
+  node.take(2, 1, 40 * kMillisecond);
+  node.take(2, 2);
+  node.take(2, 3, 30 * kMillisecond);
+  node.take(2, 4, 10 * kMillisecond);
+  node.take(2, 5, 20 * kMillisecond);
+  EXPECT_TRUE(node.handled.empty());
+  EXPECT_EQ(node.queue_length(), 4u);
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 4, 5, 3}));
+}
+
+TEST(Node, UrgentSenderOvertakesQueuedDeadlineMessages) {
+  // Message 1 holds the CPU for 5 ms; 2 and 3 queue with 1 ms and 2 ms
+  // budgets; at 3 ms a deadline-less message from replica 9 arrives. EDF
+  // alone serves it last (due at 3 ms, after 1 and 2 ms); the urgent lane
+  // serves it first.
+  auto order = [](bool urgent_lane) {
+    NetFixture f;
+    DispatchNode node(f.sim, *f.net, /*edf=*/true);
+    if (urgent_lane) node.set_urgent_classifier([](NodeId from) { return from == NodeId{9}; });
+    node.take(2, 1, 10 * kMillisecond, 5 * kMillisecond);
+    node.take(2, 2, 1 * kMillisecond);
+    node.take(2, 3, 2 * kMillisecond);
+    f.sim.run_until(3 * kMillisecond);
+    node.take(9, 4);
+    EXPECT_TRUE(node.handled.empty());
+    f.sim.run_until(kSecond);
+    return node.handled;
+  };
+  EXPECT_EQ(order(false), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(order(true), (std::vector<int>{1, 4, 2, 3}));
 }
 
 }  // namespace

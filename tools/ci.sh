@@ -4,7 +4,9 @@
 # CLI smoke with a mid-run /metrics scrape under overload, a trace-export
 # smoke, a sim-core bench smoke, and a perf gate diffing fresh benchmark
 # runs against the committed BENCH_*.json baselines (skippable with
-# IDEM_SKIP_PERF_GATE=1) plus a live-telemetry overhead guard.
+# IDEM_SKIP_PERF_GATE=1) plus a live-telemetry overhead guard. Steps before
+# the perf gates stop at their first failure; every perf gate runs, and the
+# run then exits 1 naming each gate that failed.
 #
 # Usage: tools/ci.sh [--fast] [--coverage]
 #   --fast      skip the chaos sweep and the sanitizer passes
@@ -332,15 +334,22 @@ else
   PERF_TOLERANCE_REAL="${IDEM_PERF_TOLERANCE_REAL:-0.35}"
   PERF_TMP="$(mktemp -d)"
   trap 'rm -f "${TRACE_TMP}"; rm -rf "${PERF_TMP}"' EXIT
+  FAILED_GATES=()
 
   # perf_gate <label> <tolerance> <extra-flags|-> <baseline> <fresh> <bench-cmd...>
+  # A bench that exits nonzero (its own shape check) fails the gate at once;
+  # a comparison that fails is retried once with a fresh run.
   perf_gate() {
     local label="$1" tolerance="$2" extra="$3" baseline="$4" fresh="$5"
     shift 5
     local flags=()
     [[ "${extra}" != "-" ]] && read -ra flags <<< "${extra}"
     for attempt in 1 2; do
-      "$@" >/dev/null
+      if ! "$@" >/dev/null; then
+        echo "perf gate ${label}: FAILED (the bench exited nonzero)" >&2
+        FAILED_GATES+=("${label}")
+        return 0
+      fi
       if ./build/tools/bench_compare --label "${label}" --tolerance "${tolerance}" \
           "${flags[@]}" --baseline "${baseline}" --fresh "${fresh}"; then
         return 0
@@ -348,7 +357,8 @@ else
       [[ "${attempt}" -eq 1 ]] && \
           echo "perf gate ${label}: failed, retrying once with a fresh run"
     done
-    return 1
+    echo "perf gate ${label}: FAILED (both runs)" >&2
+    FAILED_GATES+=("${label}")
   }
 
   echo "== perf gate: sim core vs BENCH_simcore.json =="
@@ -402,20 +412,14 @@ else
   # the peak is the stable summary statistic a hot-path tax would move.
   LIVE_TOLERANCE="${IDEM_LIVE_OVERHEAD_TOLERANCE:-0.02}"
   echo "== perf gate: live telemetry overhead (peak reply_kops) =="
-  LIVE_OK=0
-  for attempt in 1 2; do
-    env IDEM_REAL_LIVE=1 IDEM_REAL_JSON="${PERF_TMP}/real_live.json" \
-        ./build/bench/fig6_real >/dev/null
-    if ./build/tools/bench_compare --label live-overhead \
-        --tolerance "${LIVE_TOLERANCE}" --peak reply_kops \
-        --baseline "${PERF_TMP}/real.json" --fresh "${PERF_TMP}/real_live.json"; then
-      LIVE_OK=1
-      break
-    fi
-    [[ "${attempt}" -eq 1 ]] && \
-        echo "perf gate live-overhead: failed, retrying once with a fresh run"
-  done
-  [[ "${LIVE_OK}" -eq 1 ]]
+  perf_gate live-overhead "${LIVE_TOLERANCE}" "--peak reply_kops" \
+      "${PERF_TMP}/real.json" "${PERF_TMP}/real_live.json" \
+      env IDEM_REAL_LIVE=1 IDEM_REAL_JSON="${PERF_TMP}/real_live.json" ./build/bench/fig6_real
+
+  if [[ "${#FAILED_GATES[@]}" -gt 0 ]]; then
+    echo "perf gates FAILED: ${FAILED_GATES[*]}" >&2
+    exit 1
+  fi
 fi
 
 if [[ "${COVERAGE}" -eq 1 ]]; then

@@ -32,7 +32,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "real/admin.hpp"
-#include "real/exec_thread.hpp"
 #include "real/replica.hpp"
 #include "cli_util.hpp"
 #include "rpc/event_loop.hpp"
@@ -57,7 +56,6 @@ struct Options {
   double seconds = 0;  ///< 0 = run until SIGINT/SIGTERM
   double viewchange_seconds = 1.5;
   std::size_t batch_max = 32;
-  bool exec_thread = false;
   bool edf = false;            ///< --discipline edf
   bool deadline_aware = false; ///< wrap acceptance in core::DeadlineAware
   std::size_t max_conns = 0;          ///< inbound connection cap (0 = unlimited)
@@ -91,8 +89,6 @@ void usage(const char* argv0) {
       "  --seconds S        stop after S seconds          (default: until signal)\n"
       "  --viewchange S     progress timeout in seconds   (default: 1.5)\n"
       "  --batch-max N      max request ids per PROPOSE   (default: 32)\n"
-      "  --exec-thread      run state-machine execution on a dedicated\n"
-      "                     thread (pays off with spare cores)\n"
       "  --discipline D     fifo | edf: service-queue order for client\n"
       "                     REQUESTs; edf drains earliest-deadline-first\n"
       "                                                   (default: fifo)\n"
@@ -184,8 +180,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (!number(options.viewchange_seconds, 0.0)) return std::nullopt;
     } else if (!std::strcmp(arg, "--batch-max")) {
       if (!number(options.batch_max, 1)) return std::nullopt;
-    } else if (!std::strcmp(arg, "--exec-thread")) {
-      options.exec_thread = true;
     } else if (!std::strcmp(arg, "--discipline")) {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
@@ -325,12 +319,6 @@ int main(int argc, char** argv) {
   const obs::ChromeTraceMeta trace_meta{
       "idem_server r" + std::to_string(options.replica_id), rpc::realtime_anchor_ns(epoch)};
 
-  std::unique_ptr<real::ExecutionThread> executor;
-  if (options.exec_thread) {
-    executor = std::make_unique<real::ExecutionThread>(loop);
-    config.executor = executor.get();
-  }
-
   std::unique_ptr<core::AcceptanceTest> acceptance =
       core::make_default_acceptance(config, options.expected_clients);
   if (options.deadline_aware) {
@@ -383,10 +371,6 @@ int main(int argc, char** argv) {
   } else {
     loop.run();
   }
-  // Join the execution worker before the replica (and its state machine)
-  // goes out of scope; a completion posted to the stopped loop never runs.
-  if (executor) executor->stop();
-
   const core::ReplicaStats& stats = replica->stats();
   std::printf("idem_server: stopping (view %llu, leader %s)\n",
               static_cast<unsigned long long>(replica->view().value),
