@@ -29,7 +29,6 @@
 
 #include "bench_util.hpp"
 #include "idem/acceptance.hpp"
-#include "sim/discipline.hpp"
 
 using namespace idem;
 

@@ -43,19 +43,6 @@ struct Op {
   std::vector<std::byte> command;
   std::vector<std::byte> output;  ///< Ok only
 
-  bool maybe_executed() const {
-    switch (result) {
-      case Result::Ok:
-        return true;
-      case Result::Rejected:
-        return !definitive_reject;
-      case Result::Timeout:
-      case Result::Open:
-        return true;
-    }
-    return true;
-  }
-
   json::Value to_json() const;
   static Op from_json(const json::Value& value);
   bool operator==(const Op&) const = default;

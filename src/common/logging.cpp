@@ -5,7 +5,7 @@
 namespace idem {
 namespace {
 
-LogLevel g_level = LogLevel::Warn;
+constexpr LogLevel kLevel = LogLevel::Warn;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -21,9 +21,7 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel Logger::level() { return g_level; }
-
-void Logger::set_level(LogLevel level) { g_level = level; }
+LogLevel Logger::level() { return kLevel; }
 
 void Logger::write(LogLevel level, const std::string& component, const std::string& message) {
   std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), component.c_str(), message.c_str());

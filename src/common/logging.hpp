@@ -16,7 +16,6 @@ enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off =
 class Logger {
  public:
   static LogLevel level();
-  static void set_level(LogLevel level);
   static void write(LogLevel level, const std::string& component, const std::string& message);
   static bool enabled(LogLevel level) { return level >= Logger::level(); }
 };

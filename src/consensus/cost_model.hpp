@@ -99,8 +99,7 @@ struct CostModel {
   }
 
   /// The size-proportional term. A zero coefficient charges 0 ns without
-  /// asking for the size, which would encode the message: real mode zeroes
-  /// every coefficient and never pays for that.
+  /// asking for the size, which would encode the message.
   static Duration size_cost(double ns_per, const sim::Payload& message) {
     if (ns_per == 0.0) return 0;
     return static_cast<Duration>(ns_per * static_cast<double>(message.wire_size()));

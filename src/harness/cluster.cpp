@@ -162,11 +162,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     }
   }
 
-  if (config_.discipline != sim::DisciplineKind::Fifo) {
-    for (auto& replica : replicas_) {
-      replica->set_discipline(sim::make_discipline(config_.discipline));
-    }
-  }
+  for (auto& replica : replicas_) replica->set_discipline(config_.discipline);
 
   if (config_.obs.metrics_interval > 0) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -235,11 +231,6 @@ std::unique_ptr<app::StateMachine> Cluster::make_store() {
 void Cluster::crash_replica(std::size_t index) {
   assert(index < replicas_.size());
   replicas_[index]->crash();
-}
-
-void Cluster::restart_replica(std::size_t index) {
-  assert(index < replicas_.size());
-  replicas_[index]->restart();
 }
 
 namespace {

@@ -18,7 +18,6 @@
 #include "obs/trace.hpp"
 #include "paxos/client.hpp"
 #include "paxos/replica.hpp"
-#include "sim/discipline.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -63,8 +62,7 @@ struct ClusterConfig {
   std::size_t reject_threshold = 50;
   std::uint64_t seed = 1;
 
-  /// Service discipline installed on every replica (Fifo keeps the
-  /// default ring and its pinned trajectories).
+  /// Service-queue order of every replica.
   sim::DisciplineKind discipline = sim::DisciplineKind::Fifo;
 
   sim::NetworkConfig network;
@@ -120,8 +118,6 @@ class Cluster {
 
   /// Crashes replica `index` immediately.
   void crash_replica(std::size_t index);
-  /// Restarts a crashed replica (durable state intact; see Node::restart).
-  void restart_replica(std::size_t index);
 
   /// Arms a declarative fault schedule: every fault is scheduled at
   /// `offset + fault.at` and fires against this cluster (leader-relative

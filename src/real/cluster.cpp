@@ -31,8 +31,8 @@ RealCluster::RealCluster(RealClusterConfig config)
       replica_config.trace = member.trace.get();
     }
     member.replica = make_replica(
-        *member.runtime, member.runtime->transport(), ReplicaId{static_cast<std::uint32_t>(i)},
-        replica_config, make_store(),
+        member.runtime->loop(), member.runtime->transport(),
+        ReplicaId{static_cast<std::uint32_t>(i)}, replica_config, make_store(),
         core::make_default_acceptance(replica_config, config_.expected_clients));
     member.port = member.runtime->transport().port_of(
         consensus::replica_address(ReplicaId{static_cast<std::uint32_t>(i)}));
@@ -89,7 +89,7 @@ std::vector<Admin::Member> RealCluster::admin_members(std::optional<std::uint32_
 RealCluster::~RealCluster() { shutdown(); }
 
 std::unique_ptr<app::StateMachine> RealCluster::make_store() const {
-  // Zero modelled costs: execution takes whatever it actually takes.
+  // Zero costs: execution_cost() answers 0 without decoding the command.
   auto store = std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0});
   if (config_.preload) {
     // Same config + const load phase => byte-identical content everywhere.

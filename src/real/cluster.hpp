@@ -43,8 +43,7 @@ struct RealClusterConfig {
 
   /// Base protocol configuration; n/f/reject_threshold and the trace sink
   /// are overridden per replica, and real::make_replica applies real
-  /// mode's runtime choices (no cost model, end-of-iteration REQUIRE
-  /// flush).
+  /// mode's end-of-iteration REQUIRE flush.
   core::IdemConfig idem;
 
   /// Client population the acceptance test should assume (sizes the AQM

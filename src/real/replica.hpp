@@ -1,20 +1,16 @@
-// An IDEM replica for real mode: the protocol the simulator runs, plus the
-// runtime choices that only make sense when the wall clock replaces the
-// simulated CPU. Every real-mode entry point (RealCluster, idem_server,
-// the realtime examples) builds its replicas here, so they cannot drift
-// apart.
+// An IDEM replica for real mode. Every real-mode entry point (RealCluster,
+// idem_server, the realtime examples) builds its replicas here, so they
+// cannot drift apart.
 //
-//   - No cost model: handling a message, or building and restoring a state
-//     snapshot, takes however long it takes and charges nothing on top.
-//   - REQUIREs flush at the end of each loop iteration: due zero-delay
-//     timers fire after the iteration's I/O phase, so every id accepted
-//     from one recv burst leaves in one REQUIRE without added latency.
-//   - Inline dispatch: a delivery to an idle replica is handled at once,
-//     without the event-queue hop that models service time in sim.
-//   - Agreement-first service lane: replica-to-replica traffic that arrives
-//     while client REQUESTs wait is served ahead of them. Only EDF makes a
-//     REQUEST wait (one with a budget skips inline dispatch); under FIFO
-//     every delivery is handled inline and the lane stays empty.
+// The one real-mode protocol setting: REQUIREs flush at the end of each
+// loop iteration. Due zero-delay timers fire after the iteration's I/O
+// phase, so every id accepted from one recv burst leaves in one REQUIRE
+// without added latency.
+//
+// How the replica dispatches needs no setting here: on an rpc::EventLoop a
+// node models no CPU cost and handles each delivery at once, except that
+// under EDF the budgeted REQUESTs of a recv burst drain earliest-due first
+// after it (sim/node.hpp).
 #pragma once
 
 #include <memory>

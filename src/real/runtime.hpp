@@ -1,12 +1,12 @@
 // One replica-hosting thread of a real deployment.
 //
 // RealRuntime pairs an rpc::EventLoop with an rpc::TcpTransport and a
-// dedicated std::thread, exposing the sim::Runtime seam by delegation so
-// the unmodified protocol nodes (IdemReplica, IdemClient, ...) can be
-// constructed directly against it. The intended lifecycle is:
+// dedicated std::thread. The unmodified protocol nodes (IdemReplica,
+// IdemClient, ...) are constructed against loop() and transport(). The
+// intended lifecycle is:
 //
 //   1. construct the runtime (loop + transport exist, no thread yet);
-//   2. construct protocol nodes against it and wire set_remote() — all on
+//   2. construct protocol nodes against them and wire set_remote() — all on
 //      the controller thread, which is safe because the loop thread does
 //      not exist yet;
 //   3. start(): the thread runs loop().run() and from then on owns every
@@ -26,7 +26,6 @@
 
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
-#include "sim/runtime.hpp"
 
 namespace idem::real {
 
@@ -38,30 +37,16 @@ struct RealRuntimeConfig {
   rpc::TcpTransportConfig transport;
 };
 
-class RealRuntime final : public sim::Runtime {
+class RealRuntime final {
  public:
   explicit RealRuntime(RealRuntimeConfig config = {});
-  ~RealRuntime() override;
+  ~RealRuntime();
 
   RealRuntime(const RealRuntime&) = delete;
   RealRuntime& operator=(const RealRuntime&) = delete;
 
   rpc::EventLoop& loop() { return loop_; }
   rpc::TcpTransport& transport() { return transport_; }
-
-  // --- sim::Runtime (delegates to the event loop) ---
-  // Like every Runtime, these must be used from the owning (loop) thread,
-  // or before start().
-  Time now() const override { return loop_.now(); }
-  sim::EventId schedule_after(Duration delay, sim::EventQueue::Callback fn) override {
-    return loop_.schedule_after(delay, std::move(fn));
-  }
-  sim::EventId schedule_at(Time at, sim::EventQueue::Callback fn) override {
-    return loop_.schedule_at(at, std::move(fn));
-  }
-  bool cancel(sim::EventId id) override { return loop_.cancel(id); }
-  Rng& rng(std::string_view name) override { return loop_.rng(name); }
-  std::uint64_t seed() const override { return loop_.seed(); }
 
   // --- thread lifecycle ---
   /// Spawns the loop thread. No-op when already running.

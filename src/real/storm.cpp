@@ -248,9 +248,6 @@ void StormEngine::spawn_session() {
   session.held.resize(options_.replicas.size());
   session.client =
       std::make_unique<core::IdemClient>(loop_, session, session.cid, options_.client);
-  // Real sockets, zero modelled service time: skip the event-queue hop
-  // per delivered REPLY/REJECT.
-  session.client->set_inline_dispatch(true);
   connect_session(session);
   driver_.add(&session);
 }

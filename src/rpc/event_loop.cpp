@@ -154,11 +154,11 @@ void EventLoop::run_deferred() {
 
 void EventLoop::fire_due_timers() {
   // Re-read the clock as we drain: handlers routinely schedule follow-up
-  // work "at now" (node service queues dispatch exactly one message per
-  // timer), and deferring it to the next epoll round trip would cap
-  // dispatch at one message per poll — the real-mode overload collapse.
-  // The burst budget keeps a busy node from starving I/O forever; due
-  // timers left over make the next epoll_wait time out immediately.
+  // work "at now" (an EDF node's drain, zero-delay protocol timers), and
+  // deferring it to the next epoll round trip would add a poll to every
+  // such step. The burst budget keeps a busy node from starving I/O
+  // forever; due timers left over make the next epoll_wait time out
+  // immediately.
   constexpr int kTimerBurst = 1024;
   for (int burst = 0; burst < kTimerBurst; ++burst) {
     if (timers_.empty() || timers_.next_time() > now()) return;

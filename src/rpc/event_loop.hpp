@@ -99,6 +99,7 @@ class EventLoop final : public sim::Runtime {
   bool cancel(sim::EventId id) override;
   Rng& rng(std::string_view name) override;
   std::uint64_t seed() const override { return seed_; }
+  bool wall_clock() const override { return true; }
 
   // --- I/O ---
   /// Registers interest in `events` (EPOLLIN/EPOLLOUT/...) on `fd`.

@@ -497,15 +497,11 @@ void TcpTransport::flush(Connection& connection) {
 
 void TcpTransport::arm_sweep() {
   if (config_.idle_timeout <= 0 && config_.half_open_timeout <= 0) return;
-  Duration interval = config_.sweep_interval;
-  if (interval <= 0) {
-    Duration shortest = config_.idle_timeout > 0 ? config_.idle_timeout : 0;
-    if (config_.half_open_timeout > 0 &&
-        (shortest == 0 || config_.half_open_timeout < shortest)) {
-      shortest = config_.half_open_timeout;
-    }
-    interval = std::clamp<Duration>(shortest / 4, 10 * kMillisecond, kSecond);
+  Duration shortest = config_.idle_timeout > 0 ? config_.idle_timeout : 0;
+  if (config_.half_open_timeout > 0 && (shortest == 0 || config_.half_open_timeout < shortest)) {
+    shortest = config_.half_open_timeout;
   }
+  const Duration interval = std::clamp<Duration>(shortest / 4, 10 * kMillisecond, kSecond);
   sweep_timer_ = loop_.schedule_after(interval, [this] {
     sweep_connections();
     arm_sweep();

@@ -207,11 +207,10 @@ struct TcpTransportConfig {
   /// Evict an inbound connection that has held an incomplete frame for
   /// this long (0 = never) — the slow-loris defence: trickling one byte
   /// per second through a frame does not reset the clock, only a
-  /// completed frame does.
+  /// completed frame does. Both timeouts are checked by one sweep, every
+  /// quarter of the shorter one (clamped to [10ms, 1s]), so an eviction
+  /// lands up to that much after its timeout.
   Duration half_open_timeout = 0;
-  /// How often the eviction sweep runs; 0 derives it from the enabled
-  /// timeouts (a quarter of the shortest, clamped to [10ms, 1s]).
-  Duration sweep_interval = 0;
 };
 
 class TcpTransport final : public sim::Transport {

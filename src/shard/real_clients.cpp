@@ -45,9 +45,6 @@ RealClients::RealClients(const RealClientsConfig& config) : loop_(config.seed, c
     for (auto& transport : transports_) {
       group_clients_.push_back(
           std::make_unique<core::IdemClient>(loop_, *transport, cid, client_config));
-      // Real transport, zero modelled service time: skip the event-queue
-      // hop per delivered REPLY/REJECT.
-      group_clients_.back()->set_inline_dispatch(true);
       per_group.push_back(group_clients_.back().get());
     }
     if (config.map.has_value()) {

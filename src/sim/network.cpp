@@ -11,7 +11,7 @@ SimNetwork::SimNetwork(Simulator& sim, NetworkConfig config)
       drop_rng_(sim.rng("net.drop")) {}
 
 void SimNetwork::add_node(NodeId id, NodeKind kind, Endpoint* endpoint) {
-  nodes_[id.value] = NodeEntry{kind, endpoint};
+  nodes_[id.value] = NodeEntry{kind, endpoint, {}};
 }
 
 void SimNetwork::remove_node(NodeId id) { nodes_.erase(id.value); }

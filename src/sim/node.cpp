@@ -1,5 +1,6 @@
 #include "sim/node.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -9,7 +10,7 @@ Node::Node(Runtime& runtime, Transport& net, NodeId id, NodeKind kind)
     : runtime_(runtime),
       net_(net),
       id_(id),
-      queue_(std::make_unique<FifoDiscipline>()),
+      wall_clock_(runtime.wall_clock()),
       alive_(std::make_shared<Node*>(this)) {
   net_.add_node(id_, kind, this);
 }
@@ -19,18 +20,15 @@ Node::~Node() {
   net_.remove_node(id_);
 }
 
-void Node::set_discipline(std::unique_ptr<ServiceDiscipline> discipline) {
-  assert(discipline != nullptr);
-  assert(queue_->count() == 0 && "swap the discipline before traffic arrives");
-  queue_ = std::move(discipline);
-  fifo_discipline_ = queue_->fifo();
+void Node::set_discipline(DisciplineKind kind) {
+  assert(queue_length() == 0 && "set the discipline before traffic arrives");
+  edf_ = kind == DisciplineKind::Edf;
 }
 
 void Node::crash() {
   if (crashed_) return;
   crashed_ = true;
-  queue_->clear();
-  urgent_.clear();
+  clear_queue();
   processing_ = false;
   // Stay registered with the network so traffic addressed to the crashed
   // node is still *sent* (and counted) by peers; deliveries are dropped in
@@ -47,32 +45,35 @@ void Node::restart() {
 
 void Node::deliver(NodeId from, PayloadPtr message) {
   if (crashed_) return;
-  // Deadline-carrying messages under a non-FIFO discipline never take the
-  // inline fast path: on a real event loop a recv burst would otherwise be
-  // handled strictly in arrival order. Routed through the discipline they
-  // accumulate across the iteration's I/O batch and drain earliest-due
-  // first in the deferred (timer) phase, at zero added wall-clock — the
-  // schedule-at-now hop fires before the loop goes back to sleep.
-  Duration deadline = fifo_discipline_ ? 0 : message_deadline(*message);
-  if (inline_dispatch_ && deadline <= 0 && !processing_ && queue_->count() == 0 &&
-      urgent_.count() == 0 && busy_until_ <= runtime_.now() && message_cost(*message) <= 0) {
-    // Idle node, free message: handle it right here instead of taking a
-    // round trip through the runtime's event queue. processing_ guards
-    // against recursion when on_message triggers a same-thread delivery.
-    processing_ = true;
-    on_message(from, *message);
-    if (crashed_) return;  // on_message may have crashed this node
-    processing_ = false;
-    maybe_start_processing();  // drain anything that queued up meanwhile
+  const Duration budget = edf_ ? message_deadline(*message) : 0;
+  if (!wall_clock_) {
+    enqueue(from, std::move(message), runtime_.now() + (budget > 0 ? budget : 0));
+    maybe_start_processing();
     return;
   }
-  if (urgent_classifier_ != nullptr && urgent_classifier_(from)) {
-    urgent_.push(from, std::move(message), 0);
-  } else {
-    Time due = runtime_.now() + (deadline > 0 ? deadline : 0);
-    queue_->push(from, std::move(message), due);
+  if (budget <= 0) {
+    on_message(from, *message);
+    return;
   }
-  maybe_start_processing();
+  // Wait for the rest of the recv burst: a zero-delay event fires after
+  // the loop iteration's I/O, so the whole burst drains earliest-due first.
+  enqueue(from, std::move(message), runtime_.now() + budget);
+  if (drain_armed_) return;
+  drain_armed_ = true;
+  std::weak_ptr<Node*> weak = alive_;
+  runtime_.schedule_after(0, [weak] {
+    auto token = weak.lock();
+    if (!token || *token == nullptr) return;
+    (*token)->drain_armed_ = false;
+    (*token)->drain_due();
+  });
+}
+
+void Node::drain_due() {
+  while (!crashed_ && !heap_.empty()) {
+    Waiting next = dequeue();
+    on_message(next.from, *next.message);
+  }
 }
 
 Duration Node::message_cost(const Payload&) const { return 0; }
@@ -82,16 +83,62 @@ Duration Node::message_deadline(const Payload&) const { return 0; }
 Duration Node::send_cost(const Payload&) const { return 0; }
 
 void Node::charge(Duration extra) {
-  if (extra <= 0) return;
+  if (wall_clock_ || extra <= 0) return;
   Time base = std::max(busy_until_, now());
   busy_until_ = base + extra;
 }
 
+void Node::enqueue(NodeId from, PayloadPtr message, Time due) {
+  if (edf_) {
+    heap_.push_back(Due{due, next_seq_++, Waiting{from, std::move(message)}});
+    std::push_heap(heap_.begin(), heap_.end());
+    return;
+  }
+  if (ring_count_ == ring_.size()) {
+    // Full (or never allocated): grow to the next power of two, unrolling
+    // the ring so the live elements are contiguous again from index 0.
+    std::vector<Waiting> bigger;
+    std::size_t cap = ring_.empty() ? 8 : ring_.size() * 2;
+    bigger.reserve(cap);
+    for (std::size_t i = 0; i < ring_count_; ++i) {
+      bigger.push_back(std::move(ring_[(ring_head_ + i) & (ring_.size() - 1)]));
+    }
+    bigger.resize(cap);
+    ring_ = std::move(bigger);
+    ring_head_ = 0;
+  }
+  ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)] = Waiting{from, std::move(message)};
+  ++ring_count_;
+}
+
+Node::Waiting Node::dequeue() {
+  if (edf_) {
+    std::pop_heap(heap_.begin(), heap_.end());
+    Waiting out = std::move(heap_.back().waiting);
+    heap_.pop_back();
+    return out;
+  }
+  Waiting out = std::move(ring_[ring_head_]);
+  ring_[ring_head_] = Waiting{};  // drop the payload ref now, not at reuse
+  ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+  --ring_count_;
+  return out;
+}
+
+void Node::clear_queue() {
+  heap_.clear();
+  for (std::size_t i = 0; i < ring_count_; ++i) {
+    ring_[(ring_head_ + i) & (ring_.size() - 1)] = Waiting{};
+  }
+  ring_head_ = 0;
+  ring_count_ = 0;
+}
+
 void Node::maybe_start_processing() {
-  if (processing_ || (queue_->count() == 0 && urgent_.count() == 0) || crashed_) return;
+  if (processing_ || queue_length() == 0 || crashed_) return;
   processing_ = true;
 
-  ServiceDiscipline::Item next = urgent_.count() > 0 ? urgent_.pop() : queue_->pop();
+  Waiting next = dequeue();
 
   Time start = std::max(now(), busy_until_);
   Duration cost = message_cost(*next.message);

@@ -1,11 +1,20 @@
-// Actor base class for simulated processes (replicas and clients).
+// Actor base class for protocol processes (replicas and clients).
 //
-// A node owns a FIFO service queue driven by a simple CPU model: every
-// incoming message occupies the node's (single) CPU for a per-message cost
-// the subclass declares, and handlers can charge additional work (request
-// execution, building a state snapshot). This queueing is what turns offered
-// load beyond capacity into the latency explosion the paper measures —
-// see DESIGN.md Section 1.
+// How a node dispatches the messages delivered to it follows from its
+// runtime's clock, never from a per-caller switch:
+//
+//   - Simulator (virtual clock): a node models one CPU. Every delivery
+//     waits in the node's service queue, FIFO or EDF, and occupies the CPU
+//     for the per-message cost the subclass declares; handlers charge extra
+//     work (request execution, building a state snapshot) on top. This
+//     queueing is what turns offered load beyond capacity into the latency
+//     explosion the paper measures (DESIGN.md Section 1).
+//   - rpc::EventLoop (wall clock): handling a message takes however long it
+//     takes, so a node models no cost and handles a delivery inside
+//     deliver(). Under EDF, a message that carries a latency budget waits
+//     instead; the waiting messages drain earliest-due first from a
+//     zero-delay event, after the loop iteration's I/O has read the whole
+//     recv burst. A message without a budget is never held behind them.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +23,15 @@
 
 #include "common/inline_function.hpp"
 #include "common/time.hpp"
-#include "sim/discipline.hpp"
+#include "sim/payload.hpp"
 #include "sim/runtime.hpp"
 #include "sim/transport.hpp"
 
 namespace idem::sim {
+
+/// Order of a node's service queue: arrival (FIFO) or earliest due first
+/// (EDF), where a message is due at arrival plus its latency budget.
+enum class DisciplineKind : std::uint8_t { Fifo, Edf };
 
 /// Handle for a pending timer; cancel with Node::cancel_timer.
 struct TimerId {
@@ -61,46 +74,17 @@ class Node : public Endpoint {
   /// Endpoint: called by the network when a message arrives.
   void deliver(NodeId from, PayloadPtr message) final;
 
-  /// Length of the service queue (messages waiting for CPU), exposed for
-  /// tests and load metrics. Counts both lanes.
-  std::size_t queue_length() const { return queue_->count() + urgent_.count(); }
+  /// Messages waiting to be handled, exposed for tests and load metrics.
+  std::size_t queue_length() const { return ring_count_ + heap_.size(); }
 
-  /// Replaces the normal lane's service discipline (FIFO by default; the
-  /// pre-refactor ring, bit-identical). Call before traffic arrives — a
-  /// swap does not migrate already-queued messages. EDF nodes consult
-  /// message_deadline() at delivery and serve the earliest due first;
-  /// deadline-less messages count as due immediately, so agreement traffic
-  /// keeps priority and FIFO order among itself.
-  void set_discipline(std::unique_ptr<ServiceDiscipline> discipline);
-
-  /// Discipline currently installed (display / tests).
-  const ServiceDiscipline& discipline() const { return *queue_; }
-
-  /// Sender-based service-queue prioritization: messages whose sender the
-  /// classifier marks urgent are dispatched before anything in the normal
-  /// lane. Off (nullptr) by default: in the simulator it lowered IDEM's
-  /// goodput at 4x Figure 6 load. Real deployments (real::make_replica)
-  /// switch it on, and there it acts only while an EDF discipline holds
-  /// deadline-carrying messages: those skip inline dispatch and queue, and
-  /// agreement traffic that arrives meanwhile overtakes them. Under FIFO
-  /// with inline dispatch no delivery queues, so the lane stays empty.
-  /// Plain function pointer: classifying happens on every delivery, and
-  /// the classifiers are stateless.
-  using UrgentClassifier = bool (*)(NodeId from);
-  void set_urgent_classifier(UrgentClassifier classifier) { urgent_classifier_ = classifier; }
-
-  /// Dispatch a delivery inline when the node is idle (nothing queued, not
-  /// mid-message, no outstanding CPU charge) and the message itself is
-  /// free. Skips the schedule-at-now hop through the runtime's event queue
-  /// — per-message timer-heap traffic that exists only to model service
-  /// time, which real mode does not model. Off by default: the simulator
-  /// models service time, and dispatching inline would reorder its
-  /// events.
-  void set_inline_dispatch(bool on) { inline_dispatch_ = on; }
+  /// Sets the service-queue order (FIFO by default). Call before traffic
+  /// arrives. EDF nodes consult message_deadline() at delivery.
+  void set_discipline(DisciplineKind kind);
 
  protected:
-  /// Handles one message. Invoked when the message's service time has
-  /// elapsed, i.e. sends made here already account for processing delay.
+  /// Handles one message. In the simulator it runs when the message's
+  /// service time has elapsed, so sends made here already account for
+  /// processing delay.
   virtual void on_message(NodeId from, const Payload& message) = 0;
 
   /// Invoked by restart() after the node is live again; subclasses re-arm
@@ -108,27 +92,30 @@ class Node : public Endpoint {
   /// no-ops). Default: nothing.
   virtual void on_restart() {}
 
-  /// CPU cost of receiving/handling `message`. Subclasses model their
-  /// protocol's per-message work here. Default: free.
+  /// Simulated CPU cost of receiving/handling `message`. Subclasses model
+  /// their protocol's per-message work here. Never asked on the wall
+  /// clock. Default: free.
   virtual Duration message_cost(const Payload& message) const;
 
   /// Latency budget the sender attached to `message` (0 = none). Consulted
-  /// only by non-FIFO disciplines, at delivery: the message's due time in
-  /// the service queue is arrival + deadline. Default: no deadline.
+  /// only under EDF, at delivery: the message is due at arrival + budget.
+  /// Default: no budget.
   virtual Duration message_deadline(const Payload& message) const;
 
-  /// CPU cost of transmitting `message` (serialization + syscall). Charged
-  /// on every send; this is what makes naive leader fan-out of full
-  /// requests a bottleneck (cf. S-Paxos and paper Section 4.2).
+  /// Simulated CPU cost of transmitting `message` (serialization +
+  /// syscall). Charged on every simulated send; this is what makes naive
+  /// leader fan-out of full requests a bottleneck (cf. S-Paxos and paper
+  /// Section 4.2). Never asked on the wall clock.
   virtual Duration send_cost(const Payload& message) const;
 
   void send(NodeId to, PayloadPtr message) {
-    charge(send_cost(*message));
+    if (!wall_clock_) charge(send_cost(*message));
     net_.send(id_, to, std::move(message));
   }
 
-  /// Charges extra CPU time to this node (e.g. executing a request while
-  /// handling a commit); it delays all subsequently queued messages.
+  /// Charges extra simulated CPU time to this node (e.g. executing a
+  /// request while handling a commit); it delays all subsequently queued
+  /// messages. Does nothing on the wall clock.
   void charge(Duration extra);
 
   /// Schedules `fn` after `delay`. Timer callbacks fire even while the CPU
@@ -144,23 +131,52 @@ class Node : public Endpoint {
   Time now() const { return runtime_.now(); }
 
  private:
+  struct Waiting {
+    NodeId from;
+    PayloadPtr message;
+  };
+  /// EDF heap entry. The arrival sequence makes (due, seq) a total order,
+  /// so equal due times pop in arrival order and simulated trajectories
+  /// stay deterministic.
+  struct Due {
+    Time due = 0;
+    std::uint64_t seq = 0;
+    Waiting waiting;
+    bool operator<(const Due& other) const {
+      // std::push_heap builds a max-heap; invert so the earliest due (then
+      // the earliest arrival) surfaces at the top.
+      if (due != other.due) return due > other.due;
+      return seq > other.seq;
+    }
+  };
+
+  void enqueue(NodeId from, PayloadPtr message, Time due);
+  Waiting dequeue();
+  void clear_queue();
+  /// Simulator: puts the next waiting message into service.
   void maybe_start_processing();
+  /// Wall clock, EDF: handles every waiting message, earliest due first.
+  void drain_due();
 
   Runtime& runtime_;
   Transport& net_;
   NodeId id_;
+  /// Fixed by the runtime's type at construction.
+  const bool wall_clock_;
+  bool edf_ = false;
   bool crashed_ = false;
-  /// Normal lane (everything, when no classifier is set). Pluggable; the
-  /// default FifoDiscipline is the pre-refactor ring buffer.
-  std::unique_ptr<ServiceDiscipline> queue_;
-  /// Cached queue_->fifo(): the hot path must not pay a virtual call just
-  /// to learn that deadlines are irrelevant.
-  bool fifo_discipline_ = true;
-  FifoDiscipline urgent_;  ///< dispatched first; fed only by the classifier
-  UrgentClassifier urgent_classifier_ = nullptr;
-  bool inline_dispatch_ = false;
-  bool processing_ = false;
+  bool processing_ = false;  ///< simulator: a message is in service
+  bool drain_armed_ = false;  ///< wall clock: a drain_due() event is pending
   Time busy_until_ = 0;
+  /// FIFO: a grow-only power-of-two ring. Once warm, enqueue and dequeue
+  /// never allocate (std::deque allocates a block roughly every page of
+  /// churn, which would break the zero-allocation budget).
+  std::vector<Waiting> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_count_ = 0;
+  /// EDF: a binary heap on (due, arrival sequence); its vector only grows.
+  std::vector<Due> heap_;
+  std::uint64_t next_seq_ = 0;
   // Liveness token: scheduled lambdas hold a weak_ptr and become no-ops
   // once the node is destroyed.
   std::shared_ptr<Node*> alive_;

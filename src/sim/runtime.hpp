@@ -1,8 +1,8 @@
 // Runtime abstraction: clock, timers and randomness for protocol code.
 //
 // sim::Simulator implements it with a virtual clock (deterministic,
-// fast-forwarding); rpc::RealtimeRuntime implements it with the steady
-// clock and an epoll loop. Protocol nodes only see this interface.
+// fast-forwarding); rpc::EventLoop implements it with the steady clock and
+// an epoll loop. Protocol nodes only see this interface.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +36,10 @@ class Runtime {
 
   /// The experiment seed the RNG streams derive from.
   virtual std::uint64_t seed() const = 0;
+
+  /// True when now() is the wall clock. Fixed by the runtime's type; a
+  /// sim::Node takes its dispatch rule from it (see sim/node.hpp).
+  virtual bool wall_clock() const = 0;
 };
 
 }  // namespace idem::sim

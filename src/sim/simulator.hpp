@@ -23,6 +23,7 @@ class Simulator final : public Runtime {
 
   Time now() const override { return now_; }
   std::uint64_t seed() const override { return seed_; }
+  bool wall_clock() const override { return false; }
 
   /// Schedules `fn` to run at `now() + delay` (delay clamped to >= 0).
   EventId schedule_after(Duration delay, EventQueue::Callback fn) override {

@@ -13,6 +13,7 @@
 #include "app/kv_store.hpp"
 #include "idem/replica.hpp"
 #include "real/replica.hpp"
+#include "rpc/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
@@ -556,17 +557,20 @@ TEST(IdemReplicaUnit, NoSnapshotIsTakenWhileNoPeerAsks) {
 }
 
 TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
-  // real::make_replica zeroes the cost model, snapshot coefficients
-  // included: serving and restoring state must leave the replica idle, so
-  // the next message is still handled inline, without advancing time.
-  sim::Simulator sim(5);
-  sim::SimNetwork net(sim, {});
-  Probe leader(sim, net, consensus::replica_address(ReplicaId{0}));
-  Probe peer(sim, net, consensus::replica_address(ReplicaId{2}));
-  Probe client(sim, net, consensus::client_address(ClientId{0}), sim::NodeKind::Client);
-  // A real deployment's store charges nothing either (real::RealCluster).
+  // On an event loop a replica models no CPU. Serving and restoring state
+  // charge nothing there, although the cost model prices snapshots, so
+  // every message, the one after the transfer included, is handled inside
+  // deliver().
+  rpc::EventLoop loop(5);
+  test::NullTransport net;
+  const sim::NodeId leader = consensus::replica_address(ReplicaId{0});
+  const sim::NodeId peer = consensus::replica_address(ReplicaId{2});
+  const sim::NodeId client = consensus::client_address(ClientId{0});
+  const core::IdemConfig config = ReplicaFixture::make_config();
+  ASSERT_GT(config.costs.snapshot_cost(0), 0);
+  // A real deployment's store charges nothing (real::RealCluster).
   auto replica = real::make_replica(
-      sim, net, ReplicaId{1}, ReplicaFixture::make_config(),
+      loop, net, ReplicaId{1}, config,
       std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}),
       std::make_unique<core::NeverReject>());
   auto request = [](std::uint64_t onr) {
@@ -574,18 +578,18 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
                                                 test::put_cmd("k", "v" + std::to_string(onr)));
   };
   for (std::uint64_t sqn = 0; sqn < 2; ++sqn) {
-    replica->deliver(client.id(), request(sqn + 1));
+    replica->deliver(client, request(sqn + 1));
     auto propose = std::make_shared<msg::Propose>();
     propose->sqn = SeqNum{sqn};
     propose->ids = {RequestId{ClientId{0}, OpNum{sqn + 1}}};
-    replica->deliver(leader.id(), std::move(propose));
+    replica->deliver(leader, std::move(propose));
   }
   ASSERT_EQ(replica->next_execute().value, 2u);
 
   auto state_request = std::make_shared<msg::StateRequest>();
   state_request->from = ReplicaId{2};
   state_request->have = SeqNum{0};
-  replica->deliver(peer.id(), std::move(state_request));
+  replica->deliver(peer, std::move(state_request));
   ASSERT_EQ(replica->stats().state_snapshots_sent, 1u);
 
   // A commit far beyond the window makes the replica ask the peer for
@@ -593,23 +597,21 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
   auto commit = std::make_shared<msg::Commit>();
   commit->from = ReplicaId{2};
   commit->sqn = SeqNum{100};
-  replica->deliver(peer.id(), std::move(commit));
+  replica->deliver(peer, std::move(commit));
   app::KvStore peer_store;
   peer_store.execute(test::put_cmd("restored", "v"));
   auto response = std::make_shared<msg::StateResponse>();
   response->from = ReplicaId{2};
   response->upto = SeqNum{90};
   response->snapshot = peer_store.snapshot();
-  replica->deliver(peer.id(), std::move(response));
+  replica->deliver(peer, std::move(response));
   ASSERT_EQ(replica->stats().state_transfers, 1u);
   ASSERT_EQ(replica->next_execute().value, 91u);
 
-  const Time before = sim.now();
   const std::uint64_t received = replica->stats().requests_received;
-  replica->deliver(client.id(), request(3));
+  replica->deliver(client, request(3));
   EXPECT_EQ(replica->queue_length(), 0u);
   EXPECT_EQ(replica->stats().requests_received, received + 1);
-  EXPECT_EQ(sim.now(), before);
 }
 
 TEST(IdemReplicaUnit, RejectingReplicaCachesBody) {

@@ -128,7 +128,9 @@ TEST(RealSmoke, PerThreadTracesMergeIntoOneTimeline) {
   ASSERT_FALSE(merged.empty());
   bool saw_client_event = false, saw_replica_event = false;
   for (std::size_t i = 0; i < merged.size(); ++i) {
-    if (i > 0) EXPECT_GE(merged[i].at, merged[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(merged[i].at, merged[i - 1].at);
+    }
     if (merged[i].node >= consensus::kClientAddressBase) saw_client_event = true;
     if (merged[i].node < consensus::kClientAddressBase) saw_replica_event = true;
   }

@@ -497,7 +497,6 @@ TEST(TcpTransportTest, IdleTimeoutEvictsSilentConnections) {
   rpc::EventLoop loop;
   rpc::TcpTransportConfig config;
   config.idle_timeout = 80 * kMillisecond;
-  config.sweep_interval = 20 * kMillisecond;
   rpc::TcpTransport transport(loop, config);
   CollectingEndpoint a;
   transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
@@ -526,7 +525,6 @@ TEST(TcpTransportTest, IdleTimeoutSparesAConnectionBusyOnlyInOurDirection) {
   rpc::EventLoop loop;
   rpc::TcpTransportConfig config;
   config.idle_timeout = 80 * kMillisecond;
-  config.sweep_interval = 20 * kMillisecond;
   rpc::TcpTransport transport(loop, config);
   CollectingEndpoint a;
   transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
@@ -565,7 +563,6 @@ TEST(TcpTransportTest, HalfOpenTimeoutEvictsPartialFrame) {
   rpc::EventLoop loop;
   rpc::TcpTransportConfig config;
   config.half_open_timeout = 80 * kMillisecond;
-  config.sweep_interval = 20 * kMillisecond;
   rpc::TcpTransport transport(loop, config);
   CollectingEndpoint a;
   transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);

@@ -31,13 +31,6 @@ std::vector<std::byte> put(const std::string& key, const std::string& value) {
   return cmd.encode();
 }
 
-std::vector<std::byte> get(const std::string& key) {
-  app::KvCommand cmd;
-  cmd.op = app::KvOp::Get;
-  cmd.key = key;
-  return cmd.encode();
-}
-
 /// Some key owned by `group` under `map` ("k<i>" with the lowest such i).
 std::string key_owned_by(const ShardMap& map, GroupId group) {
   for (std::uint64_t i = 0;; ++i) {

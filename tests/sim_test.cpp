@@ -1,16 +1,19 @@
 // Unit tests for the discrete-event simulation substrate: event queue,
-// simulator, fair-loss network, and the node CPU/service-queue model.
+// simulator, fair-loss network, and the node CPU/service-queue model with
+// its wall-clock dispatch rule.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
-#include "sim/discipline.hpp"
+#include "rpc/event_loop.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace idem::sim {
 namespace {
@@ -365,8 +368,8 @@ TEST(Node, DeterministicReplay) {
   EXPECT_NE(run(5), run(6));  // jitter differs across seeds
 }
 
-// Dispatch paths: inline, the service discipline and the urgent lane. The
-// messages are handed to deliver() directly, as a real event loop does.
+// Dispatch: the runtime's clock picks the rule. The messages are handed to
+// deliver() directly, as a real event loop does.
 
 struct TaggedPayload final : Payload {
   int tag;
@@ -379,13 +382,14 @@ struct TaggedPayload final : Payload {
 
 class DispatchNode final : public Node {
  public:
-  DispatchNode(Simulator& sim, SimNetwork& net, bool edf)
-      : Node(sim, net, NodeId{1}, NodeKind::Replica) {
-    set_inline_dispatch(true);
-    if (edf) set_discipline(make_discipline(DisciplineKind::Edf));
+  DispatchNode(Runtime& runtime, Transport& net, DisciplineKind discipline)
+      : Node(runtime, net, NodeId{1}, NodeKind::Replica) {
+    set_discipline(discipline);
   }
 
   std::vector<int> handled;
+  std::vector<NodeId> senders;
+  mutable int costs_asked = 0;
 
   void take(std::uint32_t from, int tag, Duration deadline = 0, Duration cost = 0) {
     deliver(NodeId{from}, std::make_shared<TaggedPayload>(tag, deadline, cost));
@@ -395,66 +399,146 @@ class DispatchNode final : public Node {
   static const TaggedPayload& tagged(const Payload& m) {
     return static_cast<const TaggedPayload&>(m);
   }
-  void on_message(NodeId, const Payload& m) override { handled.push_back(tagged(m).tag); }
-  Duration message_cost(const Payload& m) const override { return tagged(m).cost; }
+  void on_message(NodeId from, const Payload& m) override {
+    handled.push_back(tagged(m).tag);
+    senders.push_back(from);
+  }
+  Duration message_cost(const Payload& m) const override {
+    ++costs_asked;
+    return tagged(m).cost;
+  }
   Duration message_deadline(const Payload& m) const override { return tagged(m).deadline; }
 };
 
-TEST(Node, InlineDispatchHandlesAFreeMessageInsideDeliver) {
-  NetFixture f;
-  DispatchNode node(f.sim, *f.net, /*edf=*/false);
-  node.take(2, 1);
-  EXPECT_EQ(node.handled, std::vector<int>{1});
-  EXPECT_EQ(node.queue_length(), 0u);
-  EXPECT_EQ(f.sim.pending_events(), 0u);
+TEST(Node, SimulatorQueuesEveryDelivery) {
+  // Even a free, budget-less message waits for the modelled CPU: it is
+  // handled from the runtime's event queue, never inside deliver().
+  for (DisciplineKind discipline : {DisciplineKind::Fifo, DisciplineKind::Edf}) {
+    NetFixture f;
+    DispatchNode node(f.sim, *f.net, discipline);
+    node.take(2, 1);
+    EXPECT_TRUE(node.handled.empty());
+    EXPECT_EQ(f.sim.pending_events(), 1u);
+    f.sim.run_until(kSecond);
+    EXPECT_EQ(node.handled, std::vector<int>{1});
+    EXPECT_EQ(node.costs_asked, 1);
+  }
+}
 
-  // A message that costs CPU goes through the event queue, and a free one
-  // that arrives while it is in service waits behind it.
-  node.take(2, 2, /*deadline=*/0, /*cost=*/kMillisecond);
-  node.take(2, 3);
-  EXPECT_EQ(node.handled, std::vector<int>{1});
-  EXPECT_EQ(node.queue_length(), 1u);
+TEST(Node, FifoServesInArrivalOrderThroughRingWraparoundAndGrowth) {
+  // Each message holds the CPU for 1 ms. Two arrive per millisecond and
+  // one is served, so the ring's head wraps while it grows from 8 slots
+  // past 256. Budgets are ignored: arrival order rules, and each message
+  // keeps its sender.
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Fifo);
+  int next = 0;
+  for (int round = 0; round < 300; ++round) {
+    for (int i = 0; i < 2; ++i, ++next) {
+      node.take(static_cast<std::uint32_t>(2 + next % 5), next, /*deadline=*/kSecond - next,
+                kMillisecond);
+    }
+    f.sim.run_until(f.sim.now() + kMillisecond);
+  }
+  EXPECT_GT(node.queue_length(), 256u);
   f.sim.run_until(kSecond);
-  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(node.queue_length(), 0u);
+  std::vector<int> arrival_order(static_cast<std::size_t>(next));
+  std::iota(arrival_order.begin(), arrival_order.end(), 0);
+  ASSERT_EQ(node.handled, arrival_order);
+  for (std::size_t i = 0; i < node.senders.size(); ++i) {
+    EXPECT_EQ(node.senders[i], NodeId{static_cast<std::uint32_t>(2 + i % 5)});
+  }
 }
 
 TEST(Node, EdfQueuesDeadlineMessagesAndDrainsEarliestDueFirst) {
   NetFixture f;
-  DispatchNode node(f.sim, *f.net, /*edf=*/true);
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Edf);
   // The first one enters service at once and the rest queue behind it. A
-  // free deadline-less message waits too while one is in service, and
-  // counts as due at arrival.
-  node.take(2, 1, 40 * kMillisecond);
-  node.take(2, 2);
-  node.take(2, 3, 30 * kMillisecond);
-  node.take(2, 4, 10 * kMillisecond);
-  node.take(2, 5, 20 * kMillisecond);
+  // deadline-less message counts as due at arrival, and equal due times
+  // are served in arrival order (4 before 6).
+  node.take(2, 1, 40 * kMillisecond, kMillisecond);
+  node.take(2, 2, 0, kMillisecond);
+  node.take(2, 3, 30 * kMillisecond, kMillisecond);
+  node.take(2, 4, 10 * kMillisecond, kMillisecond);
+  node.take(2, 5, 20 * kMillisecond, kMillisecond);
+  node.take(2, 6, 10 * kMillisecond, kMillisecond);
   EXPECT_TRUE(node.handled.empty());
-  EXPECT_EQ(node.queue_length(), 4u);
+  EXPECT_EQ(node.queue_length(), 5u);
+  // Mid-drain (1 done, 2 in service), a message due at 6.5 ms overtakes
+  // everything still waiting.
+  f.sim.run_until(1500 * kMicrosecond);
+  EXPECT_EQ(node.handled, std::vector<int>{1});
+  node.take(2, 7, 5 * kMillisecond, kMillisecond);
   f.sim.run_until(kSecond);
-  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 4, 5, 3}));
+  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 7, 4, 6, 5, 3}));
 }
 
-TEST(Node, UrgentSenderOvertakesQueuedDeadlineMessages) {
-  // Message 1 holds the CPU for 5 ms; 2 and 3 queue with 1 ms and 2 ms
-  // budgets; at 3 ms a deadline-less message from replica 9 arrives. EDF
-  // alone serves it last (due at 3 ms, after 1 and 2 ms); the urgent lane
-  // serves it first.
-  auto order = [](bool urgent_lane) {
+TEST(Node, CrashClearsTheQueueUnderFifoAndEdf) {
+  for (DisciplineKind discipline : {DisciplineKind::Fifo, DisciplineKind::Edf}) {
     NetFixture f;
-    DispatchNode node(f.sim, *f.net, /*edf=*/true);
-    if (urgent_lane) node.set_urgent_classifier([](NodeId from) { return from == NodeId{9}; });
-    node.take(2, 1, 10 * kMillisecond, 5 * kMillisecond);
-    node.take(2, 2, 1 * kMillisecond);
-    node.take(2, 3, 2 * kMillisecond);
-    f.sim.run_until(3 * kMillisecond);
-    node.take(9, 4);
-    EXPECT_TRUE(node.handled.empty());
+    DispatchNode node(f.sim, *f.net, discipline);
+    for (int i = 0; i < 8; ++i) node.take(2, i, (i + 1) * kMillisecond, kMillisecond);
+    EXPECT_EQ(node.queue_length(), 7u);  // one in service
+    node.crash();
+    EXPECT_EQ(node.queue_length(), 0u);
     f.sim.run_until(kSecond);
-    return node.handled;
+    EXPECT_TRUE(node.handled.empty());
+    // The queue works again after a restart.
+    node.restart();
+    node.take(2, 99, kMillisecond);
+    f.sim.run_until(2 * kSecond);
+    EXPECT_EQ(node.handled, std::vector<int>{99});
+  }
+}
+
+TEST(Node, WallClockHandlesADeliveryInsideDeliver) {
+  // No CPU is modelled on an event loop: a message is handled at once,
+  // whatever cost the simulator would charge for it, and the cost is
+  // never asked. Under EDF so is a message without a budget.
+  for (DisciplineKind discipline : {DisciplineKind::Fifo, DisciplineKind::Edf}) {
+    rpc::EventLoop loop;
+    test::NullTransport net;
+    DispatchNode node(loop, net, discipline);
+    node.take(2, 1, /*deadline=*/0, /*cost=*/kSecond);
+    node.take(3, 2, /*deadline=*/0, /*cost=*/kSecond);
+    EXPECT_EQ(node.handled, (std::vector<int>{1, 2}));
+    EXPECT_EQ(node.senders, (std::vector<NodeId>{NodeId{2}, NodeId{3}}));
+    EXPECT_EQ(node.queue_length(), 0u);
+    EXPECT_EQ(node.costs_asked, 0);
+  }
+}
+
+TEST(Node, WallClockEdfBurstDrainsEarliestDueFirst) {
+  // One recv burst under EDF: the budget-less message is handled inside
+  // deliver(); the budgeted ones wait for the burst to end and then drain
+  // earliest-due first.
+  rpc::EventLoop loop;
+  test::NullTransport net;
+  DispatchNode node(loop, net, DisciplineKind::Edf);
+  auto burst = [&node](int base) {
+    node.take(2, base + 1, 40 * kMillisecond);
+    node.take(2, base + 2);
+    node.take(2, base + 3, 30 * kMillisecond);
+    node.take(2, base + 4, 10 * kMillisecond);
+    node.take(2, base + 5, 20 * kMillisecond);
   };
-  EXPECT_EQ(order(false), (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(order(true), (std::vector<int>{1, 4, 2, 3}));
+  burst(0);
+  EXPECT_EQ(node.handled, std::vector<int>{2});
+  EXPECT_EQ(node.queue_length(), 4u);
+  loop.run_for(kMillisecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{2, 4, 5, 3, 1}));
+  EXPECT_EQ(node.queue_length(), 0u);
+
+  // The next burst drains the same way; one that a crash cuts short is lost.
+  burst(10);
+  loop.run_for(kMillisecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{2, 4, 5, 3, 1, 12, 14, 15, 13, 11}));
+  node.take(2, 21, 10 * kMillisecond);
+  node.crash();
+  loop.run_for(kMillisecond);
+  EXPECT_EQ(node.handled.size(), 10u);
+  EXPECT_EQ(node.costs_asked, 0);
 }
 
 }  // namespace

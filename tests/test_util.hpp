@@ -10,6 +10,7 @@
 #include "app/kv_store.hpp"
 #include "consensus/service_client.hpp"
 #include "harness/cluster.hpp"
+#include "sim/transport.hpp"
 
 namespace idem::test {
 
@@ -27,6 +28,16 @@ inline std::vector<std::byte> get_cmd(std::string key) {
   cmd.key = std::move(key);
   return cmd.encode();
 }
+
+/// A transport that connects nothing: sends vanish. Tests hand messages
+/// to deliver() themselves, so a node can run on an rpc::EventLoop without
+/// sockets.
+class NullTransport final : public sim::Transport {
+ public:
+  void add_node(sim::NodeId, sim::NodeKind, sim::Endpoint*) override {}
+  void remove_node(sim::NodeId) override {}
+  void send(sim::NodeId, sim::NodeId, sim::PayloadPtr) override {}
+};
 
 /// Invokes one operation and runs the simulation until it completes (or
 /// `max_wait` of simulated time passes). Returns nullopt on stall.

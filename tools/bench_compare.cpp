@@ -1,7 +1,7 @@
 // bench-compare: diffs a freshly produced benchmark JSON against a
 // committed baseline and fails on regressions beyond a tolerance.
 //
-//   bench_compare --baseline BENCH_real.json --fresh /tmp/fresh.json \
+//   bench_compare --baseline BENCH_real.json --fresh /tmp/fresh.json
 //                 [--tolerance 0.10] [--label real]
 //
 // Works on any of the repo's benchmark emissions (BENCH_real.json,

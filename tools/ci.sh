@@ -31,8 +31,8 @@ for arg in "$@"; do
   esac
 done
 
-echo "== tier-1: configure + build =="
-cmake -B build -S . >/dev/null
+echo "== tier-1: configure + build (warnings are errors) =="
+cmake -B build -S . -DIDEM_WERROR=ON >/dev/null
 cmake --build build -j "${JOBS}"
 
 echo "== tier-1: ctest =="
@@ -79,9 +79,10 @@ if [[ "${FAST}" -eq 0 ]]; then
   (cd build-asan && ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
       ctest --output-on-failure -j "${JOBS}")
 
-  # TSan over the suites that actually spawn threads: the rpc event loop's
-  # cross-thread post()/stop() and the whole real-mode runtime (one loop
-  # thread per replica). Run serially — TSan-instrumented loopback clusters
+  # TSan over the suites that actually spawn threads or run an event loop:
+  # the rpc event loop's cross-thread post()/stop(), the whole real-mode
+  # runtime (one loop thread per replica) and the wall-clock Node cases.
+  # Run serially — TSan-instrumented loopback clusters
   # are heavyweight enough that parallel suites time-box each other out.
   echo "== sanitizers: TSan build (rpc + real runtime) =="
   cmake -B build-tsan -S . -DIDEM_SANITIZE=thread >/dev/null
@@ -89,7 +90,7 @@ if [[ "${FAST}" -eq 0 ]]; then
 
   echo "== sanitizers: TSan ctest =="
   (cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
-      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Discipline')
+      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Node\.WallClock')
 fi
 
 # Time-boxed storm smoke: ~1k connections ramped up (334 sessions x 3

@@ -36,7 +36,6 @@
 #include "cli_util.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
-#include "sim/discipline.hpp"
 #include "shard/gate.hpp"
 #include "shard/shard_map.hpp"
 
@@ -328,7 +327,7 @@ int main(int argc, char** argv) {
   const std::unique_ptr<core::IdemReplica> replica = real::make_replica(
       loop, transport, ReplicaId{options.replica_id}, config,
       std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}), std::move(acceptance));
-  if (options.edf) replica->set_discipline(sim::make_discipline(sim::DisciplineKind::Edf));
+  if (options.edf) replica->set_discipline(sim::DisciplineKind::Edf);
   for (const auto& [peer_id, address] : options.peers) {
     transport.set_remote(consensus::replica_address(ReplicaId{peer_id}), address);
   }
