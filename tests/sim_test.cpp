@@ -425,19 +425,49 @@ TEST(Node, SimulatorQueuesEveryDelivery) {
   }
 }
 
-TEST(Node, FifoServesInArrivalOrderThroughRingWraparoundAndGrowth) {
+TEST(Node, EdfQueuesDeadlineMessagesAndDrainsEarliestDueFirst) {
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Edf);
+  // The first one enters service at once and the rest queue behind it, the
+  // budget-less one included: it counts as due at arrival.
+  node.take(2, 1, 40 * kMillisecond);
+  node.take(2, 2);
+  node.take(2, 3, 30 * kMillisecond);
+  node.take(2, 4, 10 * kMillisecond);
+  node.take(2, 5, 20 * kMillisecond);
+  EXPECT_TRUE(node.handled.empty());
+  EXPECT_EQ(node.queue_length(), 4u);
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 4, 5, 3}));
+}
+
+// Service-queue order on the simulator. In each case the first message
+// enters service at once and holds the CPU, so the ones delivered after it
+// wait in the node's FIFO ring or EDF heap.
+
+TEST(Discipline, FifoPopsInArrivalOrder) {
+  // Budgets are ignored under FIFO: arrival order rules.
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Fifo);
+  for (int i = 0; i < 5; ++i) {
+    node.take(2, i, /*deadline=*/(100 - i) * kMillisecond, /*cost=*/kMillisecond);
+  }
+  EXPECT_EQ(node.queue_length(), 4u);
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(node.queue_length(), 0u);
+}
+
+TEST(Discipline, FifoRingSurvivesWraparoundAndGrowth) {
   // Each message holds the CPU for 1 ms. Two arrive per millisecond and
   // one is served, so the ring's head wraps while it grows from 8 slots
-  // past 256. Budgets are ignored: arrival order rules, and each message
-  // keeps its sender.
+  // past 256.
   NetFixture f;
   DispatchNode node(f.sim, *f.net, DisciplineKind::Fifo);
   int next = 0;
   for (int round = 0; round < 300; ++round) {
-    for (int i = 0; i < 2; ++i, ++next) {
-      node.take(static_cast<std::uint32_t>(2 + next % 5), next, /*deadline=*/kSecond - next,
-                kMillisecond);
-    }
+    node.take(2, next++, 0, kMillisecond);
+    node.take(2, next++, 0, kMillisecond);
     f.sim.run_until(f.sim.now() + kMillisecond);
   }
   EXPECT_GT(node.queue_length(), 256u);
@@ -445,33 +475,76 @@ TEST(Node, FifoServesInArrivalOrderThroughRingWraparoundAndGrowth) {
   EXPECT_EQ(node.queue_length(), 0u);
   std::vector<int> arrival_order(static_cast<std::size_t>(next));
   std::iota(arrival_order.begin(), arrival_order.end(), 0);
-  ASSERT_EQ(node.handled, arrival_order);
-  for (std::size_t i = 0; i < node.senders.size(); ++i) {
-    EXPECT_EQ(node.senders[i], NodeId{static_cast<std::uint32_t>(2 + i % 5)});
-  }
+  EXPECT_EQ(node.handled, arrival_order);
 }
 
-TEST(Node, EdfQueuesDeadlineMessagesAndDrainsEarliestDueFirst) {
+TEST(Discipline, FifoPreservesSender) {
+  // Twenty waiting messages from five senders also grow the ring once.
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Fifo);
+  std::vector<NodeId> senders;
+  for (int i = 0; i < 20; ++i) {
+    const auto from = static_cast<std::uint32_t>(2 + i % 5);
+    node.take(from, i, 0, kMillisecond);
+    senders.push_back(NodeId{from});
+  }
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.senders, senders);
+}
+
+TEST(Discipline, EdfPopsEarliestDueFirst) {
   NetFixture f;
   DispatchNode node(f.sim, *f.net, DisciplineKind::Edf);
-  // The first one enters service at once and the rest queue behind it. A
-  // deadline-less message counts as due at arrival, and equal due times
-  // are served in arrival order (4 before 6).
-  node.take(2, 1, 40 * kMillisecond, kMillisecond);
-  node.take(2, 2, 0, kMillisecond);
-  node.take(2, 3, 30 * kMillisecond, kMillisecond);
-  node.take(2, 4, 10 * kMillisecond, kMillisecond);
-  node.take(2, 5, 20 * kMillisecond, kMillisecond);
-  node.take(2, 6, 10 * kMillisecond, kMillisecond);
-  EXPECT_TRUE(node.handled.empty());
-  EXPECT_EQ(node.queue_length(), 5u);
-  // Mid-drain (1 done, 2 in service), a message due at 6.5 ms overtakes
-  // everything still waiting.
-  f.sim.run_until(1500 * kMicrosecond);
-  EXPECT_EQ(node.handled, std::vector<int>{1});
-  node.take(2, 7, 5 * kMillisecond, kMillisecond);
+  node.take(2, 9, 0, kMillisecond);
+  node.take(2, 0, 300 * kMillisecond);
+  node.take(2, 1, 100 * kMillisecond);
+  node.take(2, 2, 200 * kMillisecond);
   f.sim.run_until(kSecond);
-  EXPECT_EQ(node.handled, (std::vector<int>{1, 2, 7, 4, 6, 5, 3}));
+  EXPECT_EQ(node.handled, (std::vector<int>{9, 1, 2, 0}));
+}
+
+TEST(Discipline, EdfTiesBreakByArrivalOrder) {
+  // Equal due times are served in arrival order: the arrival sequence
+  // makes the heap a total order, keeping simulated trajectories
+  // deterministic.
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Edf);
+  node.take(2, -1, 0, kMillisecond);
+  for (int i = 0; i < 16; ++i) node.take(2, i, 42 * kMillisecond);
+  f.sim.run_until(kSecond);
+  std::vector<int> arrival_order(17);
+  std::iota(arrival_order.begin(), arrival_order.end(), -1);
+  EXPECT_EQ(node.handled, arrival_order);
+}
+
+TEST(Discipline, EdfDeadlinelessTrafficKeepsPriority) {
+  // Agreement traffic carries no budget and is due at arrival; a client
+  // request that arrived before it with a budget must not starve it.
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Edf);
+  node.take(2, 0, 0, kMillisecond);
+  node.take(2, 1, 50 * kMicrosecond);  // client request, due at 50 us
+  f.sim.run_until(kMicrosecond);
+  node.take(3, 2);  // peer message, due at 1 us
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{0, 2, 1}));
+}
+
+TEST(Discipline, EdfInterleavedChurnStaysOrdered) {
+  // Each message holds the CPU for 1 ms. Arrivals between services join
+  // the heap and are ordered with what already waits.
+  NetFixture f;
+  DispatchNode node(f.sim, *f.net, DisciplineKind::Edf);
+  node.take(2, 9, 0, kMillisecond);
+  node.take(2, 0, 50 * kMillisecond, kMillisecond);  // due at 50 ms
+  node.take(2, 1, 10 * kMillisecond, kMillisecond);  // due at 10 ms
+  f.sim.run_until(1500 * kMicrosecond);  // 9 done, 1 in service
+  EXPECT_EQ(node.handled, std::vector<int>{9});
+  node.take(2, 2, 40 * kMillisecond, kMillisecond);  // due at 41.5 ms
+  node.take(2, 3, 60 * kMillisecond, kMillisecond);  // due at 61.5 ms
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(node.handled, (std::vector<int>{9, 1, 2, 0, 3}));
+  EXPECT_EQ(node.queue_length(), 0u);
 }
 
 TEST(Node, CrashClearsTheQueueUnderFifoAndEdf) {

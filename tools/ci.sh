@@ -90,7 +90,7 @@ if [[ "${FAST}" -eq 0 ]]; then
 
   echo "== sanitizers: TSan ctest =="
   (cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
-      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Node\.WallClock')
+      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Discipline|Node\.WallClock')
 fi
 
 # Time-boxed storm smoke: ~1k connections ramped up (334 sessions x 3
