@@ -82,7 +82,6 @@ UxStats run_scenario(harness::Protocol protocol, const char* label) {
   config.preload = false;
   // Web clients would give up eventually; model a 1 s hard timeout.
   config.idem_client.operation_timeout = kSecond;
-  config.paxos_client.operation_timeout = kSecond;
   harness::Cluster cluster(config);
 
   // Seed the feeds.

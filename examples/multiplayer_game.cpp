@@ -100,8 +100,6 @@ void run_match(harness::Protocol protocol, const char* label) {
   config.reject_threshold = 50;
   config.preload = false;
   config.idem_client.operation_timeout = 500 * kMillisecond;
-  config.paxos_client.operation_timeout = 500 * kMillisecond;
-  config.smart_client.operation_timeout = 500 * kMillisecond;
   harness::Cluster cluster(config);
 
   MatchStats stats;

@@ -11,7 +11,7 @@
 #include "common/histogram.hpp"
 #include "idem/acceptance.hpp"
 #include "idem/client.hpp"
-#include "real/replica.hpp"
+#include "idem/replica.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
 
@@ -59,9 +59,8 @@ int main() {
 
   std::vector<std::unique_ptr<core::IdemReplica>> replicas;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    replicas.push_back(real::make_replica(
-        loop, transport, ReplicaId{i}, config,
-        std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
+    replicas.push_back(std::make_unique<core::IdemReplica>(
+        loop, transport, ReplicaId{i}, config, std::make_unique<app::KvStore>(),
         core::make_default_acceptance(config, 4)));
     std::printf("replica %u listening on 127.0.0.1:%u\n", i,
                 transport.port_of(consensus::replica_address(ReplicaId{i})));

@@ -20,7 +20,7 @@
 #include "app/kv_store.hpp"
 #include "idem/acceptance.hpp"
 #include "idem/client.hpp"
-#include "real/replica.hpp"
+#include "idem/replica.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
 
@@ -48,9 +48,9 @@ int run_replica(std::uint32_t index, const std::vector<std::uint16_t>& ports) {
   rpc::TcpTransport transport(loop, tcfg);
 
   core::IdemConfig config = protocol_config(n);
-  auto replica = real::make_replica(loop, transport, ReplicaId{index}, config,
-                                    std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
-                                    core::make_default_acceptance(config, 16));
+  auto replica = std::make_unique<core::IdemReplica>(loop, transport, ReplicaId{index}, config,
+                                                     std::make_unique<app::KvStore>(),
+                                                     core::make_default_acceptance(config, 16));
   for (std::uint32_t i = 0; i < n; ++i) {
     if (i == index) continue;
     transport.set_remote(consensus::replica_address(ReplicaId{i}), ports[i]);

@@ -247,11 +247,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   cluster_config.paxos.viewchange_timeout = 300 * kMillisecond;
   cluster_config.paxos.heartbeat_interval = 100 * kMillisecond;
   cluster_config.idem_client.retry_interval = 200 * kMillisecond;
-  cluster_config.paxos_client.retry_interval = 250 * kMillisecond;
-  cluster_config.smart_client.retry_interval = 250 * kMillisecond;
   cluster_config.idem_client.operation_timeout = config.op_timeout;
-  cluster_config.paxos_client.operation_timeout = config.op_timeout;
-  cluster_config.smart_client.operation_timeout = config.op_timeout;
 
   harness::Cluster cluster(cluster_config);
   ExecLog exec(cluster);

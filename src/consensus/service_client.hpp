@@ -21,7 +21,8 @@ namespace idem::consensus {
 struct Outcome {
   enum class Kind {
     Reply,     ///< success: the request was agreed on and executed
-    Rejected,  ///< aborted after n-f (ambivalence) or n (failure) REJECTs
+    Rejected,  ///< aborted after n-f (ambivalence) or n (failure) REJECTs,
+               ///< or one from the leader of a leader-based protocol
     Timeout,   ///< gave up without conclusive information
   };
 
@@ -30,7 +31,9 @@ struct Outcome {
   Time completed = 0;
   std::vector<std::byte> result;   ///< Reply only
   std::size_t rejects_seen = 0;
-  bool definitive_failure = false;  ///< true when all n replicas rejected
+  /// The request can never execute: all n replicas rejected one try, or
+  /// the leader rejected a request that was never retransmitted.
+  bool definitive_failure = false;
 
   /// Sharded deployments: a WrongShard REJECT aborts the operation
   /// immediately (Kind::Rejected) and reports the rejecting replica's map

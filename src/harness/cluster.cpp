@@ -74,15 +74,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
             *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, make_store(),
             std::move(test)));
       }
-      core::IdemClientConfig cc = config_.idem_client;
-      cc.n = n;
-      cc.f = config_.f;
-      cc.trace = trace_.get();
-      for (std::size_t i = 0; i < config_.clients; ++i) {
-        auto client = std::make_unique<core::IdemClient>(*sim_, *net_, ClientId{i}, cc);
-        clients_.push_back(client.get());
-        client_nodes_.push_back(std::move(client));
-      }
       break;
     }
     case Protocol::Paxos:
@@ -96,14 +87,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       for (std::size_t i = 0; i < n; ++i) {
         replicas_.push_back(std::make_unique<paxos::PaxosReplica>(
             *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, make_store()));
-      }
-      paxos::PaxosClientConfig cc = config_.paxos_client;
-      cc.n = n;
-      cc.trace = trace_.get();
-      for (std::size_t i = 0; i < config_.clients; ++i) {
-        auto client = std::make_unique<paxos::PaxosClient>(*sim_, *net_, ClientId{i}, cc);
-        clients_.push_back(client.get());
-        client_nodes_.push_back(std::move(client));
       }
       break;
     }
@@ -129,16 +112,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
             *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, intake, make_store(),
             std::move(test)));
       }
-      // SMaRt clients multicast; the reject-quorum client is IDEM's.
-      core::IdemClientConfig cc = config_.idem_client;
-      cc.n = n;
-      cc.f = config_.f;
-      cc.trace = trace_.get();
-      for (std::size_t i = 0; i < config_.clients; ++i) {
-        auto client = std::make_unique<core::IdemClient>(*sim_, *net_, ClientId{i}, cc);
-        clients_.push_back(client.get());
-        client_nodes_.push_back(std::move(client));
-      }
       break;
     }
     case Protocol::Smart: {
@@ -150,16 +123,22 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         replicas_.push_back(std::make_unique<smart::SmartReplica>(
             *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, make_store()));
       }
-      smart::SmartClientConfig cc = config_.smart_client;
-      cc.n = n;
-      cc.trace = trace_.get();
-      for (std::size_t i = 0; i < config_.clients; ++i) {
-        auto client = std::make_unique<smart::SmartClient>(*sim_, *net_, ClientId{i}, cc);
-        clients_.push_back(client.get());
-        client_nodes_.push_back(std::move(client));
-      }
       break;
     }
+  }
+
+  // Every protocol's client is IDEM's. Paxos clients talk to the leader
+  // only; the others multicast (SMaRt replicas simply never reject).
+  core::IdemClientConfig cc = config_.idem_client;
+  cc.n = n;
+  cc.f = config_.f;
+  cc.leader_only =
+      config_.protocol == Protocol::Paxos || config_.protocol == Protocol::PaxosLBR;
+  cc.trace = trace_.get();
+  for (std::size_t i = 0; i < config_.clients; ++i) {
+    auto client = std::make_unique<core::IdemClient>(*sim_, *net_, ClientId{i}, cc);
+    clients_.push_back(client.get());
+    client_nodes_.push_back(std::move(client));
   }
 
   for (auto& replica : replicas_) replica->set_discipline(config_.discipline);

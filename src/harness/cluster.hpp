@@ -16,12 +16,10 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/ticker.hpp"
 #include "obs/trace.hpp"
-#include "paxos/client.hpp"
 #include "paxos/replica.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "smart/client.hpp"
 #include "smart/replica.hpp"
 #include "smart/replica_pr.hpp"
 
@@ -67,12 +65,11 @@ struct ClusterConfig {
 
   sim::NetworkConfig network;
   core::IdemConfig idem;              ///< n/f/reject_threshold overridden
-  core::IdemClientConfig idem_client; ///< n/f overridden
+  /// The client of every protocol; n/f/leader_only overridden.
+  core::IdemClientConfig idem_client;
   paxos::PaxosConfig paxos;
-  paxos::PaxosClientConfig paxos_client;
   /// Also SMaRt+PR's agreement; its intake phase takes `idem`.
   smart::SmartConfig smart;
-  smart::SmartClientConfig smart_client;
 
   ObsConfig obs;
 

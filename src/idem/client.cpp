@@ -22,7 +22,7 @@ void IdemClient::invoke(std::vector<std::byte> command, Callback callback) {
   pending_ = std::move(op);
   IDEM_TRACE(config_.trace, now(), obs::TraceEventKind::RequestIssued, id().value, pending_->id);
 
-  multicast_request();
+  send_request();
   arm_retry();
   if (config_.operation_timeout > 0) {
     deadline_timer_ = set_timer(config_.operation_timeout, [this] {
@@ -32,7 +32,11 @@ void IdemClient::invoke(std::vector<std::byte> command, Callback callback) {
   }
 }
 
-void IdemClient::multicast_request() {
+void IdemClient::send_request() {
+  if (config_.leader_only) {
+    send(consensus::replica_address(presumed_leader_), pending_->request);
+    return;
+  }
   for (std::uint32_t i = 0; i < config_.n; ++i) {
     send(consensus::replica_address(ReplicaId{i}), pending_->request);
   }
@@ -54,7 +58,12 @@ void IdemClient::arm_retry() {
     // definitive rejection of a request some replica may still execute
     // (ROADMAP item 1, pinned by the seed-4506 corpus artifact).
     pending_->rejects.clear();
-    multicast_request();
+    pending_->retransmitted = true;
+    if (config_.leader_only) {
+      presumed_leader_ =
+          ReplicaId{static_cast<std::uint32_t>((presumed_leader_.value + 1) % config_.n)};
+    }
+    send_request();
     arm_retry();
   });
 }
@@ -67,6 +76,7 @@ void IdemClient::on_message(sim::NodeId from, const sim::Payload& message) {
   if (base->type() == msg::Type::Reply) {
     const auto& reply = static_cast<const msg::Reply&>(*base);
     if (reply.id != pending_->id) return;  // stale reply for an older operation
+    if (config_.leader_only) presumed_leader_ = consensus::replica_of_address(from);
     complete(consensus::Outcome::Kind::Reply, reply.result);
     return;
   }
@@ -88,6 +98,12 @@ void IdemClient::on_message(sim::NodeId from, const sim::Payload& message) {
       return;
     }
     pending_->rejects.insert(from.value);
+    if (config_.leader_only) {
+      // The leader alone decides (Paxos_LBR): its REJECT ends the operation.
+      presumed_leader_ = consensus::replica_of_address(from);
+      complete(consensus::Outcome::Kind::Rejected, {});
+      return;
+    }
     const std::size_t rejects = pending_->rejects.size();
 
     if (rejects >= config_.n) {
@@ -123,7 +139,13 @@ void IdemClient::complete(consensus::Outcome::Kind kind, std::vector<std::byte> 
   outcome.completed = now();
   outcome.result = std::move(result);
   outcome.rejects_seen = pending_->rejects.size();
-  outcome.definitive_failure = pending_->rejects.size() >= config_.n;
+  // Definitive: the request can never execute. Multicast, that takes all
+  // n replicas rejecting one try. Leader-only, the leader's REJECT is
+  // definitive on the first try only: after a retransmission an earlier
+  // presumed leader may have accepted an earlier try.
+  outcome.definitive_failure =
+      config_.leader_only ? !pending_->rejects.empty() && !pending_->retransmitted
+                          : pending_->rejects.size() >= config_.n;
   outcome.redirect_reason = pending_->redirect_reason;
   outcome.redirect_epoch = pending_->redirect_epoch;
   outcome.redirect_group = pending_->redirect_group;

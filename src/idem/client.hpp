@@ -1,10 +1,16 @@
-// The IDEM client (paper Sections 4.1 and 5.3).
+// The client of every protocol here (paper Sections 4.1, 5.3 and 7).
 //
-// Multicasts each request to all replicas and then waits for either a
-// REPLY (success) or REJECTs. With n-f rejects the client is in the
-// ambivalence state: the pessimistic strategy aborts immediately, the
-// optimistic one waits a configurable extra time for a late reply (or the
-// remaining rejects) before aborting.
+// IDEM, SMaRt and SMaRt+PR: multicasts each request to all replicas and
+// then waits for either a REPLY (success) or REJECTs. With n-f rejects the
+// client is in the ambivalence state: the pessimistic strategy aborts
+// immediately, the optimistic one waits a configurable extra time for a
+// late reply (or the remaining rejects) before aborting. SMaRt replicas
+// never reject, so a SMaRt client completes on the first REPLY.
+//
+// Paxos and Paxos_LBR (leader_only): sends each try to the presumed
+// leader only and fails over to the next replica on every retransmission
+// (paper Section 7.8: this fail-over plus the view change is why
+// Paxos_LBR cannot reject during a leader crash).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +43,13 @@ struct IdemClientConfig {
   /// Give up entirely after this long (0 = never). Outcome::Timeout.
   Duration operation_timeout = 0;
 
+  /// Leader-based protocols (Paxos, Paxos_LBR): each try goes to the
+  /// presumed leader only, every retransmission moves on to the next
+  /// replica, and the replica that answers, REPLY or REJECT, becomes the
+  /// presumed leader. Its one REJECT ends the operation. harness::Cluster
+  /// sets this from the protocol.
+  bool leader_only = false;
+
   /// Optional request-lifecycle trace sink (borrowed, may be null).
   obs::TraceRecorder* trace = nullptr;
 
@@ -62,6 +75,9 @@ class IdemClient final : public sim::Node, public consensus::ServiceClient {
   ClientId client_id() const override { return cid_; }
   bool busy() const override { return pending_.has_value(); }
 
+  /// Where a leader_only client sends its next try.
+  ReplicaId presumed_leader() const { return presumed_leader_; }
+
   /// Section 5.3 optimization: invoked the moment the (n-f)th REJECT
   /// arrives (the ambivalence state), with the rejects seen so far. An
   /// optimistic client application can start *preparing* its fallback
@@ -78,12 +94,13 @@ class IdemClient final : public sim::Node, public consensus::ServiceClient {
     Callback callback;
     Time issued = 0;
     std::unordered_set<std::uint32_t> rejects;
+    bool retransmitted = false;
     RejectReason redirect_reason = RejectReason::None;  ///< WrongShard redirect
     std::uint64_t redirect_epoch = 0;
     std::uint32_t redirect_group = 0;
   };
 
-  void multicast_request();
+  void send_request();
   void complete(consensus::Outcome::Kind kind, std::vector<std::byte> result);
   void arm_retry();
 
@@ -91,6 +108,7 @@ class IdemClient final : public sim::Node, public consensus::ServiceClient {
   ClientId cid_;
   std::uint64_t onr_ = 0;
   Duration request_deadline_ = 0;  ///< budget stamped on subsequent invokes
+  ReplicaId presumed_leader_{0};
   std::optional<PendingOp> pending_;
   sim::TimerId retry_timer_;
   sim::TimerId ambivalence_timer_;

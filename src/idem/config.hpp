@@ -52,10 +52,11 @@ struct IdemConfig {
 
   /// REQUIRE aggregation: accepted ids are flushed to the leader when this
   /// many are pending or the flush interval elapses, whichever is first.
-  /// A zero interval means "the end of the current scheduling step": on a
-  /// real event loop due timers fire after the iteration's I/O batch, so
-  /// every id accepted from one recv burst leaves in a single REQUIRE with
-  /// no added wall-clock delay.
+  /// The interval applies on the simulator only (bench/
+  /// ablation_design_choices sweeps it). On an rpc::EventLoop the flush
+  /// always waits for the end of the loop iteration: due timers fire after
+  /// the iteration's I/O batch, so every id accepted from one recv burst
+  /// leaves in a single REQUIRE with no added wall-clock delay.
   std::size_t require_batch_max = 32;
   Duration require_flush_interval = 50 * kMicrosecond;
 

@@ -306,7 +306,10 @@ void IdemReplica::queue_require(RequestId id) {
   if (pending_requires_.size() >= config_.require_batch_max) {
     flush_requires();
   } else if (!require_flush_timer_.valid()) {
-    require_flush_timer_ = set_timer(config_.require_flush_interval, [this] {
+    // On an event loop a zero-delay timer fires after the iteration's I/O,
+    // so every id accepted from one recv burst leaves in one REQUIRE.
+    const Duration delay = wall_clock() ? 0 : config_.require_flush_interval;
+    require_flush_timer_ = set_timer(delay, [this] {
       require_flush_timer_ = sim::TimerId{};
       flush_requires();
     });
@@ -567,7 +570,9 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     }
     const std::vector<std::byte>* command = find_command(id);
     assert(command != nullptr);
-    charge(config_.costs.apply_jitter(sm_->execution_cost(*command), cost_rng_));
+    if (!wall_clock()) {
+      charge(config_.costs.apply_jitter(sm_->execution_cost(*command), cost_rng_));
+    }
     std::vector<std::byte> result = sm_->execute(*command);
     ++stats_.executed;
     lifecycle::executed(config_.trace, now(), me_.value, id, sqn);

@@ -5,7 +5,6 @@
 #include "app/kv_store.hpp"
 #include "consensus/addresses.hpp"
 #include "idem/acceptance.hpp"
-#include "real/replica.hpp"
 
 namespace idem::real {
 
@@ -30,7 +29,7 @@ RealCluster::RealCluster(RealClusterConfig config)
       member.trace = std::make_unique<obs::TraceRecorder>(config_.trace_capacity);
       replica_config.trace = member.trace.get();
     }
-    member.replica = make_replica(
+    member.replica = std::make_unique<core::IdemReplica>(
         member.runtime->loop(), member.runtime->transport(),
         ReplicaId{static_cast<std::uint32_t>(i)}, replica_config, make_store(),
         core::make_default_acceptance(replica_config, config_.expected_clients));
@@ -89,8 +88,7 @@ std::vector<Admin::Member> RealCluster::admin_members(std::optional<std::uint32_
 RealCluster::~RealCluster() { shutdown(); }
 
 std::unique_ptr<app::StateMachine> RealCluster::make_store() const {
-  // Zero costs: execution_cost() answers 0 without decoding the command.
-  auto store = std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0});
+  auto store = std::make_unique<app::KvStore>();
   if (config_.preload) {
     // Same config + const load phase => byte-identical content everywhere.
     Rng rng(config_.seed, /*stream=*/0x10ADull);

@@ -2,8 +2,10 @@
 // thread, talking over kernel TCP on loopback.
 //
 // The replicas are the byte-identical core::IdemReplica the simulator
-// benchmarks — only the Runtime (wall clock), Transport (TCP) and CPU
-// model (real message handling instead of simulated charges) differ.
+// benchmarks, built with no real-mode setting at all: only the Runtime
+// (wall clock) and Transport (TCP) differ, and the runtime decides the
+// rest — no CPU cost is modelled or computed, and REQUIREs flush at the
+// end of each loop iteration.
 // Observability: one TraceRecorder per replica thread (strict thread
 // confinement, so TSAN-clean), stamped from a shared clock epoch so the
 // per-thread rings merge into one coherent timeline after shutdown, and
@@ -42,8 +44,7 @@ struct RealClusterConfig {
   std::uint64_t seed = 1;
 
   /// Base protocol configuration; n/f/reject_threshold and the trace sink
-  /// are overridden per replica, and real::make_replica applies real
-  /// mode's end-of-iteration REQUIRE flush.
+  /// are overridden per replica.
   core::IdemConfig idem;
 
   /// Client population the acceptance test should assume (sizes the AQM

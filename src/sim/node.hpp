@@ -118,6 +118,10 @@ class Node : public Endpoint {
   /// messages. Does nothing on the wall clock.
   void charge(Duration extra);
 
+  /// True when the runtime's clock is the wall clock (an rpc::EventLoop):
+  /// nothing is charged there, so a cost need not be computed at all.
+  bool wall_clock() const { return wall_clock_; }
+
   /// Schedules `fn` after `delay`. Timer callbacks fire even while the CPU
   /// is busy (they model interrupt-driven timeouts) but never after a crash.
   TimerId set_timer(Duration delay, TimerCallback fn);

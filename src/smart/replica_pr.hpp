@@ -15,7 +15,8 @@
 //   - accepted-but-unfinished requests are forwarded after a timeout, and
 //     rejected bodies stay in a cache, preserving IDEM's liveness
 //     guarantee (a request accepted anywhere eventually executes).
-// Clients use core::IdemClient: SMaRt clients already multicast, and the
+// Clients are core::IdemClient, as for every protocol: the baseline's
+// clients already multicast and simply never see a REJECT, and the
 // reject-quorum semantics (Section 5.3) are protocol-independent. The
 // rejected cache is core::RejectedCache, which refreshes an entry on
 // repeat rejection — paper Section 4.5: a rejection is ambivalent until

@@ -1,7 +1,8 @@
-// Focused unit tests for the client implementations: IDEM's
+// Focused unit tests for the one client of every protocol: IDEM's
 // pessimistic/optimistic strategies and timing (Section 5.3), the
-// ambivalence warning hook, retransmission, and the Paxos client's
-// leader fail-over.
+// ambivalence warning hook, retransmission, and the leader-only addressing
+// Paxos and Paxos_LBR run with (leader fail-over, and when the leader's
+// REJECT is definitive).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +11,6 @@
 
 #include "consensus/messages.hpp"
 #include "idem/client.hpp"
-#include "paxos/client.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
@@ -219,23 +219,25 @@ TEST(IdemClientUnit, StaleRepliesIgnored) {
   EXPECT_FALSE(second.has_value());
 }
 
-TEST(PaxosClientUnit, CyclesThroughPresumedLeaders) {
+TEST(IdemClientUnit, LeaderOnlyCyclesThroughPresumedLeaders) {
   ClientFixture f;
   // Only replica 2 answers; the client must fail over twice to find it.
   f.replicas[2]->behavior = FakeReplica::Behavior::Reply;
 
-  paxos::PaxosClientConfig config;
+  core::IdemClientConfig config;
+  config.leader_only = true;
   config.retry_interval = 100 * kMillisecond;
-  paxos::PaxosClient client(f.sim, *f.net, ClientId{0}, config);
+  core::IdemClient client(f.sim, *f.net, ClientId{0}, config);
 
   std::optional<consensus::Outcome> outcome;
   client.invoke(test::put_cmd("k", "v"), [&](const consensus::Outcome& o) { outcome = o; });
   f.sim.run_until(f.sim.now() + 10 * kSecond);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->kind, consensus::Outcome::Kind::Reply);
-  // ~2 fail-over intervals before reaching replica 2.
+  // ~2 fail-over intervals before reaching replica 2, one try per replica.
   EXPECT_GE(outcome->latency(), 200 * kMillisecond);
   EXPECT_EQ(client.presumed_leader(), ReplicaId{2});
+  for (const auto& replica : f.replicas) EXPECT_EQ(replica->seen.size(), 1u);
 
   // The next operation goes straight to the known leader.
   std::optional<consensus::Outcome> next;
@@ -243,6 +245,55 @@ TEST(PaxosClientUnit, CyclesThroughPresumedLeaders) {
   f.sim.run_until(f.sim.now() + 10 * kSecond);
   ASSERT_TRUE(next.has_value());
   EXPECT_LT(next->latency(), 10 * kMillisecond);
+  EXPECT_EQ(f.replicas[0]->seen.size(), 1u);
+}
+
+TEST(IdemClientUnit, LeaderOnlyFirstTryRejectIsDefinitive) {
+  ClientFixture f;
+  // Paxos_LBR: the leader alone decides, so its one REJECT of the only
+  // try means the request can never execute.
+  f.replicas[0]->behavior = FakeReplica::Behavior::Reject;
+
+  core::IdemClientConfig config;
+  config.leader_only = true;
+  config.retry_interval = 100 * kMillisecond;
+  core::IdemClient client(f.sim, *f.net, ClientId{0}, config);
+
+  auto outcome = f.invoke(client);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->kind, consensus::Outcome::Kind::Rejected);
+  EXPECT_EQ(outcome->rejects_seen, 1u);
+  EXPECT_TRUE(outcome->definitive_failure);
+  EXPECT_LT(outcome->latency(), kMillisecond);
+  EXPECT_EQ(f.replicas[1]->seen.size(), 0u);
+  EXPECT_EQ(f.replicas[2]->seen.size(), 0u);
+}
+
+TEST(IdemClientUnit, LeaderOnlyRejectAfterFailoverIsNotDefinitive) {
+  ClientFixture f;
+  // Replica 0 answers the first try with a REJECT that arrives only after
+  // the client failed over to replica 1. Paper Section 4.5 counts
+  // rejections for this try only: replica 1 may have accepted the
+  // retransmission, so the REJECT ends the operation but must not promise
+  // that the request never executes. The rejecting replica answered, so it
+  // is the presumed leader again.
+  f.replicas[0]->behavior = FakeReplica::Behavior::Reject;
+  f.replicas[0]->response_delay = 150 * kMillisecond;
+
+  core::IdemClientConfig config;
+  config.leader_only = true;
+  config.retry_interval = 100 * kMillisecond;
+  core::IdemClient client(f.sim, *f.net, ClientId{0}, config);
+
+  auto outcome = f.invoke(client);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->kind, consensus::Outcome::Kind::Rejected);
+  EXPECT_EQ(outcome->rejects_seen, 1u);
+  EXPECT_FALSE(outcome->definitive_failure);
+  EXPECT_GE(outcome->latency(), 150 * kMillisecond);
+  EXPECT_LT(outcome->latency(), 200 * kMillisecond);
+  EXPECT_EQ(f.replicas[1]->seen.size(), 1u);
+  EXPECT_EQ(client.presumed_leader(), ReplicaId{0});
 }
 
 }  // namespace

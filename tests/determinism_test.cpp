@@ -15,6 +15,7 @@
 #include "harness/load.hpp"
 #include "harness/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace idem::harness {
 namespace {
@@ -107,6 +108,35 @@ TEST_P(DeterminismTest, Seed11TrajectoryIsPinned) {
   EXPECT_EQ(t.rejects, pin.rejects);
   EXPECT_EQ(t.client_bytes, pin.client_bytes);
   EXPECT_EQ(t.replica_bytes, pin.replica_bytes);
+}
+
+// The four pins above never retransmit, so they cannot see the
+// leader-only client path. This pins a Paxos_LBR leader crash: clients
+// fail over one replica per retry interval until they find the new leader
+// (about 4 s without a reply or a REJECT), then its REJECTs end
+// operations again. Stamped with the 1 s fail-over Paxos clients had when
+// they were a class of their own; the one client must reproduce it.
+TEST(DeterminismPin, PaxosLbrLeaderCrashTrajectoryIsPinned) {
+  ClusterConfig config;
+  config.protocol = Protocol::PaxosLBR;
+  config.clients = 40;
+  config.reject_threshold = 20;
+  config.seed = 11;
+  config.idem_client.retry_interval = kSecond;
+
+  LoadConfig driver;
+  driver.warmup = 100 * kMillisecond;
+  driver.measure = 5 * kSecond;
+
+  Cluster cluster(config);
+  cluster.apply({sim::Fault::crash(400 * kMillisecond, sim::Fault::kLeader)});
+  const RunMetrics metrics = drive(cluster, driver);
+  EXPECT_EQ(cluster.simulator().events_executed(), 601'002u);
+  EXPECT_EQ(metrics.replies, 40'742u);
+  EXPECT_EQ(metrics.rejects, 152u);
+  EXPECT_EQ(metrics.timeouts, 0u);
+  EXPECT_EQ(metrics.client_traffic.bytes, 11'077'098u);
+  EXPECT_EQ(metrics.replica_traffic.bytes, 20'554'962u);
 }
 
 // The observability layer inherits the kernel contract: two runs with the

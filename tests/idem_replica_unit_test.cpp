@@ -12,7 +12,6 @@
 
 #include "app/kv_store.hpp"
 #include "idem/replica.hpp"
-#include "real/replica.hpp"
 #include "rpc/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
@@ -130,22 +129,30 @@ struct ReplicaFixture {
   }
 };
 
-/// Counts snapshot() calls on the KvStore it wraps.
-class SnapshotCounter final : public app::StateMachine {
+/// Counts snapshot() and execution_cost() calls on the KvStore it wraps.
+class CountingStore final : public app::StateMachine {
  public:
-  explicit SnapshotCounter(std::size_t& snapshots) : snapshots_(snapshots) {}
+  struct Calls {
+    std::size_t snapshots = 0;
+    std::size_t costs = 0;
+  };
+  explicit CountingStore(Calls& calls) : calls_(calls) {}
   std::vector<std::byte> execute(std::span<const std::byte> command) override {
     return store_.execute(command);
   }
   std::vector<std::byte> snapshot() const override {
-    ++snapshots_;
+    ++calls_.snapshots;
     return store_.snapshot();
   }
   void restore(std::span<const std::byte> snapshot) override { store_.restore(snapshot); }
+  Duration execution_cost(std::span<const std::byte> command) const override {
+    ++calls_.costs;
+    return store_.execution_cost(command);
+  }
 
  private:
   app::KvStore store_;
-  std::size_t& snapshots_;
+  Calls& calls_;
 };
 
 TEST(IdemReplicaUnit, AcceptSendsRequire) {
@@ -541,17 +548,17 @@ TEST(IdemReplicaUnit, StateRequestAtOrAheadOfTheHeadIsNotAnswered) {
 }
 
 TEST(IdemReplicaUnit, NoSnapshotIsTakenWhileNoPeerAsks) {
-  std::size_t snapshots = 0;
-  ReplicaFixture f(ReplicaFixture::make_config(), 1, std::make_unique<SnapshotCounter>(snapshots));
+  CountingStore::Calls calls;
+  ReplicaFixture f(ReplicaFixture::make_config(), 1, std::make_unique<CountingStore>(calls));
   constexpr std::uint64_t kInstances = 1100;
   for (std::uint64_t sqn = 0; sqn < kInstances; ++sqn) f.execute(sqn, sqn + 1);
   ASSERT_EQ(f.replica->next_execute().value, kInstances);
   ASSERT_EQ(f.replica->stats().executed, kInstances);
-  EXPECT_EQ(snapshots, 0u);
+  EXPECT_EQ(calls.snapshots, 0u);
 
   f.peer_requests_state(10);
   f.settle();
-  EXPECT_EQ(snapshots, 1u);
+  EXPECT_EQ(calls.snapshots, 1u);
   ASSERT_EQ(f.peer->received_of<msg::StateResponse>().size(), 1u);
   EXPECT_EQ(f.peer->received_of<msg::StateResponse>()[0]->upto, SeqNum{kInstances - 1});
 }
@@ -560,7 +567,7 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
   // On an event loop a replica models no CPU. Serving and restoring state
   // charge nothing there, although the cost model prices snapshots, so
   // every message, the one after the transfer included, is handled inside
-  // deliver().
+  // deliver(); and no execution cost is even computed.
   rpc::EventLoop loop(5);
   test::NullTransport net;
   const sim::NodeId leader = consensus::replica_address(ReplicaId{0});
@@ -568,11 +575,10 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
   const sim::NodeId client = consensus::client_address(ClientId{0});
   const core::IdemConfig config = ReplicaFixture::make_config();
   ASSERT_GT(config.costs.snapshot_cost(0), 0);
-  // A real deployment's store charges nothing (real::RealCluster).
-  auto replica = real::make_replica(
-      loop, net, ReplicaId{1}, config,
-      std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}),
-      std::make_unique<core::NeverReject>());
+  CountingStore::Calls calls;
+  auto replica = std::make_unique<core::IdemReplica>(loop, net, ReplicaId{1}, config,
+                                                     std::make_unique<CountingStore>(calls),
+                                                     std::make_unique<core::NeverReject>());
   auto request = [](std::uint64_t onr) {
     return std::make_shared<const msg::Request>(RequestId{ClientId{0}, OpNum{onr}},
                                                 test::put_cmd("k", "v" + std::to_string(onr)));
@@ -585,6 +591,7 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
     replica->deliver(leader, std::move(propose));
   }
   ASSERT_EQ(replica->next_execute().value, 2u);
+  EXPECT_EQ(calls.costs, 0u);
 
   auto state_request = std::make_shared<msg::StateRequest>();
   state_request->from = ReplicaId{2};

@@ -1218,18 +1218,11 @@ TEST(RealtimeIdem, PutGetOverRealSockets) {
   config.n = 3;
   config.f = 1;
   config.reject_threshold = 50;
-  // Keep simulated CPU costs off the real-time path.
-  config.costs.per_message = 0;
-  config.costs.ns_per_byte = 0;
-  config.costs.send_per_message = 0;
-  config.costs.send_ns_per_byte = 0;
-  config.costs.jitter = 0;
 
   std::vector<std::unique_ptr<core::IdemReplica>> replicas;
   for (std::uint32_t i = 0; i < 3; ++i) {
     replicas.push_back(std::make_unique<core::IdemReplica>(
-        loop, transport, ReplicaId{i}, config,
-        std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
+        loop, transport, ReplicaId{i}, config, std::make_unique<app::KvStore>(),
         core::make_default_acceptance(config, 1)));
   }
   core::IdemClient client(loop, transport, ClientId{0}, {});
@@ -1268,13 +1261,11 @@ TEST(RealtimeIdem, RejectionOverRealSockets) {
   config.n = 3;
   config.f = 1;
   config.reject_threshold = 0;  // reject everything
-  config.costs = consensus::CostModel{0, 0, 0, 0, 0, 0, 1};
 
   std::vector<std::unique_ptr<core::IdemReplica>> replicas;
   for (std::uint32_t i = 0; i < 3; ++i) {
     replicas.push_back(std::make_unique<core::IdemReplica>(
-        loop, transport, ReplicaId{i}, config,
-        std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0, 0}),
+        loop, transport, ReplicaId{i}, config, std::make_unique<app::KvStore>(),
         core::make_default_acceptance(config, 1)));
   }
   core::IdemClient client(loop, transport, ClientId{0}, {});

@@ -167,8 +167,6 @@ inline harness::ClusterConfig test_cluster_config(harness::Protocol protocol,
   config.paxos.viewchange_timeout = 300 * kMillisecond;
   config.paxos.heartbeat_interval = 100 * kMillisecond;
   config.idem_client.retry_interval = 200 * kMillisecond;
-  config.paxos_client.retry_interval = 250 * kMillisecond;
-  config.smart_client.retry_interval = 250 * kMillisecond;
   return config;
 }
 

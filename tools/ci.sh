@@ -65,11 +65,15 @@ if [[ "${FAST}" -eq 0 ]]; then
   # reproducible all day with tools/chaos_run --sweep/--seed.
   CHAOS_SEEDS="${CHAOS_SEEDS:-25}"
   CHAOS_BASE_SEED="${CHAOS_BASE_SEED:-$(( $(date +%Y%m%d) ))}"
-  echo "== chaos: sweep ${CHAOS_SEEDS} seeds x 4 protocols (base ${CHAOS_BASE_SEED}) =="
+  echo "== chaos: sweep ${CHAOS_SEEDS} seeds x 5 protocols (base ${CHAOS_BASE_SEED}) =="
   for proto in idem paxos smart smart-pr; do
     ./build/tools/chaos_run --sweep "${CHAOS_SEEDS}" --protocol "${proto}" \
         --seed "${CHAOS_BASE_SEED}"
   done
+  # At the defaults (4 clients, r = 5) Paxos_LBR's leader hardly ever
+  # rejects; 6 clients at r = 1 keep REJECTs flowing through fail-overs.
+  ./build/tools/chaos_run --sweep "${CHAOS_SEEDS}" --protocol paxos-lbr --clients 6 --rt 1 \
+      --seed "${CHAOS_BASE_SEED}"
 
   echo "== sanitizers: ASan+UBSan build =="
   cmake -B build-asan -S . -DIDEM_SANITIZE=address,undefined >/dev/null

@@ -32,7 +32,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "real/admin.hpp"
-#include "real/replica.hpp"
 #include "cli_util.hpp"
 #include "rpc/event_loop.hpp"
 #include "rpc/tcp_transport.hpp"
@@ -324,9 +323,9 @@ int main(int argc, char** argv) {
     acceptance = std::make_unique<core::DeadlineAware>(core::DeadlineAware::Params{},
                                                        std::move(acceptance));
   }
-  const std::unique_ptr<core::IdemReplica> replica = real::make_replica(
-      loop, transport, ReplicaId{options.replica_id}, config,
-      std::make_unique<app::KvStore>(app::KvStore::Costs{0, 0.0, 0}), std::move(acceptance));
+  const auto replica = std::make_unique<core::IdemReplica>(
+      loop, transport, ReplicaId{options.replica_id}, config, std::make_unique<app::KvStore>(),
+      std::move(acceptance));
   if (options.edf) replica->set_discipline(sim::DisciplineKind::Edf);
   for (const auto& [peer_id, address] : options.peers) {
     transport.set_remote(consensus::replica_address(ReplicaId{peer_id}), address);
