@@ -194,14 +194,21 @@ void check_exec_logs(const ExecLog& exec, const History& history, ChaosResult& r
   result.exec_ok = result.exec_error.empty();
 }
 
-/// No live IDEM replica may still count an id in r_now that its own client
-/// table counts as executed: nothing can release that slot any more.
+/// No live replica that runs the intake phase (IDEM, SMaRt+PR) may still
+/// count an id in r_now that its own client table counts as executed:
+/// nothing can release that slot any more.
 void check_slot_leaks(harness::Cluster& cluster, ChaosResult& result) {
   std::ostringstream err;
   for (std::size_t r = 0; r < cluster.config().n; ++r) {
-    const core::IdemReplica* replica = cluster.idem_replica(r);
-    if (replica == nullptr || replica->crashed()) continue;
-    const std::vector<RequestId> leaked = replica->leaked_slots();
+    const core::Intake* intake = nullptr;
+    if (const core::IdemReplica* idem = cluster.idem_replica(r); idem && !idem->crashed()) {
+      intake = &idem->intake();
+    } else if (const smart::SmartPrReplica* pr = cluster.smart_pr_replica(r);
+               pr && !pr->crashed()) {
+      intake = &pr->intake();
+    }
+    if (intake == nullptr) continue;
+    const std::vector<RequestId> leaked = intake->leaked_slots();
     if (leaked.empty()) continue;
     err << "replica " << r << " holds " << leaked.size()
         << " r_now slot(s) of executed requests (first " << to_string(leaked.front()) << "); ";

@@ -30,18 +30,6 @@ inline void accept_verdict([[maybe_unused]] obs::TraceRecorder* trace,
              pack_accept_verdict(accepted, reason));
 }
 
-inline void forward_accepted([[maybe_unused]] obs::TraceRecorder* trace,
-                             [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
-                             [[maybe_unused]] RequestId id) {
-  IDEM_TRACE(trace, now, obs::TraceEventKind::ForwardAccepted, me, id);
-}
-
-inline void require_noted([[maybe_unused]] obs::TraceRecorder* trace,
-                          [[maybe_unused]] Time now, [[maybe_unused]] std::uint32_t me,
-                          [[maybe_unused]] RequestId id, [[maybe_unused]] std::uint32_t voter) {
-  IDEM_TRACE(trace, now, obs::TraceEventKind::RequireNoted, me, id, voter);
-}
-
 inline void proposed([[maybe_unused]] obs::TraceRecorder* trace, [[maybe_unused]] Time now,
                      [[maybe_unused]] std::uint32_t me, [[maybe_unused]] RequestId id,
                      [[maybe_unused]] std::uint64_t sqn) {

@@ -44,38 +44,29 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
 
   const std::size_t n = config_.n;
+  // IDEM's knobs: its replicas' and SMaRt+PR's intake phase.
+  core::IdemConfig idem = config_.idem;
+  idem.n = n;
+  idem.f = config_.f;
+  idem.reject_threshold = config_.reject_threshold;
+  idem.trace = trace_.get();
+  auto acceptance = [&](std::size_t i) -> std::unique_ptr<core::AcceptanceTest> {
+    if (config_.acceptance_factory) return config_.acceptance_factory(i);
+    if (config_.protocol == Protocol::IdemNoPR) return std::make_unique<core::NeverReject>();
+    if (config_.protocol == Protocol::IdemNoAQM) return std::make_unique<core::TailDrop>();
+    return core::make_default_acceptance(idem, config_.clients);
+  };
   switch (config_.protocol) {
     case Protocol::Idem:
     case Protocol::IdemNoPR:
-    case Protocol::IdemNoAQM: {
-      core::IdemConfig rc = config_.idem;
-      rc.n = n;
-      rc.f = config_.f;
-      rc.reject_threshold = config_.reject_threshold;
-      rc.trace = trace_.get();
+    case Protocol::IdemNoAQM:
       for (std::size_t i = 0; i < n; ++i) {
-        std::unique_ptr<core::AcceptanceTest> test;
-        if (config_.acceptance_factory) {
-          test = config_.acceptance_factory(i);
-        } else {
-          switch (config_.protocol) {
-            case Protocol::Idem:
-              test = core::make_default_acceptance(rc, config_.clients);
-              break;
-            case Protocol::IdemNoPR:
-              test = std::make_unique<core::NeverReject>();
-              break;
-            default:
-              test = std::make_unique<core::TailDrop>();
-              break;
-          }
-        }
+        std::unique_ptr<core::AcceptanceTest> test = acceptance(i);
         replicas_.push_back(std::make_unique<core::IdemReplica>(
-            *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, make_store(),
+            *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, idem, make_store(),
             std::move(test)));
       }
       break;
-    }
     case Protocol::Paxos:
     case Protocol::PaxosLBR: {
       paxos::PaxosConfig rc = config_.paxos;
@@ -96,20 +87,10 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       rc.n = n;
       rc.f = config_.f;
       rc.trace = trace_.get();
-      core::IdemConfig idem_params = config_.idem;
-      idem_params.n = n;
-      idem_params.f = config_.f;
-      idem_params.reject_threshold = config_.reject_threshold;
-      const smart::SmartPrConfig intake{idem_params.reject_threshold,
-                                        idem_params.forward_timeout,
-                                        idem_params.rejected_cache_size};
       for (std::size_t i = 0; i < n; ++i) {
-        std::unique_ptr<core::AcceptanceTest> test =
-            config_.acceptance_factory
-                ? config_.acceptance_factory(i)
-                : core::make_default_acceptance(idem_params, config_.clients);
+        std::unique_ptr<core::AcceptanceTest> test = acceptance(i);
         replicas_.push_back(std::make_unique<smart::SmartPrReplica>(
-            *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, intake, make_store(),
+            *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, idem, make_store(),
             std::move(test)));
       }
       break;
@@ -184,17 +165,8 @@ void Cluster::register_metrics() {
       reg.add_counter(p + ".executed", [px] { return static_cast<double>(px->stats().executed); });
       reg.add_counter(p + ".view_changes",
                       [px] { return static_cast<double>(px->stats().view_changes); });
-    } else if (auto* spr = dynamic_cast<smart::SmartPrReplica*>(node)) {
-      reg.add_gauge(p + ".inflight", [spr] { return static_cast<double>(spr->active_requests()); });
-      reg.add_counter(p + ".accepted",
-                      [spr] { return static_cast<double>(spr->stats().accepted); });
-      reg.add_counter(p + ".rejected",
-                      [spr] { return static_cast<double>(spr->stats().rejected); });
-      reg.add_counter(p + ".executed",
-                      [spr] { return static_cast<double>(spr->stats().executed); });
-    } else if (auto* s = dynamic_cast<smart::SmartReplica*>(node)) {
-      reg.add_gauge(p + ".inflight", [s] { return static_cast<double>(s->backlog()); });
-      reg.add_counter(p + ".executed", [s] { return static_cast<double>(s->stats().executed); });
+    } else if (auto* s = dynamic_cast<smart::SmartAgreement*>(node)) {
+      s->register_metrics(reg, p + ".");
     }
   }
   reg.reserve_samples(kMetricsReserveRows);

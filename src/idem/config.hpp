@@ -6,22 +6,14 @@
 
 #include "common/time.hpp"
 #include "consensus/cost_model.hpp"
-#include "obs/trace.hpp"
+#include "core/intake.hpp"
 
 namespace idem::core {
 
-class ShardGate;
-
-struct IdemConfig {
-  /// Number of replicas n = 2f + 1.
-  std::size_t n = 3;
-  /// Tolerated crash faults.
-  std::size_t f = 1;
-
-  /// Reject threshold r: concurrently accepted client-issued requests per
-  /// replica (paper default RT = 50). The system-wide cap is r_max = n * r.
-  std::size_t reject_threshold = 50;
-
+/// The intake phase's knobs (n, f, r, forward timeout, rejected cache,
+/// trace, shard gate) are IntakeConfig's; the rest are the agreement's and
+/// the default acceptance test's.
+struct IdemConfig : IntakeConfig {
   /// Fraction of r at which active queue management starts rejecting
   /// non-prioritized clients probabilistically (paper: 60%).
   double aqm_start_fraction = 0.6;
@@ -37,13 +29,6 @@ struct IdemConfig {
   /// Seed of the acceptance test's pseudo-random function. Must be equal
   /// on all replicas so they tend toward unanimous decisions (Section 5.1).
   std::uint64_t acceptance_prf_seed = 0x1DE4'5EEDull;
-
-  /// Delay before an accepted-but-unexecuted request is forwarded to the
-  /// other replicas (paper: 10 ms).
-  Duration forward_timeout = 10 * kMillisecond;
-
-  /// Capacity of the recently-rejected-request cache (Section 5.2).
-  std::size_t rejected_cache_size = 1024;
 
   /// Maximum request ids per PROPOSE batch. The leader cuts once per
   /// scheduling step, so every quorum completed in one step shares a
@@ -70,18 +55,6 @@ struct IdemConfig {
   /// CPU cost model for message handling.
   consensus::CostModel costs;
 
-  /// Optional request-lifecycle trace sink (borrowed, may be null). Hooks
-  /// are passive: recording must never change the simulation trajectory.
-  obs::TraceRecorder* trace = nullptr;
-
-  /// Optional shard admission gate (borrowed, may be null). Sharded
-  /// deployments point every replica of a group at its gate; client
-  /// REQUESTs whose key routes elsewhere are turned away with a WrongShard
-  /// REJECT before the acceptance test runs (core/sharding.hpp). Null =
-  /// unsharded: the intake path is untouched.
-  const ShardGate* shard_gate = nullptr;
-
-  std::size_t quorum() const { return f + 1; }
   std::size_t r_max() const { return n * reject_threshold; }
   std::uint64_t effective_window() const {
     std::uint64_t w = window_size == 0 ? 4 * r_max() : window_size;

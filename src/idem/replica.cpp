@@ -6,7 +6,6 @@
 
 #include "common/logging.hpp"
 #include "core/lifecycle.hpp"
-#include "core/sharding.hpp"
 
 namespace idem::core {
 
@@ -22,21 +21,17 @@ IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       config_(config),
       me_(id),
       sm_(std::move(state_machine)),
-      acceptance_(std::move(acceptance)),
-      rejected_(config.rejected_cache_size),
-      cost_rng_(sim.seed(), 0xC057'0000ull + id.value) {
+      cost_rng_(sim.seed(), 0xC057'0000ull + id.value),
+      intake_(*this, id, clients_, config, config.batch_max, stats_, std::move(acceptance)) {
   assert(config_.n == 2 * config_.f + 1);
   assert(sm_ != nullptr);
-  assert(acceptance_ != nullptr);
-  batch_.configure({.batch_max = config_.batch_max});
 }
 
 void IdemReplica::on_restart() {
   // Timers pending at crash time fired as no-ops while the node was down;
   // drop the stale handles and re-arm the periodic machinery exactly as a
   // rebooted process (with its durable state intact) would.
-  for (auto& [id, timer] : forward_timers_) cancel_timer(timer);
-  forward_timers_.clear();
+  intake_.restart();
   cancel_timer(require_flush_timer_);
   cancel_timer(propose_cut_timer_);
   cancel_timer(state_retry_timer_);
@@ -85,7 +80,7 @@ void IdemReplica::on_message(sim::NodeId from, const sim::Payload& message) {
     case msg::Type::Require: {
       const auto& require = static_cast<const msg::Require&>(*base);
       for (RequestId id : require.ids) {
-        maybe_adopt_required(id);
+        intake_.adopt(id);
         note_require(require.from, id);
       }
       break;
@@ -97,7 +92,7 @@ void IdemReplica::on_message(sim::NodeId from, const sim::Payload& message) {
       handle_commit(static_cast<const msg::Commit&>(*base));
       break;
     case msg::Type::Forward:
-      handle_forward(static_cast<const msg::Forward&>(*base));
+      intake_.handle_forward(static_cast<const msg::Forward&>(*base));
       break;
     case msg::Type::Fetch:
       handle_fetch(consensus::replica_of_address(from), static_cast<const msg::Fetch&>(*base));
@@ -131,189 +126,39 @@ void IdemReplica::handle_request(const msg::Request& request) {
     if (auto reply = clients_.cached_reply(id)) reply_to_client(id.cid, std::move(reply));
     return;
   }
-
-  // This request is proof that every lower-numbered operation of the same
-  // client is resolved — reclaim any their abandoned copies still hold.
-  release_superseded(id);
-
-  if (requests_.contains(id)) return;  // already accepted; agreement is underway
-
-  // Shard admission (sharded deployments only): foreign keys are turned
-  // away with a redirect before the acceptance test, frozen ranges reject
-  // retryably mid-reconfiguration. Runs after duplicate suppression so a
-  // retransmission of a request executed before its range moved still gets
-  // the cached reply instead of a bogus redirect.
-  if (config_.shard_gate != nullptr) {
-    const ShardVerdict verdict = config_.shard_gate->admit(request.command);
-    if (verdict.kind == ShardVerdict::Kind::WrongShard) {
-      stats_.count_reject(RejectReason::WrongShard);
-      lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false,
-                                RejectReason::WrongShard);
-      auto reject = std::make_shared<msg::Reject>(id, RejectReason::WrongShard);
-      reject->map_epoch = verdict.map_epoch;
-      reject->home_group = verdict.home_group;
-      // Not cached in rejected_: the body must never be adopted into this
-      // group's agreement via REQUIRE/FETCH once the key routes elsewhere.
-      reply_to_client(id.cid, std::move(reject));
-      return;
-    }
-    if (verdict.kind == ShardVerdict::Kind::Frozen) {
-      lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false,
-                                RejectReason::ViewChangeInProgress);
-      reject_request(request, RejectReason::ViewChangeInProgress);
-      return;
-    }
-  }
-
-  // A previously rejected request (still cached) is re-tested below: the
-  // acceptance test is explicitly time-varying (Section 5.1), so a
-  // retransmission may well be accepted now that load has dropped —
-  // accept_request() then promotes the body out of the cache.
-
-  AcceptanceContext ctx;
-  ctx.active_requests = active_.size();
-  ctx.reject_threshold = config_.reject_threshold;
-  ctx.now = now();
-  ctx.deadline = request.deadline;
-  RejectReason reason = RejectReason::None;
-  if (acceptance_->accept(id, request.command, ctx, reason)) {
-    lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
-    accept_request(id, request.command, /*client_issued=*/true, request.deadline);
-  } else {
-    // Replica-owned classification outranks the test's generic verdict: a
-    // reject during a view change names the view change, and a reject of
-    // a request already sitting in the rejected cache is a retransmission
-    // bouncing off it. (find() is const — classification never perturbs
-    // the trajectory.)
-    if (views_.in_viewchange()) {
-      reason = RejectReason::ViewChangeInProgress;
-    } else if (rejected_.find(id) != nullptr) {
-      reason = RejectReason::RejectedCacheHit;
-    }
-    lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false, reason);
-    reject_request(request, reason);
-  }
-}
-
-void IdemReplica::release_superseded(RequestId newer) {
-  // Clients issue one operation at a time: an incoming (cid, onr) means
-  // every (cid, onr' < onr) is resolved from the client's point of view.
-  // One of those may still sit in active_ here — accepted by this replica,
-  // rejected by enough others that the client gave up — where it can never
-  // be executed or replied to (the client table supersedes it the moment
-  // the newer operation executes, and forward/REQUIRE/propose all drop
-  // superseded ids). Erase it so it stops counting against r_now; keep the
-  // body findable through the rejected cache in case a concurrent binding
-  // still FETCHes it.
-  std::vector<RequestId> stale;  // active_ is capped at r, so the sweep is O(r)
-  for (const auto& [id, arrival] : active_) {
-    if (id.cid == newer.cid && id.onr.value < newer.onr.value) stale.push_back(id);
-  }
-  for (const RequestId& id : stale) {
-    active_.erase(id);
-    cancel_forward_timer(id);
-    // A proposed id is bound to an instance: execution still needs the
-    // body under requests_, and execute_instance does its own cleanup.
-    if (auto body_it = requests_.find(id);
-        body_it != requests_.end() && !proposed_.contains(id)) {
-      rejected_.insert(id, std::move(body_it->second));
-      requests_.erase(body_it);
-    }
-    ++stats_.superseded_released;
-  }
-}
-
-std::vector<RequestId> IdemReplica::leaked_slots() const {
-  std::vector<RequestId> leaked;
-  for (const auto& [id, arrival] : active_) {
-    if (clients_.executed(id)) leaked.push_back(id);
-  }
-  std::sort(leaked.begin(), leaked.end());
-  return leaked;
+  intake_.admit(request, views_.in_viewchange());
 }
 
 void IdemReplica::register_metrics(obs::MetricsRegistry& registry,
                                    const std::string& prefix) const {
-  auto counter = [&](const std::string& name, const std::uint64_t& field) {
-    registry.add_counter(prefix + name, field);
-  };
-  registry.add_gauge(prefix + "inflight",
-                     [this] { return static_cast<double>(active_.size()); });
-  counter("accepted", stats_.accepted);
-  counter("rejected", stats_.rejected);
-  counter("executed", stats_.executed);
-  counter("view_changes", stats_.view_changes);
-  counter("state_snapshots_sent", stats_.state_snapshots_sent);
-  counter("state_transfers", stats_.state_transfers);
-  counter("requests_received", stats_.requests_received);
-  for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
-    const auto reason = static_cast<RejectReason>(i);
-    // The transport counts the sheds that never reach the replica.
-    if (reason == RejectReason::BackpressureShed || reason == RejectReason::OversizedFrame ||
-        reason == RejectReason::ConnectionLimit) {
-      continue;
-    }
-    counter(obs::reject_series(reason), stats_.rejects[i]);
-  }
-  counter("deadline_miss", stats_.deadline_misses);
-  registry.add_counter(prefix + "replies",
-                       [this] { return static_cast<double>(reply_latency_.count()); });
-  registry.add_histogram(prefix + "reply_latency", reply_latency_);
+  intake_.register_metrics(registry, prefix);
+  registry.add_counter(prefix + "executed", stats_.executed);
+  registry.add_counter(prefix + "view_changes", stats_.view_changes);
+  registry.add_counter(prefix + "state_snapshots_sent", stats_.state_snapshots_sent);
+  registry.add_counter(prefix + "state_transfers", stats_.state_transfers);
+  registry.add_counter(prefix + "requests_received", stats_.requests_received);
   registry.add_gauge(prefix + "view", [this] { return static_cast<double>(view().value); });
   registry.add_gauge(prefix + "leader", [this] { return is_leader() ? 1.0 : 0.0; });
 }
 
-void IdemReplica::accept_request(RequestId id, std::vector<std::byte> command,
-                                 bool client_issued, Duration deadline) {
-  requests_[id] = std::move(command);
-  rejected_.erase(id);
-  if (client_issued) {
-    active_.insert_or_assign(id, Arrival{now(), deadline});
-    ++stats_.accepted;
-  } else {
-    ++stats_.forward_accepted;
-    lifecycle::forward_accepted(config_.trace, now(), me_.value, id);
-  }
-  arm_forward_timer(id);
-  queue_require(id);
-  arm_progress_timer();
-}
-
-void IdemReplica::reject_request(const msg::Request& request, RejectReason reason) {
-  stats_.count_reject(reason);
-  rejected_.insert(request.id, request.command);
-  reply_to_client(request.id.cid, std::make_shared<const msg::Reject>(request.id, reason));
-}
-
-void IdemReplica::release_executed(RequestId id, bool replied) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return;  // arrived via FORWARD/FETCH, not a client REQUEST
-  if (replied) {
-    const Duration latency = now() - it->second.at;
-    reply_latency_.record(latency);
-    if (it->second.deadline > 0 && latency > it->second.deadline) ++stats_.deadline_misses;
-  }
-  active_.erase(it);
-  acceptance_->observe_execution(now(), active_.size());
-}
-
-void IdemReplica::queue_require(RequestId id) {
+void IdemReplica::require(RequestId id) {
   if (is_leader()) {
     note_require(me_, id);
-    return;
-  }
-  pending_requires_.push_back(id);
-  if (pending_requires_.size() >= config_.require_batch_max) {
-    flush_requires();
-  } else if (!require_flush_timer_.valid()) {
-    // On an event loop a zero-delay timer fires after the iteration's I/O,
-    // so every id accepted from one recv burst leaves in one REQUIRE.
-    const Duration delay = wall_clock() ? 0 : config_.require_flush_interval;
-    require_flush_timer_ = set_timer(delay, [this] {
-      require_flush_timer_ = sim::TimerId{};
+  } else {
+    pending_requires_.push_back(id);
+    if (pending_requires_.size() >= config_.require_batch_max) {
       flush_requires();
-    });
+    } else if (!require_flush_timer_.valid()) {
+      // On an event loop a zero-delay timer fires after the iteration's I/O,
+      // so every id accepted from one recv burst leaves in one REQUIRE.
+      const Duration delay = wall_clock() ? 0 : config_.require_flush_interval;
+      require_flush_timer_ = set_timer(delay, [this] {
+        require_flush_timer_ = sim::TimerId{};
+        flush_requires();
+      });
+    }
   }
+  arm_progress_timer();
 }
 
 void IdemReplica::flush_requires() {
@@ -334,29 +179,10 @@ void IdemReplica::flush_requires() {
 // Agreement
 // ---------------------------------------------------------------------------
 
-void IdemReplica::maybe_adopt_required(RequestId id) {
-  if (requests_.contains(id) || clients_.executed(id) || proposed_.contains(id)) return;
-  const std::vector<std::byte>* body = rejected_.find(id);
-  if (body == nullptr) return;
-  // The REQUIRE proves another replica accepted this request, so it must be
-  // ordered regardless of our verdict — exactly the FORWARD-acceptance
-  // argument, minus the forward-timeout wait. Non-client-issued: adoption
-  // must not consume an r_now slot. (*body is copied into the argument
-  // before accept_request evicts it from the cache.)
-  accept_request(id, *body, /*client_issued=*/false);
-  ++stats_.requires_adopted;
-}
-
 void IdemReplica::note_require(ReplicaId voter, RequestId id) {
-  if (clients_.executed(id)) return;
-  if (proposed_.contains(id)) return;
-  lifecycle::require_noted(config_.trace, now(), me_.value, id, voter.value);
-  std::size_t votes = requires_.vote(id, voter);
-  if (votes >= config_.quorum() && !in_eligible_.contains(id)) {
-    in_eligible_.insert(id);
-    batch_.push(id);
-    arm_progress_timer();
-  }
+  const Intake::Vote vote = intake_.note_require(voter, id);
+  if (vote == Intake::Vote::Ignored) return;
+  if (vote == Intake::Vote::Quorum) arm_progress_timer();
   // Collect every quorum completed in this scheduling step into one
   // PROPOSE: the zero-delay timer fires after the step's input batch is
   // drained but before the loop sleeps, so batching costs no latency.
@@ -372,20 +198,16 @@ void IdemReplica::try_propose() {
   if (!is_leader()) return;
   if (next_sqn_ < log_.low()) next_sqn_ = log_.low();
   const std::uint64_t window_end = log_.low() + config_.effective_window();
-  while (!batch_.empty() && next_sqn_ < window_end) {
+  while (intake_.has_eligible() && next_sqn_ < window_end) {
     // Skip sequence numbers that already carry a binding (re-proposed slots
     // taken over from an earlier view).
     next_sqn_ = log_.skip_bound(next_sqn_);
     if (next_sqn_ >= window_end) break;
 
     std::vector<RequestId> batch;
-    batch_.cut([&](RequestId id) {
-      in_eligible_.erase(id);
-      if (clients_.executed(id) || proposed_.contains(id)) {
-        return BatchPipeline<RequestId>::Verdict::Drop;
-      }
+    intake_.cut([&](RequestId id) {
       batch.push_back(id);
-      return BatchPipeline<RequestId>::Verdict::Take;
+      return true;
     });
     if (batch.empty()) break;
 
@@ -396,8 +218,6 @@ void IdemReplica::try_propose() {
     inst.own_commit_sent = true;  // the leader's proposal counts as a commit
     inst.commit_votes.insert(me_.value);
     for (RequestId id : batch) {
-      proposed_.insert(id);
-      requires_.erase(id);
       lifecycle::proposed(config_.trace, now(), me_.value, id, next_sqn_);
     }
     lifecycle::propose_received(config_.trace, now(), me_.value, next_sqn_);
@@ -508,7 +328,7 @@ bool IdemReplica::fetch_missing(Instance& inst) {
   std::vector<RequestId> missing;
   for (RequestId id : inst.ids) {
     if (clients_.executed(id)) continue;
-    if (find_command(id) == nullptr) missing.push_back(id);
+    if (intake_.find(id) == nullptr) missing.push_back(id);
   }
   if (missing.empty()) return false;
   if (!inst.fetch_gate.allow(now(), kFetchRetry)) return true;
@@ -568,7 +388,7 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
       ++stats_.duplicates_skipped;
       continue;
     }
-    const std::vector<std::byte>* command = find_command(id);
+    const std::vector<std::byte>* command = intake_.find(id);
     assert(command != nullptr);
     if (!wall_clock()) {
       charge(config_.costs.apply_jitter(sm_->execution_cost(*command), cost_rng_));
@@ -578,8 +398,7 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
     auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
     clients_.record(id, reply);
-    release_executed(id, is_leader());
-    cancel_forward_timer(id);
+    intake_.release(id, is_leader());
     if (is_leader()) {
       reply_to_client(id.cid, reply);
       lifecycle::reply_sent(config_.trace, now(), me_.value, id);
@@ -593,58 +412,13 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
 // Availability: forwarding, rejected cache, fetch (Section 5.2)
 // ---------------------------------------------------------------------------
 
-void IdemReplica::arm_forward_timer(RequestId id) {
-  if (forward_timers_.contains(id)) return;
-  forward_timers_[id] = set_timer(config_.forward_timeout, [this, id] {
-    forward_timers_.erase(id);
-    forward_request(id);
-  });
-}
-
-void IdemReplica::cancel_forward_timer(RequestId id) {
-  auto it = forward_timers_.find(id);
-  if (it == forward_timers_.end()) return;
-  cancel_timer(it->second);
-  forward_timers_.erase(it);
-}
-
-void IdemReplica::forward_request(RequestId id) {
-  if (clients_.executed(id)) return;
-  auto body_it = requests_.find(id);
-  if (body_it == requests_.end()) return;
-
-  auto forward = std::make_shared<msg::Forward>();
-  forward->from = me_;
-  forward->requests.emplace_back(id, body_it->second);
-  multicast(std::move(forward));
-  ++stats_.forwards_sent;
-  // Keep relaying periodically until the request is executed (fair-loss
-  // links: eventual delivery needs retransmission).
-  arm_forward_timer(id);
-}
-
-void IdemReplica::handle_forward(const msg::Forward& forward) {
-  for (const msg::Request& request : forward.requests) {
-    if (clients_.executed(request.id)) continue;
-    if (requests_.contains(request.id)) continue;
-    // Forwarded requests are accepted regardless of the current load
-    // (Section 4.3): some replica accepted them, so they must be ordered.
-    accept_request(request.id, request.command, /*client_issued=*/false);
-  }
-}
-
 void IdemReplica::handle_fetch(ReplicaId from, const msg::Fetch& fetch) {
-  const std::vector<std::byte>* command = find_command(fetch.id);
+  const std::vector<std::byte>* command = intake_.find(fetch.id);
   if (command == nullptr) return;
   auto forward = std::make_shared<msg::Forward>();
   forward->from = me_;
   forward->requests.emplace_back(fetch.id, *command);
   send(consensus::replica_address(from), std::move(forward));
-}
-
-const std::vector<std::byte>* IdemReplica::find_command(RequestId id) const {
-  if (auto it = requests_.find(id); it != requests_.end()) return &it->second;
-  return rejected_.find(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,10 +483,8 @@ void IdemReplica::observe_sequence(std::uint64_t sqn, ReplicaId source) {
 
 void IdemReplica::advance_window(std::uint64_t new_low) {
   log_.advance_low(new_low, [this](Instance& inst) {
-    for (RequestId id : inst.ids) {
-      requests_.erase(id);
-      proposed_.erase(id);
-    }
+    // Bodies stay until garbage collection: peers may FETCH them.
+    for (RequestId id : inst.ids) intake_.forget(id);
   });
 }
 
@@ -756,14 +528,7 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
   log_.set_next_exec(response.upto.value + 1);
   if (log_.next_exec() > log_.low()) advance_window(log_.next_exec());
   // Drop active entries that the transferred state proves executed.
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (clients_.executed(it->first)) {
-      cancel_forward_timer(it->first);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  intake_.drop_executed();
   ++stats_.state_transfers;
   if (on_restore) on_restore(response.upto);
   cancel_timer(state_retry_timer_);
@@ -778,7 +543,7 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
 // ---------------------------------------------------------------------------
 
 bool IdemReplica::has_outstanding_work() const {
-  if (!active_.empty() || !batch_.empty()) return true;
+  if (intake_.active_requests() > 0 || intake_.has_eligible()) return true;
   auto it = log_.slots().lower_bound(log_.next_exec());
   return it != log_.slots().end() && it->second.has_binding && !it->second.executed;
 }
@@ -887,7 +652,7 @@ void IdemReplica::maybe_become_leader(ViewId target) {
     inst.commit_votes.insert(me_.value);
     inst.own_commit_sent = true;
     for (RequestId id : inst.ids) {
-      proposed_.insert(id);
+      intake_.mark_proposed(id);
       lifecycle::proposed(config_.trace, now(), me_.value, id, sqn);
     }
 
@@ -913,11 +678,7 @@ void IdemReplica::enter_view(ViewId view) {
 void IdemReplica::resend_requires() {
   // Tell the (new) leader about every request we own that is still
   // unexecuted; its REQUIRE bookkeeping may have died with the old leader.
-  std::vector<RequestId> outstanding;
-  for (const auto& [id, command] : requests_) {
-    if (clients_.executed(id)) continue;
-    outstanding.push_back(id);
-  }
+  std::vector<RequestId> outstanding = intake_.outstanding();
   if (outstanding.empty()) return;
 
   if (consensus::leader_of(views_.leader_view(), config_.n) == me_) {

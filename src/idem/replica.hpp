@@ -16,33 +16,30 @@
 // a view change replaces a crashed leader.
 //
 // Structurally this is a policy layer over the replication core
-// (src/core): the ordered log, view engine, client table, rejected cache
-// and batch pipeline are shared with the baseline protocols; IDEM
-// contributes the acceptance tests, the REQUIRE/REJECT collaboration and
-// the rejection-aware view change.
+// (src/core): the intake phase (core::Intake: acceptance test, r_now,
+// forwarding, rejected cache, REQUIRE quorum) is the one SMaRt+PR runs
+// too, and the ordered log, view engine and client table are shared with
+// the baseline protocols. IDEM adds how its REQUIREs leave (aggregated,
+// flushed at the end of a step), REQUIRE adoption, a leader that cuts once
+// per step and proposes ids, FETCH, implicit garbage collection and the
+// rejection-aware view change.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "app/state_machine.hpp"
-#include "common/histogram.hpp"
 #include "common/ids.hpp"
-#include "common/reject_reason.hpp"
 #include "consensus/addresses.hpp"
 #include "consensus/messages.hpp"
-#include "consensus/quorum.hpp"
 #include "core/acceptance.hpp"
-#include "core/batch_pipeline.hpp"
 #include "core/client_table.hpp"
+#include "core/intake.hpp"
 #include "core/ordered_log.hpp"
-#include "core/rejected_cache.hpp"
 #include "core/timers.hpp"
 #include "core/view_engine.hpp"
 #include "idem/config.hpp"
@@ -52,35 +49,20 @@
 namespace idem::core {
 
 /// Counters exposed to experiments, tests and the metrics registry
-/// (IdemReplica::register_metrics). Each event is counted here once.
-struct ReplicaStats {
+/// (IdemReplica::register_metrics): the intake's and the agreement's. Each
+/// event is counted here once.
+struct ReplicaStats : IntakeStats {
   std::uint64_t requests_received = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;  ///< every REJECT sent: the sum of `rejects`
-  std::array<std::uint64_t, kRejectReasonCount> rejects{};  ///< REJECTs sent, by RejectReason
-  std::uint64_t forward_accepted = 0;  ///< accepted via FORWARD, bypassing the test
-  std::uint64_t executed = 0;          ///< requests executed (deduplicated)
+  std::uint64_t executed = 0;  ///< requests executed (deduplicated)
   std::uint64_t duplicates_skipped = 0;
   std::uint64_t proposals_sent = 0;
-  std::uint64_t forwards_sent = 0;
   std::uint64_t fetches_sent = 0;
   std::uint64_t view_changes = 0;
   std::uint64_t state_snapshots_sent = 0;  ///< StateResponses built for lagging peers
   std::uint64_t state_transfers = 0;       ///< StateResponses restored here
-  std::uint64_t requires_adopted = 0;  ///< rejected bodies adopted on REQUIRE evidence
-  std::uint64_t superseded_released = 0;  ///< abandoned active slots released
-  std::uint64_t deadline_misses = 0;  ///< replies sent after the request's budget
-
-  void count_reject(RejectReason reason) {
-    ++rejected;
-    ++rejects[static_cast<std::size_t>(reason)];
-  }
-  std::uint64_t rejects_for(RejectReason reason) const {
-    return rejects[static_cast<std::size_t>(reason)];
-  }
 };
 
-class IdemReplica final : public sim::Node {
+class IdemReplica final : public sim::Node, Intake::Host {
  public:
   IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, IdemConfig config,
               std::unique_ptr<app::StateMachine> state_machine,
@@ -99,13 +81,9 @@ class IdemReplica final : public sim::Node {
   /// replica's thread.
   void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix = "") const;
 
+  const Intake& intake() const { return intake_; }
   /// r_now: client-issued requests accepted and not yet executed here.
-  std::size_t active_requests() const { return active_.size(); }
-  /// Ids counted in r_now although this replica's client table already
-  /// counts them executed (sorted). Nothing can release such a slot any
-  /// more, since every path that could order the id drops it: a nonempty
-  /// result is a leaked admission slot.
-  std::vector<RequestId> leaked_slots() const;
+  std::size_t active_requests() const { return intake_.active_requests(); }
 
   /// Next sequence number this replica would execute.
   SeqNum next_execute() const { return SeqNum{log_.next_exec()}; }
@@ -142,17 +120,24 @@ class IdemReplica final : public sim::Node {
     RetryGate fetch_gate;  ///< rate-limits FETCH rounds for this slot
   };
 
+  // -- Intake::Host: the node's clock, timers and sends -------------------
+  Time now() const override { return sim::Node::now(); }
+  sim::TimerId set_timer(Duration delay, sim::TimerCallback fn) override {
+    return sim::Node::set_timer(delay, std::move(fn));
+  }
+  void cancel_timer(sim::TimerId& timer) override { sim::Node::cancel_timer(timer); }
+  void send(sim::NodeId to, sim::PayloadPtr message) override {
+    sim::Node::send(to, std::move(message));
+  }
+
   // -- request intake ------------------------------------------------------
   void handle_request(const msg::Request& request);
-  void release_superseded(RequestId newer);
-  void accept_request(RequestId id, std::vector<std::byte> command, bool client_issued,
-                      Duration deadline = 0);
-  void reject_request(const msg::Request& request, RejectReason reason);
-  void queue_require(RequestId id);
+  /// IDEM's REQUIRE leaves aggregated: queued, and flushed when
+  /// require_batch_max ids are pending or at the end of the step.
+  void require(RequestId id) override;
   void flush_requires();
 
   // -- agreement -----------------------------------------------------------
-  void maybe_adopt_required(RequestId id);
   void note_require(ReplicaId voter, RequestId id);
   void try_propose();
   void handle_propose(const msg::Propose& propose);
@@ -170,12 +155,7 @@ class IdemReplica final : public sim::Node {
   void execute_instance(std::uint64_t sqn, Instance& instance);
 
   // -- availability (Section 5.2) -------------------------------------------
-  void handle_forward(const msg::Forward& forward);
   void handle_fetch(ReplicaId from, const msg::Fetch& fetch);
-  void arm_forward_timer(RequestId id);
-  void cancel_forward_timer(RequestId id);
-  void forward_request(RequestId id);
-  const std::vector<std::byte>* find_command(RequestId id) const;
 
   // -- garbage collection / state transfer (Section 4.4) ---------------------
   void observe_sequence(std::uint64_t sqn, ReplicaId source);
@@ -203,43 +183,16 @@ class IdemReplica final : public sim::Node {
   void send_to_leader(sim::PayloadPtr message);
   void reply_to_client(ClientId cid, sim::PayloadPtr message);
 
-  /// Releases an executed request's r_now slot. When this replica replied,
-  /// records the reply latency and counts a deadline miss if the reply
-  /// left after the request's budget.
-  void release_executed(RequestId id, bool replied);
-
   IdemConfig config_;
   ReplicaId me_;
   std::unique_ptr<app::StateMachine> sm_;
-  std::unique_ptr<AcceptanceTest> acceptance_;
 
   ViewEngine<msg::ViewChange> views_;
-
-  // Owned request bodies (accepted, forwarded, or fetched).
-  std::unordered_map<RequestId, std::vector<std::byte>> requests_;
-  // Client-issued accepted requests not yet executed (the r_now set), with
-  // their REQUEST arrival for reply latency and deadline accounting.
-  struct Arrival {
-    Time at = 0;
-    Duration deadline = 0;  ///< request budget (0 = none)
-  };
-  std::unordered_map<RequestId, Arrival> active_;
-  // Forward timers per accepted-but-unexecuted request.
-  std::unordered_map<RequestId, sim::TimerId> forward_timers_;
-
-  // Recently rejected requests, still available for FETCH/agreement.
-  RejectedCache rejected_;
 
   // REQUIRE aggregation.
   std::vector<RequestId> pending_requires_;
   sim::TimerId require_flush_timer_;
 
-  // Leader-side ordering state (maintained on every replica so a new
-  // leader can take over immediately).
-  consensus::QuorumTracker<RequestId> requires_;
-  BatchPipeline<RequestId> batch_;  ///< ids with an f+1 REQUIRE quorum
-  std::unordered_set<RequestId> in_eligible_;
-  std::unordered_set<RequestId> proposed_;
   std::uint64_t next_sqn_ = 0;
   sim::TimerId propose_cut_timer_;  ///< pending end-of-step batch cut
 
@@ -259,9 +212,7 @@ class IdemReplica final : public sim::Node {
   mutable Rng cost_rng_;
 
   ReplicaStats stats_;
-  /// REPLY sent minus REQUEST arrival, for each accepted REQUEST this
-  /// replica answered as leader (the "reply_latency" series).
-  Histogram reply_latency_;
+  Intake intake_;
 };
 
 }  // namespace idem::core

@@ -273,4 +273,10 @@ std::vector<msg::Request> SmartReplica::cut_batch() {
 
 void SmartReplica::release(RequestId id) { queued_.erase(id); }
 
+void SmartReplica::register_metrics(obs::MetricsRegistry& registry,
+                                    const std::string& prefix) const {
+  registry.add_gauge(prefix + "inflight", [this] { return static_cast<double>(backlog()); });
+  registry.add_counter(prefix + "executed", stats_.executed);
+}
+
 }  // namespace idem::smart

@@ -15,12 +15,14 @@
 // core (src/core: ordered log, client table, batch pipeline). It leaves
 // the intake — which requests the leader proposes — to its subclass:
 // SmartReplica below queues every request at the leader, and
-// SmartPrReplica (smart/replica_pr.hpp) puts IDEM's intake phase in front.
+// SmartPrReplica (smart/replica_pr.hpp) puts IDEM's intake phase,
+// core::Intake, in front.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "core/client_table.hpp"
 #include "core/ordered_log.hpp"
 #include "core/timers.hpp"
+#include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/node.hpp"
 
@@ -54,16 +57,12 @@ struct SmartConfig {
   std::size_t quorum() const { return f + 1; }
 };
 
+/// The agreement's counters (SMaRt+PR's intake keeps core::IntakeStats).
 struct SmartStats {
   std::uint64_t requests_received = 0;
   std::uint64_t executed = 0;
   std::uint64_t duplicates_skipped = 0;
   std::uint64_t proposals_sent = 0;
-  // Intake phase; only SmartPrReplica counts these.
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t forward_accepted = 0;
-  std::uint64_t forwards_sent = 0;
 };
 
 /// The three-phase consensus slot.
@@ -87,6 +86,10 @@ class SmartAgreement : public sim::Node {
 
   app::StateMachine& state_machine() { return *sm_; }
 
+  /// Names this replica's series on `registry` under `prefix`.
+  virtual void register_metrics(obs::MetricsRegistry& registry,
+                                const std::string& prefix) const = 0;
+
   std::function<void(SeqNum, RequestId)> on_execute;
 
  protected:
@@ -109,7 +112,7 @@ class SmartAgreement : public sim::Node {
   virtual void restart_intake() {}
 
   ReplicaId leader() const { return consensus::leader_of(view_, config_.n); }
-  bool executed(RequestId id) const { return clients_.executed(id); }
+  const core::ClientTable& clients() const { return clients_; }
   /// Proposes batches from cut_batch() while the window has room.
   void try_propose();
   void multicast(sim::PayloadPtr message);
@@ -159,6 +162,7 @@ class SmartReplica final : public SmartAgreement {
                std::unique_ptr<app::StateMachine> state_machine);
 
   std::size_t backlog() const { return batch_.size(); }
+  void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix) const override;
 
  private:
   void admit(const msg::Request& request) override;

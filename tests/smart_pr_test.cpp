@@ -74,7 +74,7 @@ TEST(SmartPR, SingleAcceptorStillExecutes) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(cluster.smart_pr_replica(i)->stats().executed, 1u) << "replica " << i;
   }
-  EXPECT_GT(cluster.smart_pr_replica(0)->stats().forwards_sent, 0u);
+  EXPECT_GT(cluster.smart_pr_replica(0)->intake().stats().forwards_sent, 0u);
 }
 
 TEST(SmartPR, FollowerCrashStillLive) {
@@ -95,7 +95,7 @@ TEST(SmartPR, ActiveSlotFreedAfterExecution) {
   }
   cluster.simulator().run_for(kSecond);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cluster.smart_pr_replica(i)->active_requests(), 0u) << "replica " << i;
+    EXPECT_EQ(cluster.smart_pr_replica(i)->intake().active_requests(), 0u) << "replica " << i;
   }
 }
 

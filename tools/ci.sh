@@ -74,6 +74,10 @@ if [[ "${FAST}" -eq 0 ]]; then
   # rejects; 6 clients at r = 1 keep REJECTs flowing through fail-overs.
   ./build/tools/chaos_run --sweep "${CHAOS_SEEDS}" --protocol paxos-lbr --clients 6 --rt 1 \
       --seed "${CHAOS_BASE_SEED}"
+  # SMaRt+PR abandons an accepted request (the superseded-slot release
+  # path) only at small thresholds: 6 clients at r = 2.
+  ./build/tools/chaos_run --sweep "${CHAOS_SEEDS}" --protocol smart-pr --clients 6 --rt 2 \
+      --seed "${CHAOS_BASE_SEED}"
 
   echo "== sanitizers: ASan+UBSan build =="
   cmake -B build-asan -S . -DIDEM_SANITIZE=address,undefined >/dev/null
