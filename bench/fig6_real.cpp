@@ -20,6 +20,13 @@
 // (--measure-seconds S, --warmup S), which wins over the environment, and
 // --records N sets the YCSB records preloaded on every replica (default
 // 1000).
+//
+// Each point also reports the leader loop's busy time per resolved
+// operation over the measured window (RealCluster::loop_stats): the
+// replica's own work, which thread CPU no longer shows now that loops
+// poll before they sleep. Busy time includes the loop's bookkeeping
+// between empty spin polls, so it reads high at light load (one client).
+// It is informational; nothing gates on it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -70,6 +77,7 @@ struct RealPoint {
   double p99_ms = 0;
   double mean_ms = 0;
   double reject_p99_ms = 0;  ///< reject-notification tail (0 when no rejects)
+  double leader_busy_us_per_op = 0;  ///< leader loop busy time per reply or reject
 };
 
 }  // namespace
@@ -109,7 +117,8 @@ int main(int argc, char** argv) {
               reject_threshold, live ? "; /metrics scraped every 100 ms" : "");
 
   harness::Table table({"clients", "throughput[kreq/s]", "latency[ms]", "p50[ms]", "p90[ms]",
-                        "p99[ms]", "rejects[kreq/s]", "reject p99[ms]"});
+                        "p99[ms]", "rejects[kreq/s]", "reject p99[ms]",
+                        "leader busy[us/op]"});
   std::vector<RealPoint> points;
   for (std::size_t clients : client_counts) {
     real::RealClusterConfig config;
@@ -135,8 +144,17 @@ int main(int argc, char** argv) {
     load.warmup = warmup;
     load.measure = measure;
     load.workload = config.workload;
-    const harness::RunMetrics stats =
-        shard::RealClients(shard::clients_of(cluster, clients, 1 + clients)).drive(load);
+    shard::RealClients driven(shard::clients_of(cluster, clients, 1 + clients));
+    // The leader's loop counters at the window's edges: one read when the
+    // warm-up ends, from the clients' loop, and one after the run.
+    const std::size_t leader = cluster.leader_index();
+    rpc::LoopStats leader_open;
+    if (leader < cluster.n()) {
+      driven.loop().schedule_after(warmup, [&] { leader_open = cluster.loop_stats(leader); });
+    }
+    const harness::RunMetrics stats = driven.drive(load);
+    const rpc::LoopStats leader_close =
+        leader < cluster.n() ? cluster.loop_stats(leader) : rpc::LoopStats{};
     loaded.store(true);
     scraper.join();
     cluster.shutdown();
@@ -150,6 +168,11 @@ int main(int argc, char** argv) {
     point.p99_ms = to_ms(stats.reply_latency.p99());
     point.mean_ms = stats.reply_latency.mean() / static_cast<double>(kMillisecond);
     if (stats.rejects > 0) point.reject_p99_ms = to_ms(stats.reject_latency.p99());
+    if (const std::uint64_t resolved = stats.replies + stats.rejects; resolved > 0) {
+      point.leader_busy_us_per_op =
+          static_cast<double>(leader_close.busy_ns - leader_open.busy_ns) / 1e3 /
+          static_cast<double>(resolved);
+    }
     points.push_back(point);
 
     table.add_row({harness::Table::fmt(std::uint64_t(clients)),
@@ -157,7 +180,8 @@ int main(int argc, char** argv) {
                    harness::Table::fmt(point.p50_ms, 3), harness::Table::fmt(point.p90_ms, 3),
                    harness::Table::fmt(point.p99_ms, 3),
                    harness::Table::fmt(point.reject_kops),
-                   harness::Table::fmt(point.reject_p99_ms, 3)});
+                   harness::Table::fmt(point.reject_p99_ms, 3),
+                   harness::Table::fmt(point.leader_busy_us_per_op, 2)});
   }
   table.print();
 
@@ -218,9 +242,10 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"clients\": %zu, \"reply_kops\": %.3f, \"reject_kops\": %.3f,"
                  " \"mean_ms\": %.4f, \"p50_ms\": %.4f, \"p90_ms\": %.4f, \"p99_ms\": %.4f,"
-                 " \"reject_p99_ms\": %.4f}%s\n",
+                 " \"reject_p99_ms\": %.4f, \"leader_busy_us_per_op\": %.2f}%s\n",
                  p.clients, p.reply_kops, p.reject_kops, p.mean_ms, p.p50_ms, p.p90_ms,
-                 p.p99_ms, p.reject_p99_ms, i + 1 < points.size() ? "," : "");
+                 p.p99_ms, p.reject_p99_ms, p.leader_busy_us_per_op,
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

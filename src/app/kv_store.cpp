@@ -124,7 +124,10 @@ void KvStore::restore(std::span<const std::byte> snapshot) {
   for (std::uint64_t i = 0; i < n; ++i) {
     auto key = r.str();
     auto value = r.str();
-    fresh.emplace(std::move(key), std::move(value));
+    // snapshot() writes keys in order, so each one belongs at the end: the
+    // hint makes the insert amortised O(1). A misplaced key still lands
+    // where it belongs, and a repeated one keeps its first value.
+    fresh.emplace_hint(fresh.end(), std::move(key), std::move(value));
   }
   data_ = std::move(fresh);
 }

@@ -37,7 +37,7 @@ void Intake::admit(const msg::Request& request, bool in_viewchange) {
     const ShardVerdict verdict = config_.shard_gate->admit(request.command);
     if (verdict.kind == ShardVerdict::Kind::WrongShard) {
       stats_.count_reject(RejectReason::WrongShard);
-      lifecycle::accept_verdict(config_.trace, host_.now(), me_.value, id, false,
+      lifecycle::accept_verdict(config_.trace, host_, me_.value, id, false,
                                 RejectReason::WrongShard);
       auto reject = std::make_shared<msg::Reject>(id, RejectReason::WrongShard);
       reject->map_epoch = verdict.map_epoch;
@@ -64,7 +64,7 @@ void Intake::admit(const msg::Request& request, bool in_viewchange) {
   ctx.deadline = request.deadline;
   const AcceptanceVerdict verdict = acceptance_->evaluate(id, request.command, ctx);
   if (verdict.accepted) {
-    lifecycle::accept_verdict(config_.trace, host_.now(), me_.value, id, true);
+    lifecycle::accept_verdict(config_.trace, host_, me_.value, id, true);
     accept(id, request.command, /*client_issued=*/true, request.deadline);
     return;
   }
@@ -124,7 +124,7 @@ void Intake::accept(RequestId id, std::vector<std::byte> command, bool client_is
 }
 
 void Intake::reject(const msg::Request& request, RejectReason reason) {
-  lifecycle::accept_verdict(config_.trace, host_.now(), me_.value, request.id, false, reason);
+  lifecycle::accept_verdict(config_.trace, host_, me_.value, request.id, false, reason);
   stats_.count_reject(reason);
   // A repeat rejection refreshes the cached body (Section 4.5).
   rejected_.insert(request.id, request.command);

@@ -9,7 +9,9 @@ IdemClient::IdemClient(sim::Runtime& sim, sim::Transport& net, ClientId id,
                        IdemClientConfig config)
     : sim::Node(sim, net, consensus::client_address(id), sim::NodeKind::Client),
       config_(config),
-      cid_(id) {}
+      cid_(id) {
+  assert(config_.n <= consensus::VoteSet::kCapacity);  // replica ids fit a VoteSet
+}
 
 void IdemClient::invoke(std::vector<std::byte> command, Callback callback) {
   assert(!pending_ && "one pending request per client");

@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/addresses.hpp"
 #include "consensus/messages.hpp"
+#include "consensus/quorum.hpp"
 #include "consensus/service_client.hpp"
 #include "obs/trace.hpp"
 #include "sim/node.hpp"
@@ -93,7 +93,7 @@ class IdemClient final : public sim::Node, public consensus::ServiceClient {
     std::shared_ptr<const msg::Request> request;
     Callback callback;
     Time issued = 0;
-    std::unordered_set<std::uint32_t> rejects;
+    consensus::VoteSet rejects;  ///< replicas that rejected this try
     bool retransmitted = false;
     RejectReason redirect_reason = RejectReason::None;  ///< WrongShard redirect
     std::uint64_t redirect_epoch = 0;

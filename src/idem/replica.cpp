@@ -24,6 +24,7 @@ IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       cost_rng_(sim.seed(), 0xC057'0000ull + id.value),
       intake_(*this, id, clients_, config, config.batch_max, stats_, std::move(acceptance)) {
   assert(config_.n == 2 * config_.f + 1);
+  assert(config_.n <= consensus::VoteSet::kCapacity);  // voter ids fit a VoteSet
   assert(sm_ != nullptr);
 }
 
@@ -218,9 +219,9 @@ void IdemReplica::try_propose() {
     inst.own_commit_sent = true;  // the leader's proposal counts as a commit
     inst.commit_votes.insert(me_.value);
     for (RequestId id : batch) {
-      lifecycle::proposed(config_.trace, now(), me_.value, id, next_sqn_);
+      lifecycle::proposed(config_.trace, sim(), me_.value, id, next_sqn_);
     }
-    lifecycle::propose_received(config_.trace, now(), me_.value, next_sqn_);
+    lifecycle::propose_received(config_.trace, sim(), me_.value, next_sqn_);
     note_commit_quorum(next_sqn_, inst);
 
     auto propose = std::make_shared<msg::Propose>();
@@ -253,7 +254,7 @@ void IdemReplica::adopt_binding(std::uint64_t sqn, ViewId view, const std::vecto
   if (inst.executed) return;  // applied state is immutable
   if (inst.has_binding && inst.view >= view) return;
   if (!inst.has_binding) {
-    lifecycle::propose_received(config_.trace, now(), me_.value, sqn);
+    lifecycle::propose_received(config_.trace, sim(), me_.value, sqn);
   }
   inst.view = view;
   inst.ids = ids;
@@ -263,7 +264,7 @@ void IdemReplica::adopt_binding(std::uint64_t sqn, ViewId view, const std::vecto
 }
 
 void IdemReplica::note_commit_quorum(std::uint64_t sqn, Instance& inst) {
-  lifecycle::decision_quorum(config_.trace, now(), me_.value, sqn, inst,
+  lifecycle::decision_quorum(config_.trace, sim(), me_.value, sqn, inst,
                              inst.commit_votes.size(), config_.quorum());
 }
 
@@ -302,7 +303,7 @@ void IdemReplica::handle_propose(const msg::Propose& propose) {
   if (!inst.own_commit_sent) send_own_commit(sqn, inst);
   note_commit_quorum(sqn, inst);
   observe_sequence(sqn, consensus::leader_of(propose.view, config_.n));
-  try_execute();
+  execute_committed();
 }
 
 void IdemReplica::handle_commit(const msg::Commit& commit) {
@@ -321,7 +322,7 @@ void IdemReplica::handle_commit(const msg::Commit& commit) {
   if (!inst.own_commit_sent) send_own_commit(sqn, inst);
   note_commit_quorum(sqn, inst);
   observe_sequence(sqn, commit.from);
-  try_execute();
+  execute_committed();
 }
 
 bool IdemReplica::fetch_missing(Instance& inst) {
@@ -349,6 +350,14 @@ bool IdemReplica::fetch_missing(Instance& inst) {
     ++stats_.fetches_sent;
   }
   return true;
+}
+
+void IdemReplica::execute_committed() {
+  if (is_leader()) {
+    try_execute();
+  } else {
+    after_flush();
+  }
 }
 
 void IdemReplica::try_execute() {
@@ -395,13 +404,13 @@ void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
     }
     std::vector<std::byte> result = sm_->execute(*command);
     ++stats_.executed;
-    lifecycle::executed(config_.trace, now(), me_.value, id, sqn);
+    lifecycle::executed(config_.trace, sim(), me_.value, id, sqn);
     auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
     clients_.record(id, reply);
     intake_.release(id, is_leader());
     if (is_leader()) {
       reply_to_client(id.cid, reply);
-      lifecycle::reply_sent(config_.trace, now(), me_.value, id);
+      lifecycle::reply_sent(config_.trace, sim(), me_.value, id);
     }
     if (on_execute) on_execute(SeqNum{sqn}, id);
   }
@@ -472,6 +481,9 @@ void IdemReplica::observe_sequence(std::uint64_t sqn, ReplicaId source) {
   if (sqn < log_.low() + r_max) return;
   std::uint64_t new_low = sqn - r_max + 1;
 
+  // Instances committed earlier in this loop iteration may still wait for
+  // the execution pass after the flush: run it before judging the lag.
+  if (new_low > log_.next_exec() && flush_pending()) try_execute();
   if (new_low > log_.next_exec()) {
     // We are lagging: f+1 replicas have executed past our window, so the
     // old instances may be gone system-wide. Catch up by state transfer.
@@ -566,7 +578,7 @@ void IdemReplica::note_progress() {
 void IdemReplica::start_viewchange(ViewId target) {
   if (!views_.begin(target)) return;
   ++stats_.view_changes;
-  lifecycle::viewchange_start(config_.trace, now(), me_.value, target.value);
+  lifecycle::viewchange_start(config_.trace, sim(), me_.value, target.value);
 
   auto viewchange = std::make_shared<msg::ViewChange>();
   viewchange->from = me_;
@@ -653,7 +665,7 @@ void IdemReplica::maybe_become_leader(ViewId target) {
     inst.own_commit_sent = true;
     for (RequestId id : inst.ids) {
       intake_.mark_proposed(id);
-      lifecycle::proposed(config_.trace, now(), me_.value, id, sqn);
+      lifecycle::proposed(config_.trace, sim(), me_.value, id, sqn);
     }
 
     auto propose = std::make_shared<msg::Propose>();
@@ -670,7 +682,7 @@ void IdemReplica::maybe_become_leader(ViewId target) {
 
 void IdemReplica::enter_view(ViewId view) {
   views_.enter(view);
-  lifecycle::viewchange_done(config_.trace, now(), me_.value, view.value);
+  lifecycle::viewchange_done(config_.trace, sim(), me_.value, view.value);
   resend_requires();
   note_progress();
 }

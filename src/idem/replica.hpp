@@ -6,7 +6,8 @@
 //   leader:  f+1 REQUIREs -> PROPOSE(ids, sqn, v) to all, once per step
 //   replica: PROPOSE -> COMMIT (to the leader only when f = 1, else to all);
 //            f+1 commits (leader's proposal counts) + owning the request
-//            bodies -> execute in sqn order
+//            bodies -> execute in sqn order (a follower once its COMMIT
+//            has left: execute_committed)
 //   leader:  REPLY to client
 //
 // Collaborative overload prevention: each replica decides locally whether
@@ -29,13 +30,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "app/state_machine.hpp"
 #include "common/ids.hpp"
 #include "consensus/addresses.hpp"
 #include "consensus/messages.hpp"
+#include "consensus/quorum.hpp"
 #include "core/acceptance.hpp"
 #include "core/client_table.hpp"
 #include "core/intake.hpp"
@@ -110,13 +111,15 @@ class IdemReplica final : public sim::Node, Intake::Host {
   /// Client REQUESTs expose their latency budget to the service discipline
   /// (EDF ordering); everything else is deadline-less.
   Duration message_deadline(const sim::Payload& message) const override;
+  /// A follower's execution pass (execute_committed).
+  void on_flushed() override { try_execute(); }
 
  private:
   struct Instance : SlotBase {
     ViewId view;                 ///< view of the newest binding seen
     std::vector<RequestId> ids;  ///< empty until a PROPOSE/COMMIT arrives
     bool own_commit_sent = false;
-    std::unordered_set<std::uint32_t> commit_votes;
+    consensus::VoteSet commit_votes;
     RetryGate fetch_gate;  ///< rate-limits FETCH rounds for this slot
   };
 
@@ -151,6 +154,12 @@ class IdemReplica final : public sim::Node, Intake::Host {
   /// Requests missing bodies for `inst` (rate-limited); true if any are
   /// still missing.
   bool fetch_missing(Instance& inst);
+  /// Executes what is committed. The leader does so at once: its REPLYs
+  /// are on the critical path. A follower's COMMIT is, and its execution
+  /// is not, so it executes once this step's sends have left
+  /// (Node::after_flush: at once on the simulator, after the loop
+  /// iteration's flushes on an event loop).
+  void execute_committed();
   void try_execute();
   void execute_instance(std::uint64_t sqn, Instance& instance);
 

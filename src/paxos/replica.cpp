@@ -17,6 +17,7 @@ PaxosReplica::PaxosReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       sm_(std::move(state_machine)),
       cost_rng_(sim.seed(), 0xC057'1000ull + id.value) {
   assert(config_.n == 2 * config_.f + 1);
+  assert(config_.n <= consensus::VoteSet::kCapacity);  // voter ids fit a VoteSet
   batch_.configure({config_.batch_max});
   if (is_leader()) send_heartbeat();
   arm_failure_timer();
@@ -99,7 +100,7 @@ void PaxosReplica::handle_request(const msg::Request& request) {
   // only ever sheds for load, so the reason is always rt-queue-full.
   if (config_.reject_threshold > 0 && active_requests() >= config_.reject_threshold) {
     ++stats_.rejected;
-    core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, false,
+    core::lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, false,
                                     RejectReason::RtQueueFull);
     send(consensus::client_address(id.cid),
          std::make_shared<const msg::Reject>(id, RejectReason::RtQueueFull));
@@ -107,7 +108,7 @@ void PaxosReplica::handle_request(const msg::Request& request) {
   }
 
   ++stats_.accepted;
-  core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
+  core::lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, true);
   queued_.insert(id);
   batch_.push(request);
   try_propose();
@@ -135,9 +136,9 @@ void PaxosReplica::try_propose() {
     inst.own_accept_sent = true;
     inst.accept_votes.insert(me_.value);
     for (const msg::Request& request : inst.requests) {
-      core::lifecycle::proposed(config_.trace, now(), me_.value, request.id, next_sqn_);
+      core::lifecycle::proposed(config_.trace, sim(), me_.value, request.id, next_sqn_);
     }
-    core::lifecycle::propose_received(config_.trace, now(), me_.value, next_sqn_);
+    core::lifecycle::propose_received(config_.trace, sim(), me_.value, next_sqn_);
 
     auto propose = std::make_shared<msg::PaxosPropose>();
     propose->view = views_.view();
@@ -169,7 +170,7 @@ void PaxosReplica::adopt_binding(std::uint64_t sqn, ViewId view,
   if (inst.executed) return;  // applied state is immutable
   if (inst.has_binding && inst.view >= view) return;
   if (!inst.has_binding) {
-    core::lifecycle::propose_received(config_.trace, now(), me_.value, sqn);
+    core::lifecycle::propose_received(config_.trace, sim(), me_.value, sqn);
   }
   inst.view = view;
   inst.requests = std::move(requests);
@@ -179,7 +180,7 @@ void PaxosReplica::adopt_binding(std::uint64_t sqn, ViewId view,
 }
 
 void PaxosReplica::note_accept_quorum(std::uint64_t sqn, Instance& inst) {
-  core::lifecycle::decision_quorum(config_.trace, now(), me_.value, sqn, inst,
+  core::lifecycle::decision_quorum(config_.trace, sim(), me_.value, sqn, inst,
                                    inst.accept_votes.size(), config_.quorum());
 }
 
@@ -244,13 +245,13 @@ void PaxosReplica::try_execute() {
       charge(config_.costs.apply_jitter(sm_->execution_cost(request.command), cost_rng_));
       std::vector<std::byte> result = sm_->execute(request.command);
       ++stats_.executed;
-      core::lifecycle::executed(config_.trace, now(), me_.value, id, log_.next_exec());
+      core::lifecycle::executed(config_.trace, sim(), me_.value, id, log_.next_exec());
       auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
       clients_.record(id, reply);
       queued_.erase(id);
       if (is_leader()) {
         send(consensus::client_address(id.cid), reply);
-        core::lifecycle::reply_sent(config_.trace, now(), me_.value, id);
+        core::lifecycle::reply_sent(config_.trace, sim(), me_.value, id);
       }
       if (on_execute) on_execute(SeqNum{log_.next_exec()}, id);
     }
@@ -338,7 +339,7 @@ void PaxosReplica::note_liveness() {
 void PaxosReplica::start_viewchange(ViewId target) {
   if (!views_.begin(target)) return;
   ++stats_.view_changes;
-  core::lifecycle::viewchange_start(config_.trace, now(), me_.value, target.value);
+  core::lifecycle::viewchange_start(config_.trace, sim(), me_.value, target.value);
 
   auto viewchange = std::make_shared<msg::PaxosViewChange>();
   viewchange->from = me_;
@@ -426,7 +427,7 @@ void PaxosReplica::maybe_become_leader(ViewId target) {
 void PaxosReplica::enter_view(ViewId view) {
   bool was_leader = is_leader();
   views_.enter(view);
-  core::lifecycle::viewchange_done(config_.trace, now(), me_.value, view.value);
+  core::lifecycle::viewchange_done(config_.trace, sim(), me_.value, view.value);
   if (was_leader && !is_leader()) {
     cancel_timer(heartbeat_timer_);
     // A demoted leader's pending queue dies with its leadership; clients

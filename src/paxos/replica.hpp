@@ -29,6 +29,7 @@
 #include "consensus/addresses.hpp"
 #include "consensus/cost_model.hpp"
 #include "consensus/messages.hpp"
+#include "consensus/quorum.hpp"
 #include "core/batch_pipeline.hpp"
 #include "core/client_table.hpp"
 #include "core/ordered_log.hpp"
@@ -103,7 +104,7 @@ class PaxosReplica final : public sim::Node {
     ViewId view;
     std::vector<msg::Request> requests;
     bool own_accept_sent = false;
-    std::unordered_set<std::uint32_t> accept_votes;
+    consensus::VoteSet accept_votes;
   };
 
   void handle_request(const msg::Request& request);

@@ -125,6 +125,7 @@ void RealCluster::crash_replica(std::size_t index) {
   // Loop thread is gone; reading and tearing down on this thread is safe.
   member.final_stats = member.replica->stats();
   member.final_transport = member.runtime->transport().stats();
+  member.final_loop = member.runtime->loop().stats();
   // Totals outlive the member, so cluster totals never go backwards; its
   // point-in-time values (leader, view, inflight, connections) do not.
   member.final_metrics = member.metrics->read();
@@ -165,6 +166,12 @@ rpc::TransportStats RealCluster::transport_stats(std::size_t index) {
   Member& member = members_[index];
   if (member.crashed) return member.final_transport;
   return member.runtime->call([&member] { return member.runtime->transport().stats(); });
+}
+
+rpc::LoopStats RealCluster::loop_stats(std::size_t index) {
+  Member& member = members_[index];
+  if (member.crashed) return member.final_loop;
+  return member.runtime->call([&member] { return member.runtime->loop().stats(); });
 }
 
 rpc::TransportMemory RealCluster::transport_memory(std::size_t index) {

@@ -113,6 +113,10 @@ class RealCluster {
   /// crash time.
   core::ReplicaStats replica_stats(std::size_t index);
   rpc::TransportStats transport_stats(std::size_t index);
+  /// Where replica `index`'s loop thread spends its time (busy_ns over a
+  /// window is the replica's work), read on that thread; after a crash,
+  /// the values captured at crash time.
+  rpc::LoopStats loop_stats(std::size_t index);
   /// Connection counts + buffer bytes of replica `index`'s transport
   /// (zeroes after a crash — the sockets are gone).
   rpc::TransportMemory transport_memory(std::size_t index);
@@ -163,6 +167,7 @@ class RealCluster {
     bool crashed = false;
     core::ReplicaStats final_stats;        ///< captured when crashed
     rpc::TransportStats final_transport;   ///< captured when crashed
+    rpc::LoopStats final_loop;             ///< captured when crashed
     obs::MetricsReading final_metrics;     ///< totals captured when crashed
   };
 

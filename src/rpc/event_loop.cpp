@@ -79,6 +79,10 @@ sim::EventId EventLoop::schedule_at(Time at, sim::EventQueue::Callback fn) {
 
 bool EventLoop::cancel(sim::EventId id) { return timers_.cancel(id); }
 
+void EventLoop::after_flush(sim::EventQueue::Callback fn) {
+  after_flush_.push_back(std::move(fn));
+}
+
 Rng& EventLoop::rng(std::string_view name) {
   std::uint64_t key = hash_name(name);
   auto it = rngs_.find(key);
@@ -152,6 +156,15 @@ void EventLoop::run_deferred() {
   for (Task& task : deferred_swap_) task();
 }
 
+void EventLoop::run_after_flush() {
+  // Same swap as run_deferred: a task queued by one of these runs in the
+  // next iteration.
+  if (after_flush_.empty()) return;
+  after_flush_swap_.swap(after_flush_);
+  for (sim::EventQueue::Callback& fn : after_flush_swap_) fn();
+  after_flush_swap_.clear();
+}
+
 void EventLoop::fire_due_timers() {
   // Re-read the clock as we drain: handlers routinely schedule follow-up
   // work "at now" (an EDF node's drain, zero-delay protocol timers), and
@@ -173,12 +186,13 @@ bool EventLoop::poll_once(Time deadline) {
   if (start >= deadline) return false;
   ++stats_.iterations;
 
-  // Poll without blocking while deferred tasks or due timers wait, and
-  // inside the spin window; otherwise sleep until the next timer (ms-
-  // rounded, which is why the spin also covers a timer due within it).
+  // Poll without blocking while deferred or after-flush tasks or due
+  // timers wait, and inside the spin window; otherwise sleep until the
+  // next timer (ms-rounded, which is why the spin also covers a timer due
+  // within it).
   Time due = std::min(deadline, start + kMaxSleep);
   if (!timers_.empty()) due = std::min(due, timers_.next_time());
-  const bool must_poll = !deferred_.empty() || due <= start;
+  const bool must_poll = !deferred_.empty() || !after_flush_.empty() || due <= start;
   const bool spinning = !must_poll && start < spin_until_;
   int timeout_ms = 0;
   if (!must_poll && !spinning) {
@@ -208,6 +222,7 @@ bool EventLoop::poll_once(Time deadline) {
   }
   fire_due_timers();
   run_deferred();
+  run_after_flush();
   return true;
 }
 

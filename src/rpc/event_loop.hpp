@@ -97,6 +97,11 @@ class EventLoop final : public sim::Runtime {
   sim::EventId schedule_after(Duration delay, sim::EventQueue::Callback fn) override;
   sim::EventId schedule_at(Time at, sim::EventQueue::Callback fn) override;
   bool cancel(sim::EventId id) override;
+  /// Runs `fn` at the end of the current iteration, after its deferred
+  /// tasks, so the transport has flushed every send the iteration's
+  /// handlers and timers made. Loop-thread only; called while the loop is
+  /// idle, or from such a task, `fn` runs in the next iteration.
+  void after_flush(sim::EventQueue::Callback fn) override;
   Rng& rng(std::string_view name) override;
   std::uint64_t seed() const override { return seed_; }
   bool wall_clock() const override { return true; }
@@ -147,6 +152,7 @@ class EventLoop final : public sim::Runtime {
   void fire_due_timers();
   void drain_posted();
   void run_deferred();
+  void run_after_flush();
 
   std::uint64_t seed_;
   int epoll_fd_ = -1;
@@ -160,6 +166,10 @@ class EventLoop final : public sim::Runtime {
   std::vector<Task> posted_;
   std::vector<Task> deferred_;       ///< loop-thread-only end-of-iteration tasks
   std::vector<Task> deferred_swap_;  ///< reused scratch so run_deferred never allocates
+  /// Loop-thread-only tasks that run after the deferred ones, and their
+  /// reused scratch; warm, after_flush() never allocates.
+  std::vector<sim::EventQueue::Callback> after_flush_;
+  std::vector<sim::EventQueue::Callback> after_flush_swap_;
   Time woke_ = 0;                    ///< when the last wait returned
   Time spin_until_ = std::numeric_limits<Time>::min();  ///< last activity + kSpinWindow
   LoopStats stats_;

@@ -76,6 +76,22 @@ void Node::drain_due() {
   }
 }
 
+void Node::after_flush() {
+  if (flush_armed_) return;
+  flush_armed_ = true;
+  std::weak_ptr<Node*> weak = alive_;
+  auto pass = [weak] {
+    auto token = weak.lock();
+    if (!token || *token == nullptr) return;
+    Node* self = *token;
+    self->flush_armed_ = false;
+    if (!self->crashed_) self->on_flushed();
+  };
+  static_assert(EventQueue::Callback::stores_inline<decltype(pass)>,
+                "asking for a pass must not allocate");
+  runtime_.after_flush(std::move(pass));
+}
+
 Duration Node::message_cost(const Payload&) const { return 0; }
 
 Duration Node::message_deadline(const Payload&) const { return 0; }

@@ -15,6 +15,12 @@
 //     instead; the waiting messages drain earliest-due first from a
 //     zero-delay event, after the loop iteration's I/O has read the whole
 //     recv burst. A message without a budget is never held behind them.
+//
+// A node can also ask for work to wait until its sends have left
+// (after_flush), and the runtime decides when that is: on the simulator
+// at once, since a simulated send leaves when it is made and work charged
+// after it never delays it; on an event loop after the iteration's
+// flushes, once per iteration.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +119,20 @@ class Node : public Endpoint {
     net_.send(id_, to, std::move(message));
   }
 
+  /// Asks for one on_flushed() call once the sends made so far have left
+  /// (Runtime::after_flush): inline on the simulator; on an event loop
+  /// after the loop iteration's flushes, one call however often the
+  /// iteration asked, and none for a node that is crashed or destroyed by
+  /// then (like a timer).
+  void after_flush();
+
+  /// The work after_flush() asked for. Default: nothing.
+  virtual void on_flushed() {}
+
+  /// True while an on_flushed() call is pending (never on the simulator,
+  /// which makes the call at once).
+  bool flush_pending() const { return flush_armed_; }
+
   /// Charges extra simulated CPU time to this node (e.g. executing a
   /// request while handling a commit); it delays all subsequently queued
   /// messages. Does nothing on the wall clock.
@@ -171,6 +191,7 @@ class Node : public Endpoint {
   bool crashed_ = false;
   bool processing_ = false;  ///< simulator: a message is in service
   bool drain_armed_ = false;  ///< wall clock: a drain_due() event is pending
+  bool flush_armed_ = false;  ///< an on_flushed() call is pending
   Time busy_until_ = 0;
   /// FIFO: a grow-only power-of-two ring. Once warm, enqueue and dequeue
   /// never allocate (std::deque allocates a block roughly every page of

@@ -30,6 +30,11 @@ class Runtime {
   /// Cancels a pending event; no-op if it already fired.
   virtual bool cancel(EventId id) = 0;
 
+  /// Runs `fn` once the sends made so far have left. A simulated send
+  /// leaves when it is made, so the simulator runs `fn` at once; an event
+  /// loop runs it after the current iteration's flushes.
+  virtual void after_flush(EventQueue::Callback fn) = 0;
+
   /// Deterministic per-component RNG stream (same (seed, name) pair =>
   /// same stream).
   virtual Rng& rng(std::string_view name) = 0;

@@ -39,6 +39,8 @@ class Simulator final : public Runtime {
 
   bool cancel(EventId id) override { return queue_.cancel(id); }
 
+  void after_flush(EventQueue::Callback fn) override { fn(); }
+
   /// Runs events until the queue empties or the clock would pass `until`.
   /// The clock is left at min(until, time of last event) — i.e. exactly
   /// `until` when events remain.

@@ -22,6 +22,7 @@ SmartAgreement::SmartAgreement(sim::Runtime& sim, sim::Transport& net, ReplicaId
       sm_(std::move(state_machine)),
       cost_rng_(sim.seed(), cost_stream + id.value) {
   assert(config_.n == 2 * config_.f + 1);
+  assert(config_.n <= consensus::VoteSet::kCapacity);  // voter ids fit a VoteSet
   retransmit_tick();
 }
 
@@ -111,9 +112,9 @@ void SmartAgreement::try_propose() {
     inst.own_write_sent = true;  // the leader's proposal implies its WRITE
     inst.write_votes.insert(me_.value);
     for (const msg::Request& request : inst.requests) {
-      core::lifecycle::proposed(config_.trace, now(), me_.value, request.id, next_sqn_);
+      core::lifecycle::proposed(config_.trace, sim(), me_.value, request.id, next_sqn_);
     }
-    core::lifecycle::propose_received(config_.trace, now(), me_.value, next_sqn_);
+    core::lifecycle::propose_received(config_.trace, sim(), me_.value, next_sqn_);
 
     auto propose = std::make_shared<msg::SmartPropose>();
     propose->view = view_;
@@ -150,7 +151,7 @@ void SmartAgreement::handle_propose(const msg::SmartPropose& propose) {
   if (!inst.has_binding) {
     inst.requests = propose.requests;
     inst.has_binding = true;
-    core::lifecycle::propose_received(config_.trace, now(), me_.value, sqn);
+    core::lifecycle::propose_received(config_.trace, sim(), me_.value, sqn);
   }
   inst.write_votes.insert(consensus::leader_of(propose.view, config_.n).value);
   // Sent unconditionally: a duplicate PROPOSE is the leader's loss-recovery
@@ -197,7 +198,7 @@ void SmartAgreement::maybe_advance(std::uint64_t sqn) {
 }
 
 void SmartAgreement::note_accept_quorum(std::uint64_t sqn, Instance& inst) {
-  core::lifecycle::decision_quorum(config_.trace, now(), me_.value, sqn, inst,
+  core::lifecycle::decision_quorum(config_.trace, sim(), me_.value, sqn, inst,
                                    inst.accept_votes.size(), config_.quorum());
 }
 
@@ -226,13 +227,13 @@ void SmartAgreement::try_execute() {
       charge(config_.costs.apply_jitter(sm_->execution_cost(request.command), cost_rng_));
       std::vector<std::byte> result = sm_->execute(request.command);
       ++stats_.executed;
-      core::lifecycle::executed(config_.trace, now(), me_.value, id, log_.next_exec());
+      core::lifecycle::executed(config_.trace, sim(), me_.value, id, log_.next_exec());
       auto reply = std::make_shared<const msg::Reply>(id, std::move(result));
       clients_.record(id, reply);
       release(id);
       // All replicas reply; a CFT client needs just one reply.
       send(consensus::client_address(id.cid), reply);
-      core::lifecycle::reply_sent(config_.trace, now(), me_.value, id);
+      core::lifecycle::reply_sent(config_.trace, sim(), me_.value, id);
       if (on_execute) on_execute(SeqNum{log_.next_exec()}, id);
     }
     inst->executed = true;
@@ -256,7 +257,7 @@ void SmartReplica::admit(const msg::Request& request) {
   if (!is_leader()) return;  // followers see the request again in the PROPOSE
   if (queued_.contains(id)) return;
   // No acceptance test: the leader takes everything (accepted always).
-  core::lifecycle::accept_verdict(config_.trace, now(), me_.value, id, true);
+  core::lifecycle::accept_verdict(config_.trace, sim(), me_.value, id, true);
   queued_.insert(id);
   batch_.push(request);  // unbounded: no overload protection
   try_propose();

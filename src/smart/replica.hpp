@@ -31,6 +31,7 @@
 #include "consensus/addresses.hpp"
 #include "consensus/cost_model.hpp"
 #include "consensus/messages.hpp"
+#include "consensus/quorum.hpp"
 #include "core/batch_pipeline.hpp"
 #include "core/client_table.hpp"
 #include "core/ordered_log.hpp"
@@ -70,8 +71,8 @@ struct SmartSlot : core::SlotBase {
   std::vector<msg::Request> requests;
   bool own_write_sent = false;
   bool own_accept_sent = false;
-  std::unordered_set<std::uint32_t> write_votes;
-  std::unordered_set<std::uint32_t> accept_votes;
+  consensus::VoteSet write_votes;
+  consensus::VoteSet accept_votes;
 };
 
 /// Mod-SMaRt agreement: the ordered log, the client table, PROPOSE / WRITE

@@ -3,7 +3,8 @@
 // pop -> fire, Simulator::step, Node timer set/cancel, and network message
 // delivery with a reused payload — performs zero heap allocations. Real
 // mode's send path (frame build, queue, end-of-iteration flush) and its
-// zero-cost execution charge keep the same budget.
+// zero-cost execution charge keep the same budget, and so does counting
+// votes (VoteSet, a repeat QuorumTracker vote).
 //
 // A counting global operator new/delete pair is armed only inside the
 // measured regions; everything else (gtest bookkeeping, warm-up capacity
@@ -23,6 +24,7 @@
 
 #include "app/kv_store.hpp"
 #include "consensus/messages.hpp"
+#include "consensus/quorum.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "rpc/event_loop.hpp"
@@ -320,6 +322,30 @@ TEST(AllocationBudget, ZeroCostKvExecutionChargeIsAllocationFree) {
   }
   EXPECT_EQ(allocations, 0u) << "a zero-cost charge must not decode the command";
   EXPECT_EQ(total, 0);
+}
+
+TEST(AllocationBudget, VoteCountingIsAllocationFree) {
+  consensus::VoteSet votes;
+  consensus::QuorumTracker<RequestId> tracker;
+  const RequestId id{ClientId{1}, OpNum{1}};
+  tracker.vote(id, ReplicaId{0});  // warm: the id's entry exists
+
+  std::uint64_t counted = 0;
+  std::uint64_t allocations = 0;
+  {
+    CountingGuard guard;
+    for (std::uint32_t round = 0; round < 1000; ++round) {
+      for (std::uint32_t voter = 0; voter < 5; ++voter) votes.insert(voter);
+      votes.insert(round % 5);  // a repeat vote counts once
+      counted += votes.size();
+      votes.clear();
+      counted += tracker.vote(id, ReplicaId{round % 3});
+    }
+    allocations = guard.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "counting votes must not allocate once warm";
+  EXPECT_EQ(counted, 1000u * 5 + 1 + 2 + 998u * 3);
+  EXPECT_TRUE(votes.empty());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit tests for the protocol-agnostic replication core (src/core): the
 // timeout helpers, the client session table, the batch pipeline, the
-// rejected-bodies cache and the ordered log. The protocols layered on top
-// are covered by their own suites; these tests pin the core semantics the
-// layers rely on.
+// rejected-bodies cache, the ordered log, vote sets and the lifecycle trace
+// helpers. The protocols layered on top are covered by their own suites;
+// these tests pin the core semantics the layers rely on.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,11 +11,14 @@
 #include "common/ids.hpp"
 #include "common/time.hpp"
 #include "consensus/messages.hpp"
+#include "consensus/quorum.hpp"
 #include "core/batch_pipeline.hpp"
 #include "core/client_table.hpp"
+#include "core/lifecycle.hpp"
 #include "core/ordered_log.hpp"
 #include "core/rejected_cache.hpp"
 #include "core/timers.hpp"
+#include "obs/trace.hpp"
 
 namespace idem::core {
 namespace {
@@ -262,6 +265,60 @@ TEST(OrderedLog, GcExecutedKeepsTrailingWindow) {
   young.set_next_exec(1);
   young.gc_executed(/*window_size=*/2);
   EXPECT_TRUE(young.contains(0));
+}
+
+// ------------------------------------------------------------- votes
+
+TEST(VoteSet, CountsDistinctVotersInAscendingOrder) {
+  consensus::VoteSet votes;
+  for (std::uint32_t voter : {5u, 0u, 5u, 63u}) votes.insert(voter);
+  EXPECT_EQ(votes.size(), 3u);
+  std::vector<std::uint32_t> voters;
+  for (std::uint32_t voter : votes) voters.push_back(voter);
+  EXPECT_EQ(voters, (std::vector<std::uint32_t>{0, 5, 63}));
+  // No replica has an id past the mask: a malformed sender is not counted.
+  votes.insert(64);
+  votes.insert(1'000'000);
+  EXPECT_EQ(votes.size(), 3u);
+  votes.clear();
+  EXPECT_TRUE(votes.empty());
+  EXPECT_EQ(votes.begin(), votes.end());
+}
+
+// ------------------------------------------------------------- lifecycle
+
+/// A clock that counts its reads.
+struct CountingClock {
+  mutable int reads = 0;
+  Time now() const {
+    ++reads;
+    return 7;
+  }
+};
+
+TEST(Lifecycle, NullRecorderNeverReadsTheClock) {
+  CountingClock clock;
+  struct Slot {
+    bool quorum_traced = false;
+  } slot;
+  const RequestId id = rid(1, 1);
+  lifecycle::accept_verdict(nullptr, clock, 0, id, true);
+  lifecycle::proposed(nullptr, clock, 0, id, 3);
+  lifecycle::propose_received(nullptr, clock, 0, 3);
+  lifecycle::decision_quorum(nullptr, clock, 0, 3, slot, 2, 2);
+  lifecycle::executed(nullptr, clock, 0, id, 3);
+  lifecycle::reply_sent(nullptr, clock, 0, id);
+  lifecycle::viewchange_start(nullptr, clock, 0, 1);
+  lifecycle::viewchange_done(nullptr, clock, 0, 1);
+  EXPECT_EQ(clock.reads, 0);
+#ifndef IDEM_TRACE_OFF
+  // A recorded event reads the clock once, for its timestamp.
+  obs::TraceRecorder trace(16);
+  lifecycle::executed(&trace, clock, 0, id, 3);
+  EXPECT_EQ(clock.reads, 1);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace.snapshot()[0].at, 7);
+#endif
 }
 
 }  // namespace

@@ -567,7 +567,8 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
   // On an event loop a replica models no CPU. Serving and restoring state
   // charge nothing there, although the cost model prices snapshots, so
   // every message, the one after the transfer included, is handled inside
-  // deliver(); and no execution cost is even computed.
+  // deliver(); and no execution cost is even computed. A follower executes
+  // after the loop iteration's flushes, so the loop runs once to execute.
   rpc::EventLoop loop(5);
   test::NullTransport net;
   const sim::NodeId leader = consensus::replica_address(ReplicaId{0});
@@ -590,6 +591,8 @@ TEST(IdemReplicaUnit, RealModeStateTransferKeepsInlineDispatch) {
     propose->ids = {RequestId{ClientId{0}, OpNum{sqn + 1}}};
     replica->deliver(leader, std::move(propose));
   }
+  EXPECT_EQ(replica->next_execute().value, 0u);
+  for (int i = 0; i < 1000 && replica->next_execute().value < 2; ++i) loop.run_for(kMillisecond);
   ASSERT_EQ(replica->next_execute().value, 2u);
   EXPECT_EQ(calls.costs, 0u);
 

@@ -3,11 +3,17 @@
 // its wall-clock dispatch rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "app/kv_store.hpp"
+#include "consensus/addresses.hpp"
+#include "core/acceptance.hpp"
+#include "idem/replica.hpp"
 #include "rpc/event_loop.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
@@ -390,6 +396,8 @@ class DispatchNode final : public Node {
   std::vector<int> handled;
   std::vector<NodeId> senders;
   mutable int costs_asked = 0;
+  bool ask_flush = false;  ///< every handled message asks for after_flush()
+  int flushed = 0;         ///< on_flushed() calls
 
   void take(std::uint32_t from, int tag, Duration deadline = 0, Duration cost = 0) {
     deliver(NodeId{from}, std::make_shared<TaggedPayload>(tag, deadline, cost));
@@ -402,7 +410,9 @@ class DispatchNode final : public Node {
   void on_message(NodeId from, const Payload& m) override {
     handled.push_back(tagged(m).tag);
     senders.push_back(from);
+    if (ask_flush) after_flush();
   }
+  void on_flushed() override { ++flushed; }
   Duration message_cost(const Payload& m) const override {
     ++costs_asked;
     return tagged(m).cost;
@@ -612,6 +622,207 @@ TEST(Node, WallClockEdfBurstDrainsEarliestDueFirst) {
   loop.run_for(kMillisecond);
   EXPECT_EQ(node.handled.size(), 10u);
   EXPECT_EQ(node.costs_asked, 0);
+}
+
+/// Runs `task` on `loop` and returns once the loop iteration that ran it,
+/// its flushes and after-flush work included, is over. Timers already due
+/// fire in that iteration too.
+void run_one_iteration(rpc::EventLoop& loop, const std::function<void()>& task = [] {}) {
+  bool ran = false;
+  loop.post([&] {
+    task();
+    ran = true;
+  });
+  // run_for polls nothing when its thread was preempted past the deadline.
+  for (int i = 0; i < 10'000 && !ran; ++i) loop.run_for(kMillisecond);
+  ASSERT_TRUE(ran);
+}
+
+TEST(Node, WallClockAfterFlushRunsOncePerIteration) {
+  // The simulator runs the pass inside each handler; an event loop runs
+  // one per iteration, after it, however many handlers asked.
+  NetFixture f;
+  DispatchNode simulated(f.sim, *f.net, DisciplineKind::Fifo);
+  simulated.ask_flush = true;
+  for (int i = 0; i < 3; ++i) simulated.take(2, i);
+  f.sim.run_until(kSecond);
+  EXPECT_EQ(simulated.flushed, 3);
+
+  rpc::EventLoop loop;
+  test::NullTransport net;
+  DispatchNode node(loop, net, DisciplineKind::Fifo);
+  node.ask_flush = true;
+  run_one_iteration(loop, [&node] {
+    for (int i = 0; i < 3; ++i) node.take(2, i);
+  });
+  EXPECT_EQ(node.handled, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(node.flushed, 1);
+  node.take(2, 3);  // while the loop is idle: the next iteration's pass
+  run_one_iteration(loop);
+  EXPECT_EQ(node.flushed, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Step order on an event loop: handlers, timers, the transport's flushes,
+// then a follower's execution. An IDEM replica of view 0 (f = 1; replica 1,
+// a follower, unless a test picks the leader) is handed its messages
+// directly; the transport records every send, and its flush at the end of
+// the loop iteration, as rpc::TcpTransport does.
+// ---------------------------------------------------------------------------
+
+class FlushingTransport final : public Transport {
+ public:
+  FlushingTransport(rpc::EventLoop* loop, std::vector<std::string>& log)
+      : loop_(loop), log_(log) {}
+  void add_node(NodeId, NodeKind, Endpoint*) override {}
+  void remove_node(NodeId) override {}
+  void send(NodeId, NodeId, PayloadPtr message) override {
+    log_.push_back("send " + message->kind());
+    if (loop_ == nullptr) return;
+    loop_->defer([this, kind = message->kind()] { log_.push_back("flush " + kind); });
+  }
+
+ private:
+  rpc::EventLoop* loop_;
+  std::vector<std::string>& log_;
+};
+
+struct StepFixture {
+  const NodeId leader = consensus::replica_address(ReplicaId{0});
+  const NodeId follower = consensus::replica_address(ReplicaId{1});
+  const NodeId client = consensus::client_address(ClientId{0});
+  std::vector<std::string> log;
+  std::vector<std::uint64_t> executed;  ///< sqns, in execution order
+  FlushingTransport net;
+  std::unique_ptr<core::IdemReplica> replica;
+
+  StepFixture(Runtime& runtime, rpc::EventLoop* loop, std::uint32_t me = 1) : net(loop, log) {
+    core::IdemConfig config;
+    config.reject_threshold = 4;  // r_max = 12
+    config.viewchange_timeout = 10 * kSecond;
+    replica = std::make_unique<core::IdemReplica>(runtime, net, ReplicaId{me}, config,
+                                                  std::make_unique<app::KvStore>(),
+                                                  std::make_unique<core::NeverReject>());
+    replica->on_execute = [this](SeqNum sqn, RequestId) {
+      log.push_back("execute " + std::to_string(sqn.value));
+      executed.push_back(sqn.value);
+    };
+  }
+
+  static RequestId id(std::uint64_t onr) { return RequestId{ClientId{0}, OpNum{onr}}; }
+
+  void request(std::uint64_t onr) {
+    replica->deliver(client, std::make_shared<const msg::Request>(
+                                 id(onr), test::put_cmd("k", "v" + std::to_string(onr))));
+  }
+
+  /// Client 0's request `onr` arrives, then the leader binds it to `sqn`.
+  void request_and_propose(std::uint64_t onr, std::uint64_t sqn) {
+    request(onr);
+    auto propose = std::make_shared<msg::Propose>();
+    propose->sqn = SeqNum{sqn};
+    propose->ids = {id(onr)};
+    replica->deliver(leader, std::move(propose));
+  }
+
+  std::size_t position(const std::string& entry) const {
+    return static_cast<std::size_t>(std::find(log.begin(), log.end(), entry) - log.begin());
+  }
+};
+
+TEST(StepOrder, FollowerCommitLeavesBeforeItExecutes) {
+  rpc::EventLoop loop;
+  StepFixture f(loop, &loop);
+  run_one_iteration(loop, [&f] { f.request_and_propose(1, 0); });
+  ASSERT_EQ(f.executed, std::vector<std::uint64_t>{0});
+  // Handlers send (the REQUIRE from the zero-delay timer), the transport
+  // flushes, and only then does the follower execute.
+  const std::size_t execute = f.position("execute 0");
+  EXPECT_LT(f.position("send COMMIT"), execute);
+  EXPECT_LT(f.position("flush COMMIT"), execute);
+  EXPECT_LT(f.position("flush REQUIRE"), execute);
+  EXPECT_EQ(execute, f.log.size() - 1);
+}
+
+TEST(StepOrder, FollowerExecutesProposalsOfOneIterationOnceInSqnOrder) {
+  rpc::EventLoop loop;
+  StepFixture f(loop, &loop);
+  run_one_iteration(loop, [&f] {
+    f.request_and_propose(2, 1);  // the later instance arrives first
+    f.request_and_propose(1, 0);
+    EXPECT_TRUE(f.executed.empty());
+  });
+  EXPECT_EQ(f.executed, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(f.replica->next_execute(), SeqNum{2});
+  EXPECT_EQ(f.replica->stats().executed, 2u);
+}
+
+TEST(StepOrder, CrashedOrDestroyedFollowerSkipsThePendingPass) {
+  {
+    rpc::EventLoop loop;
+    StepFixture f(loop, &loop);
+    run_one_iteration(loop, [&f] {
+      f.request_and_propose(1, 0);
+      f.replica->crash();
+    });
+    EXPECT_TRUE(f.executed.empty());
+    EXPECT_EQ(f.replica->next_execute(), SeqNum{0});
+  }
+  rpc::EventLoop loop;
+  StepFixture f(loop, &loop);
+  run_one_iteration(loop, [&f] {
+    f.request_and_propose(1, 0);
+    f.replica.reset();
+  });
+  EXPECT_TRUE(f.executed.empty());
+}
+
+TEST(StepOrder, FollowerExecutesPendingWorkBeforeJudgingLag) {
+  // A PROPOSE for sqn 12 = r_max tells a follower that has executed
+  // nothing that the others moved past sqn 0 (implicit GC), but this one
+  // committed sqns 0-11 earlier in the same iteration: it executes them
+  // rather than ask for state.
+  rpc::EventLoop loop;
+  StepFixture f(loop, &loop);
+  run_one_iteration(loop, [&f] {
+    for (std::uint64_t sqn = 0; sqn <= 12; ++sqn) f.request_and_propose(sqn + 1, sqn);
+  });
+  EXPECT_EQ(f.replica->next_execute(), SeqNum{13});
+  EXPECT_EQ(f.position("send STATE-REQ"), f.log.size());
+}
+
+TEST(StepOrder, LeaderExecutesInsideTheHandler) {
+  // The leader's REPLY is on the critical path: it executes the moment a
+  // COMMIT completes the quorum, before the iteration's flush.
+  rpc::EventLoop loop;
+  StepFixture f(loop, &loop, /*me=*/0);
+  f.request(1);
+  auto require = std::make_shared<msg::Require>();
+  require->from = ReplicaId{1};
+  require->ids = {StepFixture::id(1)};
+  f.replica->deliver(f.follower, std::move(require));
+  run_one_iteration(loop);  // the zero-delay cut proposes sqn 0
+  ASSERT_LT(f.position("flush PROPOSE"), f.log.size());
+  run_one_iteration(loop, [&f] {
+    auto commit = std::make_shared<msg::Commit>();
+    commit->from = ReplicaId{1};
+    commit->sqn = SeqNum{0};
+    commit->ids = {StepFixture::id(1)};
+    f.replica->deliver(f.follower, std::move(commit));
+    EXPECT_EQ(f.executed, std::vector<std::uint64_t>{0});
+  });
+  EXPECT_LT(f.position("execute 0"), f.position("flush REPLY"));
+}
+
+TEST(StepOrder, SimulatorExecutesInsideTheHandler) {
+  // The simulator's follower executes within the event that handles the
+  // PROPOSE: the model sends first and charges execution after.
+  Simulator sim(3);
+  StepFixture f(sim, nullptr);
+  f.request_and_propose(1, 0);
+  sim.run_while([&f] { return f.position("send COMMIT") == f.log.size(); });
+  EXPECT_EQ(f.executed, std::vector<std::uint64_t>{0});
+  EXPECT_LT(f.position("send COMMIT"), f.position("execute 0"));
 }
 
 }  // namespace

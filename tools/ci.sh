@@ -89,7 +89,8 @@ if [[ "${FAST}" -eq 0 ]]; then
 
   # TSan over the suites that actually spawn threads or run an event loop:
   # the rpc event loop's cross-thread post()/stop(), the whole real-mode
-  # runtime (one loop thread per replica) and the wall-clock Node cases.
+  # runtime (one loop thread per replica), the wall-clock Node cases and
+  # the step-order cases (a follower on an event loop).
   # Run serially — TSan-instrumented loopback clusters
   # are heavyweight enough that parallel suites time-box each other out.
   echo "== sanitizers: TSan build (rpc + real runtime) =="
@@ -98,7 +99,7 @@ if [[ "${FAST}" -eq 0 ]]; then
 
   echo "== sanitizers: TSan ctest =="
   (cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
-      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Discipline|Node\.WallClock')
+      ctest --output-on-failure -R 'EventLoop|Framing|ParseAddress|TcpTransport|RealtimeIdem|RealRuntime|RealCluster|RealClients|RealSmoke|MetricsTicker|TraceMerge|LiveMetrics|HttpAdmin|Storm|Shard|Deadline|Discipline|Node\.WallClock|StepOrder')
 fi
 
 # Time-boxed storm smoke: ~1k connections ramped up (334 sessions x 3
