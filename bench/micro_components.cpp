@@ -80,13 +80,14 @@ void BM_AcceptanceTestAqm(benchmark::State& state) {
 }
 BENCHMARK(BM_AcceptanceTestAqm)->Arg(10)->Arg(40)->Arg(49);
 
+/// YCSB-A against a store preloaded with `range(0)` records.
 void BM_KvStoreExecute(benchmark::State& state) {
   app::KvStore store;
   Rng rng(3, 3);
   app::YcsbConfig config;
-  config.record_count = 10000;
+  config.record_count = static_cast<std::uint64_t>(state.range(0));
   app::YcsbWorkload workload(config, rng);
-  for (const auto& cmd : workload.load_phase()) store.put(cmd.key, cmd.value);
+  store.restore(workload.load_image());
   std::vector<std::vector<std::byte>> ops;
   for (int i = 0; i < 1024; ++i) ops.push_back(workload.next_operation().encode());
   std::size_t i = 0;
@@ -94,7 +95,7 @@ void BM_KvStoreExecute(benchmark::State& state) {
     benchmark::DoNotOptimize(store.execute(ops[i++ % ops.size()]));
   }
 }
-BENCHMARK(BM_KvStoreExecute);
+BENCHMARK(BM_KvStoreExecute)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_KvStoreSnapshot(benchmark::State& state) {
   app::KvStore store;

@@ -1,7 +1,9 @@
 #include "app/ycsb.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 
 namespace idem::app {
 
@@ -36,24 +38,33 @@ YcsbWorkload::YcsbWorkload(YcsbConfig config, Rng& rng)
       zipf_(config.record_count, config.zipfian_theta),
       inserted_(config.record_count) {}
 
-std::string YcsbWorkload::key_for(std::uint64_t record) const {
+namespace {
+
+/// "user" and the record's scrambled index, written into `buf`.
+std::string_view write_key(std::uint64_t record, char (&buf)[24]) {
   // YCSB scrambles the record index so that zipfian-hot records spread
   // across the key space instead of clustering at the front. The full
   // 64-bit hash keeps collisions negligible.
-  return "user" + std::to_string(splitmix64(record));
+  std::memcpy(buf, "user", 4);
+  const auto written = std::to_chars(buf + 4, buf + sizeof buf, splitmix64(record));
+  return {buf, static_cast<std::size_t>(written.ptr - buf)};
 }
 
-std::vector<KvCommand> YcsbWorkload::load_phase() const {
-  std::vector<KvCommand> cmds;
-  cmds.reserve(config_.record_count);
+}  // namespace
+
+std::string YcsbWorkload::key_for(std::uint64_t record) const {
+  char buf[24];
+  return std::string(write_key(record, buf));
+}
+
+std::vector<std::byte> YcsbWorkload::load_image() const {
+  KvStore store;
+  const std::string value(config_.value_size, 'x');
   for (std::uint64_t i = 0; i < config_.record_count; ++i) {
-    KvCommand cmd;
-    cmd.op = KvOp::Put;
-    cmd.key = key_for(i);
-    cmd.value = std::string(config_.value_size, 'x');
-    cmds.push_back(std::move(cmd));
+    char buf[24];
+    store.put(write_key(i, buf), value);
   }
-  return cmds;
+  return store.snapshot();
 }
 
 std::uint64_t YcsbWorkload::next_record() {

@@ -103,8 +103,9 @@ class YcsbWorkload {
   /// The key of record `i` ("user" + scrambled index, as in YCSB).
   std::string key_for(std::uint64_t record) const;
 
-  /// Commands to populate the store before the measured phase.
-  std::vector<KvCommand> load_phase() const;
+  /// The store the load phase leaves behind, as a KvStore snapshot: every
+  /// record once, keys in order. Replicas restore it before the run.
+  std::vector<std::byte> load_image() const;
 
   /// Draws the next operation of the run phase.
   KvCommand next_operation();

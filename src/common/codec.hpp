@@ -155,10 +155,14 @@ class ByteReader {
     return out;
   }
 
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+
+  /// The next length-prefixed string as a view into the buffer: no copy,
+  /// valid while the buffer is.
+  std::string_view str_view() {
     auto len = varint();
     require(len);
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len);
+    std::string_view out(reinterpret_cast<const char*>(data_.data() + pos_), len);
     pos_ += len;
     return out;
   }

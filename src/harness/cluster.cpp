@@ -31,16 +31,11 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     trace_ = std::make_unique<obs::TraceRecorder>(config_.obs.trace_capacity);
   }
 
-  // Preload the key-value store once and snapshot it, so every replica
-  // starts from the identical state without replaying the load phase.
+  // Build the load phase's image once; every replica restores it, so all
+  // start from the identical state without replaying the load phase.
   if (config_.preload && !config_.store_factory) {
-    app::KvStore loader(config_.kv_costs);
     Rng rng(config_.seed, /*stream=*/0x10adull);
-    app::YcsbWorkload workload(config_.workload, rng);
-    for (const app::KvCommand& cmd : workload.load_phase()) {
-      loader.put(cmd.key, cmd.value);
-    }
-    preload_snapshot_ = loader.snapshot();
+    preload_snapshot_ = app::YcsbWorkload(config_.workload, rng).load_image();
   }
 
   const std::size_t n = config_.n;

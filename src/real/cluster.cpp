@@ -10,6 +10,12 @@ namespace idem::real {
 
 RealCluster::RealCluster(RealClusterConfig config)
     : config_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {
+  // The load phase's image, built once and restored by every replica.
+  std::vector<std::byte> preload;
+  if (config_.preload) {
+    Rng rng(config_.seed, /*stream=*/0x10ADull);
+    preload = app::YcsbWorkload(config_.workload, rng).load_image();
+  }
   members_.resize(config_.n);
   for (std::size_t i = 0; i < config_.n; ++i) {
     Member& member = members_[i];
@@ -29,9 +35,11 @@ RealCluster::RealCluster(RealClusterConfig config)
       member.trace = std::make_unique<obs::TraceRecorder>(config_.trace_capacity);
       replica_config.trace = member.trace.get();
     }
+    auto store = std::make_unique<app::KvStore>();
+    if (!preload.empty()) store->restore(preload);
     member.replica = std::make_unique<core::IdemReplica>(
         member.runtime->loop(), member.runtime->transport(),
-        ReplicaId{static_cast<std::uint32_t>(i)}, replica_config, make_store(),
+        ReplicaId{static_cast<std::uint32_t>(i)}, replica_config, std::move(store),
         core::make_default_acceptance(replica_config, config_.expected_clients));
     member.port = member.runtime->transport().port_of(
         consensus::replica_address(ReplicaId{static_cast<std::uint32_t>(i)}));
@@ -86,19 +94,6 @@ std::vector<Admin::Member> RealCluster::admin_members(std::optional<std::uint32_
 }
 
 RealCluster::~RealCluster() { shutdown(); }
-
-std::unique_ptr<app::StateMachine> RealCluster::make_store() const {
-  auto store = std::make_unique<app::KvStore>();
-  if (config_.preload) {
-    // Same config + const load phase => byte-identical content everywhere.
-    Rng rng(config_.seed, /*stream=*/0x10ADull);
-    app::YcsbWorkload workload(config_.workload, rng);
-    for (const app::KvCommand& command : workload.load_phase()) {
-      store->execute(command.encode());
-    }
-  }
-  return store;
-}
 
 void RealCluster::start() {
   if (started_) return;
@@ -197,11 +192,8 @@ std::vector<std::pair<std::string, std::string>> RealCluster::dump_store(std::si
   if (member.crashed) return {};
   return member.runtime->call([&member] {
     auto* store = dynamic_cast<app::KvStore*>(&member.replica->state_machine());
-    std::vector<std::pair<std::string, std::string>> entries;
-    if (store == nullptr) return entries;
-    entries.reserve(store->entries().size());
-    for (const auto& [key, value] : store->entries()) entries.emplace_back(key, value);
-    return entries;
+    return store == nullptr ? std::vector<std::pair<std::string, std::string>>{}
+                            : store->entries();
   });
 }
 

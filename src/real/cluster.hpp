@@ -171,7 +171,6 @@ class RealCluster {
     obs::MetricsReading final_metrics;     ///< totals captured when crashed
   };
 
-  std::unique_ptr<app::StateMachine> make_store() const;
   /// Member `member`'s trace ring, read on its loop thread while it lives.
   static std::vector<obs::TraceEvent> trace_of(Member& member);
 

@@ -146,26 +146,28 @@ void EventLoop::drain_posted() {
 
 void EventLoop::defer(Task task) { deferred_.push_back(std::move(task)); }
 
-void EventLoop::run_deferred() {
+bool EventLoop::run_deferred() {
   // Tasks deferred by a deferred task run in the next iteration; the swap
   // keeps iteration safe under such re-entrant defer() calls and hands its
   // capacity back to deferred_, so steady state never allocates.
-  if (deferred_.empty()) return;
+  if (deferred_.empty()) return false;
   deferred_swap_.clear();
   deferred_swap_.swap(deferred_);
   for (Task& task : deferred_swap_) task();
+  return true;
 }
 
-void EventLoop::run_after_flush() {
+bool EventLoop::run_after_flush() {
   // Same swap as run_deferred: a task queued by one of these runs in the
   // next iteration.
-  if (after_flush_.empty()) return;
+  if (after_flush_.empty()) return false;
   after_flush_swap_.swap(after_flush_);
   for (sim::EventQueue::Callback& fn : after_flush_swap_) fn();
   after_flush_swap_.clear();
+  return true;
 }
 
-void EventLoop::fire_due_timers() {
+bool EventLoop::fire_due_timers() {
   // Re-read the clock as we drain: handlers routinely schedule follow-up
   // work "at now" (an EDF node's drain, zero-delay protocol timers), and
   // deferring it to the next epoll round trip would add a poll to every
@@ -173,16 +175,26 @@ void EventLoop::fire_due_timers() {
   // forever; due timers left over make the next epoll_wait time out
   // immediately.
   constexpr int kTimerBurst = 1024;
-  for (int burst = 0; burst < kTimerBurst; ++burst) {
-    if (timers_.empty() || timers_.next_time() > now()) return;
+  int burst = 0;
+  for (; burst < kTimerBurst; ++burst) {
+    if (timers_.empty() || timers_.next_time() > now()) break;
     auto event = timers_.pop();
     event.fn();
   }
+  return burst > 0;
 }
 
 bool EventLoop::poll_once(Time deadline) {
   const Time start = now();
-  stats_.busy_ns += static_cast<std::uint64_t>(start - woke_);
+  // The last wait's return to now: work if that iteration found any, the
+  // spin's own bookkeeping if it was an empty spin poll, and part of the
+  // sleep if it was an empty blocking wait.
+  const auto since_wake = static_cast<std::uint64_t>(start - woke_);
+  if (last_wait_ == WaitOutcome::Worked) {
+    stats_.busy_ns += since_wake;
+  } else if (last_wait_ == WaitOutcome::EmptySpin) {
+    stats_.spin_ns += since_wake;
+  }
   if (start >= deadline) return false;
   ++stats_.iterations;
 
@@ -220,21 +232,29 @@ bool EventLoop::poll_once(Time deadline) {
     auto callback = it->second;
     (*callback)(events[i].events);
   }
-  fire_due_timers();
-  run_deferred();
-  run_after_flush();
+  // No short-circuit: each of the three must run.
+  const bool timers = fire_due_timers();
+  const bool deferred = run_deferred();
+  const bool after_flush = run_after_flush();
+  if (ready > 0 || timers || deferred || after_flush) {
+    last_wait_ = WaitOutcome::Worked;
+  } else {
+    last_wait_ = spinning ? WaitOutcome::EmptySpin : WaitOutcome::EmptySleep;
+  }
   return true;
 }
 
 void EventLoop::run() {
   stopped_.store(false, std::memory_order_release);
   woke_ = now();
+  last_wait_ = WaitOutcome::EmptySleep;
   while (!stopped_.load(std::memory_order_acquire)) poll_once(kTimeNever);
 }
 
 void EventLoop::run_for(Duration span) {
   stopped_.store(false, std::memory_order_release);
   woke_ = now();
+  last_wait_ = WaitOutcome::EmptySleep;
   const Time deadline = woke_ + span;
   while (!stopped_.load(std::memory_order_acquire) && poll_once(deadline)) {
   }

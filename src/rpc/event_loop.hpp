@@ -63,10 +63,13 @@ std::int64_t realtime_anchor_ns(std::chrono::steady_clock::time_point epoch);
 struct LoopStats {
   std::uint64_t iterations = 0;  ///< epoll_wait calls
   std::uint64_t sleeps = 0;      ///< blocking waits (a nonzero timeout)
-  std::uint64_t spin_ns = 0;     ///< non-blocking polls of the spin window, yields included
-  /// From each wait's return to the next wait: I/O handlers, timers,
-  /// deferred tasks and the loop's own bookkeeping. busy_ns over wall
-  /// time is the loop's busy fraction.
+  /// Non-blocking polls of the spin window, yields included, and the
+  /// bookkeeping after a spin poll that found nothing to do.
+  std::uint64_t spin_ns = 0;
+  /// From the return of a wait that found work (a ready fd, a due timer,
+  /// a deferred or after-flush task) to the next wait: handlers and the
+  /// loop's own bookkeeping. busy_ns over wall time is the loop's busy
+  /// fraction.
   std::uint64_t busy_ns = 0;
 };
 
@@ -149,10 +152,15 @@ class EventLoop final : public sim::Runtime {
   /// One epoll_wait and the work it found. Returns false, without polling,
   /// once `deadline` has passed.
   bool poll_once(Time deadline);
-  void fire_due_timers();
+  /// Each returns whether it ran anything.
+  bool fire_due_timers();
   void drain_posted();
-  void run_deferred();
-  void run_after_flush();
+  bool run_deferred();
+  bool run_after_flush();
+
+  /// What the last wait led to; poll_once books the time since it returned
+  /// accordingly.
+  enum class WaitOutcome : std::uint8_t { Worked, EmptySpin, EmptySleep };
 
   std::uint64_t seed_;
   int epoll_fd_ = -1;
@@ -171,6 +179,7 @@ class EventLoop final : public sim::Runtime {
   std::vector<sim::EventQueue::Callback> after_flush_;
   std::vector<sim::EventQueue::Callback> after_flush_swap_;
   Time woke_ = 0;                    ///< when the last wait returned
+  WaitOutcome last_wait_ = WaitOutcome::EmptySleep;
   Time spin_until_ = std::numeric_limits<Time>::min();  ///< last activity + kSpinWindow
   LoopStats stats_;
 };

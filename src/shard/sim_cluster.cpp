@@ -57,16 +57,12 @@ ShardedSimCluster::ShardedSimCluster(ShardedSimConfig config)
   const std::size_t expected =
       config_.expected_clients > 0 ? config_.expected_clients : config_.routers;
 
-  // Preload: one canonical record set, identical bytes in every store —
-  // the gates decide ownership, so a group holding foreign records is
-  // harmless (they are unreachable through it).
-  std::vector<std::pair<std::string, std::string>> records;
+  // Preload: one load image, restored by every store — the gates decide
+  // ownership, so a group holding foreign records is harmless (they are
+  // unreachable through it).
+  std::vector<std::byte> preload;
   if (config_.preload) {
-    Rng& rng = sim_.rng("shard-preload");
-    app::YcsbWorkload workload(config_.workload, rng);
-    for (const app::KvCommand& cmd : workload.load_phase()) {
-      records.emplace_back(cmd.key, cmd.value);
-    }
+    preload = app::YcsbWorkload(config_.workload, sim_.rng("shard-preload")).load_image();
   }
 
   groups_.resize(config_.groups);
@@ -79,7 +75,7 @@ ShardedSimCluster::ShardedSimCluster(ShardedSimConfig config)
       core::IdemConfig replica_config = config_.idem;
       replica_config.shard_gate = group.gate.get();
       auto store = std::make_unique<app::KvStore>();
-      for (const auto& [key, value] : records) store->put(key, value);
+      if (!preload.empty()) store->restore(preload);
       group.replicas.push_back(std::make_unique<core::IdemReplica>(
           sim_, *group.transport, ReplicaId{static_cast<std::uint32_t>(i)}, replica_config,
           std::move(store), core::make_default_acceptance(replica_config, expected)));

@@ -4,7 +4,10 @@
 // delivery with a reused payload — performs zero heap allocations. Real
 // mode's send path (frame build, queue, end-of-iteration flush) and its
 // zero-cost execution charge keep the same budget, and so does counting
-// votes (VoteSet, a repeat QuorumTracker vote).
+// votes (VoteSet, a repeat QuorumTracker vote). The key-value store has a
+// budget too: a Get or a same-size Put of an existing key allocates only
+// its result, a simulated execution charge nothing, and a restore reserves
+// no more than its snapshot can hold.
 //
 // A counting global operator new/delete pair is armed only inside the
 // measured regions; everything else (gtest bookkeeping, warm-up capacity
@@ -23,6 +26,7 @@
 #include <unistd.h>
 
 #include "app/kv_store.hpp"
+#include "common/codec.hpp"
 #include "consensus/messages.hpp"
 #include "consensus/quorum.hpp"
 #include "obs/metrics_registry.hpp"
@@ -38,17 +42,21 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  ///< bytes of the largest counted allocation
 
-void note_allocation() {
+void note_allocation(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size > g_largest.load(std::memory_order_relaxed)) {
+      g_largest.store(size, std::memory_order_relaxed);
+    }
   }
 }
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  note_allocation();
+  note_allocation(size);
   void* p = std::malloc(size ? size : 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -57,7 +65,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  note_allocation();
+  note_allocation(size);
   void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                (size + static_cast<std::size_t>(align) - 1) &
                                    ~(static_cast<std::size_t>(align) - 1));
@@ -84,10 +92,12 @@ namespace {
 struct CountingGuard {
   CountingGuard() {
     g_allocations.store(0, std::memory_order_relaxed);
+    g_largest.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   }
   ~CountingGuard() { g_counting.store(false, std::memory_order_relaxed); }
   std::uint64_t count() const { return g_allocations.load(std::memory_order_relaxed); }
+  std::size_t largest() const { return g_largest.load(std::memory_order_relaxed); }
 };
 
 // A capture the size of the kernel's real lambdas (liveness token + payload
@@ -322,6 +332,85 @@ TEST(AllocationBudget, ZeroCostKvExecutionChargeIsAllocationFree) {
   }
   EXPECT_EQ(allocations, 0u) << "a zero-cost charge must not decode the command";
   EXPECT_EQ(total, 0);
+}
+
+TEST(AllocationBudget, KvExecutionChargeIsAllocationFree) {
+  // The simulator's default costs read the value's length in place.
+  app::KvStore store;
+  app::KvCommand put;
+  put.op = app::KvOp::Put;
+  put.key = "user000000000000000000042";
+  put.value = std::string(100, 'v');
+  const std::vector<std::byte> command = put.encode();
+
+  Duration total = 0;
+  std::uint64_t allocations = 0;
+  {
+    CountingGuard guard;
+    for (int i = 0; i < 1000; ++i) total += store.execution_cost(command);
+    allocations = guard.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "a charge must not copy the key or the value";
+  EXPECT_EQ(total, 1000 * (13 * kMicrosecond + 200));  // base + 2 ns per value byte
+}
+
+TEST(AllocationBudget, KvExecuteOfAnExistingKeyAllocatesOnlyItsResult) {
+  app::KvStore store;
+  for (int i = 0; i < 1000; ++i) {
+    store.put("user" + std::to_string(1'000'000'000'000'000 + i), std::string(100, 'x'));
+  }
+  std::vector<std::vector<std::byte>> gets, puts;
+  for (int i = 0; i < 1000; i += 10) {
+    app::KvCommand cmd;
+    cmd.key = "user" + std::to_string(1'000'000'000'000'000 + i);
+    cmd.op = app::KvOp::Get;
+    gets.push_back(cmd.encode());
+    cmd.op = app::KvOp::Put;
+    cmd.value = std::string(100, static_cast<char>('a' + i % 26));  // same size, in place
+    puts.push_back(cmd.encode());
+  }
+
+  std::uint64_t get_allocations = 0;
+  std::uint64_t put_allocations = 0;
+  std::size_t result_bytes = 0;
+  {
+    CountingGuard guard;
+    for (const auto& command : gets) result_bytes += store.execute(command).size();
+    get_allocations = guard.count();
+  }
+  {
+    CountingGuard guard;
+    for (const auto& command : puts) result_bytes += store.execute(command).size();
+    put_allocations = guard.count();
+  }
+  EXPECT_EQ(get_allocations, gets.size()) << "one allocation per Get: its result";
+  EXPECT_EQ(put_allocations, puts.size()) << "one allocation per Put: its result";
+  EXPECT_EQ(result_bytes, gets.size() * (3 + 100) + puts.size() * 2);
+  EXPECT_EQ(store.get("user1000000000000010"), std::string(100, 'k'));
+}
+
+TEST(AllocationBudget, RestoreReservesNoMoreThanTheSnapshotHolds) {
+  // A snapshot that claims 2^40 records but carries a few bytes: each
+  // record takes at least two, so the restore reserves room for a handful
+  // of records and then finds the snapshot truncated.
+  ByteWriter w;
+  w.varint(std::uint64_t{1} << 40);
+  w.str("key");
+  w.str("value");
+  w.str("next");
+  const std::vector<std::byte> snapshot = w.take();
+
+  app::KvStore store;
+  store.put("mine", "kept");
+  std::size_t largest = 0;
+  {
+    CountingGuard guard;
+    EXPECT_THROW(store.restore(snapshot), CodecError);
+    largest = guard.largest();
+  }
+  EXPECT_LE(largest, 1024u) << "a restore sized its storage by the claimed count";
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.get("mine"), "kept");
 }
 
 TEST(AllocationBudget, VoteCountingIsAllocationFree) {

@@ -1,12 +1,16 @@
 // Unit tests for the application substrate: KV store state machine,
 // command codec, snapshots, and the YCSB workload generator.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
+#include <charconv>
 #include <map>
+#include <stdexcept>
 
 #include "app/kv_store.hpp"
 #include "app/ycsb.hpp"
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 
 namespace idem::app {
@@ -170,6 +174,258 @@ TEST(KvStore, ExecutionCostScalesWithValueSize) {
   EXPECT_GT(store.execution_cost(big.encode()), store.execution_cost(small.encode()));
 }
 
+// The flat store against an ordered-map model of the same contents.
+
+using Reference = std::map<std::string, std::string>;
+
+std::vector<std::byte> reference_result(Reference& ref, const KvCommand& cmd) {
+  KvResult res;
+  switch (cmd.op) {
+    case KvOp::Get:
+      if (auto it = ref.find(cmd.key); it != ref.end()) {
+        res.values.push_back(it->second);
+      } else {
+        res.status = KvResult::Status::NotFound;
+      }
+      break;
+    case KvOp::Put:
+      ref[cmd.key] = cmd.value;
+      break;
+    case KvOp::Delete:
+      if (ref.erase(cmd.key) == 0) res.status = KvResult::Status::NotFound;
+      break;
+    case KvOp::Scan:
+      for (auto it = ref.lower_bound(cmd.key); it != ref.end() && res.values.size() < cmd.scan_len;
+           ++it) {
+        res.values.push_back(it->second);
+      }
+      break;
+  }
+  return res.encode();
+}
+
+std::vector<std::byte> reference_snapshot(const Reference& ref) {
+  ByteWriter w;
+  w.varint(ref.size());
+  for (const auto& [key, value] : ref) {
+    w.str(key);
+    w.str(value);
+  }
+  return w.take();
+}
+
+TEST(KvStore, MatchesAnOrderedMapReference) {
+  // Seeded Get/Put/Delete/Scan over 1,500 keys of mixed lengths (some with
+  // bytes above 0x7f, which std::string orders as unsigned), values of 0 to
+  // 48 bytes that now and then grow to a few kB past their slot. The key
+  // space grows the index from its first 16 slots; inserts land out of
+  // order, and deletes come between scans.
+  Rng rng(29, 1);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 1500; ++i) {
+    std::string key = "k" + std::to_string(splitmix64(static_cast<std::uint64_t>(i)) % 100'000);
+    if (i % 7 == 0) key += static_cast<char>(0x80 + i % 100);
+    if (i % 11 == 0) key = key.substr(0, 2);
+    keys.push_back(std::move(key));
+  }
+  auto random_value = [&rng] {
+    const auto size = static_cast<std::size_t>(
+        rng.next_double() < 0.05 ? rng.uniform_int(100, 3000) : rng.uniform_int(0, 48));
+    return std::string(size, static_cast<char>('a' + rng.uniform_int(0, 25)));
+  };
+
+  KvStore store;
+  Reference ref;
+  std::size_t live_bytes = 0;  // the reference's key and value bytes
+  std::size_t peak_size = 0;
+  for (int step = 0; step < 40'000; ++step) {
+    KvCommand cmd;
+    cmd.key = keys[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1))];
+    const double dice = rng.next_double();
+    // Mostly writes early on so the store fills, then a steady mix.
+    const double put_share = step < 10'000 ? 0.8 : 0.35;
+    if (dice < put_share) {
+      cmd.op = KvOp::Put;
+      cmd.value = random_value();
+    } else if (dice < put_share + 0.25) {
+      cmd.op = KvOp::Delete;
+    } else if (dice < put_share + 0.3) {
+      cmd.op = KvOp::Scan;
+      cmd.scan_len = static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+    } else {
+      cmd.op = KvOp::Get;
+    }
+    const bool writes = cmd.op == KvOp::Put || cmd.op == KvOp::Delete;
+    if (auto it = ref.find(cmd.key); writes && it != ref.end()) {
+      live_bytes -= it->first.size() + it->second.size();
+    }
+    if (cmd.op == KvOp::Put) live_bytes += cmd.key.size() + cmd.value.size();
+    ASSERT_EQ(store.execute(cmd.encode()), reference_result(ref, cmd)) << "step " << step;
+    peak_size = std::max(peak_size, ref.size());
+    // Space that deletes and outgrown values leave behind is reclaimed.
+    ASSERT_LE(store.arena_bytes(), 2 * live_bytes) << "step " << step;
+
+    if (step % 2'500 == 0) {
+      ASSERT_EQ(store.size(), ref.size());
+      const std::vector<std::byte> snapshot = store.snapshot();
+      ASSERT_EQ(snapshot, reference_snapshot(ref)) << "step " << step;
+      ASSERT_EQ(store.entries(),
+                (std::vector<std::pair<std::string, std::string>>(ref.begin(), ref.end())));
+      KvStore copy;
+      copy.put("stale", "x");
+      copy.restore(snapshot);
+      ASSERT_EQ(copy.snapshot(), snapshot);
+      ASSERT_EQ(copy.size(), ref.size());
+    }
+  }
+  EXPECT_GT(peak_size, 1000u);
+  EXPECT_LT(ref.size(), peak_size);  // deletes emptied part of it again
+
+  // Then every key goes, in random order, with a Scan after each delete:
+  // the key order empties chunk by chunk.
+  std::vector<std::string> left;
+  for (const auto& entry : ref) left.push_back(entry.first);
+  for (std::size_t i = left.size(); i > 1; --i) {
+    std::swap(left[i - 1], left[static_cast<std::size_t>(
+                               rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  for (const std::string& key : left) {
+    KvCommand del;
+    del.op = KvOp::Delete;
+    del.key = key;
+    ASSERT_EQ(store.execute(del.encode()), reference_result(ref, del));
+    KvCommand scan;
+    scan.op = KvOp::Scan;
+    scan.key = keys[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1))];
+    scan.scan_len = 40;
+    ASSERT_EQ(store.execute(scan.encode()), reference_result(ref, scan)) << "after " << key;
+  }
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.snapshot(), reference_snapshot(ref));
+}
+
+TEST(KvStore, RestoreKeepsTheFirstValueOfARepeatedKey) {
+  // Out of order, with "a" twice: the first value wins, and the store
+  // snapshots canonically.
+  ByteWriter w;
+  w.varint(4);
+  for (const char* field : {"b", "2", "a", "1", "c", "3", "a", "4"}) w.str(field);
+  KvStore store;
+  store.restore(w.take());
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.get("a"), "1");
+  EXPECT_EQ(store.snapshot(), reference_snapshot({{"a", "1"}, {"b", "2"}, {"c", "3"}}));
+}
+
+TEST(KvStore, TruncatedSnapshotLeavesTheStoreUntouched) {
+  KvStore source;
+  for (int i = 0; i < 50; ++i) source.put("key" + std::to_string(i), std::string(i, 'v'));
+  const std::vector<std::byte> snapshot = source.snapshot();
+
+  KvStore store;
+  store.put("mine", "kept");
+  const std::vector<std::byte> before = store.snapshot();
+  for (std::size_t cut = 0; cut < snapshot.size(); cut += 7) {
+    const std::span<const std::byte> truncated(snapshot.data(), cut);
+    EXPECT_THROW(store.restore(truncated), CodecError) << "cut at " << cut;
+    EXPECT_EQ(store.snapshot(), before);
+  }
+  store.restore(snapshot);
+  EXPECT_EQ(store.snapshot(), snapshot);
+}
+
+/// Address space for views longer than any buffer a test could fill:
+/// mapped without access, so nothing backs it and a read through it faults.
+class Unreadable {
+ public:
+  explicit Unreadable(std::size_t bytes)
+      : bytes_(bytes),
+        data_(mmap(nullptr, bytes, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                   0)) {}
+  ~Unreadable() {
+    if (data_ != MAP_FAILED) munmap(data_, bytes_);
+  }
+  Unreadable(const Unreadable&) = delete;
+  Unreadable& operator=(const Unreadable&) = delete;
+
+  bool mapped() const { return data_ != MAP_FAILED; }
+  std::string_view view() const { return {static_cast<const char*>(data_), bytes_}; }
+
+ private:
+  std::size_t bytes_;
+  void* data_;
+};
+
+TEST(KvArena, OffsetsAreCheckedAndNeverWrap) {
+  // Offsets are 32 bits: the arena stops below UINT32_MAX, which marks a
+  // deleted record. append checks lengths before it reads a byte, so views
+  // of unreadable address space reach the check without 4 GiB behind them.
+  EXPECT_LT(KvArena::kMaxBytes, std::size_t{0xFFFFFFFF});
+  const Unreadable space(KvArena::kMaxBytes + 1);
+  ASSERT_TRUE(space.mapped());
+  const std::string_view huge = space.view();
+
+  KvArena arena;
+  EXPECT_EQ(arena.append(std::string(20, 'k'), std::string(30, 'v')), 0u);
+  EXPECT_TRUE(arena.fits(KvArena::kMaxBytes - 50));
+  EXPECT_FALSE(arena.fits(KvArena::kMaxBytes - 49));
+  EXPECT_THROW(arena.append(huge, ""), std::length_error);
+  EXPECT_THROW(arena.append("", huge), std::length_error);
+  // Each length fits on its own; together they pass the cap by one byte.
+  EXPECT_THROW(arena.append(huge.substr(0, 1000), huge.substr(0, KvArena::kMaxBytes - 1049)),
+               std::length_error);
+  EXPECT_EQ(arena.size(), 50u);  // a refused append leaves nothing behind
+  EXPECT_EQ(arena.append("key", "value"), 50u);
+  EXPECT_EQ(arena.view(50, 8), "keyvalue");
+}
+
+TEST(KvStore, AWriteTheArenaCannotHoldIsRefusedAndChangesNothing) {
+  // The store compacts before it refuses, so the refusal depends on the
+  // live bytes alone, then throws with every record as it was.
+  KvStore store;
+  for (int i = 0; i < 100; ++i) store.put("key" + std::to_string(i), std::string(50, 'v'));
+  store.put("key7", std::string(500, 'w'));  // outgrown: its old bytes are garbage
+  const std::vector<std::byte> before = store.snapshot();
+  std::size_t live_bytes = 0;
+  for (const auto& [key, value] : store.entries()) live_bytes += key.size() + value.size();
+  ASSERT_GT(store.arena_bytes(), live_bytes);
+
+  const Unreadable space(KvArena::kMaxBytes);
+  ASSERT_TRUE(space.mapped());
+  const std::string_view huge = space.view();
+  EXPECT_THROW(store.put("key7", huge), std::length_error);
+  EXPECT_EQ(store.arena_bytes(), live_bytes);  // compacted first
+  EXPECT_THROW(store.put("new", huge), std::length_error);
+  EXPECT_EQ(store.snapshot(), before);
+  EXPECT_EQ(store.size(), 100u);
+  EXPECT_EQ(store.get("new"), std::nullopt);
+  store.put("new", "fits");
+  EXPECT_EQ(store.get("new"), "fits");
+}
+
+TEST(KvStore, KeysThatShareAHomeSlotUnderAKnownSeedSpreadInAStore) {
+  // A client that knew the index's hash could send keys that share one
+  // home slot, and every replica would walk one long probe run for each
+  // of them. These 512 keys share the low 12 bits of their hash under seed
+  // 0, so under it they would all start at slot 0 of the 1,024 slots that
+  // 512 keys get. The store draws its own seed and spreads them.
+  std::vector<std::string> keys;
+  char buf[24];
+  for (std::uint64_t i = 0; keys.size() < 512; ++i) {
+    const std::string_view key(buf, static_cast<std::size_t>(
+                                        std::to_chars(buf, buf + sizeof buf, i).ptr - buf));
+    if ((kv_hash(key, 0) & 0xfff) == 0) keys.emplace_back(key);
+  }
+  KvStore store;
+  for (const std::string& key : keys) store.put(key, "v");
+  // At half load the longest run of linear probing passes 128 slots with
+  // probability below 1e-7; one shared home slot would make it 512.
+  EXPECT_LT(store.longest_probe(), 128u);
+  for (const std::string& key : keys) EXPECT_EQ(store.get(key), "v");
+}
+
 // ---------------------------------------------------------------------------
 // Zipfian generator
 // ---------------------------------------------------------------------------
@@ -226,13 +482,17 @@ TEST(Ycsb, LoadPhaseCoversAllRecords) {
   YcsbConfig cfg;
   cfg.record_count = 200;
   YcsbWorkload workload(cfg, rng);
-  auto load = workload.load_phase();
-  EXPECT_EQ(load.size(), 200u);
+  const std::vector<std::byte> image = workload.load_image();
   KvStore store;
-  for (const auto& cmd : load) store.put(cmd.key, cmd.value);
+  store.restore(image);
   // Keys may collide only if the scrambling maps two records together;
   // allow a tiny number of collisions.
   EXPECT_GE(store.size(), 195u);
+  for (std::uint64_t i = 0; i < cfg.record_count; ++i) {
+    EXPECT_EQ(store.get(workload.key_for(i)), std::string(cfg.value_size, 'x'));
+  }
+  // The image is the canonical snapshot of the loaded store.
+  EXPECT_EQ(store.snapshot(), image);
 }
 
 TEST(Ycsb, RunPhaseKeysExistAfterLoad) {
@@ -241,7 +501,7 @@ TEST(Ycsb, RunPhaseKeysExistAfterLoad) {
   cfg.record_count = 100;
   YcsbWorkload workload(cfg, rng);
   KvStore store;
-  for (const auto& cmd : workload.load_phase()) store.put(cmd.key, cmd.value);
+  store.restore(workload.load_image());
   for (int i = 0; i < 1000; ++i) {
     KvCommand cmd = workload.next_operation();
     if (cmd.op == KvOp::Get) {

@@ -98,6 +98,36 @@ TEST(EventLoopTest, SpinEndsWhenTheWindowCloses) {
   EXPECT_GT(stats.busy_ns, 0u);
 }
 
+TEST(EventLoopTest, SpinningWithNothingToDoAccruesNoBusyTime) {
+  // A posted task that works 10 µs is busy time. The first run ends right
+  // after it, inside its spin window; the second spins the window out with
+  // nothing to do and then sleeps, and must add nothing to busy_ns. A
+  // trial whose second run started after the window closed (the thread
+  // was preempted) did not spin and is repeated.
+  rpc::EventLoop loop;
+  bool spun = false;
+  for (int trial = 0; trial < 20 && !spun; ++trial) {
+    const rpc::LoopStats before = loop.stats();
+    bool ran = false;
+    loop.post([&] {
+      const Time begin = loop.now();
+      while (loop.now() - begin < 10 * kMicrosecond) {
+      }
+      ran = true;
+    });
+    do {
+      loop.run_for(5 * kMicrosecond);
+    } while (!ran);
+    const rpc::LoopStats after_task = loop.stats();
+    EXPECT_GE(after_task.busy_ns - before.busy_ns, static_cast<std::uint64_t>(10 * kMicrosecond));
+
+    loop.run_for(2 * kMillisecond);
+    EXPECT_EQ(loop.stats().busy_ns, after_task.busy_ns);
+    spun = loop.stats().spin_ns > after_task.spin_ns;
+  }
+  EXPECT_TRUE(spun);
+}
+
 TEST(EventLoopTest, TimerDueInsideTheSpinWindowSkipsTheMillisecondWait) {
   // A blocking wait rounds up to whole milliseconds: without the spin a
   // 50 µs timer fires about 1 ms late. The best of five trials ignores a

@@ -383,6 +383,16 @@ else
       BENCH_real.json "${PERF_TMP}/real.json" \
       env IDEM_REAL_JSON="${PERF_TMP}/real.json" ./build/bench/fig6_real
 
+  # Store-size smoke: one 8-client point over 100k preloaded records
+  # (ROADMAP item 4's store gate). Only fig6_real's own shape check gates
+  # it, and its JSON stays out of BENCH_real.json.
+  echo "== real mode: store-size smoke (100k records) =="
+  if ! env IDEM_REAL_CLIENTS=8 IDEM_REAL_JSON="${PERF_TMP}/real_100k.json" \
+      ./build/bench/fig6_real --records 100000 --measure-seconds 0.5 --warmup 0.2 >/dev/null; then
+    echo "store-size smoke: FAILED (fig6_real's shape check)" >&2
+    FAILED_GATES+=("store-size")
+  fi
+
   # Storm scenarios at full scale (10k-connection ramp, 4x flash crowd,
   # 1k-session stampede, slow loris): fig_storm asserts the scenario
   # shapes on every run; the gate only diffs the flash crowd's goodput
