@@ -47,7 +47,6 @@ MixResult run_mix(bool cost_aware, std::size_t clients, harness::LoadConfig driv
   config.workload.read_proportion = 0.4;
   config.workload.update_proportion = 0.4;
   config.workload.scan_proportion = 0.2;
-  config.workload.max_scan_len = 100;
   if (cost_aware) {
     config.acceptance_factory = [](std::size_t) {
       return std::make_unique<core::CostAware>(estimate_cost, /*cheap=*/10 * kMicrosecond,

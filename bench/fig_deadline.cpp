@@ -83,7 +83,6 @@ int main() {
     // multiplier (alpha 1.3 => infinite variance). Queueing amplifies
     // each burst into a latency spike that FIFO spreads across every
     // queued request behind it.
-    base.idem.costs.tail = consensus::TailShape::Pareto;
     base.idem.costs.tail_prob = 0.1;
     base.idem.costs.pareto_alpha = 1.3;
     base.idem.costs.pareto_scale = 6.0;

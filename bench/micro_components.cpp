@@ -87,7 +87,7 @@ void BM_KvStoreExecute(benchmark::State& state) {
   app::YcsbConfig config;
   config.record_count = static_cast<std::uint64_t>(state.range(0));
   app::YcsbWorkload workload(config, rng);
-  store.restore(workload.load_image());
+  store.restore(app::YcsbWorkload::load_image(config));
   std::vector<std::vector<std::byte>> ops;
   for (int i = 0; i < 1024; ++i) ops.push_back(workload.next_operation().encode());
   std::size_t i = 0;

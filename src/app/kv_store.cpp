@@ -224,7 +224,7 @@ void KvStore::restore(std::span<const std::byte> snapshot) {
   // Decode into a fresh store and swap, so a malformed snapshot leaves this
   // one untouched.
   ByteReader r(snapshot);
-  KvStore fresh(costs_);
+  KvStore fresh;
   const std::uint64_t n = r.varint();
   // Every record takes at least its two length bytes, so a count the
   // snapshot cannot hold reserves no more than the snapshot can.
@@ -238,16 +238,13 @@ void KvStore::restore(std::span<const std::byte> snapshot) {
 }
 
 Duration KvStore::execution_cost(std::span<const std::byte> command) const {
-  Duration cost = costs_.base;
-  // Only the size-dependent terms read the command.
-  if (costs_.ns_per_value_byte == 0.0 && costs_.per_scan_entry == 0) return cost;
+  Duration cost = kExecutionBase;
   try {
     const KvCommandView cmd = KvCommandView::parse(command);
     if (cmd.op == KvOp::Put) {
-      cost += static_cast<Duration>(costs_.ns_per_value_byte *
-                                    static_cast<double>(cmd.value.size()));
+      cost += static_cast<Duration>(kNsPerValueByte * static_cast<double>(cmd.value.size()));
     } else if (cmd.op == KvOp::Scan) {
-      cost += static_cast<Duration>(cmd.scan_len) * costs_.per_scan_entry;
+      cost += static_cast<Duration>(cmd.scan_len) * kPerScanEntry;
     }
   } catch (const CodecError&) {
     // Malformed commands still pay the base cost.

@@ -76,17 +76,13 @@ class KvArena {
 /// ordered read places the pending keys.
 class KvStore final : public StateMachine {
  public:
-  struct Costs {
-    /// Fixed per-op cost. The default is calibrated so a 3-replica cluster
-    /// (execution on every replica dominating the per-request budget)
-    /// saturates around the paper's ~43k requests/s.
-    Duration base = 13 * kMicrosecond;
-    double ns_per_value_byte = 2.0;  ///< marginal cost of value bytes
-    Duration per_scan_entry = 1 * kMicrosecond;
-  };
-
-  KvStore() = default;
-  explicit KvStore(Costs costs) : costs_(costs) {}
+  /// Simulated execution cost: a fixed per-op cost, calibrated so a
+  /// 3-replica cluster (execution on every replica dominating the
+  /// per-request budget) saturates around the paper's ~43k requests/s,
+  /// plus the marginal cost of a Put's value bytes or a Scan's entries.
+  static constexpr Duration kExecutionBase = 13 * kMicrosecond;
+  static constexpr double kNsPerValueByte = 2.0;
+  static constexpr Duration kPerScanEntry = 1 * kMicrosecond;
 
   std::vector<std::byte> execute(std::span<const std::byte> command) override;
   std::vector<std::byte> snapshot() const override;
@@ -180,7 +176,6 @@ class KvStore final : public StateMachine {
   mutable std::vector<std::vector<std::uint32_t>> chunks_;
   mutable std::vector<std::uint32_t> tail_;
   std::vector<std::uint32_t> free_;  ///< ids of deleted records, to reuse
-  Costs costs_;
 };
 
 }  // namespace idem::app

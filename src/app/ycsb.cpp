@@ -1,6 +1,5 @@
 #include "app/ycsb.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -35,7 +34,7 @@ std::uint64_t ZipfianGenerator::next(Rng& rng) {
 YcsbWorkload::YcsbWorkload(YcsbConfig config, Rng& rng)
     : config_(config),
       rng_(rng),
-      zipf_(config.record_count, config.zipfian_theta),
+      zipf_(config.record_count),
       inserted_(config.record_count) {}
 
 namespace {
@@ -57,10 +56,10 @@ std::string YcsbWorkload::key_for(std::uint64_t record) const {
   return std::string(write_key(record, buf));
 }
 
-std::vector<std::byte> YcsbWorkload::load_image() const {
+std::vector<std::byte> YcsbWorkload::load_image(const YcsbConfig& config) {
   KvStore store;
-  const std::string value(config_.value_size, 'x');
-  for (std::uint64_t i = 0; i < config_.record_count; ++i) {
+  const std::string value(config.value_size, 'x');
+  for (std::uint64_t i = 0; i < config.record_count; ++i) {
     char buf[24];
     store.put(write_key(i, buf), value);
   }
@@ -86,15 +85,7 @@ std::uint64_t YcsbWorkload::next_record() {
 }
 
 std::string YcsbWorkload::random_value() {
-  std::size_t size = config_.value_size;
-  if (config_.value_tail_prob > 0 && rng_.next_double() < config_.value_tail_prob) {
-    double u = rng_.next_double();
-    if (u <= 0.0) u = 1.0 / 4294967296.0;
-    double factor = std::pow(u, -1.0 / config_.value_tail_alpha);
-    auto scaled = static_cast<std::size_t>(static_cast<double>(size) * factor);
-    size = std::min(std::max(scaled, size), config_.value_tail_cap);
-  }
-  std::string value(size, '\0');
+  std::string value(config_.value_size, '\0');
   for (auto& c : value) {
     c = static_cast<char>('a' + rng_.uniform_int(0, 25));
   }
@@ -120,7 +111,7 @@ KvCommand YcsbWorkload::next_operation() {
     cmd.op = KvOp::Scan;
     cmd.key = key_for(next_record());
     cmd.scan_len = static_cast<std::uint32_t>(
-        rng_.uniform_int(1, static_cast<std::int64_t>(config_.max_scan_len)));
+        rng_.uniform_int(1, static_cast<std::int64_t>(kMaxScanLen)));
   }
   return cmd;
 }

@@ -45,20 +45,7 @@ struct YcsbConfig {
   double update_proportion = 0.5;     ///< YCSB-A: 50% updates
   double insert_proportion = 0.0;
   double scan_proportion = 0.0;
-  std::uint32_t max_scan_len = 100;
-  KeyDistribution distribution = KeyDistribution::Zipfian;
-  double zipfian_theta = 0.99;
-
-  /// Heavy-tailed value sizes (real-mode analog of the simulator's
-  /// CostModel tail): with `value_tail_prob` a written value's size is
-  /// `value_size` times a Pareto draw 1/U^(1/alpha), capped at
-  /// `value_tail_cap` bytes. Serialization, replication and execution of
-  /// the occasional huge value produce genuinely heavy-tailed service
-  /// times. Zero probability keeps fixed-size values and adds no RNG
-  /// draws, so default streams stay pinned.
-  double value_tail_prob = 0.0;
-  double value_tail_alpha = 1.2;
-  std::size_t value_tail_cap = 64 * 1024;
+  KeyDistribution distribution = KeyDistribution::Zipfian;  ///< zipfian with theta 0.99
 
   /// The paper's workload: update-heavy YCSB-A (50/50 read/update).
   static YcsbConfig update_heavy() { return YcsbConfig{}; }
@@ -103,14 +90,18 @@ class YcsbWorkload {
   /// The key of record `i` ("user" + scrambled index, as in YCSB).
   std::string key_for(std::uint64_t record) const;
 
-  /// The store the load phase leaves behind, as a KvStore snapshot: every
-  /// record once, keys in order. Replicas restore it before the run.
-  std::vector<std::byte> load_image() const;
+  /// The store the load phase of `config` leaves behind, as a KvStore
+  /// snapshot: every record once, keys in order. Replicas restore it before
+  /// the run. It depends on nothing but the record count and value size.
+  static std::vector<std::byte> load_image(const YcsbConfig& config);
 
   /// Draws the next operation of the run phase.
   KvCommand next_operation();
 
   const YcsbConfig& config() const { return config_; }
+
+  /// A Scan reads between 1 and kMaxScanLen records, uniformly.
+  static constexpr std::uint32_t kMaxScanLen = 100;
 
  private:
   std::uint64_t next_record();

@@ -205,21 +205,4 @@ AcceptanceVerdict DeadlineAware::evaluate(RequestId id, std::span<const std::byt
   return AcceptanceVerdict::yes();
 }
 
-std::unique_ptr<AcceptanceTest> make_default_acceptance(const AcceptanceOptions& options,
-                                                        std::size_t client_count) {
-  AqmPrioritized::Params params;
-  params.start_fraction = options.aqm_start_fraction;
-  params.time_slice = options.aqm_time_slice;
-  params.prf_seed = options.prf_seed;
-  std::size_t r = options.reject_threshold;
-  if (options.aqm_group_count > 0) {
-    params.group_count = options.aqm_group_count;
-  } else if (r > 0 && client_count > 0) {
-    params.group_count = (client_count + r - 1) / r;
-  } else {
-    params.group_count = 1;
-  }
-  return std::make_unique<AqmPrioritized>(params);
-}
-
 }  // namespace idem::core

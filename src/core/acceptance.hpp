@@ -276,21 +276,4 @@ class DeadlineAware final : public AcceptanceTest {
   std::size_t last_backlog_ = 0;
 };
 
-/// Protocol-independent knobs for the default (AQM) acceptance test; each
-/// protocol maps its own config onto this (e.g. IdemConfig in
-/// idem/acceptance.hpp).
-struct AcceptanceOptions {
-  double aqm_start_fraction = 0.6;
-  Duration aqm_time_slice = 2 * kSecond;
-  /// 0 means "derive from the client population": ceil(clients / r).
-  std::size_t aqm_group_count = 0;
-  std::uint64_t prf_seed = 0x1DE4'5EEDull;
-  std::size_t reject_threshold = 50;
-};
-
-/// Builds the paper's default acceptance test (AqmPrioritized) with group
-/// count resolved against the expected client population.
-std::unique_ptr<AcceptanceTest> make_default_acceptance(const AcceptanceOptions& options,
-                                                        std::size_t client_count);
-
 }  // namespace idem::core

@@ -34,8 +34,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   // Build the load phase's image once; every replica restores it, so all
   // start from the identical state without replaying the load phase.
   if (config_.preload && !config_.store_factory) {
-    Rng rng(config_.seed, /*stream=*/0x10adull);
-    preload_snapshot_ = app::YcsbWorkload(config_.workload, rng).load_image();
+    preload_snapshot_ = app::YcsbWorkload::load_image(config_.workload);
   }
 
   const std::size_t n = config_.n;
@@ -78,10 +77,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     }
     case Protocol::SmartPR: {
       // The agreement is SMaRt's; the intake phase is IDEM's.
-      smart::SmartConfig rc = config_.smart;
-      rc.n = n;
-      rc.f = config_.f;
-      rc.trace = trace_.get();
+      const smart::SmartConfig rc{.n = n, .f = config_.f, .trace = trace_.get()};
       for (std::size_t i = 0; i < n; ++i) {
         std::unique_ptr<core::AcceptanceTest> test = acceptance(i);
         replicas_.push_back(std::make_unique<smart::SmartPrReplica>(
@@ -91,10 +87,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       break;
     }
     case Protocol::Smart: {
-      smart::SmartConfig rc = config_.smart;
-      rc.n = n;
-      rc.f = config_.f;
-      rc.trace = trace_.get();
+      const smart::SmartConfig rc{.n = n, .f = config_.f, .trace = trace_.get()};
       for (std::size_t i = 0; i < n; ++i) {
         replicas_.push_back(std::make_unique<smart::SmartReplica>(
             *sim_, *net_, ReplicaId{static_cast<std::uint32_t>(i)}, rc, make_store()));
@@ -169,7 +162,7 @@ void Cluster::register_metrics() {
 
 std::unique_ptr<app::StateMachine> Cluster::make_store() {
   if (config_.store_factory) return config_.store_factory();
-  auto store = std::make_unique<app::KvStore>(config_.kv_costs);
+  auto store = std::make_unique<app::KvStore>();
   if (!preload_snapshot_.empty()) store->restore(preload_snapshot_);
   return store;
 }

@@ -64,23 +64,22 @@ struct ClusterConfig {
   sim::DisciplineKind discipline = sim::DisciplineKind::Fifo;
 
   sim::NetworkConfig network;
-  core::IdemConfig idem;              ///< n/f/reject_threshold overridden
+  /// IDEM's replicas and SMaRt+PR's intake phase; n/f/reject_threshold
+  /// overridden.
+  core::IdemConfig idem;
   /// The client of every protocol; n/f/leader_only overridden.
   core::IdemClientConfig idem_client;
   paxos::PaxosConfig paxos;
-  /// Also SMaRt+PR's agreement; its intake phase takes `idem`.
-  smart::SmartConfig smart;
 
   ObsConfig obs;
 
-  app::KvStore::Costs kv_costs;
   app::YcsbConfig workload = app::YcsbConfig::update_heavy();
   /// Records preloaded into every replica's store before the run.
   bool preload = true;
 
   /// Optional replacement for the default KvStore application (invoked once
-  /// per replica). When set, `kv_costs`/`preload` are ignored — the factory
-  /// owns initial state. Lets chaos and app-genericity tests replicate any
+  /// per replica). When set, `preload` is ignored — the factory owns initial
+  /// state. Lets chaos and app-genericity tests replicate any
   /// app::StateMachine (e.g. the counter service) through the full harness.
   std::function<std::unique_ptr<app::StateMachine>()> store_factory;
 

@@ -14,21 +14,9 @@ namespace idem::core {
 /// trace, shard gate) are IntakeConfig's; the rest are the agreement's and
 /// the default acceptance test's.
 struct IdemConfig : IntakeConfig {
-  /// Fraction of r at which active queue management starts rejecting
-  /// non-prioritized clients probabilistically (paper: 60%).
-  double aqm_start_fraction = 0.6;
-
-  /// Length of one prioritized-group time slice (paper: 2 s).
+  /// Length of one AQM prioritized-group time slice (paper: 2 s); the rest
+  /// of the default acceptance test is fixed (idem/acceptance.hpp).
   Duration aqm_time_slice = 2 * kSecond;
-
-  /// Number of client groups for AQM prioritization; groups hold at most r
-  /// clients. 0 means "derive from the client population": the harness
-  /// sets it to ceil(clients / r).
-  std::size_t aqm_group_count = 0;
-
-  /// Seed of the acceptance test's pseudo-random function. Must be equal
-  /// on all replicas so they tend toward unanimous decisions (Section 5.1).
-  std::uint64_t acceptance_prf_seed = 0x1DE4'5EEDull;
 
   /// Maximum request ids per PROPOSE batch. The leader cuts once per
   /// scheduling step, so every quorum completed in one step shares a
@@ -45,21 +33,16 @@ struct IdemConfig : IntakeConfig {
   std::size_t require_batch_max = 32;
   Duration require_flush_interval = 50 * kMicrosecond;
 
-  /// Consensus window size w; must be >= r_max for implicit GC
-  /// (Section 4.4). 0 means "4 * r_max".
-  std::uint64_t window_size = 0;
-
   /// Progress timeout before a replica abandons the view (Section 4.5).
   Duration viewchange_timeout = 1500 * kMillisecond;
 
-  /// CPU cost model for message handling.
+  /// CPU cost model for message handling; only its heavy tail is settable.
   consensus::CostModel costs;
 
   std::size_t r_max() const { return n * reject_threshold; }
-  std::uint64_t effective_window() const {
-    std::uint64_t w = window_size == 0 ? 4 * r_max() : window_size;
-    return w < r_max() ? r_max() : w;
-  }
+  /// Consensus window size w = 4 * r_max; it must be >= r_max for implicit
+  /// GC (Section 4.4).
+  std::uint64_t window() const { return 4 * r_max(); }
 };
 
 }  // namespace idem::core

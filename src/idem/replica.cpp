@@ -198,7 +198,7 @@ void IdemReplica::note_require(ReplicaId voter, RequestId id) {
 void IdemReplica::try_propose() {
   if (!is_leader()) return;
   if (next_sqn_ < log_.low()) next_sqn_ = log_.low();
-  const std::uint64_t window_end = log_.low() + config_.effective_window();
+  const std::uint64_t window_end = log_.low() + config_.window();
   while (intake_.has_eligible() && next_sqn_ < window_end) {
     // Skip sequence numbers that already carry a binding (re-proposed slots
     // taken over from an earlier view).
@@ -508,7 +508,7 @@ void IdemReplica::handle_state_request(const msg::StateRequest& request) {
   response->from = me_;
   response->upto = SeqNum{log_.next_exec() - 1};
   response->snapshot = sm_->snapshot();
-  charge(config_.costs.snapshot_cost(response->snapshot.size()));
+  charge(consensus::CostModel::snapshot_cost(response->snapshot.size()));
   response->last_executed.reserve(clients_.sessions().size());
   for (const auto& [cid, onr] : clients_.sessions()) {
     response->last_executed.emplace_back(ClientId{cid}, OpNum{onr});
@@ -531,7 +531,7 @@ void IdemReplica::handle_state_response(const msg::StateResponse& response) {
     // exception-safe by contract, so our state is untouched — drop it.
     return;
   }
-  charge(config_.costs.snapshot_cost(response.snapshot.size()));
+  charge(consensus::CostModel::snapshot_cost(response.snapshot.size()));
   for (const auto& [cid, onr] : response.last_executed) {
     clients_.merge_executed(cid, onr);
   }

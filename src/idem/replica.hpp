@@ -217,7 +217,7 @@ class IdemReplica final : public sim::Node, Intake::Host {
 
   sim::TimerId progress_timer_;
 
-  // Service-time variability stream (CostModel::jitter).
+  // Service-time variability stream (CostModel::kJitter).
   mutable Rng cost_rng_;
 
   ReplicaStats stats_;

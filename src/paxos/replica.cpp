@@ -18,7 +18,7 @@ PaxosReplica::PaxosReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       cost_rng_(sim.seed(), 0xC057'1000ull + id.value) {
   assert(config_.n == 2 * config_.f + 1);
   assert(config_.n <= consensus::VoteSet::kCapacity);  // voter ids fit a VoteSet
-  batch_.configure({config_.batch_max});
+  batch_.configure({kBatchMax});
   if (is_leader()) send_heartbeat();
   arm_failure_timer();
   retransmit_tick();
@@ -36,11 +36,11 @@ void PaxosReplica::on_restart() {
 }
 
 Duration PaxosReplica::message_cost(const sim::Payload& message) const {
-  return config_.costs.cost(message, cost_rng_);
+  return costs_.cost(message, cost_rng_);
 }
 
 Duration PaxosReplica::send_cost(const sim::Payload& message) const {
-  return config_.costs.send_cost(message, cost_rng_);
+  return costs_.send_cost(message, cost_rng_);
 }
 
 void PaxosReplica::multicast(sim::PayloadPtr message) {
@@ -117,7 +117,7 @@ void PaxosReplica::handle_request(const msg::Request& request) {
 
 void PaxosReplica::try_propose() {
   if (!is_leader()) return;
-  const std::uint64_t window_end = log_.next_exec() + config_.window_size;
+  const std::uint64_t window_end = log_.next_exec() + kWindowSize;
   while (!batch_.empty() && next_sqn_ < window_end) {
     next_sqn_ = log_.skip_bound(next_sqn_);
     if (next_sqn_ >= window_end) break;
@@ -242,7 +242,7 @@ void PaxosReplica::try_execute() {
         ++stats_.duplicates_skipped;
         continue;
       }
-      charge(config_.costs.apply_jitter(sm_->execution_cost(request.command), cost_rng_));
+      charge(costs_.apply_jitter(sm_->execution_cost(request.command), cost_rng_));
       std::vector<std::byte> result = sm_->execute(request.command);
       ++stats_.executed;
       core::lifecycle::executed(config_.trace, sim(), me_.value, id, log_.next_exec());
@@ -261,7 +261,7 @@ void PaxosReplica::try_execute() {
     inst->executed = true;
     // Old instances are not needed once executed (crash tolerance for the
     // baseline does not include lagging-replica state transfer).
-    log_.gc_executed(config_.window_size);
+    log_.gc_executed(kWindowSize);
     log_.advance_head();
     note_liveness();
   }
@@ -272,7 +272,7 @@ void PaxosReplica::try_execute() {
 // ---------------------------------------------------------------------------
 
 void PaxosReplica::retransmit_tick() {
-  retransmit_timer_ = set_timer(config_.retransmit_interval, [this] { retransmit_tick(); });
+  retransmit_timer_ = set_timer(kRetransmitInterval, [this] { retransmit_tick(); });
   if (!is_leader()) {
     retransmit_stall_.reset();
     return;

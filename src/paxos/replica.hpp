@@ -43,15 +43,8 @@ namespace idem::paxos {
 struct PaxosConfig {
   std::size_t n = 3;
   std::size_t f = 1;
-  std::size_t batch_max = 32;
-  /// In-flight consensus instances (relative to execution progress).
-  std::uint64_t window_size = 256;
   Duration viewchange_timeout = 1500 * kMillisecond;
   Duration heartbeat_interval = 300 * kMillisecond;
-  /// Leader retransmits the proposal of the oldest unexecuted instance
-  /// when it makes no progress for this long (fair-loss links).
-  Duration retransmit_interval = 200 * kMillisecond;
-  consensus::CostModel costs;
 
   /// Leader-based rejection (Paxos_LBR): reject new requests when the
   /// number of accepted-but-unexecuted requests at the leader reaches this
@@ -100,6 +93,14 @@ class PaxosReplica final : public sim::Node {
   Duration send_cost(const sim::Payload& message) const override;
 
  private:
+  /// Request ids per PROPOSE.
+  static constexpr std::size_t kBatchMax = 32;
+  /// In-flight consensus instances (relative to execution progress).
+  static constexpr std::uint64_t kWindowSize = 256;
+  /// Leader retransmits the proposal of the oldest unexecuted instance
+  /// when it makes no progress for this long (fair-loss links).
+  static constexpr Duration kRetransmitInterval = 200 * kMillisecond;
+
   struct Instance : core::SlotBase {
     ViewId view;
     std::vector<msg::Request> requests;
@@ -150,7 +151,8 @@ class PaxosReplica final : public sim::Node {
   sim::TimerId retransmit_timer_;
   core::StallWatermark retransmit_stall_;
 
-  // Service-time variability stream (CostModel::jitter).
+  /// The default cost model; its service-time variability stream.
+  const consensus::CostModel costs_;
   mutable Rng cost_rng_;
 
   PaxosStats stats_;

@@ -12,10 +12,7 @@ RealCluster::RealCluster(RealClusterConfig config)
     : config_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {
   // The load phase's image, built once and restored by every replica.
   std::vector<std::byte> preload;
-  if (config_.preload) {
-    Rng rng(config_.seed, /*stream=*/0x10ADull);
-    preload = app::YcsbWorkload(config_.workload, rng).load_image();
-  }
+  if (config_.preload) preload = app::YcsbWorkload::load_image(config_.workload);
   members_.resize(config_.n);
   for (std::size_t i = 0; i < config_.n; ++i) {
     Member& member = members_[i];

@@ -32,6 +32,10 @@ constexpr Duration kMinRampStep = 2 * kMillisecond;
 /// Payload bytes a loris session's forever-unfinished frame claims.
 constexpr std::size_t kLorisClaim = 64;
 
+/// Receive-buffer bytes per connection (replies are small; 10k sessions
+/// at the FrameReader default of 16 KiB would cost 480 MiB).
+constexpr std::size_t kReadBufferBytes = 1024;
+
 }  // namespace
 
 /// One TCP connection of a session (session → one replica).
@@ -270,7 +274,7 @@ void StormEngine::connect_session(Session& session) {
   session.conns.clear();
   session.conns.reserve(targets);
   for (std::size_t ci = 0; ci < targets; ++ci) {
-    Conn& conn = session.conns.emplace_back(options_.read_buffer_bytes);
+    Conn& conn = session.conns.emplace_back(kReadBufferBytes);
     // Loris sessions hold one connection each, striped across replicas.
     conn.replica = session.loris
                        ? static_cast<std::uint32_t>(session.index % n)
@@ -448,7 +452,7 @@ void StormEngine::conn_readable(Session& session, std::size_t ci) {
   const std::uint64_t epoch = session.conn_epoch;
   // One recv per readiness: level-triggered epoll re-arms if more bytes
   // wait, which keeps one chatty connection from starving 10k quiet ones.
-  std::span<std::byte> span = conn.reader.write_span(options_.read_buffer_bytes);
+  std::span<std::byte> span = conn.reader.write_span(kReadBufferBytes);
   const ssize_t received = ::recv(conn.fd, span.data(), span.size(), 0);
   if (received == 0) {
     on_reset(session);

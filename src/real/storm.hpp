@@ -74,10 +74,6 @@ struct StormOptions {
   double slow_loris_fraction = 0;
   Duration loris_trickle = 500 * kMillisecond;   ///< one byte per interval
 
-  /// Receive-buffer bytes per connection (replies are small; 10k sessions
-  /// at the FrameReader default of 16 KiB would cost 480 MiB).
-  std::size_t read_buffer_bytes = 1024;
-
   std::uint64_t seed = 1;
   rpc::EventLoop::Epoch epoch = std::chrono::steady_clock::now();
 

@@ -45,8 +45,8 @@ struct RealClientsConfig {
   /// Route every operation through a ShardRouter with this initial map
   /// (group ids < groups.size()); unset = one unsharded group.
   std::optional<ShardMap> map;
-  /// max_hops and the optional map_source refresh, invoked on the loop's
-  /// thread (e.g. ShardedRealCluster::map, which copies under its lock).
+  /// The optional map_source refresh, invoked on the loop's thread (e.g.
+  /// ShardedRealCluster::map, which copies under its lock).
   RouterConfig router;
   /// Clock epoch: pass the cluster's, so client and replica timestamps
   /// are comparable.

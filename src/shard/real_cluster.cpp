@@ -7,6 +7,11 @@
 
 namespace idem::shard {
 
+namespace {
+/// Split-handshake drain poll interval (wall clock).
+constexpr std::chrono::milliseconds kDrainPoll{1};
+}  // namespace
+
 ShardedRealCluster::ShardedRealCluster(ShardedRealConfig config)
     : config_(std::move(config)), map_(ShardMap::uniform(config_.groups)) {
   gates_.reserve(config_.groups);
@@ -117,7 +122,7 @@ bool ShardedRealCluster::run_split(std::uint64_t begin, std::uint64_t end, Group
       source_gate.unfreeze();
       return false;
     }
-    std::this_thread::sleep_for(std::chrono::nanoseconds(config_.drain_poll));
+    std::this_thread::sleep_for(kDrainPoll);
     stable = drained(from) ? stable + 1 : 0;
   }
 

@@ -43,9 +43,6 @@ struct ShardedRealConfig {
   /// dedicated loop thread; 0 binds an ephemeral port (admin_port()).
   bool admin = false;
   std::uint16_t admin_port = 0;
-
-  /// Split-handshake drain poll interval (wall clock).
-  Duration drain_poll = kMillisecond;
 };
 
 class ShardedRealCluster {

@@ -43,7 +43,7 @@ void ShardRouter::issue(GroupId group) {
 
     if (outcome.wrong_shard()) {
       ++stats_.redirects;
-      if (++hops_ > config_.max_hops) {
+      if (++hops_ > kMaxHops) {
         ++stats_.redirect_drops;
         finish(outcome);
         return;

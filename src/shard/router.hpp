@@ -10,7 +10,7 @@
 // The router follows the redirect — optionally refreshing the whole map
 // through RouterConfig::map_source when the rejecting replica's epoch is
 // newer — and re-issues the same command at the named home group, up to
-// max_hops times per operation. Inconsistent maps (two groups pointing at
+// kMaxHops times per operation. Inconsistent maps (two groups pointing at
 // each other) therefore cannot loop: the op fails with Kind::Rejected
 // after the hop budget and stats().redirect_drops counts it.
 #pragma once
@@ -27,8 +27,6 @@
 namespace idem::shard {
 
 struct RouterConfig {
-  /// Redirect hops allowed per operation before it fails as Rejected.
-  std::size_t max_hops = 4;
   /// Optional map refresh: called when a redirect names an epoch newer
   /// than the cached map; returning an empty map (epoch 0 sentinel is not
   /// possible — epochs start at 1) or an older epoch leaves the cache
@@ -45,6 +43,9 @@ struct RouterStats {
 
 class ShardRouter final : public consensus::ServiceClient {
  public:
+  /// Redirect hops allowed per operation before it fails as Rejected.
+  static constexpr std::size_t kMaxHops = 4;
+
   /// `group_clients[g]` is the protocol client wired at group g's
   /// replicas; all share one ClientId (groups have independent client
   /// tables, so the id spaces cannot collide). Borrowed pointers.

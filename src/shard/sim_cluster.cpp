@@ -51,41 +51,28 @@ sim::NodeId GroupTransport::to_local(sim::NodeId global) const {
 ShardedSimCluster::ShardedSimCluster(ShardedSimConfig config)
     : config_(std::move(config)),
       sim_(config_.seed),
-      net_(std::make_unique<sim::SimNetwork>(sim_, config_.network)),
+      net_(std::make_unique<sim::SimNetwork>(sim_, sim::NetworkConfig{})),
       map_(ShardMap::uniform(config_.groups)) {
   assert(config_.groups > 0 && config_.routers > 0);
-  const std::size_t expected =
-      config_.expected_clients > 0 ? config_.expected_clients : config_.routers;
-
-  // Preload: one load image, restored by every store — the gates decide
-  // ownership, so a group holding foreign records is harmless (they are
-  // unreachable through it).
-  std::vector<std::byte> preload;
-  if (config_.preload) {
-    preload = app::YcsbWorkload(config_.workload, sim_.rng("shard-preload")).load_image();
-  }
 
   groups_.resize(config_.groups);
   for (std::size_t g = 0; g < config_.groups; ++g) {
     Group& group = groups_[g];
     group.transport = std::make_unique<GroupTransport>(*net_, static_cast<GroupId>(g));
     group.gate = std::make_unique<GroupShardGate>(static_cast<GroupId>(g), map_);
-    group.crashed.assign(config_.idem.n, false);
-    for (std::size_t i = 0; i < config_.idem.n; ++i) {
-      core::IdemConfig replica_config = config_.idem;
-      replica_config.shard_gate = group.gate.get();
-      auto store = std::make_unique<app::KvStore>();
-      if (!preload.empty()) store->restore(preload);
+    core::IdemConfig replica_config;
+    replica_config.shard_gate = group.gate.get();
+    group.crashed.assign(replica_config.n, false);
+    for (std::size_t i = 0; i < replica_config.n; ++i) {
       group.replicas.push_back(std::make_unique<core::IdemReplica>(
           sim_, *group.transport, ReplicaId{static_cast<std::uint32_t>(i)}, replica_config,
-          std::move(store), core::make_default_acceptance(replica_config, expected)));
+          std::make_unique<app::KvStore>(),
+          core::make_default_acceptance(replica_config, config_.routers)));
     }
   }
 
-  core::IdemClientConfig client_config = config_.client;
-  client_config.n = config_.idem.n;
-  client_config.f = config_.idem.f;
-  RouterConfig router_config = config_.router;
+  const core::IdemClientConfig client_config{};
+  RouterConfig router_config;
   router_config.map_source = [this] { return map_; };
 
   routers_.resize(config_.routers);
@@ -123,6 +110,7 @@ void ShardedSimCluster::crash_replica(std::size_t group, std::size_t index) {
 }
 
 void ShardedSimCluster::publish(ShardMap map) {
+  if (map.epoch() <= map_.epoch()) return;
   map_ = std::move(map);
   for (Group& group : groups_) group.gate->install(map_);
 }

@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "app/kv_store.hpp"
-#include "app/ycsb.hpp"
 #include "idem/client.hpp"
-#include "idem/config.hpp"
 #include "idem/replica.hpp"
 #include "shard/gate.hpp"
 #include "shard/router.hpp"
@@ -67,25 +65,13 @@ class GroupTransport final : public sim::Transport {
   std::unordered_map<std::uint32_t, std::unique_ptr<Proxy>> proxies_;  ///< by local id
 };
 
+/// Every group runs IDEM with the default IdemConfig (n = 3, r = 50) on
+/// empty stores, its acceptance test assuming one client per router; the
+/// routers use the default IdemClientConfig and the network its defaults.
 struct ShardedSimConfig {
   std::size_t groups = 2;
   std::size_t routers = 8;
   std::uint64_t seed = 1;
-
-  /// Per-group protocol configuration (n, f, reject_threshold, costs...).
-  core::IdemConfig idem;
-  core::IdemClientConfig client;  ///< n/f overridden from idem
-  sim::NetworkConfig network;
-
-  /// Client population per group the acceptance test should assume.
-  std::size_t expected_clients = 0;  ///< 0 = routers
-
-  RouterConfig router;  ///< max_hops; map_source is wired by the cluster
-
-  /// Preload every replica's store with these records (same bytes in
-  /// every group — the gate decides ownership, not the store contents).
-  app::YcsbConfig workload;
-  bool preload = false;
 };
 
 class ShardedSimCluster {
@@ -101,6 +87,8 @@ class ShardedSimCluster {
   const ShardedSimConfig& config() const { return config_; }
 
   std::size_t groups() const { return groups_.size(); }
+  /// Replicas per group.
+  std::size_t n() const { return groups_.front().replicas.size(); }
   const ShardMap& map() const { return map_; }
   GroupShardGate& gate(std::size_t group) { return *groups_[group].gate; }
   core::IdemReplica& replica(std::size_t group, std::size_t index) {
@@ -117,8 +105,9 @@ class ShardedSimCluster {
   /// Crashes replica `index` of `group` (per-group fault injection).
   void crash_replica(std::size_t group, std::size_t index);
 
-  /// Publishes `map` (newer epoch) to every gate and the router map
-  /// source. Routers pick it up on their next redirect.
+  /// Publishes `map` to every gate and the router map source when its
+  /// epoch is newer than the current map's; a stale map is ignored, as the
+  /// gates ignore it. Routers pick it up on their next redirect.
   void publish(ShardMap map);
 
   /// Elastic range migration under load: freeze the source group's

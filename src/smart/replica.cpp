@@ -33,7 +33,7 @@ void SmartAgreement::on_restart() {
 }
 
 void SmartAgreement::retransmit_tick() {
-  retransmit_timer_ = set_timer(config_.retransmit_interval, [this] { retransmit_tick(); });
+  retransmit_timer_ = set_timer(kRetransmitInterval, [this] { retransmit_tick(); });
   if (!is_leader()) return;
   Instance* head = log_.head();
   if (head == nullptr || !head->has_binding || head->executed) {
@@ -50,11 +50,11 @@ void SmartAgreement::retransmit_tick() {
 }
 
 Duration SmartAgreement::message_cost(const sim::Payload& message) const {
-  return config_.costs.cost(message, cost_rng_);
+  return costs_.cost(message, cost_rng_);
 }
 
 Duration SmartAgreement::send_cost(const sim::Payload& message) const {
-  return config_.costs.send_cost(message, cost_rng_);
+  return costs_.send_cost(message, cost_rng_);
 }
 
 void SmartAgreement::multicast(sim::PayloadPtr message) {
@@ -101,7 +101,7 @@ void SmartAgreement::handle_request(const msg::Request& request) {
 
 void SmartAgreement::try_propose() {
   if (!is_leader()) return;
-  const std::uint64_t window_end = log_.next_exec() + config_.window_size;
+  const std::uint64_t window_end = log_.next_exec() + kWindowSize;
   while (next_sqn_ < window_end) {
     std::vector<msg::Request> batch = cut_batch();
     if (batch.empty()) break;
@@ -224,7 +224,7 @@ void SmartAgreement::try_execute() {
         ++stats_.duplicates_skipped;
         continue;
       }
-      charge(config_.costs.apply_jitter(sm_->execution_cost(request.command), cost_rng_));
+      charge(costs_.apply_jitter(sm_->execution_cost(request.command), cost_rng_));
       std::vector<std::byte> result = sm_->execute(request.command);
       ++stats_.executed;
       core::lifecycle::executed(config_.trace, sim(), me_.value, id, log_.next_exec());
@@ -237,7 +237,7 @@ void SmartAgreement::try_execute() {
       if (on_execute) on_execute(SeqNum{log_.next_exec()}, id);
     }
     inst->executed = true;
-    log_.gc_executed(config_.window_size);
+    log_.gc_executed(kWindowSize);
     log_.advance_head();
   }
 }
@@ -249,7 +249,7 @@ void SmartAgreement::try_execute() {
 SmartReplica::SmartReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
                            SmartConfig config, std::unique_ptr<app::StateMachine> state_machine)
     : SmartAgreement(sim, net, id, config, std::move(state_machine), 0xC057'2000ull) {
-  batch_.configure({config_.batch_max});
+  batch_.configure({kBatchMax});
 }
 
 void SmartReplica::admit(const msg::Request& request) {

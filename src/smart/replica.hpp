@@ -45,12 +45,6 @@ namespace idem::smart {
 struct SmartConfig {
   std::size_t n = 3;
   std::size_t f = 1;
-  std::size_t batch_max = 32;
-  std::uint64_t window_size = 256;
-  /// Leader retransmits the proposal of the oldest unexecuted instance
-  /// when it makes no progress for this long (fair-loss links).
-  Duration retransmit_interval = 200 * kMillisecond;
-  consensus::CostModel costs;
 
   /// Optional request-lifecycle trace sink (borrowed, may be null).
   obs::TraceRecorder* trace = nullptr;
@@ -94,8 +88,16 @@ class SmartAgreement : public sim::Node {
   std::function<void(SeqNum, RequestId)> on_execute;
 
  protected:
+  /// Request ids per PROPOSE.
+  static constexpr std::size_t kBatchMax = 32;
+  /// In-flight consensus instances (relative to execution progress).
+  static constexpr std::uint64_t kWindowSize = 256;
+  /// Leader retransmits the proposal of the oldest unexecuted instance
+  /// when it makes no progress for this long (fair-loss links).
+  static constexpr Duration kRetransmitInterval = 200 * kMillisecond;
+
   /// `cost_stream` names the replica's service-time jitter stream
-  /// (CostModel::jitter); each subclass keeps its own.
+  /// (CostModel::kJitter); each subclass keeps its own.
   SmartAgreement(sim::Runtime& sim, sim::Transport& net, ReplicaId id, SmartConfig config,
                  std::unique_ptr<app::StateMachine> state_machine, std::uint64_t cost_stream);
 
@@ -151,7 +153,8 @@ class SmartAgreement : public sim::Node {
   sim::TimerId retransmit_timer_;
   core::StallWatermark retransmit_stall_;
 
-  // Service-time variability stream (CostModel::jitter).
+  /// The default cost model; its service-time variability stream.
+  const consensus::CostModel costs_;
   mutable Rng cost_rng_;
 };
 

@@ -9,7 +9,7 @@ SmartPrReplica::SmartPrReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId
                                std::unique_ptr<app::StateMachine> state_machine,
                                std::unique_ptr<core::AcceptanceTest> acceptance)
     : SmartAgreement(sim, net, id, config, std::move(state_machine), 0xC057'3000ull),
-      intake_(*this, id, clients(), intake, config.batch_max, intake_stats_,
+      intake_(*this, id, clients(), intake, kBatchMax, intake_stats_,
               std::move(acceptance)) {}
 
 void SmartPrReplica::handle_intake(const msg::Message& message) {

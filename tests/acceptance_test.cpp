@@ -184,6 +184,29 @@ TEST(AqmTest, FactoryDerivesGroupCount) {
   // ceil(125 / 50) = 3 groups.
   EXPECT_EQ(aqm->group_of(ClientId{100}, 50), 2u);
   EXPECT_EQ(aqm->group_of(ClientId{150}, 50), 0u);
+
+  // The rest of the paper's test: AQM from 60% of r, 2 s slices and the
+  // PRF seed every replica shares. The factory's test must agree with one
+  // built from those values on every verdict.
+  AqmPrioritized reference({.start_fraction = 0.6,
+                            .time_slice = 2 * kSecond,
+                            .group_count = 3,
+                            .prf_seed = 0x1DE4'5EEDull});
+  std::size_t rejected = 0;
+  for (std::uint64_t c = 0; c < 150; c += 7) {
+    for (std::uint64_t onr = 1; onr <= 4; ++onr) {
+      for (std::size_t active = 0; active <= 51; active += 3) {
+        for (Time t = 0; t < 7 * kSecond; t += 700 * kMillisecond) {
+          const AcceptanceContext c_ctx = ctx(active, 50, t);
+          const bool expected = accept_empty(reference, rid(c, onr), c_ctx);
+          EXPECT_EQ(accept_empty(*test, rid(c, onr), c_ctx), expected)
+              << "client " << c << " op " << onr << " r_now " << active << " t " << t;
+          rejected += !expected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);  // the grid reaches the probabilistic range
 }
 
 

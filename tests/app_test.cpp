@@ -482,7 +482,7 @@ TEST(Ycsb, LoadPhaseCoversAllRecords) {
   YcsbConfig cfg;
   cfg.record_count = 200;
   YcsbWorkload workload(cfg, rng);
-  const std::vector<std::byte> image = workload.load_image();
+  const std::vector<std::byte> image = YcsbWorkload::load_image(cfg);
   KvStore store;
   store.restore(image);
   // Keys may collide only if the scrambling maps two records together;
@@ -501,7 +501,7 @@ TEST(Ycsb, RunPhaseKeysExistAfterLoad) {
   cfg.record_count = 100;
   YcsbWorkload workload(cfg, rng);
   KvStore store;
-  store.restore(workload.load_image());
+  store.restore(YcsbWorkload::load_image(cfg));
   for (int i = 0; i < 1000; ++i) {
     KvCommand cmd = workload.next_operation();
     if (cmd.op == KvOp::Get) {

@@ -412,8 +412,7 @@ TEST(Messages, EncodeToAppendsTheEncodingBehindWhatTheWriterHolds) {
 }
 
 // ---------------------------------------------------------------------------
-// CostModel: the size term asks for the encoded size only when it charges
-// for it
+// CostModel: the size term charges for the encoded size
 // ---------------------------------------------------------------------------
 
 /// A payload that counts how often its size is asked for.
@@ -428,40 +427,20 @@ struct SizedPayload final : sim::Payload {
   mutable std::size_t asked = 0;
 };
 
-TEST(CostModelTest, ZeroPerByteCoefficientsNeverAskForTheSize) {
-  consensus::CostModel model;
-  model.ns_per_byte = 0;
-  model.send_ns_per_byte = 0;
-  SizedPayload payload(1000);
-  Rng a(3, 1);
-  Rng b(3, 1);
-  for (int i = 0; i < 100; ++i) {
-    // Only the per-message term is left, jittered as before.
-    EXPECT_EQ(model.cost(payload, a), model.apply_jitter(model.per_message, b));
-    EXPECT_EQ(model.send_cost(payload, a), model.apply_jitter(model.send_per_message, b));
-  }
-  EXPECT_EQ(payload.asked, 0u);
-
-  // Real mode's all-zero model charges nothing and draws nothing either.
-  const consensus::CostModel zero{0, 0.0, 0, 0.0, 0.0, 0.0, 1.0};
-  EXPECT_EQ(zero.cost(payload, a), 0);
-  EXPECT_EQ(zero.send_cost(payload, a), 0);
-  EXPECT_EQ(payload.asked, 0u);
-  EXPECT_EQ(a.next_u64(), b.next_u64());  // no jitter drawn for a 0 ns charge
-}
-
 TEST(CostModelTest, PerByteChargeIsUnchanged) {
-  const consensus::CostModel model;  // 4 ns/B received, 1 ns/B sent, jittered
+  using consensus::CostModel;
+  const CostModel model;  // 4 ns/B received, 1 ns/B sent, jittered
   SizedPayload payload(1000);
   Rng a(5, 2);
   Rng b(5, 2);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(model.cost(payload, a),
               model.apply_jitter(
-                  model.per_message + static_cast<Duration>(model.ns_per_byte * 1000.0), b));
+                  CostModel::kPerMessage + static_cast<Duration>(CostModel::kNsPerByte * 1000.0),
+                  b));
     EXPECT_EQ(model.send_cost(payload, a),
-              model.apply_jitter(model.send_per_message +
-                                     static_cast<Duration>(model.send_ns_per_byte * 1000.0),
+              model.apply_jitter(CostModel::kSendPerMessage +
+                                     static_cast<Duration>(CostModel::kSendNsPerByte * 1000.0),
                                  b));
   }
   EXPECT_EQ(payload.asked, 200u);

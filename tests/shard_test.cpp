@@ -220,9 +220,7 @@ TEST(ShardRouter, StaleEpochRedirectLoopEndsAtTheHopBudget) {
   // router must survive. No map_source: nothing can break the cycle.
   AlwaysWrongShard group0(1, /*epoch=*/1);  // stale epoch: no refresh signal
   AlwaysWrongShard group1(0, /*epoch=*/1);
-  RouterConfig config;
-  config.max_hops = 4;
-  ShardRouter router(ShardMap::uniform(2), {&group0, &group1}, config);
+  ShardRouter router(ShardMap::uniform(2), {&group0, &group1});
 
   bool done = false;
   router.invoke(put("k", "v"), [&done](const consensus::Outcome& outcome) {
@@ -231,7 +229,8 @@ TEST(ShardRouter, StaleEpochRedirectLoopEndsAtTheHopBudget) {
   });
   ASSERT_TRUE(done);
   EXPECT_FALSE(router.busy());
-  // Hop 0 plus max_hops redirects were issued, then the budget ended it.
+  // Hop 0 plus ShardRouter::kMaxHops (4) redirects were issued, then the
+  // budget ended it.
   EXPECT_EQ(group0.invocations + group1.invocations, 5);
   EXPECT_EQ(router.stats().redirects, 5u);
   EXPECT_EQ(router.stats().redirect_drops, 1u);
@@ -408,7 +407,7 @@ TEST(ShardedSim, WrongShardRejectsRedirectStaleRouters) {
 
   std::uint64_t wrong_shard = 0;
   for (std::size_t g = 0; g < 2; ++g) {
-    for (std::size_t i = 0; i < cluster.config().idem.n; ++i) {
+    for (std::size_t i = 0; i < cluster.n(); ++i) {
       wrong_shard += cluster.replica(g, i).stats().rejects_for(RejectReason::WrongShard);
     }
   }
@@ -447,9 +446,29 @@ TEST(ShardedSim, LiveSplitIsLinearizableAcrossTheEpochFlip) {
   EXPECT_TRUE(result.linearizable) << result.error;
 }
 
+TEST(ShardedSim, StalePublishKeepsTheNewerMap) {
+  ShardedSimCluster cluster(small_cluster(2, 2));
+  const ShardMap first = cluster.map();
+  const ShardMap second = first.with_range_moved(0, 0, 1);  // everything -> group 1
+  cluster.publish(second);
+  ASSERT_EQ(cluster.map().epoch(), 2u);
+
+  // A late publish of the older map changes nothing: the cluster's map
+  // (which the routers' map_source returns) keeps the epoch every gate
+  // holds.
+  cluster.publish(first);
+  EXPECT_EQ(cluster.map().epoch(), 2u);
+  EXPECT_EQ(cluster.map().group_for_key("k"), 1u);
+  for (std::size_t g = 0; g < cluster.groups(); ++g) {
+    EXPECT_EQ(cluster.gate(g).epoch(), 2u) << "group " << g;
+  }
+  // So does a second publish of the same epoch.
+  cluster.publish(first.with_range_moved(0, 0, 0));
+  EXPECT_EQ(cluster.map().group_for_key("k"), 1u);
+}
+
 TEST(ShardedSim, LeaderCrashMidSplitRecoversOrAborts) {
-  ShardedSimConfig config = small_cluster(2, 2);
-  ShardedSimCluster cluster(config);
+  ShardedSimCluster cluster(small_cluster(2, 2));
   cluster.publish(cluster.map().with_range_moved(0, 0, 0));
 
   harness::LoadConfig load = router_load(20, 0);
@@ -462,7 +481,7 @@ TEST(ShardedSim, LeaderCrashMidSplitRecoversOrAborts) {
   // abort cleanly (freeze lifted, map unchanged) — never hang or corrupt.
   cluster.gate(0).freeze();
   const std::size_t leader = cluster.leader_of(0);
-  ASSERT_LT(leader, config.idem.n);
+  ASSERT_LT(leader, cluster.n());
   cluster.crash_replica(0, leader);
   const bool split = cluster.run_split(1ull << 63, 0, 0, 1, 10 * kSecond);
   EXPECT_FALSE(cluster.gate(0).frozen());

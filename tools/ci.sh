@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, a time-boxed chaos sweep, an ASan+UBSan test pass,
+# CI gate: tier-1 tests, a build of the end-to-end benchmark (perfbench/),
+# a time-boxed chaos sweep, an ASan+UBSan test pass,
 # a TSan pass over the multi-threaded real-mode suites, a real-deployment
 # CLI smoke with a mid-run /metrics scrape under overload, a trace-export
 # smoke, a sim-core bench smoke, and a perf gate diffing fresh benchmark
@@ -14,9 +15,10 @@
 #               suite instrumented, and print a line-coverage summary
 #               (gcovr when available, raw gcov totals otherwise)
 #
-# Build dirs: build/ (plain), build-api/ (isolated protocol-library builds),
-# build-asan/ (address,undefined), build-tsan/ (thread), build-cov/
-# (coverage). All are cmake-standard and safe to delete.
+# Build dirs: build/ (plain), build-perfbench/ (the end-to-end benchmark),
+# build-api/ (isolated protocol-library builds), build-asan/
+# (address,undefined), build-tsan/ (thread), build-cov/ (coverage). All are
+# cmake-standard and safe to delete.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,6 +39,13 @@ cmake --build build -j "${JOBS}"
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${JOBS}")
+
+# The end-to-end benchmark (perfbench/) is its own CMake project over
+# src/; building it here makes a change that drops an API the benchmark
+# calls fail CI rather than the benchmark run.
+echo "== perfbench: configure + build =="
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "${JOBS}" --target idem_perfbench
 
 # Layering check for the replication core: protocol libraries are policy
 # layers over src/core and must not reach into each other. Enforced two
