@@ -10,6 +10,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -361,33 +362,44 @@ struct BasicWindowEntry {
 using WindowEntry = BasicWindowEntry<RequestId>;
 using PaxosWindowEntry = BasicWindowEntry<Request>;
 
-/// <VIEWCHANGE, v_t, proposals> (Section 4.5).
-struct ViewChange final : Message {
+/// <VIEWCHANGE, v_t, window_start, proposals> (Section 4.5), one template for
+/// both protocols: IDEM's window carries ids (type 15), Paxos's full
+/// requests (type 32). The simulator charges per wire byte, so both keep
+/// their type byte and encoding.
+template <typename Item>
+struct BasicViewChange final : Message {
+  static constexpr bool kPaxos = std::is_same_v<Item, Request>;
+
   ReplicaId from;
   ViewId target;
-  SeqNum window_start;
-  std::vector<WindowEntry> proposals;
+  SeqNum window_start;  ///< the sender's log holds no slot below this
+  std::vector<BasicWindowEntry<Item>> proposals;
 
-  Type type() const override { return Type::ViewChange; }
-  std::string kind() const override { return "VIEWCHANGE"; }
+  Type type() const override { return kPaxos ? Type::PaxosViewChange : Type::ViewChange; }
+  std::string kind() const override { return kPaxos ? "PAXOS-VIEWCHANGE" : "VIEWCHANGE"; }
   void encode_body(ByteWriter& w) const override {
     w.u32(from.value);
     w.varint(target.value);
     w.varint(window_start.value);
     w.varint(proposals.size());
-    for (const auto& p : proposals) p.encode(w);
+    for (const auto& entry : proposals) entry.encode(w);
   }
-  static ViewChange decode_body(ByteReader& r) {
-    ViewChange m;
+  static BasicViewChange decode_body(ByteReader& r) {
+    BasicViewChange m;
     m.from.value = r.u32();
     m.target.value = r.varint();
     m.window_start.value = r.varint();
     auto n = r.varint();
     m.proposals.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) m.proposals.push_back(WindowEntry::decode(r));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      m.proposals.push_back(BasicWindowEntry<Item>::decode(r));
+    }
     return m;
   }
 };
+
+using ViewChange = BasicViewChange<RequestId>;
+using PaxosViewChange = BasicViewChange<Request>;
 
 /// Lagging replica asks a peer for its state (Section 4.4).
 struct StateRequest final : Message {
@@ -487,34 +499,6 @@ struct PaxosAccept final : Message {
     m.from.value = r.u32();
     m.view.value = r.varint();
     m.sqn.value = r.varint();
-    return m;
-  }
-};
-
-/// Paxos view change: carries the full proposals (requests) of the window.
-struct PaxosViewChange final : Message {
-  ReplicaId from;
-  ViewId target;
-  SeqNum window_start;
-  std::vector<PaxosWindowEntry> proposals;
-
-  Type type() const override { return Type::PaxosViewChange; }
-  std::string kind() const override { return "PAXOS-VIEWCHANGE"; }
-  void encode_body(ByteWriter& w) const override {
-    w.u32(from.value);
-    w.varint(target.value);
-    w.varint(window_start.value);
-    w.varint(proposals.size());
-    for (const auto& entry : proposals) entry.encode(w);
-  }
-  static PaxosViewChange decode_body(ByteReader& r) {
-    PaxosViewChange m;
-    m.from.value = r.u32();
-    m.target.value = r.varint();
-    m.window_start.value = r.varint();
-    auto n = r.varint();
-    m.proposals.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) m.proposals.push_back(PaxosWindowEntry::decode(r));
     return m;
   }
 };

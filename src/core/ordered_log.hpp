@@ -50,7 +50,7 @@ class OrderedLog {
   void set_next_exec(std::uint64_t sqn) { next_exec_ = sqn; }
   void advance_head() { ++next_exec_; }
 
-  /// Start of the consensus window (instances below are collected).
+  /// Start of the consensus window: the log holds no slot below it.
   std::uint64_t low() const { return low_; }
 
   /// The slot at the execution cursor, or null.
@@ -90,11 +90,12 @@ class OrderedLog {
   }
 
   /// Baseline-style GC: keep the trailing 2 * `window_size` executed slots
-  /// (enough to answer retransmitted proposals), drop everything older.
+  /// (enough to answer retransmitted proposals), drop everything older and
+  /// move the window start past it.
   void gc_executed(std::uint64_t window_size) {
-    if (next_exec_ >= 2 * window_size) {
-      slots_.erase(slots_.begin(), slots_.lower_bound(next_exec_ - 2 * window_size));
-    }
+    if (next_exec_ < 2 * window_size) return;
+    low_ = next_exec_ - 2 * window_size;
+    slots_.erase(slots_.begin(), slots_.lower_bound(low_));
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "idem/replica.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -21,6 +20,7 @@ IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       config_(config),
       me_(id),
       sm_(std::move(state_machine)),
+      views_(*this, log_, sim, id, config.n, config.trace),
       cost_rng_(sim.seed(), 0xC057'0000ull + id.value),
       intake_(*this, id, clients_, config, config.batch_max, stats_, std::move(acceptance)) {
   assert(config_.n == 2 * config_.f + 1);
@@ -99,7 +99,7 @@ void IdemReplica::on_message(sim::NodeId from, const sim::Payload& message) {
       handle_fetch(consensus::replica_of_address(from), static_cast<const msg::Fetch&>(*base));
       break;
     case msg::Type::ViewChange:
-      handle_viewchange(static_cast<const msg::ViewChange&>(*base));
+      views_.handle(static_cast<const msg::ViewChange&>(*base));
       break;
     case msg::Type::StateRequest:
       handle_state_request(static_cast<const msg::StateRequest&>(*base));
@@ -214,10 +214,10 @@ void IdemReplica::try_propose() {
 
     Instance& inst = log_.at(next_sqn_);
     inst.view = views_.view();
-    inst.ids = batch;
+    inst.items = batch;
     inst.has_binding = true;
-    inst.own_commit_sent = true;  // the leader's proposal counts as a commit
-    inst.commit_votes.insert(me_.value);
+    inst.own_vote_sent = true;  // the leader's proposal counts as a commit
+    inst.votes.insert(me_.value);
     for (RequestId id : batch) {
       lifecycle::proposed(config_.trace, sim(), me_.value, id, next_sqn_);
     }
@@ -235,37 +235,9 @@ void IdemReplica::try_propose() {
   try_execute();
 }
 
-bool IdemReplica::observe_view(ViewId view) {
-  switch (views_.observe(view)) {
-    case ViewEngine<msg::ViewChange>::Observe::Ignore:
-      return false;
-    case ViewEngine<msg::ViewChange>::Observe::Process:
-      return true;
-    case ViewEngine<msg::ViewChange>::Observe::Enter:
-      enter_view(view);
-      return true;
-  }
-  return false;
-}
-
-void IdemReplica::adopt_binding(std::uint64_t sqn, ViewId view, const std::vector<RequestId>& ids) {
-  if (sqn < log_.low()) return;
-  Instance& inst = log_.at(sqn);
-  if (inst.executed) return;  // applied state is immutable
-  if (inst.has_binding && inst.view >= view) return;
-  if (!inst.has_binding) {
-    lifecycle::propose_received(config_.trace, sim(), me_.value, sqn);
-  }
-  inst.view = view;
-  inst.ids = ids;
-  inst.has_binding = true;
-  inst.own_commit_sent = false;
-  inst.commit_votes.clear();
-}
-
 void IdemReplica::note_commit_quorum(std::uint64_t sqn, Instance& inst) {
   lifecycle::decision_quorum(config_.trace, sim(), me_.value, sqn, inst,
-                             inst.commit_votes.size(), config_.quorum());
+                             inst.votes.size(), config_.quorum());
 }
 
 void IdemReplica::send_own_commit(std::uint64_t sqn, Instance& inst) {
@@ -273,7 +245,7 @@ void IdemReplica::send_own_commit(std::uint64_t sqn, Instance& inst) {
   commit->from = me_;
   commit->view = inst.view;
   commit->sqn = SeqNum{sqn};
-  commit->ids = inst.ids;
+  commit->ids = inst.items;
   // With f = 1 a follower's commit quorum is complete once the PROPOSE
   // arrives (the leader's implicit commit plus its own vote), so its
   // COMMIT only has to reach the leader: the Multi-Paxos ack-to-leader
@@ -285,41 +257,41 @@ void IdemReplica::send_own_commit(std::uint64_t sqn, Instance& inst) {
   } else {
     multicast(std::move(commit));
   }
-  inst.own_commit_sent = true;
-  inst.commit_votes.insert(me_.value);
+  inst.own_vote_sent = true;
+  inst.votes.insert(me_.value);
 }
 
 void IdemReplica::handle_propose(const msg::Propose& propose) {
-  if (!observe_view(propose.view)) return;
+  if (!views_.observe(propose.view)) return;
   const std::uint64_t sqn = propose.sqn.value;
   if (sqn < log_.low()) return;
 
-  adopt_binding(sqn, propose.view, propose.ids);
+  views_.adopt(sqn, propose.view, propose.ids);
   Instance& inst = log_.at(sqn);
   if (inst.view != propose.view) return;  // a newer binding superseded this
 
   // The leader's proposal counts as its commit.
-  inst.commit_votes.insert(consensus::leader_of(propose.view, config_.n).value);
-  if (!inst.own_commit_sent) send_own_commit(sqn, inst);
+  inst.votes.insert(consensus::leader_of(propose.view, config_.n).value);
+  if (!inst.own_vote_sent) send_own_commit(sqn, inst);
   note_commit_quorum(sqn, inst);
   observe_sequence(sqn, consensus::leader_of(propose.view, config_.n));
   execute_committed();
 }
 
 void IdemReplica::handle_commit(const msg::Commit& commit) {
-  if (!observe_view(commit.view)) return;
+  if (!views_.observe(commit.view)) return;
   const std::uint64_t sqn = commit.sqn.value;
   if (sqn < log_.low()) return;
 
   // Commits echo the proposal, so a replica that missed the PROPOSE still
   // learns the binding here.
-  adopt_binding(sqn, commit.view, commit.ids);
+  views_.adopt(sqn, commit.view, commit.ids);
   Instance& inst = log_.at(sqn);
   if (inst.view != commit.view) return;
 
-  inst.commit_votes.insert(commit.from.value);
-  inst.commit_votes.insert(consensus::leader_of(commit.view, config_.n).value);
-  if (!inst.own_commit_sent) send_own_commit(sqn, inst);
+  inst.votes.insert(commit.from.value);
+  inst.votes.insert(consensus::leader_of(commit.view, config_.n).value);
+  if (!inst.own_vote_sent) send_own_commit(sqn, inst);
   note_commit_quorum(sqn, inst);
   observe_sequence(sqn, commit.from);
   execute_committed();
@@ -327,7 +299,7 @@ void IdemReplica::handle_commit(const msg::Commit& commit) {
 
 bool IdemReplica::fetch_missing(Instance& inst) {
   std::vector<RequestId> missing;
-  for (RequestId id : inst.ids) {
+  for (RequestId id : inst.items) {
     if (clients_.executed(id)) continue;
     if (intake_.find(id) == nullptr) missing.push_back(id);
   }
@@ -336,7 +308,7 @@ bool IdemReplica::fetch_missing(Instance& inst) {
   // Ask a replica that committed this instance (it executed or will
   // execute it, so it owns the bodies or can get them).
   ReplicaId target = consensus::leader_of(inst.view, config_.n);
-  for (std::uint32_t voter : inst.commit_votes) {
+  for (std::uint32_t voter : inst.votes) {
     if (voter != me_.value) {
       target = ReplicaId{voter};
       break;
@@ -366,7 +338,7 @@ void IdemReplica::try_execute() {
     if (it == log_.slots().end()) return;
     Instance& inst = it->second;
     if (!inst.has_binding || inst.executed) return;
-    if (inst.commit_votes.size() < config_.quorum()) return;
+    if (inst.votes.size() < config_.quorum()) return;
 
     if (fetch_missing(inst)) {
       // The head is blocked on missing bodies. Prefetch for the committed
@@ -377,7 +349,7 @@ void IdemReplica::try_execute() {
            ahead != log_.slots().end() && prefetched < kFetchPrefetch; ++ahead, ++prefetched) {
         Instance& future = ahead->second;
         if (!future.has_binding || future.executed) continue;
-        if (future.commit_votes.size() < config_.quorum()) continue;
+        if (future.votes.size() < config_.quorum()) continue;
         fetch_missing(future);
       }
       // Retry via timer in case fetch responses are lost.
@@ -392,7 +364,7 @@ void IdemReplica::try_execute() {
 }
 
 void IdemReplica::execute_instance(std::uint64_t sqn, Instance& inst) {
-  for (RequestId id : inst.ids) {
+  for (RequestId id : inst.items) {
     if (clients_.executed(id)) {
       ++stats_.duplicates_skipped;
       continue;
@@ -464,7 +436,7 @@ void IdemReplica::maybe_request_state() {
   if (ahead == log_.slots().end()) return;
 
   ReplicaId target = consensus::leader_of(ahead->second.view, config_.n);
-  for (std::uint32_t voter : ahead->second.commit_votes) {
+  for (std::uint32_t voter : ahead->second.votes) {
     if (voter != me_.value) {
       target = ReplicaId{voter};
       break;
@@ -496,7 +468,7 @@ void IdemReplica::observe_sequence(std::uint64_t sqn, ReplicaId source) {
 void IdemReplica::advance_window(std::uint64_t new_low) {
   log_.advance_low(new_low, [this](Instance& inst) {
     // Bodies stay until garbage collection: peers may FETCH them.
-    for (RequestId id : inst.ids) intake_.forget(id);
+    for (RequestId id : inst.items) intake_.forget(id);
   });
 }
 
@@ -566,7 +538,7 @@ void IdemReplica::arm_progress_timer() {
   progress_timer_ = set_timer(config_.viewchange_timeout, [this] {
     progress_timer_ = sim::TimerId{};
     if (!has_outstanding_work()) return;
-    start_viewchange(views_.next_target());
+    views_.demand(views_.next_target());
   });
 }
 
@@ -575,116 +547,44 @@ void IdemReplica::note_progress() {
   arm_progress_timer();
 }
 
-void IdemReplica::start_viewchange(ViewId target) {
-  if (!views_.begin(target)) return;
+void IdemReplica::demanded(sim::PayloadPtr viewchange) {
   ++stats_.view_changes;
-  lifecycle::viewchange_start(config_.trace, sim(), me_.value, target.value);
-
-  auto viewchange = std::make_shared<msg::ViewChange>();
-  viewchange->from = me_;
-  viewchange->target = target;
-  viewchange->window_start = SeqNum{log_.low()};
-  for (const auto& [sqn, inst] : log_.slots()) {
-    if (!inst.has_binding) continue;
-    msg::WindowEntry entry;
-    entry.sqn = SeqNum{sqn};
-    entry.view = inst.view;
-    entry.items = inst.ids;
-    viewchange->proposals.push_back(std::move(entry));
-  }
-  views_.store_own(me_.value, *viewchange);
-  multicast(viewchange);
-
+  multicast(std::move(viewchange));
   // Make sure the prospective leader learns about our accepted requests;
   // REQUIREs sent to the crashed leader are lost with it.
   resend_requires();
-
   // Safeguard: if this view change does not complete, try the next view.
   cancel_timer(progress_timer_);
   arm_progress_timer();
-
-  maybe_become_leader(target);
 }
 
-void IdemReplica::handle_viewchange(const msg::ViewChange& viewchange) {
-  if (viewchange.target <= views_.view()) return;
-  views_.store(viewchange);
-
-  // A replica already amid a view change adopts a higher target right
-  // away: independent timeout escalation would otherwise let stragglers
-  // chase each other's targets forever.
-  if (views_.should_escalate(viewchange.target)) {
-    start_viewchange(viewchange.target);
-    return;
-  }
-
-  // Join the view change once f+1 replicas demand it: the current view no
-  // longer has enough support to make progress.
-  if (!views_.joined(viewchange.target) &&
-      views_.matching(viewchange.target) >= config_.quorum()) {
-    start_viewchange(viewchange.target);
-    return;  // start_viewchange re-runs maybe_become_leader
-  }
-  maybe_become_leader(viewchange.target);
+void IdemReplica::entered(bool) {
+  resend_requires();
+  note_progress();
 }
 
-void IdemReplica::maybe_become_leader(ViewId target) {
-  if (consensus::leader_of(target, config_.n) != me_) return;
-  if (views_.view() >= target) return;
-  if (!views_.in_viewchange() || views_.target() != target) return;
-  if (views_.matching(target) < config_.quorum()) return;
-
-  // Merge the collected windows: per slot, the binding of the newest view
-  // wins (adopt_binding enforces that).
-  views_.for_each_matching(target, [this](const msg::ViewChange& stored) {
-    for (const auto& entry : stored.proposals) {
-      adopt_binding(entry.sqn.value, entry.view, entry.items);
-    }
-  });
-
-  enter_view(target);
-
-  // Determine the first free sequence number and fill binding gaps with
-  // no-ops so execution cannot stall behind a hole.
-  std::uint64_t high =
-      log_.high_watermark(log_.low(), [](const Instance& inst) { return inst.has_binding; });
-  if (next_sqn_ < high) next_sqn_ = high;
-  if (next_sqn_ < log_.low()) next_sqn_ = log_.low();
-
-  for (std::uint64_t sqn = std::max(log_.low(), log_.next_exec()); sqn < high; ++sqn) {
-    Instance& inst = log_.at(sqn);
-    if (inst.executed) continue;
-    if (!inst.has_binding) {
-      inst.ids.clear();  // no-op filler
-      inst.has_binding = true;
-    }
-    // Re-propose under the new view; old-view commit votes are void.
-    inst.view = views_.view();
-    inst.commit_votes.clear();
-    inst.commit_votes.insert(me_.value);
-    inst.own_commit_sent = true;
-    for (RequestId id : inst.ids) {
-      intake_.mark_proposed(id);
-      lifecycle::proposed(config_.trace, sim(), me_.value, id, sqn);
-    }
-
-    auto propose = std::make_shared<msg::Propose>();
-    propose->view = views_.view();
-    propose->sqn = SeqNum{sqn};
-    propose->ids = inst.ids;
-    multicast(std::move(propose));
-    ++stats_.proposals_sent;
+void IdemReplica::repropose(std::uint64_t sqn, const Instance& inst) {
+  for (RequestId id : inst.items) {
+    intake_.mark_proposed(id);
+    lifecycle::proposed(config_.trace, sim(), me_.value, id, sqn);
   }
+  auto propose = std::make_shared<msg::Propose>();
+  propose->view = views_.view();
+  propose->sqn = SeqNum{sqn};
+  propose->ids = inst.items;
+  multicast(std::move(propose));
+  ++stats_.proposals_sent;
+}
 
+void IdemReplica::lead(std::uint64_t next_free) {
+  if (next_sqn_ < next_free) next_sqn_ = next_free;
   try_propose();
   try_execute();
 }
 
-void IdemReplica::enter_view(ViewId view) {
-  views_.enter(view);
-  lifecycle::viewchange_done(config_.trace, sim(), me_.value, view.value);
-  resend_requires();
-  note_progress();
+bool IdemReplica::catch_up(std::uint64_t, ReplicaId reporter) {
+  request_state_transfer(reporter);
+  return true;
 }
 
 void IdemReplica::resend_requires() {

@@ -19,11 +19,11 @@
 // Structurally this is a policy layer over the replication core
 // (src/core): the intake phase (core::Intake: acceptance test, r_now,
 // forwarding, rejected cache, REQUIRE quorum) is the one SMaRt+PR runs
-// too, and the ordered log, view engine and client table are shared with
-// the baseline protocols. IDEM adds how its REQUIREs leave (aggregated,
-// flushed at the end of a step), REQUIRE adoption, a leader that cuts once
-// per step and proposes ids, FETCH, implicit garbage collection and the
-// rejection-aware view change.
+// too, the view change (core::ViewChange) is the one Paxos runs, and the
+// ordered log and client table are shared with the baseline protocols.
+// IDEM adds how its REQUIREs leave (aggregated, flushed at the end of a
+// step), REQUIRE adoption, a leader that cuts once per step and proposes
+// ids, FETCH, implicit garbage collection and state transfer.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,7 @@
 #include "core/intake.hpp"
 #include "core/ordered_log.hpp"
 #include "core/timers.hpp"
-#include "core/view_engine.hpp"
+#include "core/view_change.hpp"
 #include "idem/config.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sim/node.hpp"
@@ -63,7 +63,12 @@ struct ReplicaStats : IntakeStats {
   std::uint64_t state_transfers = 0;       ///< StateResponses restored here
 };
 
-class IdemReplica final : public sim::Node, Intake::Host {
+/// An IDEM consensus slot: a binding of request ids, and the commit votes.
+struct IdemSlot : BoundSlot<RequestId> {
+  RetryGate fetch_gate;  ///< rate-limits FETCH rounds for this slot
+};
+
+class IdemReplica final : public sim::Node, Intake::Host, ViewChange<IdemSlot>::Host {
  public:
   IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, IdemConfig config,
               std::unique_ptr<app::StateMachine> state_machine,
@@ -71,9 +76,7 @@ class IdemReplica final : public sim::Node, Intake::Host {
 
   ReplicaId replica_id() const { return me_; }
   ViewId view() const { return views_.view(); }
-  bool is_leader() const {
-    return !views_.in_viewchange() && consensus::leader_of(views_.view(), config_.n) == me_;
-  }
+  bool is_leader() const { return views_.leads(); }
   const ReplicaStats& stats() const { return stats_; }
   const IdemConfig& config() const { return config_; }
 
@@ -115,13 +118,7 @@ class IdemReplica final : public sim::Node, Intake::Host {
   void on_flushed() override { try_execute(); }
 
  private:
-  struct Instance : SlotBase {
-    ViewId view;                 ///< view of the newest binding seen
-    std::vector<RequestId> ids;  ///< empty until a PROPOSE/COMMIT arrives
-    bool own_commit_sent = false;
-    consensus::VoteSet commit_votes;
-    RetryGate fetch_gate;  ///< rate-limits FETCH rounds for this slot
-  };
+  using Instance = IdemSlot;
 
   // -- Intake::Host: the node's clock, timers and sends -------------------
   Time now() const override { return sim::Node::now(); }
@@ -145,12 +142,10 @@ class IdemReplica final : public sim::Node, Intake::Host {
   void try_propose();
   void handle_propose(const msg::Propose& propose);
   void handle_commit(const msg::Commit& commit);
-  void adopt_binding(std::uint64_t sqn, ViewId view, const std::vector<RequestId>& ids);
   /// Sends this replica's COMMIT for `inst` and counts its own vote.
   void send_own_commit(std::uint64_t sqn, Instance& inst);
   /// Emits the CommitQuorum trace event once per instance.
   void note_commit_quorum(std::uint64_t sqn, Instance& inst);
-  bool observe_view(ViewId view);  ///< true when the message should be processed
   /// Requests missing bodies for `inst` (rate-limited); true if any are
   /// still missing.
   bool fetch_missing(Instance& inst);
@@ -182,11 +177,14 @@ class IdemReplica final : public sim::Node, Intake::Host {
   void arm_progress_timer();
   void note_progress();
   bool has_outstanding_work() const;
-  void start_viewchange(ViewId target);
-  void handle_viewchange(const msg::ViewChange& viewchange);
-  void maybe_become_leader(ViewId target);
-  void enter_view(ViewId view);
   void resend_requires();
+  // ViewChange::Host
+  void demanded(sim::PayloadPtr viewchange) override;
+  void entered(bool demoted) override;
+  void repropose(std::uint64_t sqn, const Instance& inst) override;
+  void lead(std::uint64_t next_free) override;
+  /// Asks `reporter` for its state: this replica leads above the line.
+  bool catch_up(std::uint64_t line, ReplicaId reporter) override;
 
   void multicast(sim::PayloadPtr message);  ///< to all other replicas
   void send_to_leader(sim::PayloadPtr message);
@@ -195,8 +193,6 @@ class IdemReplica final : public sim::Node, Intake::Host {
   IdemConfig config_;
   ReplicaId me_;
   std::unique_ptr<app::StateMachine> sm_;
-
-  ViewEngine<msg::ViewChange> views_;
 
   // REQUIRE aggregation.
   std::vector<RequestId> pending_requires_;
@@ -207,6 +203,7 @@ class IdemReplica final : public sim::Node, Intake::Host {
 
   // Consensus instances, window [log_.low(), log_.low() + w).
   OrderedLog<Instance> log_;
+  ViewChange<Instance> views_;
 
   // Execution results for duplicate suppression and re-replies.
   ClientTable clients_;

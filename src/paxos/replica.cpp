@@ -1,6 +1,5 @@
 #include "paxos/replica.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "core/lifecycle.hpp"
@@ -15,6 +14,7 @@ PaxosReplica::PaxosReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       config_(config),
       me_(id),
       sm_(std::move(state_machine)),
+      views_(*this, log_, sim, id, config.n, config.trace),
       cost_rng_(sim.seed(), 0xC057'1000ull + id.value) {
   assert(config_.n == 2 * config_.f + 1);
   assert(config_.n <= consensus::VoteSet::kCapacity);  // voter ids fit a VoteSet
@@ -72,7 +72,7 @@ void PaxosReplica::on_message(sim::NodeId from, const sim::Payload& message) {
       handle_heartbeat(static_cast<const msg::PaxosHeartbeat&>(*base));
       break;
     case msg::Type::PaxosViewChange:
-      handle_viewchange(static_cast<const msg::PaxosViewChange&>(*base));
+      views_.handle(static_cast<const msg::PaxosViewChange&>(*base));
       break;
     default:
       break;
@@ -131,11 +131,11 @@ void PaxosReplica::try_propose() {
 
     Instance& inst = log_.at(next_sqn_);
     inst.view = views_.view();
-    inst.requests = batch;
+    inst.items = batch;
     inst.has_binding = true;
-    inst.own_accept_sent = true;
-    inst.accept_votes.insert(me_.value);
-    for (const msg::Request& request : inst.requests) {
+    inst.own_vote_sent = true;
+    inst.votes.insert(me_.value);
+    for (const msg::Request& request : inst.items) {
       core::lifecycle::proposed(config_.trace, sim(), me_.value, request.id, next_sqn_);
     }
     core::lifecycle::propose_received(config_.trace, sim(), me_.value, next_sqn_);
@@ -151,41 +151,13 @@ void PaxosReplica::try_propose() {
   try_execute();
 }
 
-bool PaxosReplica::observe_view(ViewId view) {
-  switch (views_.observe(view)) {
-    case core::ViewEngine<msg::PaxosViewChange>::Observe::Ignore:
-      return false;
-    case core::ViewEngine<msg::PaxosViewChange>::Observe::Process:
-      return true;
-    case core::ViewEngine<msg::PaxosViewChange>::Observe::Enter:
-      enter_view(view);
-      return true;
-  }
-  return false;
-}
-
-void PaxosReplica::adopt_binding(std::uint64_t sqn, ViewId view,
-                                 std::vector<msg::Request> requests) {
-  Instance& inst = log_.at(sqn);
-  if (inst.executed) return;  // applied state is immutable
-  if (inst.has_binding && inst.view >= view) return;
-  if (!inst.has_binding) {
-    core::lifecycle::propose_received(config_.trace, sim(), me_.value, sqn);
-  }
-  inst.view = view;
-  inst.requests = std::move(requests);
-  inst.has_binding = true;
-  inst.own_accept_sent = false;
-  inst.accept_votes.clear();
-}
-
 void PaxosReplica::note_accept_quorum(std::uint64_t sqn, Instance& inst) {
   core::lifecycle::decision_quorum(config_.trace, sim(), me_.value, sqn, inst,
-                                   inst.accept_votes.size(), config_.quorum());
+                                   inst.votes.size(), config_.quorum());
 }
 
 void PaxosReplica::handle_propose(const msg::PaxosPropose& propose) {
-  if (!observe_view(propose.view)) return;
+  if (!views_.observe(propose.view)) return;
   const std::uint64_t sqn = propose.sqn.value;
   if (sqn < log_.next_exec()) {
     // A retransmission for an instance we already executed: the sender is
@@ -200,11 +172,11 @@ void PaxosReplica::handle_propose(const msg::PaxosPropose& propose) {
     return;
   }
 
-  adopt_binding(sqn, propose.view, propose.requests);
+  views_.adopt(sqn, propose.view, propose.requests);
   Instance& inst = log_.at(sqn);
   if (inst.view != propose.view) return;
 
-  inst.accept_votes.insert(consensus::leader_of(propose.view, config_.n).value);
+  inst.votes.insert(consensus::leader_of(propose.view, config_.n).value);
   // Re-sending on a duplicate PROPOSE makes the accept path idempotent
   // under message loss (the leader retransmits stalled proposals).
   auto accept = std::make_shared<msg::PaxosAccept>();
@@ -212,19 +184,19 @@ void PaxosReplica::handle_propose(const msg::PaxosPropose& propose) {
   accept->view = inst.view;
   accept->sqn = SeqNum{sqn};
   multicast(std::move(accept));
-  inst.own_accept_sent = true;
-  inst.accept_votes.insert(me_.value);
+  inst.own_vote_sent = true;
+  inst.votes.insert(me_.value);
   note_accept_quorum(sqn, inst);
   note_liveness();
   try_execute();
 }
 
 void PaxosReplica::handle_accept(const msg::PaxosAccept& accept) {
-  if (!observe_view(accept.view)) return;
+  if (!views_.observe(accept.view)) return;
   Instance* inst = log_.find(accept.sqn.value);
   if (inst == nullptr) return;
   if (inst->view != accept.view) return;
-  inst->accept_votes.insert(accept.from.value);
+  inst->votes.insert(accept.from.value);
   note_accept_quorum(accept.sqn.value, *inst);
   try_execute();
 }
@@ -234,9 +206,9 @@ void PaxosReplica::try_execute() {
     Instance* inst = log_.head();
     if (inst == nullptr) return;
     if (!inst->has_binding || inst->executed) return;
-    if (inst->accept_votes.size() < config_.quorum()) return;
+    if (inst->votes.size() < config_.quorum()) return;
 
-    for (const msg::Request& request : inst->requests) {
+    for (const msg::Request& request : inst->items) {
       const RequestId id = request.id;
       if (clients_.executed(id)) {
         ++stats_.duplicates_skipped;
@@ -255,8 +227,8 @@ void PaxosReplica::try_execute() {
       }
       if (on_execute) on_execute(SeqNum{log_.next_exec()}, id);
     }
-    if (is_leader() && inflight_requests_ >= inst->requests.size()) {
-      inflight_requests_ -= inst->requests.size();
+    if (is_leader() && inflight_requests_ >= inst->items.size()) {
+      inflight_requests_ -= inst->items.size();
     }
     inst->executed = true;
     // Old instances are not needed once executed (crash tolerance for the
@@ -289,7 +261,7 @@ void PaxosReplica::retransmit_tick() {
     auto propose = std::make_shared<msg::PaxosPropose>();
     propose->view = views_.view();
     propose->sqn = SeqNum{log_.next_exec()};
-    propose->requests = head->requests;
+    propose->requests = head->items;
     multicast(std::move(propose));
   }
 }
@@ -307,7 +279,7 @@ void PaxosReplica::send_heartbeat() {
 }
 
 void PaxosReplica::handle_heartbeat(const msg::PaxosHeartbeat& heartbeat) {
-  if (!observe_view(heartbeat.view)) return;
+  if (!views_.observe(heartbeat.view)) return;
   note_liveness();
 }
 
@@ -327,7 +299,7 @@ void PaxosReplica::arm_failure_timer() {
         return;
       }
     }
-    start_viewchange(views_.next_target());
+    views_.demand(views_.next_target());
   });
 }
 
@@ -336,99 +308,15 @@ void PaxosReplica::note_liveness() {
   arm_failure_timer();
 }
 
-void PaxosReplica::start_viewchange(ViewId target) {
-  if (!views_.begin(target)) return;
+void PaxosReplica::demanded(sim::PayloadPtr viewchange) {
   ++stats_.view_changes;
-  core::lifecycle::viewchange_start(config_.trace, sim(), me_.value, target.value);
-
-  auto viewchange = std::make_shared<msg::PaxosViewChange>();
-  viewchange->from = me_;
-  viewchange->target = target;
-  viewchange->window_start = SeqNum{log_.next_exec()};
-  for (const auto& [sqn, inst] : log_.slots()) {
-    // Executed instances must be shipped too: a committed binding that
-    // only this replica executed would otherwise be invisible to the new
-    // leader's merge, which could then rebind the slot - a safety
-    // violation.
-    if (!inst.has_binding) continue;
-    msg::PaxosWindowEntry entry;
-    entry.sqn = SeqNum{sqn};
-    entry.view = inst.view;
-    entry.items = inst.requests;
-    viewchange->proposals.push_back(std::move(entry));
-  }
-  views_.store_own(me_.value, *viewchange);
-  multicast(viewchange);
-
+  multicast(std::move(viewchange));
   cancel_timer(failure_timer_);
   arm_failure_timer();
-  maybe_become_leader(target);
 }
 
-void PaxosReplica::handle_viewchange(const msg::PaxosViewChange& viewchange) {
-  if (viewchange.target <= views_.view()) return;
-  views_.store(viewchange);
-  // Synchronize escalating stragglers on the highest demanded target.
-  if (views_.should_escalate(viewchange.target)) {
-    start_viewchange(viewchange.target);
-    return;
-  }
-  if (!views_.joined(viewchange.target) &&
-      views_.matching(viewchange.target) >= config_.quorum()) {
-    start_viewchange(viewchange.target);
-    return;
-  }
-  maybe_become_leader(viewchange.target);
-}
-
-void PaxosReplica::maybe_become_leader(ViewId target) {
-  if (consensus::leader_of(target, config_.n) != me_) return;
-  if (views_.view() >= target) return;
-  if (!views_.in_viewchange() || views_.target() != target) return;
-  if (views_.matching(target) < config_.quorum()) return;
-
-  views_.for_each_matching(target, [this](const msg::PaxosViewChange& stored) {
-    for (const auto& entry : stored.proposals) {
-      adopt_binding(entry.sqn.value, entry.view, entry.items);
-    }
-  });
-
-  enter_view(target);
-
-  std::uint64_t high = log_.high_watermark(
-      log_.next_exec(), [](const Instance& inst) { return inst.has_binding && !inst.executed; });
-  if (next_sqn_ < high) next_sqn_ = high;
-
-  for (std::uint64_t sqn = log_.next_exec(); sqn < high; ++sqn) {
-    Instance& inst = log_.at(sqn);
-    if (inst.executed) continue;
-    if (!inst.has_binding) {
-      inst.requests.clear();  // no-op filler for window gaps
-      inst.has_binding = true;
-    }
-    inst.view = views_.view();
-    inst.accept_votes.clear();
-    inst.accept_votes.insert(me_.value);
-    inst.own_accept_sent = true;
-
-    auto propose = std::make_shared<msg::PaxosPropose>();
-    propose->view = views_.view();
-    propose->sqn = SeqNum{sqn};
-    propose->requests = inst.requests;
-    multicast(std::move(propose));
-    ++stats_.proposals_sent;
-  }
-
-  send_heartbeat();
-  try_propose();
-  try_execute();
-}
-
-void PaxosReplica::enter_view(ViewId view) {
-  bool was_leader = is_leader();
-  views_.enter(view);
-  core::lifecycle::viewchange_done(config_.trace, sim(), me_.value, view.value);
-  if (was_leader && !is_leader()) {
+void PaxosReplica::entered(bool demoted) {
+  if (demoted) {
     cancel_timer(heartbeat_timer_);
     // A demoted leader's pending queue dies with its leadership; clients
     // retransmit to the new leader.
@@ -437,6 +325,22 @@ void PaxosReplica::enter_view(ViewId view) {
     inflight_requests_ = 0;
   }
   note_liveness();
+}
+
+void PaxosReplica::repropose(std::uint64_t sqn, const Instance& inst) {
+  auto propose = std::make_shared<msg::PaxosPropose>();
+  propose->view = views_.view();
+  propose->sqn = SeqNum{sqn};
+  propose->requests = inst.items;
+  multicast(std::move(propose));
+  ++stats_.proposals_sent;
+}
+
+void PaxosReplica::lead(std::uint64_t next_free) {
+  if (next_sqn_ < next_free) next_sqn_ = next_free;
+  send_heartbeat();
+  try_propose();
+  try_execute();
 }
 
 }  // namespace idem::paxos

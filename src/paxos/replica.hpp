@@ -13,9 +13,10 @@
 //     (Figure 3 / Figure 10d).
 //
 // Structurally a policy layer over the replication core (src/core): the
-// ordered log, view engine, client table and batch pipeline are shared
-// with the other protocols; Paxos contributes the leader-only intake, the
-// heartbeat liveness chain and the full-request distribution.
+// ordered log, client table and batch pipeline are shared with the other
+// protocols, and the view change (core::ViewChange) with IDEM; Paxos
+// contributes the leader-only intake, the heartbeat liveness chain and the
+// full-request distribution.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@
 #include "core/client_table.hpp"
 #include "core/ordered_log.hpp"
 #include "core/timers.hpp"
-#include "core/view_engine.hpp"
+#include "core/view_change.hpp"
 #include "obs/trace.hpp"
 #include "sim/node.hpp"
 
@@ -67,16 +68,14 @@ struct PaxosStats {
   std::uint64_t view_changes = 0;
 };
 
-class PaxosReplica final : public sim::Node {
+class PaxosReplica final : public sim::Node, core::ViewChange<core::BoundSlot<msg::Request>>::Host {
  public:
   PaxosReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id, PaxosConfig config,
                std::unique_ptr<app::StateMachine> state_machine);
 
   ReplicaId replica_id() const { return me_; }
   ViewId view() const { return views_.view(); }
-  bool is_leader() const {
-    return !views_.in_viewchange() && consensus::leader_of(views_.view(), config_.n) == me_;
-  }
+  bool is_leader() const { return views_.leads(); }
   const PaxosStats& stats() const { return stats_; }
   std::size_t backlog() const { return batch_.size(); }
   SeqNum next_execute() const { return SeqNum{log_.next_exec()}; }
@@ -101,32 +100,29 @@ class PaxosReplica final : public sim::Node {
   /// when it makes no progress for this long (fair-loss links).
   static constexpr Duration kRetransmitInterval = 200 * kMillisecond;
 
-  struct Instance : core::SlotBase {
-    ViewId view;
-    std::vector<msg::Request> requests;
-    bool own_accept_sent = false;
-    consensus::VoteSet accept_votes;
-  };
+  using Instance = core::BoundSlot<msg::Request>;
 
   void handle_request(const msg::Request& request);
   void try_propose();
   void handle_propose(const msg::PaxosPropose& propose);
   void handle_accept(const msg::PaxosAccept& accept);
-  void adopt_binding(std::uint64_t sqn, ViewId view, std::vector<msg::Request> requests);
   /// Emits the CommitQuorum trace event once per instance.
   void note_accept_quorum(std::uint64_t sqn, Instance& inst);
   void try_execute();
-  bool observe_view(ViewId view);
 
   void handle_heartbeat(const msg::PaxosHeartbeat& heartbeat);
   void send_heartbeat();
   void retransmit_tick();
   void arm_failure_timer();
   void note_liveness();
-  void start_viewchange(ViewId target);
-  void handle_viewchange(const msg::PaxosViewChange& viewchange);
-  void maybe_become_leader(ViewId target);
-  void enter_view(ViewId view);
+  // core::ViewChange::Host
+  void demanded(sim::PayloadPtr viewchange) override;
+  void entered(bool demoted) override;
+  void repropose(std::uint64_t sqn, const Instance& inst) override;
+  void lead(std::uint64_t next_free) override;
+  /// Paxos has no state transfer: a replica behind the line does not lead,
+  /// and its failure timer moves the cluster on to the next view.
+  bool catch_up(std::uint64_t, ReplicaId) override { return false; }
 
   std::size_t active_requests() const;
   void multicast(sim::PayloadPtr message);
@@ -135,13 +131,12 @@ class PaxosReplica final : public sim::Node {
   ReplicaId me_;
   std::unique_ptr<app::StateMachine> sm_;
 
-  core::ViewEngine<msg::PaxosViewChange> views_;
-
   core::BatchPipeline<msg::Request> batch_;  ///< leader: accepted, not yet proposed
   std::unordered_set<RequestId> queued_;
   std::size_t inflight_requests_ = 0;  ///< proposed, not yet executed
 
   core::OrderedLog<Instance> log_;
+  core::ViewChange<Instance> views_;
   std::uint64_t next_sqn_ = 0;
 
   core::ClientTable clients_;

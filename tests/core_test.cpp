@@ -1,11 +1,14 @@
 // Unit tests for the protocol-agnostic replication core (src/core): the
 // timeout helpers, the client session table, the batch pipeline, the
-// rejected-bodies cache, the ordered log, vote sets and the lifecycle trace
-// helpers. The protocols layered on top are covered by their own suites;
+// rejected-bodies cache, the ordered log, vote sets, the view change and
+// the lifecycle trace helpers. The protocols layered on top are covered by their own suites;
 // these tests pin the core semantics the layers rely on.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -18,7 +21,9 @@
 #include "core/ordered_log.hpp"
 #include "core/rejected_cache.hpp"
 #include "core/timers.hpp"
+#include "core/view_change.hpp"
 #include "obs/trace.hpp"
+#include "sim/simulator.hpp"
 
 namespace idem::core {
 namespace {
@@ -256,6 +261,7 @@ TEST(OrderedLog, GcExecutedKeepsTrailingWindow) {
   for (std::uint64_t sqn = 0; sqn < 10; ++sqn) log.at(sqn).executed = true;
   log.set_next_exec(10);
   log.gc_executed(/*window_size=*/2);  // keep [10 - 4, ...)
+  EXPECT_EQ(log.low(), 6u);
   EXPECT_FALSE(log.contains(5));
   EXPECT_TRUE(log.contains(6));
   EXPECT_TRUE(log.contains(9));
@@ -283,6 +289,181 @@ TEST(VoteSet, CountsDistinctVotersInAscendingOrder) {
   votes.clear();
   EXPECT_TRUE(votes.empty());
   EXPECT_EQ(votes.begin(), votes.end());
+}
+
+// ------------------------------------------------------------ view change
+
+using Slot = BoundSlot<RequestId>;
+
+/// Records every call the view change makes on its replica.
+struct FakeHost final : ViewChange<Slot>::Host {
+  std::vector<std::shared_ptr<const msg::ViewChange>> demands;
+  std::vector<bool> entries;  ///< `demoted`, per view entered
+  std::vector<std::pair<std::uint64_t, std::vector<RequestId>>> reproposals;
+  std::optional<std::uint64_t> next_free;
+  std::vector<std::pair<std::uint64_t, ReplicaId>> catch_ups;
+  bool can_catch_up = true;
+
+  void demanded(sim::PayloadPtr viewchange) override {
+    demands.push_back(std::static_pointer_cast<const msg::ViewChange>(viewchange));
+  }
+  void entered(bool demoted) override { entries.push_back(demoted); }
+  void repropose(std::uint64_t sqn, const Slot& slot) override {
+    reproposals.emplace_back(sqn, slot.items);
+  }
+  void lead(std::uint64_t next) override { next_free = next; }
+  bool catch_up(std::uint64_t line, ReplicaId reporter) override {
+    catch_ups.emplace_back(line, reporter);
+    return can_catch_up;
+  }
+};
+
+/// Replica 1 of 3, in view 0.
+struct ViewChangeFixture {
+  sim::Simulator clock{1};
+  OrderedLog<Slot> log;
+  FakeHost host;
+  ViewChange<Slot> views{host, log, clock, ReplicaId{1}, 3, nullptr};
+
+  void bind(std::uint64_t sqn, std::uint64_t view, RequestId id) {
+    Slot& slot = log.at(sqn);
+    slot.has_binding = true;
+    slot.view = ViewId{view};
+    slot.items = {id};
+  }
+
+  void receive(std::uint32_t from, std::uint64_t target, std::uint64_t window_start = 0,
+               std::vector<msg::WindowEntry> proposals = {}) {
+    msg::ViewChange viewchange;
+    viewchange.from = ReplicaId{from};
+    viewchange.target = ViewId{target};
+    viewchange.window_start = SeqNum{window_start};
+    viewchange.proposals = std::move(proposals);
+    views.handle(viewchange);
+  }
+};
+
+msg::WindowEntry entry(std::uint64_t sqn, std::uint64_t view, std::vector<RequestId> items) {
+  return {SeqNum{sqn}, ViewId{view}, std::move(items)};
+}
+
+TEST(ViewChange, JoinsAtFPlusOneAndEscalatesToAHigherTarget) {
+  ViewChangeFixture f;
+  f.bind(0, 0, rid(0, 1));
+  f.receive(2, 2);  // one demand of view 2: the current view keeps its support
+  EXPECT_FALSE(f.views.in_viewchange());
+  EXPECT_TRUE(f.host.demands.empty());
+
+  f.receive(0, 2);  // f + 1 demands: join, shipping the bound slot
+  EXPECT_TRUE(f.views.in_viewchange());
+  EXPECT_EQ(f.views.leader_view(), ViewId{2});
+  ASSERT_EQ(f.host.demands.size(), 1u);
+  EXPECT_EQ(f.host.demands[0]->from, ReplicaId{1});
+  EXPECT_EQ(f.host.demands[0]->target, ViewId{2});
+  ASSERT_EQ(f.host.demands[0]->proposals.size(), 1u);
+  EXPECT_EQ(f.host.demands[0]->proposals[0].items, std::vector<RequestId>{rid(0, 1)});
+  EXPECT_EQ(f.views.next_target(), ViewId{3});
+
+  f.receive(2, 3);  // one peer escalates: follow at once
+  ASSERT_EQ(f.host.demands.size(), 2u);
+  EXPECT_EQ(f.host.demands[1]->target, ViewId{3});
+  EXPECT_EQ(f.views.view(), ViewId{0});
+  EXPECT_TRUE(f.host.entries.empty());
+}
+
+TEST(ViewChange, NewestViewWinsAndAnExecutedSlotKeepsItsBinding) {
+  ViewChangeFixture f;  // replica 1 leads view 4
+  f.bind(0, 1, rid(0, 1));
+  f.log.at(0).executed = true;
+  f.log.set_next_exec(1);
+  f.bind(1, 1, rid(0, 2));
+  f.receive(2, 4, 0, {entry(0, 2, {rid(9, 9)}), entry(1, 3, {rid(0, 3)}), entry(2, 2, {rid(0, 4)})});
+  f.receive(0, 4, 0, {entry(1, 2, {rid(0, 5)})});
+
+  EXPECT_TRUE(f.views.leads());
+  EXPECT_EQ(f.views.view(), ViewId{4});
+  EXPECT_EQ(f.host.entries, std::vector<bool>{false});
+  EXPECT_EQ(f.log.at(0).items, std::vector<RequestId>{rid(0, 1)});
+  using Reproposals = std::vector<std::pair<std::uint64_t, std::vector<RequestId>>>;
+  EXPECT_EQ(f.host.reproposals, (Reproposals{{1, {rid(0, 3)}}, {2, {rid(0, 4)}}}));
+  EXPECT_EQ(f.log.at(1).view, ViewId{4});
+  EXPECT_EQ(f.log.at(1).votes.size(), 1u);  // the leader's own, in view 4
+  EXPECT_EQ(f.host.next_free, 3u);
+  EXPECT_TRUE(f.host.catch_ups.empty());
+}
+
+TEST(ViewChange, AdoptLeavesCollectedExecutedAndNewerBindingsAlone) {
+  ViewChangeFixture f;
+  f.log.advance_low(5, [](Slot&) {});
+  f.views.adopt(3, ViewId{1}, {rid(0, 1)});
+  EXPECT_FALSE(f.log.contains(3));  // collected
+  f.views.adopt(6, ViewId{2}, {rid(0, 2)});
+  f.views.adopt(6, ViewId{2}, {rid(0, 3)});  // same view
+  f.views.adopt(6, ViewId{1}, {rid(0, 4)});  // older view
+  EXPECT_EQ(f.log.at(6).items, std::vector<RequestId>{rid(0, 2)});
+  f.log.at(6).executed = true;
+  f.views.adopt(6, ViewId{3}, {rid(0, 5)});  // executed
+  EXPECT_EQ(f.log.at(6).items, std::vector<RequestId>{rid(0, 2)});
+  f.log.at(7).votes.insert(2);
+  f.views.adopt(7, ViewId{3}, {rid(0, 6)});
+  f.views.adopt(7, ViewId{4}, {rid(0, 7)});  // newer view: rebinds, votes void
+  EXPECT_EQ(f.log.at(7).items, std::vector<RequestId>{rid(0, 7)});
+  EXPECT_TRUE(f.log.at(7).votes.empty());
+}
+
+TEST(ViewChange, NoOpsFillAboveTheLineAndNothingBelowIt) {
+  ViewChangeFixture f;  // replica 1 leads view 1
+  // Replica 2 executed and collected every slot below 5; replica 0 still
+  // ships bindings below that line.
+  f.receive(0, 1, 0, {entry(1, 0, {rid(0, 1)}), entry(3, 0, {rid(0, 2)})});
+  f.receive(2, 1, 5, {entry(6, 0, {rid(0, 3)})});
+
+  EXPECT_EQ(f.host.catch_ups, (std::vector<std::pair<std::uint64_t, ReplicaId>>{{5, ReplicaId{2}}}));
+  EXPECT_TRUE(f.views.leads());
+  using Reproposals = std::vector<std::pair<std::uint64_t, std::vector<RequestId>>>;
+  EXPECT_EQ(f.host.reproposals, (Reproposals{{5, {}}, {6, {rid(0, 3)}}}));
+  for (std::uint64_t sqn : {0, 2, 4}) EXPECT_FALSE(f.log.contains(sqn)) << sqn;
+  EXPECT_EQ(f.host.next_free, 7u);
+}
+
+TEST(ViewChange, NewLeaderTakesNoFreeSlotBelowTheLine) {
+  ViewChangeFixture f;
+  f.receive(0, 1);
+  f.receive(2, 1, 9);  // the line is above every binding
+  EXPECT_TRUE(f.host.reproposals.empty());
+  EXPECT_EQ(f.host.next_free, 9u);
+}
+
+TEST(ViewChange, ReplicaThatCannotCatchUpStaysInTheViewChange) {
+  ViewChangeFixture f;
+  f.host.can_catch_up = false;
+  f.receive(0, 1, 0, {entry(1, 0, {rid(0, 1)})});
+  f.receive(2, 1, 5, {entry(6, 0, {rid(0, 3)})});
+  EXPECT_EQ(f.host.catch_ups.size(), 1u);
+  EXPECT_TRUE(f.views.in_viewchange());
+  EXPECT_FALSE(f.views.leads());
+  EXPECT_EQ(f.views.view(), ViewId{0});
+  EXPECT_TRUE(f.host.entries.empty());
+  EXPECT_TRUE(f.host.reproposals.empty());
+  EXPECT_FALSE(f.host.next_free.has_value());
+  EXPECT_EQ(f.views.next_target(), ViewId{2});  // the failure timer moves on
+}
+
+TEST(ViewChange, ViewBelowThePromisedTargetIsIgnored) {
+  ViewChangeFixture f;
+  f.views.demand(ViewId{3});
+  ASSERT_TRUE(f.views.in_viewchange());
+  EXPECT_FALSE(f.views.observe(ViewId{0}));  // the abandoned view
+  EXPECT_FALSE(f.views.observe(ViewId{2}));  // newer, but below the promise
+  EXPECT_EQ(f.views.view(), ViewId{0});
+  EXPECT_TRUE(f.host.entries.empty());
+
+  EXPECT_TRUE(f.views.observe(ViewId{3}));  // the target is entered
+  EXPECT_EQ(f.views.view(), ViewId{3});
+  EXPECT_FALSE(f.views.in_viewchange());
+  EXPECT_EQ(f.host.entries, std::vector<bool>{false});
+  EXPECT_TRUE(f.views.observe(ViewId{3}));
+  EXPECT_FALSE(f.views.observe(ViewId{2}));
 }
 
 // ------------------------------------------------------------- lifecycle

@@ -21,35 +21,7 @@
 namespace idem {
 namespace {
 
-/// A scriptable peer that records everything a replica sends to it and
-/// can inject arbitrary messages.
-class Probe final : public sim::Node {
- public:
-  Probe(sim::Simulator& sim, sim::SimNetwork& net, sim::NodeId id,
-        sim::NodeKind kind = sim::NodeKind::Replica)
-      : sim::Node(sim, net, id, kind) {}
-
-  std::vector<std::shared_ptr<const msg::Message>> received;
-
-  template <typename M>
-  std::vector<const M*> received_of() const {
-    std::vector<const M*> out;
-    for (const auto& message : received) {
-      if (const auto* typed = dynamic_cast<const M*>(message.get())) out.push_back(typed);
-    }
-    return out;
-  }
-
-  void inject(sim::NodeId to, sim::PayloadPtr message) { send(to, std::move(message)); }
-
- protected:
-  void on_message(sim::NodeId, const sim::Payload& message) override {
-    if (const auto* typed = dynamic_cast<const msg::Message*>(&message)) {
-      // Re-decode to keep an owning copy.
-      received.push_back(msg::decode(typed->encode()));
-    }
-  }
-};
+using test::Probe;
 
 struct ReplicaFixture {
   sim::Simulator sim{17};
@@ -387,6 +359,42 @@ TEST(IdemReplicaUnit, ViewChangeMessageCarriesWindow) {
   // itself the leader of view 1 here, so nothing goes on the wire; the
   // stats record the view change instead).
   EXPECT_GE(f.replica->stats().view_changes, 1u);
+}
+
+TEST(IdemReplicaUnit, NewLeaderBehindTheLineCatchesUpAndProposesOnlyAboveIt) {
+  // Replica 1 leads view 1. Replica 2 executed and collected every slot
+  // below 8; replica 0 still ships slot 2, bound in view 0. Re-proposing or
+  // no-op-filling any slot below 8 could bind a second value to a slot
+  // replica 2 has executed.
+  ReplicaFixture f;
+  f.execute(0, 1);
+  ASSERT_EQ(f.replica->next_execute().value, 1u);
+  auto viewchange = [](std::uint32_t from, std::uint64_t window_start, std::uint64_t sqn,
+                       std::uint64_t onr) {
+    auto message = std::make_shared<msg::ViewChange>();
+    message->from = ReplicaId{from};
+    message->target = ViewId{1};
+    message->window_start = SeqNum{window_start};
+    message->proposals.push_back({SeqNum{sqn}, ViewId{0}, {RequestId{ClientId{0}, OpNum{onr}}}});
+    return message;
+  };
+  f.leader->inject(f.replica->id(), viewchange(0, 0, 2, 3));
+  f.peer->inject(f.replica->id(), viewchange(2, 8, 9, 10));
+  f.settle();
+
+  EXPECT_TRUE(f.replica->is_leader());
+  EXPECT_EQ(f.replica->view(), ViewId{1});
+  std::vector<std::uint64_t> proposed;
+  for (const Probe* probe : {f.leader.get(), f.peer.get()}) {
+    for (const msg::Propose* propose : probe->received_of<msg::Propose>()) {
+      proposed.push_back(propose->sqn.value);
+    }
+  }
+  EXPECT_EQ(proposed, (std::vector<std::uint64_t>{8, 9, 8, 9}));  // 8 is a no-op
+  auto state_requests = f.peer->received_of<msg::StateRequest>();
+  ASSERT_EQ(state_requests.size(), 1u);
+  EXPECT_EQ(state_requests[0]->from, ReplicaId{1});
+  EXPECT_EQ(state_requests[0]->have, SeqNum{0});
 }
 
 

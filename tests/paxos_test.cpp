@@ -1,6 +1,9 @@
 // Tests for the Paxos baseline and its leader-based-rejection variant.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "paxos/replica.hpp"
 #include "test_util.hpp"
 
 namespace idem {
@@ -136,6 +139,38 @@ TEST(Paxos, ConsistentAfterViewChangeWithInflightRequests) {
   EXPECT_EQ(o2->kind, consensus::Outcome::Kind::Reply);
   cluster.simulator().run_for(kSecond);
   recorder.expect_consistent();
+}
+
+TEST(Paxos, PromisedReplicaIgnoresAnOlderViewsPropose) {
+  // Replica 1 joins a view change to view 3 and ships its window to view
+  // 3's leader. A PROPOSE from view 2 must not pull it into view 2: an
+  // ACCEPT there could complete a decision view 3's leader never merged.
+  sim::Simulator sim(3);
+  sim::SimNetwork net(sim, {});
+  paxos::PaxosReplica replica(sim, net, ReplicaId{1}, paxos::PaxosConfig{},
+                              std::make_unique<app::KvStore>());
+  test::Probe r0(sim, net, consensus::replica_address(ReplicaId{0}));
+  test::Probe r2(sim, net, consensus::replica_address(ReplicaId{2}));
+  for (test::Probe* probe : {&r0, &r2}) {
+    auto viewchange = std::make_shared<msg::PaxosViewChange>();
+    viewchange->from = consensus::replica_of_address(probe->id());
+    viewchange->target = ViewId{3};
+    probe->inject(replica.id(), std::move(viewchange));
+  }
+  sim.run_for(10 * kMillisecond);
+  auto joined = r0.received_of<msg::PaxosViewChange>();
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0]->target, ViewId{3});
+
+  auto propose = std::make_shared<msg::PaxosPropose>();
+  propose->view = ViewId{2};
+  propose->sqn = SeqNum{0};
+  propose->requests.emplace_back(RequestId{ClientId{0}, OpNum{1}}, put_cmd("k", "v"));
+  r2.inject(replica.id(), std::move(propose));
+  sim.run_for(10 * kMillisecond);
+  EXPECT_EQ(replica.view(), ViewId{0});
+  EXPECT_TRUE(r0.received_of<msg::PaxosAccept>().empty());
+  EXPECT_TRUE(r2.received_of<msg::PaxosAccept>().empty());
 }
 
 TEST(Paxos, DuplicateSuppressionOnRetry) {

@@ -8,8 +8,12 @@
 #include <vector>
 
 #include "app/kv_store.hpp"
+#include "consensus/messages.hpp"
 #include "consensus/service_client.hpp"
 #include "harness/cluster.hpp"
+#include "sim/network.hpp"
+#include "sim/node.hpp"
+#include "sim/simulator.hpp"
 #include "sim/transport.hpp"
 
 namespace idem::test {
@@ -37,6 +41,36 @@ class NullTransport final : public sim::Transport {
   void add_node(sim::NodeId, sim::NodeKind, sim::Endpoint*) override {}
   void remove_node(sim::NodeId) override {}
   void send(sim::NodeId, sim::NodeId, sim::PayloadPtr) override {}
+};
+
+/// A scriptable peer that records everything a replica sends to it and
+/// can inject arbitrary messages.
+class Probe final : public sim::Node {
+ public:
+  Probe(sim::Simulator& sim, sim::SimNetwork& net, sim::NodeId id,
+        sim::NodeKind kind = sim::NodeKind::Replica)
+      : sim::Node(sim, net, id, kind) {}
+
+  std::vector<std::shared_ptr<const msg::Message>> received;
+
+  template <typename M>
+  std::vector<const M*> received_of() const {
+    std::vector<const M*> out;
+    for (const auto& message : received) {
+      if (const auto* typed = dynamic_cast<const M*>(message.get())) out.push_back(typed);
+    }
+    return out;
+  }
+
+  void inject(sim::NodeId to, sim::PayloadPtr message) { send(to, std::move(message)); }
+
+ protected:
+  void on_message(sim::NodeId, const sim::Payload& message) override {
+    if (const auto* typed = dynamic_cast<const msg::Message*>(&message)) {
+      // Re-decode to keep an owning copy.
+      received.push_back(msg::decode(typed->encode()));
+    }
+  }
 };
 
 /// Invokes one operation and runs the simulation until it completes (or

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests, a build of the end-to-end benchmark (perfbench/),
-# a time-boxed chaos sweep, an ASan+UBSan test pass,
-# a TSan pass over the multi-threaded real-mode suites, a real-deployment
-# CLI smoke with a mid-run /metrics scrape under overload, a trace-export
-# smoke, a sim-core bench smoke, and a perf gate diffing fresh benchmark
-# runs against the committed BENCH_*.json baselines (skippable with
-# IDEM_SKIP_PERF_GATE=1) plus a live-telemetry overhead guard. Steps before
-# the perf gates stop at their first failure; every perf gate runs, and the
-# run then exits 1 naming each gate that failed.
+# a time-boxed chaos sweep, fixed-seed view-change sweeps, an ASan+UBSan
+# test pass, a TSan pass over the multi-threaded real-mode suites, a
+# real-deployment CLI smoke with a mid-run /metrics scrape under overload,
+# a trace-export smoke, a sim-core bench smoke, and a perf gate diffing
+# fresh benchmark runs against the committed BENCH_*.json baselines
+# (skippable with IDEM_SKIP_PERF_GATE=1) plus a live-telemetry overhead
+# guard. Steps before the perf gates stop at their first failure; every
+# perf gate runs, and the run then exits 1 naming each gate that failed.
 #
 # Usage: tools/ci.sh [--fast] [--coverage]
-#   --fast      skip the chaos sweep and the sanitizer passes
+#   --fast      skip the chaos sweeps and the sanitizer passes
 #   --coverage  additionally build with IDEM_COVERAGE=ON, re-run the test
 #               suite instrumented, and print a line-coverage summary
 #               (gcovr when available, raw gcov totals otherwise)
@@ -87,6 +87,19 @@ if [[ "${FAST}" -eq 0 ]]; then
   # path) only at small thresholds: 6 clients at r = 2.
   ./build/tools/chaos_run --sweep "${CHAOS_SEEDS}" --protocol smart-pr --clients 6 --rt 2 \
       --seed "${CHAOS_BASE_SEED}"
+
+  # Fixed-seed view-change sweeps (docs/TESTING.md "View-change safety"):
+  # each holds a schedule where a new leader bound a second value to a
+  # decided slot before the view change kept its promise and respected the
+  # garbage-collection line. About 10 s in all.
+  echo "== chaos: fixed-seed view-change sweeps =="
+  for base in 100000 110000 120000 130000 140000; do
+    ./build/tools/chaos_run --sweep 1000 --protocol idem --app counter --clients 6 --rt 2 \
+        --seed "${base}" >/dev/null
+  done
+  ./build/tools/chaos_run --sweep 1000 --protocol paxos --seed 1 >/dev/null
+  ./build/tools/chaos_run --sweep 1 --protocol idem --seed 20261083 --rt 4 --clients 14 \
+      --ops 30 --rejected-cache 2 >/dev/null
 
   echo "== sanitizers: ASan+UBSan build =="
   cmake -B build-asan -S . -DIDEM_SANITIZE=address,undefined >/dev/null
